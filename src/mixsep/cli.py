@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -56,7 +57,7 @@ def cmd_solve(args) -> int:
     from .constants import A_BOHR, joule_to_nk
     from .physics import scattering_length
     from .pipeline import M3_TO_CM3, save_ground_state
-    from .solver import SolverOptions, minimize
+    from .solver import minimize
     from .profiles import grid_for_scenario
 
     cfg = _load_config(args)
@@ -66,16 +67,8 @@ def cmd_solve(args) -> int:
     elif args.b is not None:
         scenario = scenario.with_a_bf(scattering_length(cfg.resonance, args.b))
     mode = args.mode or cfg.solver.mode
-    options = SolverOptions(
-        mode=mode,
-        tol_energy=cfg.solver.tol_energy,
-        consecutive=cfg.solver.consecutive,
-        max_iter=cfg.solver.max_iter,
-        seed=cfg.solver.seed,
-        warm_noise=cfg.solver.warm_noise,
-    )
     grid = grid_for_scenario(scenario, cfg.n_rho, cfg.n_z, cfg.box_factor)
-    gs = minimize(scenario, grid, options)
+    gs = minimize(scenario, grid, replace(cfg.solver, mode=mode))
     if args.out:
         save_ground_state(gs, args.out)
     _print_kv(
@@ -85,6 +78,8 @@ def cmd_solve(args) -> int:
             ("converged", gs.converged),
             ("iterations", gs.iterations),
             ("energy_nk", joule_to_nk(gs.energy)),
+            ("residual_b", gs.residual[0]),
+            ("residual_f", gs.residual[1]),
             ("n_b_peak_cm3", gs.n_b.peak() * M3_TO_CM3),
             ("n_f_peak_cm3", gs.n_f.peak() * M3_TO_CM3),
             ("n_f_center_cm3", gs.n_f.center_value() * M3_TO_CM3),

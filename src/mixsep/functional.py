@@ -115,6 +115,10 @@ class KineticStencil:
     def max_eigenvalue_bound(self) -> float:
         return 4.0 * self.inv_dr2 + 4.0 * self.inv_dz2
 
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of the operator apply() represents, shape (n_rho, 1)."""
+        return (self.up + self.down) * self.inv_dr2 + 2.0 * self.inv_dz2
+
 
 def energy_terms(
     params: EnergyFunctionalParams,
@@ -194,13 +198,33 @@ def apply_hamiltonians(
     return h_psi, h_phi
 
 
-def local_scale_bound(params: EnergyFunctionalParams, psi: np.ndarray, phi: np.ndarray) -> tuple[float, float]:
-    """Spectral-scale estimates used to size the imaginary-time step."""
+def local_scale_bound(
+    params: EnergyFunctionalParams,
+    psi: np.ndarray,
+    phi: np.ndarray,
+    stencil: KineticStencil,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell diagonal scale of (H_b, H_f): max(loc, 0) + coef_kin diag(K).
+
+    loc is the local part of each Hamiltonian in apply_hamiltonians. The
+    solver preconditions each species' gradient by one over this scale plus
+    |mu|. Built in place, so the only full-grid allocations are the two
+    returned arrays and the two densities.
+    """
     n_b = psi * psi
     n_f = phi * phi
-    loc_b = float(np.max(params.v_b + params.g_bb * n_b + params.g_bf * n_f))
-    loc_f = float(
-        np.max(params.v_f + (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0) + params.g_bf * n_b)
-    )
-    stiff = KineticStencil(params.grid).max_eigenvalue_bound()
-    return loc_b + params.coef_kin_b * stiff, loc_f + params.coef_kin_f * stiff
+    scale_b = params.g_bb * n_b
+    scale_b += params.v_b
+    scale_f = n_f ** (2.0 / 3.0)
+    scale_f *= (5.0 / 3.0) * params.c_tf
+    scale_f += params.v_f
+    n_b *= params.g_bf
+    scale_f += n_b
+    n_f *= params.g_bf
+    scale_b += n_f
+    np.maximum(scale_b, 0.0, out=scale_b)
+    np.maximum(scale_f, 0.0, out=scale_f)
+    diag = stencil.diagonal()
+    scale_b += params.coef_kin_b * diag
+    scale_f += params.coef_kin_f * diag
+    return scale_b, scale_f

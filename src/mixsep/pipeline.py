@@ -15,7 +15,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .overlap import OverlapReport, omega_eff_from_ground_state
 from .physics import SpeciesParams, critical_scattering_length
 from .profiles import bec_tf_profile, fermi_tf_profile, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
-from .solver import GroundState, SolverOptions, minimize
+from .solver import GroundState, minimize
 
 try:
     from importlib.metadata import PackageNotFoundError, version
@@ -245,6 +245,8 @@ def save_ground_state(gs: GroundState, dirpath) -> Path:
             },
             "mu_b_nk": joule_to_nk(gs.mu_b),
             "mu_f_nk": joule_to_nk(gs.mu_f),
+            "residual_b": gs.residual[0],
+            "residual_f": gs.residual[1],
         },
     }
     atomic_write_text(d / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -287,6 +289,7 @@ def load_ground_state(dirpath) -> GroundState:
         iterations=res["iterations"],
         converged=res["converged"],
         mode=res["mode"],
+        residual=(res.get("residual_b", math.nan), res.get("residual_f", math.nan)),
     )
 
 
@@ -360,14 +363,7 @@ def _critical_a_bf(scenario: MixtureScenario) -> float:
 
 def _sweep_states(config: RunConfig, mode: str, grid, progress=None):
     """Warm-started solve at every sweep point; failures yield (None, err)."""
-    options = SolverOptions(
-        mode=mode,
-        tol_energy=config.solver.tol_energy,
-        consecutive=config.solver.consecutive,
-        max_iter=config.solver.max_iter,
-        seed=config.solver.seed,
-        warm_noise=config.solver.warm_noise,
-    )
+    options = replace(config.solver, mode=mode)
     out = []
     warm = None
     for idx, a_bf in enumerate(config.sweep_a_bf):
@@ -401,6 +397,8 @@ def _point_record(mode: str, a_bf: float, gs: GroundState | None, err: str | Non
             converged=gs.converged,
             iterations=gs.iterations,
             energy_nk=joule_to_nk(gs.energy),
+            residual_b=gs.residual[0],
+            residual_f=gs.residual[1],
         )
     return rec
 
@@ -428,15 +426,7 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
         # Full-overlap reference: the same functional at a_bf = 0. Each
         # mode's curve is normalized by its own zero-interaction solution,
         # so the overlap columns start at exactly 1.
-        opts = SolverOptions(
-            mode=mode,
-            tol_energy=config.solver.tol_energy,
-            consecutive=config.solver.consecutive,
-            max_iter=config.solver.max_iter,
-            seed=config.solver.seed,
-            warm_noise=config.solver.warm_noise,
-        )
-        gs0 = minimize(scenario.with_a_bf(0.0), grid, opts)
+        gs0 = minimize(scenario.with_a_bf(0.0), grid, replace(config.solver, mode=mode))
         reference = (gs0.n_f, gs0.n_b)
         rep0 = omega_eff_from_ground_state(
             gs0, l3=config.l3, reference=reference, peaks=peaks

@@ -79,6 +79,8 @@ class TestSolve:
         assert vals["converged"] == "True"
         assert vals["mode"] == "tf"
         assert float(vals["n_f_peak_cm3"]) == pytest.approx(1.188e12, rel=0.05)
+        assert float(vals["residual_b"]) >= 0.0
+        assert float(vals["residual_f"]) > 0.0
         gs = load_ground_state(out_dir)
         assert gs.converged
 

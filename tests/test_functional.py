@@ -196,7 +196,25 @@ def test_local_scale_bound_orders(small):
     grid, psi, phi = small
     full = functional_params(SC, grid, "full")
     tf = functional_params(SC, grid, "tf")
-    fb, ff_ = local_scale_bound(full, psi, phi)
-    tb, tf_ = local_scale_bound(tf, psi, phi)
-    assert fb > tb > 0.0
-    assert ff_ > tf_ > 0.0
+    st = KineticStencil(grid)
+    fb, ff_ = local_scale_bound(full, psi, phi, st)
+    tb, tf_ = local_scale_bound(tf, psi, phi, st)
+    for arr in (fb, ff_, tb, tf_):
+        assert arr.shape == psi.shape
+    assert np.all(fb > tb) and np.all(tb >= 0.0)
+    assert np.all(ff_ > tf_) and np.all(tf_ >= 0.0)
+    # tf mode keeps only the local part, the full mode adds coef_kin diag(K)
+    np.testing.assert_allclose(
+        fb - tb, np.broadcast_to(full.coef_kin_b * st.diagonal(), psi.shape), rtol=1e-9
+    )
+
+
+def test_stencil_diagonal_matches_apply(small):
+    grid, _, _ = small
+    st = KineticStencil(grid)
+    diag = st.diagonal()
+    assert diag.shape == (grid.n_rho, 1)
+    for i, j in ((0, 0), (5, 7), (grid.n_rho - 1, grid.n_z - 1)):
+        e = np.zeros((grid.n_rho, grid.n_z))
+        e[i, j] = 1.0
+        assert st.apply(e)[i, j] == pytest.approx(diag[i, 0], rel=1e-14)

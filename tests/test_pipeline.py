@@ -1,6 +1,7 @@
 """On-disk formats, manifests, sweep orchestration, plot-data emitters."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,8 +136,17 @@ class TestGroundStateIO:
         assert back.mu_b == pytest.approx(gs_tf.mu_b, rel=1e-9)
         assert back.energy == pytest.approx(gs_tf.energy, rel=1e-9)
         np.testing.assert_allclose(back.n_f.values, gs_tf.n_f.values, rtol=1e-11, atol=1e-3)
+        assert back.residual == gs_tf.residual
         # iteration history is not persisted
         assert back.energy_history.size == 0
+
+    def test_missing_residual_reads_nan(self, tmp_path, gs_tf):
+        d = save_ground_state(gs_tf, tmp_path / "gs")
+        meta = json.loads((d / "meta.json").read_text(encoding="utf-8"))
+        del meta["results"]["residual_b"], meta["results"]["residual_f"]
+        (d / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        back = load_ground_state(d)
+        assert all(math.isnan(r) for r in back.residual)
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(MissingInput):
@@ -326,6 +336,7 @@ consecutive = 5
         assert roles.count("reference") == 2
         assert len(payload["points"]) == 6
         assert all(p["converged"] for p in payload["points"])
+        assert all(p["residual_b"] >= 0.0 and p["residual_f"] > 0.0 for p in payload["points"])
         snap = tmp_path / "config_snapshot.cfg"
         assert payload["config_sha256"] == sha256_text(
             snap.read_text(encoding="utf-8")

@@ -82,6 +82,10 @@ class TestNonInteracting:
         assert full0.converged
         assert full0.mode == "full"
 
+    def test_residual_small(self, full0, sep800):
+        for gs in (full0, sep800):
+            assert max(gs.residual) < 1e-3
+
     def test_history_non_increasing(self, tf0, full0):
         for gs in (tf0, full0):
             h = gs.energy_history
