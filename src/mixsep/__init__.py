@@ -38,6 +38,7 @@ from .pipeline import (
     run_figure3_pipeline,
     run_overlap_sweep,
     save_ground_state,
+    sweep_ground_states,
     verify_manifest,
 )
 from .profiles import (
@@ -49,7 +50,7 @@ from .profiles import (
     thermal_bose_profile,
 )
 from .scenario import MixtureScenario, default_resonance, default_scenario
-from .solver import GroundState, SolverOptions, interface_thickness, minimize, sweep_ground_states
+from .solver import GroundState, SolverOptions, interface_thickness, minimize
 
 try:
     from importlib.metadata import version as _version

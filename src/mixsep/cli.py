@@ -114,7 +114,12 @@ def cmd_sweep(args) -> int:
     else:
         csv_path, manifest_path = run_overlap_sweep(cfg, args.out, args.mode, progress)
     _print_kv([("sweep_csv", str(csv_path)), ("manifest", str(manifest_path))])
-    return 0
+    points = json.loads(manifest_path.read_text(encoding="utf-8"))["points"]
+    failed = [p for p in points if p["error"] or not p["converged"]]
+    for p in failed:
+        reason = p["error"] or "hit max_iter before converging"
+        print(f"[{p['mode']}] a_bf = {p['a_bf_a0']:.6g} a0: {reason}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_overlap(args) -> int:

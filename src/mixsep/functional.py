@@ -9,7 +9,7 @@ phi = sqrt(n_f) uses |grad n_f|^2 / n_f = 4 |grad phi|^2 identically, so no
 regularization of the division is ever needed.
 
 Discretely, both kinetic terms are face-difference quadratic forms and the
-operators applied by apply_hamiltonians are their exact algebraic gradients
+operators H_b, H_f that evaluate applies are their exact algebraic gradients
 divided by twice the cell volume. That makes dE/dpsi_ij == 2 w_ij (H psi)_ij
 hold to machine precision, which the tests check by finite differences.
 """
@@ -58,10 +58,6 @@ class EnergyFunctionalParams:
     c_tf: float
     coef_kin_b: float
     coef_kin_f: float
-
-    @property
-    def tf_mode(self) -> bool:
-        return self.coef_kin_b == 0.0 and self.coef_kin_f == 0.0
 
 
 def functional_params(
@@ -112,39 +108,56 @@ class KineticStencil:
         out[:, 1:] -= u[:, :-1] * self.inv_dz2
         return out
 
-    def max_eigenvalue_bound(self) -> float:
-        return 4.0 * self.inv_dr2 + 4.0 * self.inv_dz2
-
     def diagonal(self) -> np.ndarray:
         """Diagonal of the operator apply() represents, shape (n_rho, 1)."""
         return (self.up + self.down) * self.inv_dr2 + 2.0 * self.inv_dz2
 
 
-def energy_terms(
+@dataclass(frozen=True)
+class Evaluation:
+    """One pass over (psi, phi): energy terms, H psi, H phi, local potentials.
+
+    loc_b / loc_f are the local (non-kinetic) parts of H_b and H_f.
+    """
+
+    terms: dict
+    h_psi: np.ndarray
+    h_phi: np.ndarray
+    loc_b: np.ndarray
+    loc_f: np.ndarray
+
+    @property
+    def energy(self) -> float:
+        return sum(self.terms.values())
+
+
+def evaluate(
     params: EnergyFunctionalParams,
     psi: np.ndarray,
     phi: np.ndarray,
     stencil: KineticStencil,
-    k_psi: np.ndarray | None = None,
-    k_phi: np.ndarray | None = None,
-) -> dict:
-    """Breakdown of the total energy, J. Raises on non-finite terms.
+) -> Evaluation:
+    """Energy breakdown (J) and both Hamiltonians applied, in one pass.
 
-    k_psi / k_phi allow reuse of stencil applications computed by the caller.
+    dE/dpsi = 2 w (H_b psi) and likewise for phi, with
+    H_b = -coef_b lap + V_b + g_bb n_b + g_bf n_f
+    H_f = -coef_f lap + V_f + (5/3) c_TF n_f^(2/3) + g_bf n_b
+    where (5/3) c_TF n^(2/3) is the local Fermi energy of the sea. Raises
+    NumericalBlowup on a non-finite energy term. The stencil is applied
+    once per field.
     """
     w = params.grid.weights
     n_b = psi * psi
     n_f = phi * phi
     terms = {}
+    k_psi = k_phi = None
     if params.coef_kin_b != 0.0:
-        if k_psi is None:
-            k_psi = stencil.apply(psi)
+        k_psi = stencil.apply(psi)
         terms["bec_kinetic"] = params.coef_kin_b * float(np.sum(w * psi * k_psi))
     else:
         terms["bec_kinetic"] = 0.0
     if params.coef_kin_f != 0.0:
-        if k_phi is None:
-            k_phi = stencil.apply(phi)
+        k_phi = stencil.apply(phi)
         terms["fermi_gradient"] = params.coef_kin_f * float(np.sum(w * phi * k_phi))
     else:
         terms["fermi_gradient"] = 0.0
@@ -156,15 +169,46 @@ def energy_terms(
     for name, val in terms.items():
         if not math.isfinite(val):
             raise NumericalBlowup(f"energy term {name!r} is not finite")
-    return terms
+
+    # In place, so that few full-grid arrays are live at once. Each sum adds
+    # the same operands in the same grouping as V + g n + g_bf n', so the
+    # values match the plain formulas bit for bit.
+    loc_b = params.g_bb * n_b
+    loc_b += params.v_b
+    loc_f = n_f ** (2.0 / 3.0)
+    loc_f *= (5.0 / 3.0) * params.c_tf
+    loc_f += params.v_f
+    n_b *= params.g_bf
+    loc_f += n_b
+    n_f *= params.g_bf
+    loc_b += n_f
+    del n_b, n_f
+    return Evaluation(
+        terms,
+        _hamiltonian(loc_b, psi, params.coef_kin_b, k_psi),
+        _hamiltonian(loc_f, phi, params.coef_kin_f, k_phi),
+        loc_b,
+        loc_f,
+    )
 
 
-def total_energy(
-    params: EnergyFunctionalParams, psi: np.ndarray, phi: np.ndarray
-) -> tuple[float, dict]:
-    stencil = KineticStencil(params.grid)
-    terms = energy_terms(params, psi, phi, stencil)
-    return sum(terms.values()), terms
+def _hamiltonian(loc, u, coef_kin, k_u):
+    """loc u + coef_kin K u, accumulated into K u's buffer when there is one."""
+    if k_u is None:
+        return loc * u
+    k_u *= coef_kin
+    k_u += loc * u
+    return k_u
+
+
+def energy_terms(
+    params: EnergyFunctionalParams,
+    psi: np.ndarray,
+    phi: np.ndarray,
+    stencil: KineticStencil,
+) -> dict:
+    """Breakdown of the total energy, J. Raises on non-finite terms."""
+    return evaluate(params, psi, phi, stencil).terms
 
 
 def apply_hamiltonians(
@@ -172,59 +216,26 @@ def apply_hamiltonians(
     psi: np.ndarray,
     phi: np.ndarray,
     stencil: KineticStencil,
-    k_psi: np.ndarray | None = None,
-    k_phi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(H_b psi, H_f phi); dE/dpsi = 2 w (H_b psi) and likewise for phi.
-
-    H_b = -coef_b lap + V_b + g_bb n_b + g_bf n_f
-    H_f = -coef_f lap + V_f + (5/3) c_TF n_f^(2/3) + g_bf n_b
-    where (5/3) c_TF n^(2/3) is the local Fermi energy of the sea.
-    """
-    n_b = psi * psi
-    n_f = phi * phi
-    loc_b = params.v_b + params.g_bb * n_b + params.g_bf * n_f
-    loc_f = params.v_f + (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0) + params.g_bf * n_b
-    h_psi = loc_b * psi
-    h_phi = loc_f * phi
-    if params.coef_kin_b != 0.0:
-        if k_psi is None:
-            k_psi = stencil.apply(psi)
-        h_psi = h_psi + params.coef_kin_b * k_psi
-    if params.coef_kin_f != 0.0:
-        if k_phi is None:
-            k_phi = stencil.apply(phi)
-        h_phi = h_phi + params.coef_kin_f * k_phi
-    return h_psi, h_phi
+    """(H_b psi, H_f phi); dE/dpsi = 2 w (H_b psi) and likewise for phi."""
+    ev = evaluate(params, psi, phi, stencil)
+    return ev.h_psi, ev.h_phi
 
 
 def local_scale_bound(
     params: EnergyFunctionalParams,
-    psi: np.ndarray,
-    phi: np.ndarray,
-    stencil: KineticStencil,
+    loc_b: np.ndarray,
+    loc_f: np.ndarray,
+    diag: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell diagonal scale of (H_b, H_f): max(loc, 0) + coef_kin diag(K).
 
-    loc is the local part of each Hamiltonian in apply_hamiltonians. The
-    solver preconditions each species' gradient by one over this scale plus
-    |mu|. Built in place, so the only full-grid allocations are the two
-    returned arrays and the two densities.
+    Overwrites and returns loc_b / loc_f, the local potentials of an
+    Evaluation; diag is KineticStencil.diagonal(). The solver
+    preconditions each species' gradient by one over this scale plus |mu|.
     """
-    n_b = psi * psi
-    n_f = phi * phi
-    scale_b = params.g_bb * n_b
-    scale_b += params.v_b
-    scale_f = n_f ** (2.0 / 3.0)
-    scale_f *= (5.0 / 3.0) * params.c_tf
-    scale_f += params.v_f
-    n_b *= params.g_bf
-    scale_f += n_b
-    n_f *= params.g_bf
-    scale_b += n_f
-    np.maximum(scale_b, 0.0, out=scale_b)
-    np.maximum(scale_f, 0.0, out=scale_f)
-    diag = stencil.diagonal()
-    scale_b += params.coef_kin_b * diag
-    scale_f += params.coef_kin_f * diag
-    return scale_b, scale_f
+    np.maximum(loc_b, 0.0, out=loc_b)
+    np.maximum(loc_f, 0.0, out=loc_f)
+    loc_b += params.coef_kin_b * diag
+    loc_f += params.coef_kin_f * diag
+    return loc_b, loc_f

@@ -8,7 +8,7 @@ a mirror partner. The quadrature is the midpoint rule with cell volume
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -37,7 +37,7 @@ from .overlap import OverlapReport, omega_eff_from_ground_state
 from .physics import SpeciesParams, critical_scattering_length
 from .profiles import bec_tf_profile, fermi_tf_profile, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
-from .solver import GroundState, minimize
+from .solver import GroundState, SolverOptions, minimize
 
 try:
     from importlib.metadata import PackageNotFoundError, version
@@ -361,14 +361,29 @@ def _critical_a_bf(scenario: MixtureScenario) -> float:
     return crit / A_BOHR
 
 
-def _sweep_states(config: RunConfig, mode: str, grid, progress=None):
-    """Warm-started solve at every sweep point; failures yield (None, err)."""
-    options = replace(config.solver, mode=mode)
+def sweep_ground_states(
+    scenario: MixtureScenario,
+    a_bf_values,
+    grid: Grid2D | None = None,
+    options: SolverOptions = SolverOptions(),
+    progress=None,
+) -> list[tuple[GroundState | None, str | None]]:
+    """Solve at each a_bf, warm-starting each point from the previous one.
+
+    Returns one (state, None) or (None, "ErrorType: message") per point: a
+    point whose solve raises a MixsepError is recorded and the next point
+    starts cold. The warm start is perturbed with seeded relative noise
+    before relaxing, which keeps a point from inheriting the previous
+    point's topology (a mixed state carried past the separation threshold,
+    or the reverse). progress(mode, idx, a_bf, state or None) is called
+    after each point.
+    """
+    if grid is None:
+        grid = grid_for_scenario(scenario)
     out = []
     warm = None
-    for idx, a_bf in enumerate(config.sweep_a_bf):
-        point = config.scenario.with_a_bf(float(a_bf))
-        start = None
+    for idx, a_bf in enumerate(a_bf_values):
+        start = warm
         if warm is not None and options.warm_noise > 0.0:
             rng = np.random.default_rng(options.seed + 7919 * idx)
             start = tuple(
@@ -376,17 +391,14 @@ def _sweep_states(config: RunConfig, mode: str, grid, progress=None):
                 for w in warm
             )
         try:
-            gs = minimize(point, grid, options, warm_start=start)
+            gs = minimize(scenario.with_a_bf(float(a_bf)), grid, options, warm_start=start)
         except MixsepError as exc:
-            out.append((None, f"{type(exc).__name__}: {exc}"))
-            warm = None
-            if progress is not None:
-                progress(mode, idx, float(a_bf), None)
-            continue
-        out.append((gs, None))
-        warm = (np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values))
+            gs, err, warm = None, f"{type(exc).__name__}: {exc}", None
+        else:
+            err, warm = None, (np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values))
+        out.append((gs, err))
         if progress is not None:
-            progress(mode, idx, float(a_bf), gs)
+            progress(options.mode, idx, float(a_bf), gs)
     return out
 
 
@@ -436,7 +448,9 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
         rec["role"] = "reference"
         manifest.points.append(rec)
 
-        states = _sweep_states(config, mode, grid, progress)
+        states = sweep_ground_states(
+            scenario, config.sweep_a_bf, grid, replace(config.solver, mode=mode), progress
+        )
         reports = []
         for (gs, err), a_bf in zip(states, config.sweep_a_bf):
             manifest.points.append(_point_record(mode, a_bf, gs, err))
@@ -495,8 +509,11 @@ def run_overlap_sweep(
     ref_f, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
 
     manifest = RunManifest(config_sha256=sha256_text(config_text))
+    states = sweep_ground_states(
+        scenario, config.sweep_a_bf, grid, replace(config.solver, mode=mode), progress
+    )
     rows = []
-    for (gs, err), a_bf in zip(_sweep_states(config, mode, grid, progress), config.sweep_a_bf):
+    for (gs, err), a_bf in zip(states, config.sweep_a_bf):
         manifest.points.append(_point_record(mode, a_bf, gs, err))
         if gs is None:
             rows.append([a_bf / A_BOHR] + [None] * 9)

@@ -19,20 +19,14 @@ for a run of consecutive accepted steps.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSeparated, NumericalBlowup, StepUnstable
-from .functional import (
-    EnergyFunctionalParams,
-    KineticStencil,
-    apply_hamiltonians,
-    energy_terms,
-    functional_params,
-    local_scale_bound,
-)
+from .errors import NotSeparated, StepUnstable
+from .functional import KineticStencil, evaluate, functional_params, local_scale_bound
+# Bound here, though unused, so that perfbench/spans.py can trace them.
+from .functional import apply_hamiltonians, energy_terms  # noqa: F401
 from .grid import DensityField, Grid2D
 from .profiles import bec_tf_profile, fermi_tf_profile, grid_for_scenario
 from .scenario import MixtureScenario
@@ -145,6 +139,7 @@ def minimize(
     psi = _renormalize(psi, n_cond, w)
     phi = _renormalize(phi, scenario.n_fermions, w)
 
+    diag = stencil.diagonal()
     dtau_b = dtau_f = options.dtau_safety
     energy_hist: list[float] = []
     e_prev = math.inf
@@ -156,10 +151,8 @@ def minimize(
     converged = False
 
     while iterations < options.max_iter:
-        k_psi = stencil.apply(psi) if params.coef_kin_b != 0.0 else None
-        k_phi = stencil.apply(phi) if params.coef_kin_f != 0.0 else None
-        terms = energy_terms(params, psi, phi, stencil, k_psi, k_phi)
-        e_now = sum(terms.values())
+        ev = evaluate(params, psi, phi, stencil)
+        e_now = ev.energy
 
         if e_now > e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR:
             # The step that produced these fields raised the energy: retract.
@@ -171,6 +164,7 @@ def minimize(
             dtau_b *= 0.5
             dtau_f *= 0.5
             psi, phi = psi_best, phi_best
+            del ev
             iterations += 1
             continue
 
@@ -185,23 +179,21 @@ def minimize(
             break
         halvings = 0
 
-        h_psi, h_phi = apply_hamiltonians(params, psi, phi, stencil, k_psi, k_phi)
-        scale_b, scale_f = local_scale_bound(params, psi, phi, stencil)
+        scale_b, scale_f = local_scale_bound(params, ev.loc_b, ev.loc_f, diag)
         if n_cond > 0.0:
-            psi = _preconditioned_step(psi, h_psi, scale_b, dtau_b, n_cond, w)
-        phi = _preconditioned_step(phi, h_phi, scale_f, dtau_f, scenario.n_fermions, w)
+            psi = _preconditioned_step(psi, ev.h_psi, scale_b, dtau_b, n_cond, w)
+        phi = _preconditioned_step(phi, ev.h_phi, scale_f, dtau_f, scenario.n_fermions, w)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
-        del h_psi, h_phi, scale_b, scale_f
+        del ev, scale_b, scale_f
         iterations += 1
 
-    psi, phi = psi_best, phi_best
-    k_psi = stencil.apply(psi) if params.coef_kin_b != 0.0 else None
-    k_phi = stencil.apply(phi) if params.coef_kin_f != 0.0 else None
-    terms = energy_terms(params, psi, phi, stencil, k_psi, k_phi)
-    h_psi, h_phi = apply_hamiltonians(params, psi, phi, stencil, k_psi, k_phi)
-    mu_b = _rayleigh(psi, h_psi, w) if n_cond > 0.0 else 0.0
-    mu_f = _rayleigh(phi, h_phi, w)
+    if not converged:
+        # The last evaluation was of a rejected state or was consumed by a step.
+        psi, phi = psi_best, phi_best
+        ev = evaluate(params, psi, phi, stencil)
+    mu_b = _rayleigh(psi, ev.h_psi, w) if n_cond > 0.0 else 0.0
+    mu_f = _rayleigh(phi, ev.h_phi, w)
 
     return GroundState(
         scenario=scenario,
@@ -209,48 +201,14 @@ def minimize(
         n_f=DensityField(grid, phi * phi, "fermions"),
         mu_b=mu_b,
         mu_f=mu_f,
-        energy=sum(terms.values()),
-        energy_breakdown=terms,
+        energy=ev.energy,
+        energy_breakdown=ev.terms,
         energy_history=np.array(energy_hist),
         iterations=iterations,
         converged=converged,
         mode=options.mode,
-        residual=(_residual(psi, h_psi, mu_b, w), _residual(phi, h_phi, mu_f, w)),
+        residual=(_residual(psi, ev.h_psi, mu_b, w), _residual(phi, ev.h_phi, mu_f, w)),
     )
-
-
-def sweep_ground_states(
-    scenario: MixtureScenario,
-    a_bf_values,
-    grid: Grid2D | None = None,
-    options: SolverOptions = SolverOptions(),
-    progress=None,
-) -> list[GroundState]:
-    """Solve at each a_bf, warm-starting each point from the previous one.
-
-    The warm start is perturbed with seeded relative noise before relaxing,
-    which keeps a point from inheriting the previous point's topology (a
-    mixed state carried past the separation threshold, or the reverse).
-    """
-    if grid is None:
-        grid = grid_for_scenario(scenario)
-    states: list[GroundState] = []
-    warm = None
-    for idx, a_bf in enumerate(a_bf_values):
-        point = scenario.with_a_bf(float(a_bf))
-        if warm is not None and options.warm_noise > 0.0:
-            rng = np.random.default_rng(options.seed + 7919 * idx)
-            psi0 = np.abs(warm[0] * (1.0 + options.warm_noise * rng.standard_normal(warm[0].shape)))
-            phi0 = np.abs(warm[1] * (1.0 + options.warm_noise * rng.standard_normal(warm[1].shape)))
-            start = (psi0, phi0)
-        else:
-            start = warm
-        gs = minimize(point, grid, options, warm_start=start)
-        states.append(gs)
-        warm = (np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values))
-        if progress is not None:
-            progress(idx, gs)
-    return states
 
 
 def interface_thickness(gs: GroundState) -> float:

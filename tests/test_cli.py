@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from mixsep import pipeline
 from mixsep.cli import _apply_thread_cap, main
+from mixsep.constants import A_BOHR
+from mixsep.errors import StepUnstable
 from mixsep.pipeline import (
     load_ground_state,
     read_profile_csv,
@@ -328,6 +331,36 @@ class TestSweepAndFig:
             "--quiet",
         )
         assert code == 0 and "point" not in err
+
+    def test_sweep_failed_or_unconverged_point_exits_3(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            FAST_CFG + "[sweep]\na_bf_list_a0 = 100, 800\n", encoding="utf-8"
+        )
+        solve = pipeline.minimize
+
+        def flaky(scenario, grid, options, warm_start=None):
+            if scenario.a_bf > 500.0 * A_BOHR:
+                raise StepUnstable("energy still rising")
+            return solve(scenario, grid, options, warm_start=warm_start)
+
+        monkeypatch.setattr(pipeline, "minimize", flaky)
+        out_dir = tmp_path / "run"
+        argv = ["sweep", "--config", str(cfg), "--mode", "tf", "--out", str(out_dir), "--quiet"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        # the results are still written, and the failed point is named
+        verify_manifest(kv(out)["manifest"])
+        assert "[tf] a_bf = 800 a0: StepUnstable: energy still rising" in err
+        assert "a_bf = 100 a0" not in err
+
+        # a point that hits max_iter fails the run the same way
+        cfg.write_text(
+            FAST_CFG + "max_iter = 3\n[sweep]\na_bf_list_a0 = 100\n", encoding="utf-8"
+        )
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "[tf] a_bf = 100 a0: hit max_iter before converging" in err
 
     def test_overlap_report(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"

@@ -12,10 +12,10 @@ from mixsep.functional import (
     KineticStencil,
     apply_hamiltonians,
     energy_terms,
+    evaluate,
     functional_params,
     local_scale_bound,
     tf_pressure_coefficient,
-    total_energy,
 )
 from mixsep.grid import grid_for_box
 from mixsep.scenario import default_scenario
@@ -62,8 +62,8 @@ def test_tf_mode_drops_kinetic_terms(small):
     grid, psi, phi = small
     full = functional_params(SC, grid, "full")
     tf = functional_params(SC, grid, "tf")
-    assert not full.tf_mode
-    assert tf.tf_mode
+    assert full.coef_kin_b > 0.0 and full.coef_kin_f > 0.0
+    assert tf.coef_kin_b == 0.0 and tf.coef_kin_f == 0.0
     st = KineticStencil(grid)
     terms = energy_terms(tf, psi, phi, st)
     assert terms["bec_kinetic"] == 0.0
@@ -79,9 +79,49 @@ def test_tf_mode_drops_kinetic_terms(small):
 def test_total_energy_is_sum_of_terms(small):
     grid, psi, phi = small
     params = functional_params(SC, grid, "full")
-    total, terms = total_energy(params, psi, phi)
-    assert total == pytest.approx(sum(terms.values()), rel=1e-15)
-    assert set(terms) == set(ENERGY_TERMS)
+    ev = evaluate(params, psi, phi, KineticStencil(grid))
+    assert ev.energy == pytest.approx(sum(ev.terms.values()), rel=1e-15)
+    assert set(ev.terms) == set(ENERGY_TERMS)
+
+
+@pytest.mark.parametrize("mode", ["full", "tf"])
+def test_evaluate_matches_term_by_term_formulas(small, mode):
+    # bit for bit: the one-pass evaluation must not reorder any operation
+    grid, psi, phi = small
+    params = functional_params(SC, grid, mode)
+    st = KineticStencil(grid)
+    psi0, phi0 = psi.copy(), phi.copy()
+    ev = evaluate(params, psi, phi, st)
+    np.testing.assert_array_equal(psi, psi0)
+    np.testing.assert_array_equal(phi, phi0)
+
+    n_b, n_f = psi * psi, phi * phi
+    loc_b = params.v_b + params.g_bb * n_b + params.g_bf * n_f
+    loc_f = params.v_f + (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0) + params.g_bf * n_b
+    h_psi, h_phi = loc_b * psi, loc_f * phi
+    if mode == "full":
+        h_psi = h_psi + params.coef_kin_b * st.apply(psi)
+        h_phi = h_phi + params.coef_kin_f * st.apply(phi)
+    for got, want in ((ev.loc_b, loc_b), (ev.loc_f, loc_f), (ev.h_psi, h_psi), (ev.h_phi, h_phi)):
+        np.testing.assert_array_equal(got, want)
+    w = grid.weights
+    assert ev.terms["fermi_pressure"] == params.c_tf * float(np.sum(w * n_f ** (5.0 / 3.0)))
+    assert ev.terms["interspecies"] == params.g_bf * float(np.sum(w * n_b * n_f))
+    # the total sums the terms in this order
+    assert list(ev.terms) == [
+        "bec_kinetic",
+        "fermi_gradient",
+        "bec_trap",
+        "bec_interaction",
+        "fermi_pressure",
+        "fermi_trap",
+        "interspecies",
+    ]
+
+    # the views return the same arrays and terms
+    assert energy_terms(params, psi, phi, st) == ev.terms
+    for got, want in zip(apply_hamiltonians(params, psi, phi, st), (ev.h_psi, ev.h_phi)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_blowup_names_offending_term(small):
@@ -123,7 +163,8 @@ class TestKineticStencil:
     def test_eigenvalue_bound_holds(self, small):
         grid, _, _ = small
         st = KineticStencil(grid)
-        bound = st.max_eigenvalue_bound()
+        # Gershgorin: each row's off-diagonal weights sum to its diagonal
+        bound = 2.0 * float(np.max(st.diagonal()))
         rng = np.random.default_rng(14)
         u = rng.standard_normal((grid.n_rho, grid.n_z))
         for _ in range(60):
@@ -197,8 +238,15 @@ def test_local_scale_bound_orders(small):
     full = functional_params(SC, grid, "full")
     tf = functional_params(SC, grid, "tf")
     st = KineticStencil(grid)
-    fb, ff_ = local_scale_bound(full, psi, phi, st)
-    tb, tf_ = local_scale_bound(tf, psi, phi, st)
+    ev_full = evaluate(full, psi, phi, st)
+    ev_tf = evaluate(tf, psi, phi, st)
+    np.testing.assert_array_equal(ev_full.loc_b, ev_tf.loc_b)
+    loc_b = ev_full.loc_b.copy()
+    fb, ff_ = local_scale_bound(full, ev_full.loc_b, ev_full.loc_f, st.diagonal())
+    tb, tf_ = local_scale_bound(tf, ev_tf.loc_b, ev_tf.loc_f, st.diagonal())
+    # built in place in the evaluation's local potentials
+    assert fb is ev_full.loc_b and tf_ is ev_tf.loc_f
+    np.testing.assert_array_equal(tb, np.maximum(loc_b, 0.0))
     for arr in (fb, ff_, tb, tf_):
         assert arr.shape == psi.shape
     assert np.all(fb > tb) and np.all(tb >= 0.0)

@@ -8,7 +8,8 @@ import pytest
 
 from mixsep.config import parse_config
 from mixsep.constants import A_BOHR
-from mixsep.errors import MissingInput, OutputError, ParseError, ValidationError
+from mixsep import pipeline
+from mixsep.errors import MissingInput, OutputError, ParseError, StepUnstable, ValidationError
 from mixsep.grid import DensityField
 from mixsep.lossfit import smooth_l3
 from mixsep.pipeline import (
@@ -353,3 +354,32 @@ consecutive = 5
         assert data[1, 1] < data[0, 1]  # overlap falls with interaction
         assert np.all(data[:, 3] > 0.0)  # predicted rates positive
         verify_manifest(man_path)
+
+    def test_failed_point_is_isolated(self, tmp_path, monkeypatch):
+        cfg = parse_config(self.CFG_TEXT.replace("100, 800", "100, 400, 800"))
+        solve = pipeline.minimize
+        starts = []
+
+        def flaky(scenario, grid, options, warm_start=None):
+            starts.append(warm_start)
+            if len(starts) == 2:
+                raise StepUnstable("energy still rising")
+            return solve(scenario, grid, options, warm_start=warm_start)
+
+        monkeypatch.setattr(pipeline, "minimize", flaky)
+        seen = []
+        csv_path, man_path = run_overlap_sweep(
+            cfg, tmp_path, mode="tf", progress=lambda mode, i, a, gs: seen.append((i, gs))
+        )
+        _, _, data = read_table(csv_path)
+        np.testing.assert_allclose(data[:, 0], [100.0, 400.0, 800.0])
+        assert np.all(np.isnan(data[1, 1:]))
+        assert np.all(np.isfinite(data[[0, 2], 1:]))
+        points = verify_manifest(man_path)["points"]
+        assert points[1]["error"] == "StepUnstable: energy still rising"
+        assert "converged" not in points[1]
+        assert points[0]["error"] is None and points[2]["error"] is None
+        # the point after the failure starts cold
+        assert starts[0] is None and starts[1] is not None and starts[2] is None
+        assert [i for i, _ in seen] == [0, 1, 2]
+        assert seen[1][1] is None and seen[2][1] is not None

@@ -5,8 +5,10 @@ import pytest
 
 from mixsep.constants import A_BOHR
 from mixsep.errors import NotSeparated
+from mixsep.functional import KineticStencil, evaluate, functional_params
 from mixsep.grid import integrate_product
 from mixsep.physics import coupling_bb
+from mixsep.pipeline import sweep_ground_states
 from mixsep.profiles import (
     bec_tf_profile,
     fermi_tf_profile,
@@ -19,7 +21,6 @@ from mixsep.solver import (
     SolverOptions,
     interface_thickness,
     minimize,
-    sweep_ground_states,
 )
 
 SC = default_scenario()
@@ -159,15 +160,17 @@ class TestSeparation:
 def test_sweep_warm_chain(grid48):
     a_values = np.array([0.0, 300.0, 500.0, 800.0]) * A_BOHR
     seen = []
-    states = sweep_ground_states(
+    results = sweep_ground_states(
         SC,
         a_values,
         grid48,
         SolverOptions(mode="tf"),
-        progress=lambda idx, gs: seen.append(idx),
+        progress=lambda mode, idx, a_bf, gs: seen.append((mode, idx, a_bf)),
     )
-    assert len(states) == 4
-    assert seen == [0, 1, 2, 3]
+    assert len(results) == 4
+    assert seen == [("tf", i, a) for i, a in enumerate(a_values)]
+    assert all(err is None for _, err in results)
+    states = [gs for gs, _ in results]
     for gs, a in zip(states, a_values):
         assert gs.scenario.a_bf == pytest.approx(a)
         assert gs.converged
@@ -175,3 +178,26 @@ def test_sweep_warm_chain(grid48):
     assert centers == sorted(centers, reverse=True)
     # past the threshold the hole is essentially complete in TF mode
     assert centers[-1] < 0.05 * centers[0]
+
+
+def test_capped_solve_reports_best_state(grid48):
+    # a max_iter exit is the one path that evaluates the returned state again
+    sc = SC.with_a_bf(800.0 * A_BOHR)
+    gs = minimize(sc, grid48, SolverOptions(mode="full", max_iter=37))
+    assert not gs.converged
+    assert gs.iterations == 37
+    assert gs.energy == gs.energy_history[-1]
+
+    params = functional_params(sc, grid48, "full")
+    psi, phi = np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values)
+    ev = evaluate(params, psi, phi, KineticStencil(grid48))
+    w = grid48.weights
+    mu_b = float(np.sum(w * psi * ev.h_psi)) / float(np.sum(w * psi * psi))
+    mu_f = float(np.sum(w * phi * ev.h_phi)) / float(np.sum(w * phi * phi))
+    res_b = np.sqrt(np.sum(w * (ev.h_psi - mu_b * psi) ** 2) / np.sum(w * psi * psi)) / abs(mu_b)
+    res_f = np.sqrt(np.sum(w * (ev.h_phi - mu_f * phi) ** 2) / np.sum(w * phi * phi)) / abs(mu_f)
+    # the stored fields are squares, so the re-derived amplitudes differ in the last bit
+    assert gs.energy == pytest.approx(ev.energy, rel=1e-12)
+    assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-12)
+    assert (gs.mu_b, gs.mu_f) == pytest.approx((mu_b, mu_f), rel=1e-12)
+    assert gs.residual == pytest.approx((res_b, res_f), rel=1e-9)
