@@ -3,13 +3,16 @@
 The forward transform maps a radial profile n(rho) to the line-of-sight
 projection F(y) = 2 int_y^inf n(rho) rho drho / sqrt(rho^2 - y^2); the
 inverse recovers n(rho) = -(1/pi) int_rho^inf F'(y) dy / sqrt(y^2 - rho^2).
-Both are evaluated with piecewise-linear interpolants integrated against
-the exact kernel antiderivatives on every sample interval, so the
-inverse-square-root singularity never meets a quadrature node.
+Both integrate a piecewise-linear interpolant against the exact kernel
+antiderivatives on every sample interval, so the inverse-square-root
+singularity never meets a quadrature node. One helper, _kernel_moments,
+evaluates those antiderivatives for every (point, interval) pair at once;
+the forward transform (linear n) and dasch3 (linear F') are two weighted
+sums of its output.
 
 Two inverse methods: "dasch3" (three-point derivative, then the exact
-kernel integral) and "onion" (onion peeling: triangular solve of annular
-path lengths).
+kernel integral; Dasch, Appl. Opt. 31, 1146 (1992)) and "onion" (onion
+peeling: triangular solve of annular path lengths).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
 )
 
 _EDGE_WARN_FRACTION = 1.0e-3
+_LOG_GUARD = 1.0e-300
 
 
 def _check_uniform(x: np.ndarray, name: str) -> float:
@@ -89,47 +93,49 @@ def _sqrt_clip(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(x, 0.0, None))
 
 
+def _kernel_moments(
+    lo: np.ndarray, hi: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact kernel integrals of every segment [lo_j, hi_j] seen from every r_i.
+
+    With s = sqrt(x^2 - r^2), a = max(lo, r) and b = hi, returns the
+    (len(r), len(lo)) arrays
+        S = s_b - s_a,  L = log((b + s_b) / (a + s_a)),  T = b s_b - a s_a,
+    zero where the segment lies inside r. Memory is O(points x segments).
+    """
+    r2 = (r * r)[:, None]
+    a = np.maximum(lo[None, :], r[:, None])
+    b = np.broadcast_to(hi, a.shape)
+    live = b > a
+    s_a = _sqrt_clip(a * a - r2)
+    s_b = _sqrt_clip(b * b - r2)
+    # The guard keeps L finite where a = r = 0. Its weight is 0 there (r^2 in
+    # the forward sum, c0 = F'(0) = 0 in dasch3), so the product is exactly 0.
+    log_ratio = np.log(np.maximum(b + s_b, _LOG_GUARD)) - np.log(
+        np.maximum(a + s_a, _LOG_GUARD)
+    )
+    return (
+        np.where(live, s_b - s_a, 0.0),
+        np.where(live, log_ratio, 0.0),
+        np.where(live, b * s_b - a * s_a, 0.0),
+    )
+
+
 def _forward_half(rho: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
     """F(y) for y >= 0 from piecewise-linear n over [rho_0, rho_last], 0 beyond.
 
     Inside rho_0 the profile continues flat at n[0] (symmetry about the axis).
+    On each segment n = c0 + c1 rho, whose kernel integral is
+    c0 S + c1 (T + y^2 L) / 2.
     """
-    # Segment list: optional flat piece inside rho_0, then the linear pieces.
-    los, his, c0s, c1s = [], [], [], []
+    c1 = np.diff(n) / np.diff(rho)
+    c0 = n[:-1] - c1 * rho[:-1]
+    lo, hi = rho[:-1], rho[1:]
     if rho[0] > 0.0:
-        los.append(0.0)
-        his.append(rho[0])
-        c0s.append(n[0])
-        c1s.append(0.0)
-    slope = np.diff(n) / np.diff(rho)
-    los.extend(rho[:-1])
-    his.extend(rho[1:])
-    c1s.extend(slope)
-    c0s.extend(n[:-1] - slope * rho[:-1])
-    lo = np.array(los)
-    hi = np.array(his)
-    c0 = np.array(c0s)
-    c1 = np.array(c1s)
-
-    out = np.empty_like(y)
-    for k, yy in enumerate(y):
-        a = np.maximum(lo, yy)
-        live = hi > a
-        if not np.any(live):
-            out[k] = 0.0
-            continue
-        aa, bb = a[live], hi[live]
-        s_a = _sqrt_clip(aa * aa - yy * yy)
-        s_b = _sqrt_clip(bb * bb - yy * yy)
-        term0 = c0[live] * (s_b - s_a)
-        if yy > 0.0:
-            log_b = np.log(bb + s_b)
-            log_a = np.log(aa + s_a)
-            term1 = 0.5 * c1[live] * (bb * s_b - aa * s_a + yy * yy * (log_b - log_a))
-        else:
-            term1 = 0.5 * c1[live] * (bb * s_b - aa * s_a)
-        out[k] = 2.0 * float(np.sum(term0 + term1))
-    return out
+        lo, hi = np.r_[0.0, lo], np.r_[rho[0], hi]
+        c0, c1 = np.r_[n[0], c0], np.r_[0.0, c1]
+    s, log_ratio, t = _kernel_moments(lo, hi, y)
+    return 2.0 * np.sum(c0 * s + 0.5 * c1 * (t + (y * y)[:, None] * log_ratio), axis=1)
 
 
 def forward_abel(profile: RadialProfile) -> ColumnSlice:
@@ -219,23 +225,8 @@ def _inverse_dasch3(y: np.ndarray, f: np.ndarray) -> np.ndarray:
     # piecewise-linear F' on [y_j, y_j+1]: c0 + c1 * y
     c1 = np.diff(fp) / step
     c0 = fp[:-1] - c1 * y[:-1]
-    lo, hi = y[:-1], y[1:]
-    out = np.empty_like(y)
-    tiny = 1e-300
-    for i, rr in enumerate(y):
-        a = np.maximum(lo, rr)
-        live = hi > a
-        if not np.any(live):
-            out[i] = 0.0
-            continue
-        aa, bb = a[live], hi[live]
-        s_a = _sqrt_clip(aa * aa - rr * rr)
-        s_b = _sqrt_clip(bb * bb - rr * rr)
-        log_b = np.log(np.maximum(bb + s_b, tiny))
-        log_a = np.log(np.maximum(aa + s_a, tiny))
-        seg = c0[live] * (log_b - log_a) + c1[live] * (s_b - s_a)
-        out[i] = -float(np.sum(seg)) / math.pi
-    return out
+    s, log_ratio, _ = _kernel_moments(y[:-1], y[1:], y)
+    return -np.sum(c0 * log_ratio + c1 * s, axis=1) / math.pi
 
 
 def _inverse_onion(y: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Physical constants (CODATA 2018) and unit conversions.
 
 Internal convention: SI everywhere inside the package. Experiment-facing
-units (Bohr radii, Gauss, nK, Hz, cm^-3) are converted at the boundaries
-with the helpers below.
+units (Bohr radii, Gauss, nK, Hz, cm^-3) are converted at the boundaries,
+temperatures and frequencies with the helpers below.
 """
 
 from __future__ import annotations
@@ -38,33 +38,6 @@ class Constants:
         }
 
 
-def a0_to_m(a: float) -> float:
-    """Bohr radii to meters."""
-    return a * A_BOHR
-
-
-def m_to_a0(a: float) -> float:
-    return a / A_BOHR
-
-
-def percm3_to_perm3(n: float) -> float:
-    """Densities: cm^-3 to m^-3."""
-    return n * 1.0e6
-
-
-def perm3_to_percm3(n: float) -> float:
-    return n * 1.0e-6
-
-
-def cm6_to_m6(x: float) -> float:
-    """Three-body coefficients: cm^6/s to m^6/s."""
-    return x * 1.0e-12
-
-
-def m6_to_cm6(x: float) -> float:
-    return x * 1.0e12
-
-
 def nk_to_joule(t_nk: float) -> float:
     return t_nk * 1.0e-9 * K_B
 
@@ -75,11 +48,3 @@ def joule_to_nk(e: float) -> float:
 
 def hz_to_angular(nu: float) -> float:
     return TWO_PI * nu
-
-
-def um_to_m(x: float) -> float:
-    return x * 1.0e-6
-
-
-def m_to_um(x: float) -> float:
-    return x * 1.0e6

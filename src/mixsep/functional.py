@@ -28,7 +28,8 @@ from .profiles import trap_potential
 from .scenario import MixtureScenario
 from .physics import coupling_bb, coupling_bf
 
-LAMBDA_W_DEFAULT = 1.0 / 9.0
+# Weizsaecker coefficient of the fermion gradient correction.
+LAMBDA_W = 1.0 / 9.0
 
 ENERGY_TERMS = (
     "bec_kinetic",
@@ -64,13 +65,12 @@ def functional_params(
     scenario: MixtureScenario,
     grid: Grid2D,
     mode: str = "full",
-    lambda_w: float = LAMBDA_W_DEFAULT,
 ) -> EnergyFunctionalParams:
     if mode not in ("full", "tf"):
         raise ValueError(f"mode must be 'full' or 'tf', got {mode!r}")
     b, f = scenario.bosons, scenario.fermions
     kin_b = HBAR * HBAR / (2.0 * b.mass) if mode == "full" else 0.0
-    kin_f = lambda_w * HBAR * HBAR / (2.0 * f.mass) if mode == "full" else 0.0
+    kin_f = LAMBDA_W * HBAR * HBAR / (2.0 * f.mass) if mode == "full" else 0.0
     return EnergyFunctionalParams(
         grid=grid,
         v_b=trap_potential(b, grid),

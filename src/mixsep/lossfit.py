@@ -4,7 +4,9 @@ fit_gamma extracts the initial per-atom loss rate from the early part of
 a decay; fit_l3 extracts a three-body coefficient from a thermal-cloud
 decay where the loss is quadratic in the remaining atom number; smooth_l3
 runs a locally weighted regression through (a_bf, L3) measurements with a
-bootstrap confidence band.
+bootstrap confidence band. The regression's weights depend on a_bf and sigma,
+not on L3, so it is a linear smoother (Cleveland, JASA 74, 829 (1979)): smooth_l3 builds
+its matrix once and gets the fit and every bootstrap replicate as products.
 """
 
 from __future__ import annotations
@@ -242,33 +244,31 @@ class SmoothedCurve:
         )
 
 
-def _loess_fit(
-    x: np.ndarray, y: np.ndarray, w_meas: np.ndarray, x_eval: np.ndarray, span: float
+def _smoother_matrix(
+    x: np.ndarray, w_meas: np.ndarray, x_eval: np.ndarray, span: float
 ) -> np.ndarray:
-    n = len(x)
-    k = max(int(math.ceil(span * n)), 3)
-    out = np.empty_like(x_eval)
-    for j, x0 in enumerate(x_eval):
-        d = np.abs(x - x0)
-        h = np.partition(d, k - 1)[k - 1]
-        if h == 0.0:
-            h = max(np.max(d), 1e-300)
-        u = np.clip(d / h, 0.0, 1.0)
-        w = (1.0 - u**3) ** 3 * w_meas
-        if np.sum(w > 0.0) < 2:
-            w = w_meas.copy()
-        dx = x - x0
-        sw = np.sum(w)
-        swx = np.sum(w * dx)
-        swxx = np.sum(w * dx * dx)
-        swy = np.sum(w * y)
-        swxy = np.sum(w * dx * y)
-        det = sw * swxx - swx * swx
-        if det <= 1e-300 * max(sw * swxx, 1.0):
-            out[j] = swy / sw
-        else:
-            out[j] = (swxx * swy - swx * swxy) / det
-    return out
+    """LOESS as a linear map: the local-linear fit at x_eval is S @ y.
+
+    Row j weights the k = max(ceil(span n), 3) nearest points by tricube
+    distance times w_meas and evaluates the weighted line at x_eval[j]. The
+    weights, and both fallbacks, depend on x only.
+    """
+    k = max(int(math.ceil(span * len(x))), 3)
+    dx = x[None, :] - x_eval[:, None]
+    d = np.abs(dx)
+    h = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    h = np.where(h == 0.0, np.maximum(np.max(d, axis=1, keepdims=True), 1e-300), h)
+    u = np.clip(d / h, 0.0, 1.0)
+    w = (1.0 - u**3) ** 3 * w_meas
+    # Fewer than two points inside the window: measurement weights alone.
+    w = np.where(np.sum(w > 0.0, axis=1, keepdims=True) < 2, w_meas, w)
+    sw = np.sum(w, axis=1, keepdims=True)
+    swx = np.sum(w * dx, axis=1, keepdims=True)
+    swxx = np.sum(w * dx * dx, axis=1, keepdims=True)
+    det = sw * swxx - swx * swx
+    # Degenerate determinant: the weighted mean.
+    flat = det <= 1e-300 * np.maximum(sw * swxx, 1.0)
+    return np.where(flat, w / sw, w * (swxx - swx * dx) / np.where(flat, 1.0, det))
 
 
 def smooth_l3(
@@ -306,38 +306,27 @@ def smooth_l3(
         if np.any(s <= 0.0):
             raise NonPositiveInput("sigma values must be positive")
         s_log = s / v
-        w_meas = 1.0 / s_log**2
     else:
-        s_log = None
-        w_meas = np.ones_like(v)
+        s_log = np.ones_like(v)
+    w_meas = 1.0 / s_log**2
 
     x = np.log(a)
     y = np.log(v)
     x_eval = np.linspace(x[0], x[-1], n_eval)
 
-    fit_eval = _loess_fit(x, y, w_meas, x_eval, span)
-    fit_data = _loess_fit(x, y, w_meas, x, span)
-    resid = y - fit_data
-
-    rng = np.random.default_rng(seed)
-    boot = np.empty((n_boot, n_eval))
-    if s_log is not None:
-        std_resid = resid / s_log
-        for b in range(n_boot):
-            draw = rng.choice(std_resid, size=len(x), replace=True)
-            y_b = fit_data + draw * s_log
-            boot[b] = _loess_fit(x, y_b, w_meas, x_eval, span)
-    else:
-        for b in range(n_boot):
-            draw = rng.choice(resid, size=len(x), replace=True)
-            boot[b] = _loess_fit(x, fit_data + draw, w_meas, x_eval, span)
-    band_lo = np.percentile(boot, 2.5, axis=0)
-    band_hi = np.percentile(boot, 97.5, axis=0)
-    band_lo = np.minimum(band_lo, fit_eval)
-    band_hi = np.maximum(band_hi, fit_eval)
-
+    smoother = _smoother_matrix(x, w_meas, x_eval, span)
+    fit_eval = smoother @ y
     if not np.all(np.isfinite(fit_eval)):
         raise InsufficientData("smoothed curve is not finite; data too sparse")
+    fit_data = _smoother_matrix(x, w_meas, x, span) @ y
+    std_resid = (y - fit_data) / s_log
+
+    rng = np.random.default_rng(seed)
+    draws = np.array([rng.choice(std_resid, size=len(x)) for _ in range(n_boot)])
+    boot = (fit_data + draws * s_log) @ smoother.T
+    band_lo = np.minimum(np.percentile(boot, 2.5, axis=0), fit_eval)
+    band_hi = np.maximum(np.percentile(boot, 97.5, axis=0), fit_eval)
+
     return SmoothedCurve(
         a_bf_a0=np.exp(x_eval),
         l3=np.exp(fit_eval),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import A_BOHR
 from .errors import NonPositiveInput, ZeroDenominator, ZeroReference
 from .grid import DensityField, integrate_product, require_same_grid
 from .profiles import (
@@ -127,7 +128,7 @@ class OverlapReport:
 
     def as_dict(self) -> dict:
         return {
-            "a_bf[a0]": self.a_bf / 5.29177210903e-11,
+            "a_bf[a0]": self.a_bf / A_BOHR,
             "alpha": self.alpha,
             "beta": self.beta,
             "I_bb[m^-6]": self.i_bb,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import HBAR, TWO_PI
+from .constants import A_BOHR, HBAR, TWO_PI
 from .errors import NonPositiveInput, PoleAtResonance, UnreachableScatteringLength
 
 
@@ -52,7 +52,7 @@ class FeshbachResonance:
 
     b0: float = 335.057
     delta: float = 0.949
-    a_bg: float = 60.9 * 5.29177210903e-11
+    a_bg: float = 60.9 * A_BOHR
     pole_eps: float = 1.0e-6
 
     def __post_init__(self):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .abel import ColumnSlice, RadialProfile, center_and_symmetrize, forward_abel, inverse_abel
 from .config import RunConfig, serialize_config
-from .constants import A_BOHR, ATOMIC_MASS, joule_to_nk
+from .constants import A_BOHR, ATOMIC_MASS, joule_to_nk, nk_to_joule
 from .errors import (
     MissingInput,
     MixsepError,
@@ -170,7 +170,7 @@ def read_density_field(path) -> DensityField:
     meta: dict[str, str] = {}
     values: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             s = line.strip()
             if not s:
                 continue
@@ -180,7 +180,17 @@ def read_density_field(path) -> DensityField:
                     k, _, v = body.partition("=")
                     meta[k.strip()] = v.strip()
                 continue
-            values.append([float(c) for c in s.split(",")])
+            try:
+                row = [float(c) for c in s.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"{path}, line {lineno}: {exc}", line=lineno) from exc
+            if values and len(row) != len(values[0]):
+                raise ParseError(
+                    f"{path}, line {lineno}: {len(row)} values, "
+                    f"the first row has {len(values[0])}",
+                    line=lineno,
+                )
+            values.append(row)
     try:
         n_rho, n_z = int(meta["n_rho"]), int(meta["n_z"])
         d_rho = float(meta["d_rho_um"]) * 1e-6
@@ -188,6 +198,8 @@ def read_density_field(path) -> DensityField:
         species = meta.get("species", "")
     except KeyError as exc:
         raise ParseError(f"{path}: missing header field {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad header field: {exc}") from exc
     arr = np.array(values, dtype=float) / M3_TO_CM3
     if arr.shape != (n_rho, n_z):
         raise ParseError(
@@ -258,39 +270,43 @@ def load_ground_state(dirpath) -> GroundState:
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise MissingInput(f"no ground state at {d} (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{meta_path}: {exc}", line=exc.lineno) from exc
     n_b = read_density_field(d / "n_b.csv")
     n_f = read_density_field(d / "n_f.csv")
-    sc_meta = meta["scenario"]
-    scenario = MixtureScenario(
-        bosons=_species_from_meta(meta["bosons"]),
-        fermions=_species_from_meta(meta["fermions"]),
-        n_bosons=sc_meta["n_bosons"],
-        n_fermions=sc_meta["n_fermions"],
-        condensate_fraction=sc_meta["condensate_fraction"],
-        a_bf=sc_meta["a_bf_a0"] * A_BOHR,
-        alpha=sc_meta["alpha"],
-        thermal_model=sc_meta["thermal_model"],
-    )
-    res = meta["results"]
-    from .constants import nk_to_joule
-
-    return GroundState(
-        scenario=scenario,
-        n_b=n_b,
-        n_f=n_f,
-        mu_b=nk_to_joule(res["mu_b_nk"]),
-        mu_f=nk_to_joule(res["mu_f_nk"]),
-        energy=nk_to_joule(res["energy_nk"]),
-        energy_breakdown={
-            k: nk_to_joule(v) for k, v in res["energy_breakdown_nk"].items()
-        },
-        energy_history=np.empty(0),
-        iterations=res["iterations"],
-        converged=res["converged"],
-        mode=res["mode"],
-        residual=(res.get("residual_b", math.nan), res.get("residual_f", math.nan)),
-    )
+    try:
+        sc_meta = meta["scenario"]
+        scenario = MixtureScenario(
+            bosons=_species_from_meta(meta["bosons"]),
+            fermions=_species_from_meta(meta["fermions"]),
+            n_bosons=sc_meta["n_bosons"],
+            n_fermions=sc_meta["n_fermions"],
+            condensate_fraction=sc_meta["condensate_fraction"],
+            a_bf=sc_meta["a_bf_a0"] * A_BOHR,
+            alpha=sc_meta["alpha"],
+            thermal_model=sc_meta["thermal_model"],
+        )
+        res = meta["results"]
+        return GroundState(
+            scenario=scenario,
+            n_b=n_b,
+            n_f=n_f,
+            mu_b=nk_to_joule(res["mu_b_nk"]),
+            mu_f=nk_to_joule(res["mu_f_nk"]),
+            energy=nk_to_joule(res["energy_nk"]),
+            energy_breakdown={
+                k: nk_to_joule(v) for k, v in res["energy_breakdown_nk"].items()
+            },
+            energy_history=np.empty(0),
+            iterations=res["iterations"],
+            converged=res["converged"],
+            mode=res["mode"],
+            residual=(res.get("residual_b", math.nan), res.get("residual_f", math.nan)),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{meta_path}: missing key {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ class ThermalCloudParams:
     def __post_init__(self):
         if not 0.0 <= self.condensate_fraction <= 1.0:
             raise ValidationError("condensate_fraction must be in [0, 1]")
-        if self.temperature is None and self.condensate_fraction >= 1.0:
-            # Pure BEC: no thermal atoms, temperature irrelevant.
-            pass
 
     @property
     def t_crit(self) -> float:

@@ -33,6 +33,10 @@ from .scenario import MixtureScenario
 
 _ENERGY_FLOOR = 1.0e-300
 _RISE_TOL = 1.0e-12
+# Starting step as a fraction of the preconditioned unit step.
+_DTAU_START = 0.85
+# Consecutive step halvings after which a rising energy raises StepUnstable.
+_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -41,12 +45,8 @@ class SolverOptions:
     tol_energy: float = 1.0e-10
     consecutive: int = 10
     max_iter: int = 60000
-    # Starting step as a fraction of the preconditioned unit step.
-    dtau_safety: float = 0.85
-    lambda_w: float = 1.0 / 9.0
     seed: int = 42
     warm_noise: float = 0.01
-    max_halvings: int = 60
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def minimize(
     """
     if grid is None:
         grid = grid_for_scenario(scenario)
-    params = functional_params(scenario, grid, options.mode, options.lambda_w)
+    params = functional_params(scenario, grid, options.mode)
     stencil = KineticStencil(grid)
     w = grid.weights
     n_cond = scenario.condensate_number
@@ -140,7 +140,7 @@ def minimize(
     phi = _renormalize(phi, scenario.n_fermions, w)
 
     diag = stencil.diagonal()
-    dtau_b = dtau_f = options.dtau_safety
+    dtau = _DTAU_START
     energy_hist: list[float] = []
     e_prev = math.inf
     psi_best = psi
@@ -157,12 +157,9 @@ def minimize(
         if e_now > e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR:
             # The step that produced these fields raised the energy: retract.
             halvings += 1
-            if halvings > options.max_halvings:
-                raise StepUnstable(
-                    f"energy still rising after {options.max_halvings} step halvings"
-                )
-            dtau_b *= 0.5
-            dtau_f *= 0.5
+            if halvings > _MAX_HALVINGS:
+                raise StepUnstable(f"energy still rising after {_MAX_HALVINGS} step halvings")
+            dtau *= 0.5
             psi, phi = psi_best, phi_best
             del ev
             iterations += 1
@@ -181,8 +178,8 @@ def minimize(
 
         scale_b, scale_f = local_scale_bound(params, ev.loc_b, ev.loc_f, diag)
         if n_cond > 0.0:
-            psi = _preconditioned_step(psi, ev.h_psi, scale_b, dtau_b, n_cond, w)
-        phi = _preconditioned_step(phi, ev.h_phi, scale_f, dtau_f, scenario.n_fermions, w)
+            psi = _preconditioned_step(psi, ev.h_psi, scale_b, dtau, n_cond, w)
+        phi = _preconditioned_step(phi, ev.h_phi, scale_f, dtau, scenario.n_fermions, w)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
         del ev, scale_b, scale_f

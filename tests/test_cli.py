@@ -45,6 +45,32 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _damage(gs_dir, kind: str) -> str:
+    """Damage a saved ground state; returns what the error message must name."""
+    meta_path, csv_path = gs_dir / "meta.json", gs_dir / "n_f.csv"
+    if kind == "missing_key":
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["results"]["mu_b_nk"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        return "meta.json: missing key 'mu_b_nk'"
+    if kind == "truncated_meta":
+        text = meta_path.read_text(encoding="utf-8")
+        meta_path.write_text(text[: len(text) // 2], encoding="utf-8")
+        return "meta.json: "
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    if kind == "bad_header":
+        lines = [("# n_z = sixty-four" if ln.startswith("# n_z") else ln) for ln in lines]
+        message = "n_f.csv: bad header field"
+    else:
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 2
+        cells = lines[k].split(",")
+        cells[-1:] = ["n/a"] if kind == "non_numeric_cell" else []
+        lines[k] = ",".join(cells)
+        message = f"n_f.csv, line {k + 1}: "
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return message
+
+
 def kv(stdout: str) -> dict:
     pairs = {}
     for line in stdout.splitlines():
@@ -382,6 +408,20 @@ class TestSweepAndFig:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["Omega_eff"] == pytest.approx(float(vals["Omega_eff"]), rel=1e-9)
         assert payload["L3[cm^6/s]"] == pytest.approx(1e-25, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["non_numeric_cell", "short_row", "bad_header", "missing_key", "truncated_meta"],
+    )
+    def test_damaged_ground_state_exits_2(self, capsys, tmp_path, fast_cfg, damage):
+        gs_dir = tmp_path / "gs"
+        run(capsys, "solve", "--config", fast_cfg, "--abf", "300", "--out", str(gs_dir))
+        expected = _damage(gs_dir, damage)
+        code, _, err = run(
+            capsys, "overlap", "--ground-state", str(gs_dir), "--l3", "1e-25"
+        )
+        assert code == 2
+        assert expected in err
 
     def test_fig3_and_fig2b(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.csv"

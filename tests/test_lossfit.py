@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixsep.errors import (
     FitDiverged,
@@ -15,6 +17,7 @@ from mixsep.errors import (
 from mixsep.lossfit import (
     SMOOTH_DOMAIN_A0,
     DecaySeries,
+    _smoother_matrix,
     fit_gamma,
     fit_l3,
     smooth_l3,
@@ -254,3 +257,34 @@ class TestSmoothL3:
         curve = smooth_l3(a[perm], l3[perm], n_boot=10)
         stored_a = np.array([p[0] for p in curve.points])
         np.testing.assert_allclose(stored_a, a, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property: the smoother matrix is the local-linear fit
+
+
+def _local_linear_fit(x, y, w_meas, x0, span):
+    """Tricube-weighted least-squares line through the nearest points, at x0."""
+    k = max(math.ceil(span * len(x)), 3)
+    d = np.abs(x - x0)
+    h = np.sort(d)[k - 1]
+    root_w = np.sqrt(w_meas * (1.0 - np.clip(d / h, 0.0, 1.0) ** 3) ** 3)
+    design = np.column_stack((np.ones_like(x), x - x0)) * root_w[:, None]
+    return np.linalg.lstsq(design, y * root_w, rcond=None)[0][0]
+
+
+@settings(derandomize=True, deadline=None)
+@given(data=st.data(), n=st.integers(6, 30), span=st.floats(0.2, 1.0))
+def test_smoother_matrix_is_local_linear_fit(data, n, span):
+    # at least 4 points per window, so that 3 carry weight and the line is determined
+    assume(math.ceil(span * n) >= 4)
+    def column(lo, hi):
+        return data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+
+    x = np.cumsum(column(0.05, 1.0))
+    y = np.array(column(-1.0, 1.0))
+    w_meas = np.array(column(0.2, 5.0))
+    x_eval = np.concatenate((x, np.linspace(x[0], x[-1], 17)))
+    got = _smoother_matrix(x, w_meas, x_eval, span) @ y
+    ref = [_local_linear_fit(x, y, w_meas, x0, span) for x0 in x_eval]
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(y)))

@@ -1,10 +1,13 @@
 """Imaginary-time solver: convergence, conservation, separation diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from mixsep import solver
 from mixsep.constants import A_BOHR
-from mixsep.errors import NotSeparated
+from mixsep.errors import NotSeparated, StepUnstable
 from mixsep.functional import KineticStencil, evaluate, functional_params
 from mixsep.grid import integrate_product
 from mixsep.physics import coupling_bb
@@ -108,6 +111,31 @@ def test_max_iter_cap(grid48):
     gs = minimize(SC, grid48, SolverOptions(mode="full", max_iter=5))
     assert not gs.converged
     assert gs.iterations == 5
+
+
+def test_oversized_step_is_retracted(grid48, monkeypatch):
+    # a first step of four preconditioned unit steps overshoots and must be halved
+    monkeypatch.setattr(solver, "_DTAU_START", 4.0)
+    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    assert gs.converged
+    # history holds steps + 1 energies and iterations counts steps + rejections
+    assert gs.iterations > len(gs.energy_history)
+    assert np.all(np.diff(gs.energy_history) <= 0.0)
+
+
+def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
+    # every evaluation, the retracted state's included, reads higher than the last
+    calls = itertools.count()
+
+    def rising(params, psi, phi, stencil):
+        ev = evaluate(params, psi, phi, stencil)
+        ev.terms["rise"] = abs(ev.energy) * next(calls)
+        return ev
+
+    monkeypatch.setattr(solver, "evaluate", rising)
+    monkeypatch.setattr(solver, "_MAX_HALVINGS", 1)
+    with pytest.raises(StepUnstable, match="after 1 step halvings"):
+        minimize(SC, grid48, SolverOptions(mode="full", max_iter=50))
 
 
 def test_warm_start_restarts_cheaply(full0, grid48):
