@@ -53,11 +53,28 @@ class Grid2D:
         return z
 
     @cached_property
+    def ring_volumes(self) -> np.ndarray:
+        """Volume 2 pi rho d_rho d_z of each cell of a radial row, shape (n_rho,)."""
+        v = TWO_PI * self.rho * self.d_rho * self.d_z
+        v.flags.writeable = False
+        return v
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Cell volumes 2 pi rho d_rho d_z, shape (n_rho, n_z)."""
-        w = (TWO_PI * self.rho * self.d_rho * self.d_z)[:, None] * np.ones(self.n_z)
+        w = self.ring_volumes[:, None] * np.ones(self.n_z)
         w.flags.writeable = False
         return w
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Quadrature sum(w a b) of two full-grid arrays.
+
+        The weights are constant along z, so each row's sum of products is
+        taken first and then weighted: no full-grid temporary is formed. The
+        sums are einsum's own loops, not BLAS, so the result does not depend
+        on the BLAS thread count.
+        """
+        return float(np.einsum("i,i->", self.ring_volumes, np.einsum("ij,ij->i", a, b)))
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Broadcastable (rho, z) coordinate arrays."""

@@ -292,6 +292,8 @@ def smooth_l3(
         raise ValidationError("a_bf_a0 and l3 must be 1-d and equal length")
     if len(a) < 6:
         raise TooFewPoints("smoothing needs at least 6 measurements")
+    if n_boot < 1:
+        raise ValidationError(f"n_boot must be at least 1, got {n_boot}")
     if np.any(v <= 0.0):
         raise NonPositiveInput("L3 values must be positive")
     lo, hi = SMOOTH_DOMAIN_A0

@@ -9,11 +9,16 @@ preconditioned explicit step (Bao & Du, SIAM J. Sci. Comput. 25, 1674
 
 per species and per cell, with mu the Rayleigh quotient. The empty corners
 of the box, where the trap energy is largest, no longer cap the step taken
-inside the clouds. Both fields are renormalized exactly to the target atom
-numbers after every step, and the step is halved whenever it would raise
-the energy, so accepted energies are non-increasing by construction.
-Convergence is declared when the relative decrease stays below tol_energy
-for a run of consecutive accepted steps.
+inside the clouds. mu comes from the evaluation's energy terms
+(functional.Evaluation.mu_b / mu_f), so a step makes no extra pass over
+H u. Both fields are renormalized exactly to the target atom numbers after
+every step, and the step is halved whenever it would raise the energy, so
+accepted energies are non-increasing by construction. After such a
+rejection the flow steps again from the last accepted state, which is
+re-evaluated but counts neither as a new history entry nor as a quiet step,
+and the halvings keep counting until a step is accepted. Convergence is
+declared when the relative decrease stays below tol_energy for a run of
+consecutive accepted steps.
 """
 
 from __future__ import annotations
@@ -71,42 +76,42 @@ class GroundState:
         return self.n_b.grid
 
 
-def _renormalize(u: np.ndarray, target: float, weights: np.ndarray) -> np.ndarray:
+def _renormalize(u: np.ndarray, target: float, grid: Grid2D) -> np.ndarray:
+    """u scaled in place to <u, u>_w = target (a new zero array for target 0)."""
     if target == 0.0:
         return np.zeros_like(u)
-    norm = float(np.sum(u * u * weights))
-    return u * math.sqrt(target / norm)
+    u *= math.sqrt(target / grid.inner(u, u))
+    return u
 
 
-def _rayleigh(u: np.ndarray, hu: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(weights * u * hu)) / float(np.sum(weights * u * u))
-
-
-def _residual(u: np.ndarray, hu: np.ndarray, mu: float, weights: np.ndarray) -> float:
+def _residual(u: np.ndarray, hu: np.ndarray, mu: float, grid: Grid2D) -> float:
     """||H u - mu u||_w / (|mu| ||u||_w); 0 for the zero field."""
-    norm2 = float(np.sum(weights * u * u))
+    norm2 = grid.inner(u, u)
     if norm2 == 0.0:
         return 0.0
     r = hu - mu * u
-    return math.sqrt(float(np.sum(weights * r * r)) / norm2) / abs(mu)
+    return math.sqrt(grid.inner(r, r) / norm2) / abs(mu)
 
 
 def _preconditioned_step(
     u: np.ndarray,
     hu: np.ndarray,
     scale: np.ndarray,
+    mu: float,
     dtau: float,
     target: float,
-    weights: np.ndarray,
+    grid: Grid2D,
 ) -> np.ndarray:
-    """renormalize(u - dtau (H u - mu u) / (scale + |mu|)); consumes hu and scale."""
-    mu = _rayleigh(u, hu, weights)
+    """renormalize(u - dtau (H u - mu u) / (scale + |mu|)), built in hu's buffer.
+
+    Consumes hu and scale; u is left as it was.
+    """
     scale += abs(mu)
     hu -= mu * u
     hu /= scale
     hu *= -dtau
     hu += u
-    return _renormalize(hu, target, weights)
+    return _renormalize(hu, target, grid)
 
 
 def minimize(
@@ -125,7 +130,6 @@ def minimize(
         grid = grid_for_scenario(scenario)
     params = functional_params(scenario, grid, options.mode)
     stencil = KineticStencil(grid)
-    w = grid.weights
     n_cond = scenario.condensate_number
 
     if warm_start is not None:
@@ -136,8 +140,8 @@ def minimize(
         sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
         psi = np.sqrt(bec.values)
         phi = np.sqrt(sea.values)
-    psi = _renormalize(psi, n_cond, w)
-    phi = _renormalize(phi, scenario.n_fermions, w)
+    psi = _renormalize(psi, n_cond, grid)
+    phi = _renormalize(phi, scenario.n_fermions, grid)
 
     diag = stencil.diagonal()
     dtau = _DTAU_START
@@ -149,62 +153,72 @@ def minimize(
     halvings = 0
     iterations = 0
     converged = False
+    retracted = False
 
     while iterations < options.max_iter:
         ev = evaluate(params, psi, phi, stencil)
         e_now = ev.energy
 
-        if e_now > e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR:
+        if retracted:
+            # The accepted state again, evaluated only to step from it with
+            # the halved step: its energy is in the history already, it is no
+            # progress, and the halvings go on counting.
+            retracted = False
+        elif e_now > e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR:
             # The step that produced these fields raised the energy: retract.
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise StepUnstable(f"energy still rising after {_MAX_HALVINGS} step halvings")
             dtau *= 0.5
             psi, phi = psi_best, phi_best
+            retracted = True
             del ev
             iterations += 1
             continue
-
-        # Accepted.
-        rel_dec = (e_prev - e_now) / max(abs(e_now), _ENERGY_FLOOR)
-        e_prev = e_now
-        psi_best, phi_best = psi, phi
-        energy_hist.append(e_now)
-        quiet = quiet + 1 if rel_dec < options.tol_energy else 0
-        if quiet >= options.consecutive:
-            converged = True
-            break
-        halvings = 0
+        else:
+            # Accepted.
+            rel_dec = (e_prev - e_now) / max(abs(e_now), _ENERGY_FLOOR)
+            e_prev = e_now
+            psi_best, phi_best = psi, phi
+            energy_hist.append(e_now)
+            quiet = quiet + 1 if rel_dec < options.tol_energy else 0
+            if quiet >= options.consecutive:
+                converged = True
+                break
+            halvings = 0
+            iterations += 1
 
         scale_b, scale_f = local_scale_bound(params, ev.loc_b, ev.loc_f, diag)
         if n_cond > 0.0:
-            psi = _preconditioned_step(psi, ev.h_psi, scale_b, dtau, n_cond, w)
-        phi = _preconditioned_step(phi, ev.h_phi, scale_f, dtau, scenario.n_fermions, w)
+            psi = _preconditioned_step(psi, ev.h_psi, scale_b, ev.mu_b, dtau, n_cond, grid)
+        phi = _preconditioned_step(
+            phi, ev.h_phi, scale_f, ev.mu_f, dtau, scenario.n_fermions, grid
+        )
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
         del ev, scale_b, scale_f
-        iterations += 1
 
     if not converged:
         # The last evaluation was of a rejected state or was consumed by a step.
         psi, phi = psi_best, phi_best
         ev = evaluate(params, psi, phi, stencil)
-    mu_b = _rayleigh(psi, ev.h_psi, w) if n_cond > 0.0 else 0.0
-    mu_f = _rayleigh(phi, ev.h_phi, w)
 
     return GroundState(
         scenario=scenario,
         n_b=DensityField(grid, psi * psi, "bosons"),
         n_f=DensityField(grid, phi * phi, "fermions"),
-        mu_b=mu_b,
-        mu_f=mu_f,
+        mu_b=ev.mu_b,
+        mu_f=ev.mu_f,
         energy=ev.energy,
         energy_breakdown=ev.terms,
         energy_history=np.array(energy_hist),
         iterations=iterations,
         converged=converged,
         mode=options.mode,
-        residual=(_residual(psi, ev.h_psi, mu_b, w), _residual(phi, ev.h_phi, mu_f, w)),
+        residual=(
+            _residual(psi, ev.h_psi, ev.mu_b, grid),
+            _residual(phi, ev.h_phi, ev.mu_f, grid),
+        ),
     )
 
 

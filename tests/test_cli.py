@@ -306,6 +306,19 @@ class TestFits:
         expect = 1e-25 * (data[mid, 0] / 1000.0) ** 2
         assert data[mid, 1] == pytest.approx(expect, rel=1e-6)
 
+    def test_smooth_l3_zero_boot_exits_2(self, capsys, tmp_path):
+        a = np.geomspace(100.0, 2000.0, 7)
+        src = tmp_path / "points.csv"
+        write_table(
+            src, ["a_bf[a0]", "L3[cm^6/s]"], np.column_stack([a, 1e-25 * a / 1000.0]).tolist()
+        )
+        code, _, err = run(
+            capsys, "smooth-l3", "--in", str(src), "--out", str(tmp_path / "c.csv"), "--boot", "0"
+        )
+        assert code == 2
+        assert "n_boot" in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_output_failure_exits_4(self, capsys, tmp_path):
         p = self.write_decay(tmp_path)
         blocker = tmp_path / "blocker"

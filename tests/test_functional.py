@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NumericalBlowup
 from mixsep.functional import (
     ENERGY_TERMS,
+    EnergyFunctionalParams,
     KineticStencil,
     apply_hamiltonians,
     energy_terms,
@@ -17,7 +20,7 @@ from mixsep.functional import (
     local_scale_bound,
     tf_pressure_coefficient,
 )
-from mixsep.grid import grid_for_box
+from mixsep.grid import Grid2D, grid_for_box
 from mixsep.scenario import default_scenario
 
 SC = default_scenario(a_bf=300.0 * A_BOHR)
@@ -84,29 +87,61 @@ def test_total_energy_is_sum_of_terms(small):
     assert set(ev.terms) == set(ENERGY_TERMS)
 
 
+def five_point(grid, u):
+    """Minus the cylindrical Laplacian of u by the plain 5-point formula.
+
+    Zero ghost cells stand for the Dirichlet outer rho and z edges; the axis
+    needs none, because its inner face has zero radius.
+    """
+    i = np.arange(grid.n_rho, dtype=float)[:, None]
+    up, down = (i + 1.0) / (i + 0.5), i / (i + 0.5)
+    p = np.pad(u, 1)
+    radial = up * (u - p[2:, 1:-1]) + down * (u - p[:-2, 1:-1])
+    axial = 2.0 * u - p[1:-1, 2:] - p[1:-1, :-2]
+    return radial / grid.d_rho**2 + axial / grid.d_z**2
+
+
+# One cube root, row-by-row sums and the scaled stencil round differently from
+# the plain formulas; the worst case seen on this fixture is 2.6e-15.
+FORMULA_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("mode", ["full", "tf"])
 def test_evaluate_matches_term_by_term_formulas(small, mode):
-    # bit for bit: the one-pass evaluation must not reorder any operation
     grid, psi, phi = small
     params = functional_params(SC, grid, mode)
-    st = KineticStencil(grid)
+    st_ = KineticStencil(grid)
     psi0, phi0 = psi.copy(), phi.copy()
-    ev = evaluate(params, psi, phi, st)
+    ev = evaluate(params, psi, phi, st_)
     np.testing.assert_array_equal(psi, psi0)
     np.testing.assert_array_equal(phi, phi0)
 
+    w = grid.weights
     n_b, n_f = psi * psi, phi * phi
     loc_b = params.v_b + params.g_bb * n_b + params.g_bf * n_f
     loc_f = params.v_f + (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0) + params.g_bf * n_b
     h_psi, h_phi = loc_b * psi, loc_f * phi
+    kinetic = {"bec_kinetic": 0.0, "fermi_gradient": 0.0}
     if mode == "full":
-        h_psi = h_psi + params.coef_kin_b * st.apply(psi)
-        h_phi = h_phi + params.coef_kin_f * st.apply(phi)
+        k_psi, k_phi = five_point(grid, psi), five_point(grid, phi)
+        h_psi = h_psi + params.coef_kin_b * k_psi
+        h_phi = h_phi + params.coef_kin_f * k_phi
+        kinetic = {
+            "bec_kinetic": params.coef_kin_b * float(np.sum(w * psi * k_psi)),
+            "fermi_gradient": params.coef_kin_f * float(np.sum(w * phi * k_phi)),
+        }
     for got, want in ((ev.loc_b, loc_b), (ev.loc_f, loc_f), (ev.h_psi, h_psi), (ev.h_phi, h_phi)):
-        np.testing.assert_array_equal(got, want)
-    w = grid.weights
-    assert ev.terms["fermi_pressure"] == params.c_tf * float(np.sum(w * n_f ** (5.0 / 3.0)))
-    assert ev.terms["interspecies"] == params.g_bf * float(np.sum(w * n_b * n_f))
+        np.testing.assert_allclose(got, want, rtol=FORMULA_RTOL, atol=0.0)
+    want_terms = {
+        **kinetic,
+        "bec_trap": float(np.sum(w * params.v_b * n_b)),
+        "bec_interaction": 0.5 * params.g_bb * float(np.sum(w * n_b * n_b)),
+        "fermi_pressure": params.c_tf * float(np.sum(w * n_f ** (5.0 / 3.0))),
+        "fermi_trap": float(np.sum(w * params.v_f * n_f)),
+        "interspecies": params.g_bf * float(np.sum(w * n_b * n_f)),
+    }
+    for name, want in want_terms.items():
+        assert ev.terms[name] == pytest.approx(want, rel=FORMULA_RTOL, abs=0.0), name
     # the total sums the terms in this order
     assert list(ev.terms) == [
         "bec_kinetic",
@@ -119,9 +154,92 @@ def test_evaluate_matches_term_by_term_formulas(small, mode):
     ]
 
     # the views return the same arrays and terms
-    assert energy_terms(params, psi, phi, st) == ev.terms
-    for got, want in zip(apply_hamiltonians(params, psi, phi, st), (ev.h_psi, ev.h_phi)):
+    assert energy_terms(params, psi, phi, st_) == ev.terms
+    for got, want in zip(apply_hamiltonians(params, psi, phi, st_), (ev.h_psi, ev.h_phi)):
         np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def random_functionals(draw):
+    """(params, psi, phi) on a small grid with O(1) fields and couplings.
+
+    The fields stay positive and away from zero so that the n_f^(5/3)
+    pressure is smooth across the finite-difference steps.
+    """
+    n_rho = draw(st.integers(2, 10))
+    n_z = 2 * draw(st.integers(1, 5))
+    grid = Grid2D(n_rho, n_z, draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coupling = st.floats(0.0, 2.0)
+    params = EnergyFunctionalParams(
+        grid=grid,
+        v_b=rng.uniform(0.0, 2.0, (n_rho, n_z)),
+        v_f=rng.uniform(0.0, 2.0, (n_rho, n_z)),
+        g_bb=draw(coupling),
+        g_bf=draw(st.floats(-1.0, 2.0)),
+        c_tf=draw(coupling),
+        coef_kin_b=draw(coupling),
+        coef_kin_f=draw(coupling),
+    )
+    psi = rng.uniform(0.2, 1.0, (n_rho, n_z))
+    phi = rng.uniform(0.2, 1.0, (n_rho, n_z))
+    return params, psi, phi
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n_rho=st.integers(2, 40),
+    half_n_z=st.integers(1, 20),
+    d_rho=st.floats(1e-7, 1e-5),
+    d_z=st.floats(1e-7, 1e-5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the smallest grid: every cell is an axial edge and the shifted slices are one column
+@example(n_rho=2, half_n_z=1, d_rho=1e-6, d_z=2e-6, seed=0)
+def test_stencil_matches_five_point_formula(n_rho, half_n_z, d_rho, d_z, seed):
+    grid = Grid2D(n_rho, 2 * half_n_z, d_rho, d_z)
+    u = np.random.default_rng(seed).standard_normal((n_rho, 2 * half_n_z))
+    got = KineticStencil(grid).apply(u)
+    want = five_point(grid, u)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=random_functionals(), seed=st.integers(0, 2**32 - 1))
+def test_gradient_is_twice_weighted_hamiltonian(case, seed):
+    # dE/dpsi = 2 w (H_b psi) and dE/dphi = 2 w (H_f phi), by central differences
+    params, psi, phi = case
+    st_ = KineticStencil(params.grid)
+    w = params.grid.weights
+    ev = evaluate(params, psi, phi, st_)
+    rng = np.random.default_rng(seed)
+    eps = 1e-4
+    for which, h in enumerate((ev.h_psi, ev.h_phi)):
+        d = rng.standard_normal(psi.shape)
+
+        def energy(t):
+            fields = [psi, phi]
+            fields[which] = fields[which] + t * d
+            return evaluate(params, *fields, st_).energy
+
+        num = (energy(eps) - energy(-eps)) / (2.0 * eps)
+        grad_d = 2.0 * w * h * d
+        assert num == pytest.approx(float(np.sum(grad_d)), abs=1e-6 * float(np.sum(np.abs(grad_d))))
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=random_functionals())
+def test_mu_from_terms_is_rayleigh_quotient(case):
+    params, psi, phi = case
+    w = params.grid.weights
+    ev = evaluate(params, psi, phi, KineticStencil(params.grid))
+    for mu, u, h in ((ev.mu_b, psi, ev.h_psi), (ev.mu_f, phi, ev.h_phi)):
+        norm2 = float(np.sum(w * u * u))
+        want = float(np.sum(w * u * h)) / norm2
+        # the terms may have either sign, so the bound scales with their magnitudes
+        scale = float(np.sum(w * np.abs(u * h))) / norm2
+        assert abs(mu - want) <= 1e-12 * scale
 
 
 def test_blowup_names_offending_term(small):

@@ -247,6 +247,9 @@ class TestSmoothL3:
         dup[5] = dup[4]
         with pytest.raises(ValidationError):
             smooth_l3(dup, l3)
+        for n_boot in (0, -3):
+            with pytest.raises(ValidationError, match="n_boot"):
+                smooth_l3(a, l3, n_boot=n_boot)
 
     def test_domain_constant(self):
         assert SMOOTH_DOMAIN_A0 == (80.0, 2100.0)

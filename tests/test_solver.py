@@ -118,9 +118,29 @@ def test_oversized_step_is_retracted(grid48, monkeypatch):
     monkeypatch.setattr(solver, "_DTAU_START", 4.0)
     gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
     assert gs.converged
-    # history holds steps + 1 energies and iterations counts steps + rejections
+    # history holds accepted steps + 1 energies, iterations counts steps + rejections
     assert gs.iterations > len(gs.energy_history)
     assert np.all(np.diff(gs.energy_history) <= 0.0)
+
+
+def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
+    # A huge first step is rejected about twenty times over. Stepping again
+    # from the accepted state must not count as a quiet step each time.
+    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
+    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    assert gs.converged
+    assert gs.energy < gs.energy_history[0]
+    assert gs.energy == pytest.approx(full0.energy, rel=1e-6)
+    # the starting state is in the history once, not once per rejection
+    assert np.count_nonzero(gs.energy_history == gs.energy_history[0]) == 1
+
+
+def test_rejections_in_a_row_raise(grid48, monkeypatch):
+    # the halvings count on across the re-evaluations of the accepted state
+    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
+    monkeypatch.setattr(solver, "_MAX_HALVINGS", 5)
+    with pytest.raises(StepUnstable, match="after 5 step halvings"):
+        minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
 
 
 def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
