@@ -9,7 +9,15 @@ from .abel import (
     forward_abel,
     inverse_abel,
 )
-from .config import RunConfig, default_config, load_config, parse_config, serialize_config
+from .config import (
+    RunConfig,
+    default_config,
+    default_resonance,
+    default_scenario,
+    load_config,
+    parse_config,
+    serialize_config,
+)
 from .errors import InputError, MixsepError, NumericsError, OutputError
 from .grid import DensityField, Grid2D
 from .lossfit import DecaySeries, SmoothedCurve, fit_gamma, fit_l3, smooth_l3
@@ -49,7 +57,7 @@ from .profiles import (
     grid_for_scenario,
     thermal_bose_profile,
 )
-from .scenario import MixtureScenario, default_resonance, default_scenario
+from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, interface_thickness, minimize
 
 try:

@@ -124,15 +124,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_overlap(args) -> int:
     from .overlap import omega_eff_from_ground_state
-    from .pipeline import atomic_write_text, load_ground_state
+    from .pipeline import load_ground_state, write_json
 
     gs = load_ground_state(args.ground_state)
-    l3 = args.l3 * 1.0e-12 if args.l3 is not None else None
-    kwargs = {} if l3 is None else {"l3": l3}
+    kwargs = {} if args.l3 is None else {"l3": args.l3 * 1.0e-12}
     report = omega_eff_from_ground_state(gs, alpha=args.alpha, **kwargs)
     payload = report.as_dict()
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, payload)
         print(f"report written to {args.out}")
     _print_kv(
         [
@@ -201,7 +200,7 @@ def cmd_abel(args) -> int:
 
 def cmd_fit_gamma(args) -> int:
     from .lossfit import fit_gamma
-    from .pipeline import atomic_write_text, read_decay_csv
+    from .pipeline import read_decay_csv, write_json
 
     series = read_decay_csv(args.infile)
     fit = fit_gamma(series, window_fraction=args.window)
@@ -213,14 +212,14 @@ def cmd_fit_gamma(args) -> int:
         "decaying": fit.decaying,
     }
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, payload)
     _print_kv(sorted(payload.items()))
     return 0
 
 
 def cmd_fit_l3(args) -> int:
     from .lossfit import fit_l3
-    from .pipeline import M6S_TO_CM6S, atomic_write_text, read_decay_csv
+    from .pipeline import M6S_TO_CM6S, read_decay_csv, write_json
 
     cfg = _load_config(args)
     series = read_decay_csv(args.infile)
@@ -240,7 +239,7 @@ def cmd_fit_l3(args) -> int:
         "overlap_factor": fit.overlap_factor,
     }
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.out, payload)
     _print_kv(sorted(payload.items()))
     return 0
 
@@ -265,47 +264,30 @@ def cmd_smooth_l3(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    from .pipeline import emit_plot_data, load_ground_state, read_smoothed_csv, read_table, _column
+    from .errors import MissingInput
+    from .pipeline import emit_plot_data, load_ground_state, read_gamma_csv, read_smoothed_csv
 
-    inputs: dict = {}
     if args.kind == "fig1b":
         if not args.ground_state:
-            raise_missing("--ground-state is required for fig1b")
-        inputs["ground_state"] = load_ground_state(args.ground_state)
-        inputs["noise"] = args.noise
-        inputs["seed"] = args.seed
-    elif args.kind == "fig2a":
-        if not args.infile:
-            raise_missing("--in is required for fig2a (smoothed curve CSV)")
-        inputs["smoothed"] = read_smoothed_csv(args.infile)
-    elif args.kind == "fig2b":
-        if not args.infile:
-            raise_missing("--in is required for fig2b (gamma CSV)")
-        meta, header, data = read_table(args.infile)
-        a = _column(header, data, "a_bf", args.infile)
-        g = _column(header, data, "gamma", args.infile)
-        try:
-            ge = _column(header, data, "gamma_err", args.infile)
-        except Exception:
-            ge = [0.0] * len(a)
-        inputs["gamma_records"] = [
-            {"a_bf_a0": float(ai), "gamma": float(gi), "gamma_stderr": float(ei)}
-            for ai, gi, ei in zip(a, g, ge)
-        ]
+            raise MissingInput("--ground-state is required for fig1b")
+        inputs = {
+            "ground_state": load_ground_state(args.ground_state),
+            "noise": args.noise,
+            "seed": args.seed,
+        }
     else:
+        # (emit_plot_data keyword, reader of the --in file, what that file is)
+        name, read, what = {
+            "fig2a": ("smoothed", read_smoothed_csv, "smoothed curve CSV"),
+            "fig2b": ("gamma_records", read_gamma_csv, "gamma CSV"),
+            "fig3": ("pipeline_csv", str, "pipeline sweep CSV"),
+        }[args.kind]
         if not args.infile:
-            raise_missing("--in is required for fig3 (pipeline sweep CSV)")
-        inputs["pipeline_csv"] = args.infile
-    paths = emit_plot_data(args.kind, args.out, **inputs)
-    for p in paths:
+            raise MissingInput(f"--in is required for {args.kind} ({what})")
+        inputs = {name: read(args.infile)}
+    for p in emit_plot_data(args.kind, args.out, **inputs):
         print(f"written {p}")
     return 0
-
-
-def raise_missing(message: str):
-    from .errors import MissingInput
-
-    raise MissingInput(message)
 
 
 # ---------------------------------------------------------------------------

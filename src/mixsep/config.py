@@ -5,6 +5,9 @@ solver settings, the sweep points, and the fit settings. Unknown sections
 or keys are rejected rather than ignored, and every effective value carries
 provenance ("file", "default", or "derived") so a run manifest can record
 exactly what was assumed.
+
+The shipped mixture is this module's defaults: default_scenario() and
+default_resonance() are what an empty config file parses to.
 """
 
 from __future__ import annotations
@@ -74,9 +77,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "fits": {
         "l3_cm6_per_s": ("float", 1.0e-25),
-        "span": ("float", 0.5),
-        "n_boot": ("int", 1000),
-        "seed": ("int", 0),
     },
 }
 
@@ -97,9 +97,6 @@ class RunConfig:
     sweep_a_bf: tuple[float, ...]          # meters
     sweep_b_gauss: tuple[float, ...] | None
     l3: float                              # m^6/s
-    smooth_span: float
-    smooth_n_boot: int
-    smooth_seed: int
     provenance: dict[str, str] = field(compare=False, repr=False, default_factory=dict)
     # Effective values in file units, kept so serialization round-trips exactly.
     raw: dict = field(compare=False, repr=False, default_factory=dict)
@@ -216,14 +213,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     sol = values["solver"]
     if sol["mode"] not in ("full", "tf"):
         raise ValidationError(f"solver mode must be 'full' or 'tf', got {sol['mode']!r}")
-    solver = SolverOptions(
-        mode=sol["mode"],
-        tol_energy=sol["tol_energy"],
-        consecutive=sol["consecutive"],
-        max_iter=sol["max_iter"],
-        seed=sol["seed"],
-        warm_noise=sol["warm_noise"],
-    )
+    solver = SolverOptions(**sol)
 
     swp = values["sweep"]
     a_list, b_list = swp["a_bf_list_a0"], swp["b_list_gauss"]
@@ -236,21 +226,17 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         sweep_b = tuple(b_list)
         sweep_a = tuple(scattering_length(resonance, b) for b in b_list)
         provenance["sweep.a_bf_list_a0"] = "derived"
-    elif a_list is not None:
-        sweep_a = tuple(v * A_BOHR for v in a_list)
     else:
-        sweep_a = tuple(v * A_BOHR for v in default_sweep_a0())
+        if a_list is None:
+            a_list = swp["a_bf_list_a0"] = tuple(float(v) for v in default_sweep_a0())
+        sweep_a = tuple(v * A_BOHR for v in a_list)
     if len(sweep_a) < 1:
         raise ValidationError("sweep needs at least one point")
 
     fits = values["fits"]
     if fits["l3_cm6_per_s"] <= 0.0:
         raise ValidationError("l3_cm6_per_s must be positive")
-    if not 0.0 < fits["span"] <= 1.0:
-        raise ValidationError("span must lie in (0, 1]")
 
-    if a_list is None and b_list is None:
-        values["sweep"]["a_bf_list_a0"] = tuple(float(v) for v in default_sweep_a0())
     return RunConfig(
         scenario=scenario,
         resonance=resonance,
@@ -261,9 +247,6 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         sweep_a_bf=sweep_a,
         sweep_b_gauss=sweep_b,
         l3=fits["l3_cm6_per_s"] * 1.0e-12,
-        smooth_span=fits["span"],
-        smooth_n_boot=fits["n_boot"],
-        smooth_seed=fits["seed"],
         provenance=provenance,
         raw=values,
     )
@@ -276,6 +259,14 @@ def load_config(path) -> RunConfig:
 
 def default_config() -> RunConfig:
     return parse_config("", source="<defaults>")
+
+
+def default_scenario(a_bf: float = 0.0) -> MixtureScenario:
+    return default_config().scenario.with_a_bf(a_bf)
+
+
+def default_resonance() -> FeshbachResonance:
+    return default_config().resonance
 
 
 def _fmt(v) -> str:

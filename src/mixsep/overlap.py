@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .constants import A_BOHR
 from .errors import NonPositiveInput, ZeroDenominator, ZeroReference
-from .grid import DensityField, integrate_product, require_same_grid
+from .grid import DensityField, Grid2D, integrate_product, require_same_grid
 from .profiles import (
     PeakQuantities,
     ThermalCloudParams,
@@ -38,6 +38,7 @@ from .profiles import (
     thermal_bose_profile,
     thermal_bose_profile_semiclassical,
 )
+from .scenario import MixtureScenario
 from .solver import GroundState
 
 SQRT8 = math.sqrt(8.0)
@@ -146,11 +147,11 @@ class OverlapReport:
         }
 
 
-def reference_fields(gs: GroundState) -> tuple[DensityField, DensityField]:
-    """Noninteracting TF fields of the same scenario on the same grid."""
-    sc = gs.scenario
-    ref_b, _ = bec_tf_profile(sc.bosons, sc.condensate_number, gs.grid)
-    ref_f, _ = fermi_tf_profile(sc.fermions, sc.n_fermions, gs.grid)
+def reference_fields(scenario: MixtureScenario,
+                     grid: Grid2D) -> tuple[DensityField, DensityField]:
+    """Noninteracting TF fields (ref_f, ref_b) of the scenario on the grid."""
+    ref_b, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
+    ref_f, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
     return ref_f, ref_b
 
 
@@ -186,7 +187,7 @@ def omega_eff_from_ground_state(
     if thermal is None:
         thermal = thermal_field_for(gs)
     if reference is None:
-        reference = reference_fields(gs)
+        reference = reference_fields(sc, gs.grid)
     if peaks is None:
         peaks = fra_peak_quantities(sc)
     ref_f, ref_b = reference

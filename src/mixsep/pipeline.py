@@ -33,9 +33,9 @@ from .errors import (
 )
 from .grid import DensityField, Grid2D
 from .lossfit import DecaySeries, SmoothedCurve
-from .overlap import OverlapReport, omega_eff_from_ground_state
+from .overlap import OverlapReport, omega_eff_from_ground_state, reference_fields
 from .physics import SpeciesParams, critical_scattering_length
-from .profiles import bec_tf_profile, fermi_tf_profile, fra_peak_quantities, grid_for_scenario
+from .profiles import PeakQuantities, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, minimize
 
@@ -50,6 +50,7 @@ FLOAT_FMT = ".12g"
 M3_TO_CM3 = 1.0e-6        # density m^-3 -> cm^-3
 M6_TO_CM6 = 1.0e-12       # overlap integral m^-6 -> cm^-6
 M6S_TO_CM6S = 1.0e12      # rate coefficient m^6/s -> cm^6/s
+CONFIG_SNAPSHOT = "config_snapshot.cfg"
 
 
 def _f(v: float) -> str:
@@ -65,6 +66,11 @@ def atomic_write_text(path, text: str) -> Path:
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def write_json(path, payload) -> Path:
+    """Indented, key-sorted JSON with a trailing newline."""
+    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _ensure_dir(path) -> Path:
@@ -102,45 +108,53 @@ def write_table(path, header: list[str], rows, meta: dict | None = None) -> Path
     return atomic_write_text(path, buf.getvalue())
 
 
-def read_table(path):
-    """Returns (meta, header, rows ndarray). Inverse of write_table."""
-    path = Path(path)
+def _read_commented(path: Path) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """({key: value} from "# key = value" lines, [(line number, text)] of data lines)."""
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
     meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[float]] = []
+    lines: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             s = line.strip()
-            if not s:
-                continue
             if s.startswith("#"):
                 body = s.lstrip("#").strip()
                 if "=" in body:
                     k, _, v = body.partition("=")
                     meta[k.strip()] = v.strip()
-                continue
-            cells = next(csv.reader([s]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad number ({exc})", line=lineno) from exc
-    if header is None:
+            elif s:
+                lines.append((lineno, s))
+    return meta, lines
+
+
+def read_table(path):
+    """Returns (meta, header, rows ndarray). Inverse of write_table."""
+    path = Path(path)
+    meta, lines = _read_commented(path)
+    if not lines:
         raise ParseError(f"{path}: no header row found")
+    header = [c.strip() for c in next(csv.reader([lines[0][1]]))]
+    rows: list[list[float]] = []
+    for lineno, s in lines[1:]:
+        try:
+            row = [float(c) for c in next(csv.reader([s]))]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad number ({exc})", line=lineno) from exc
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: row width does not match header", line=lineno)
+        rows.append(row)
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
-    if data.size and data.shape[1] != len(header):
-        raise ParseError(f"{path}: row width does not match header")
     return meta, header, data
 
 
-def _column(header: list[str], data: np.ndarray, name: str, path) -> np.ndarray:
+def _column(header: list[str], data: np.ndarray, name: str, path,
+            optional: bool = False) -> np.ndarray | None:
+    """The column named name, units in brackets ignored; None if optional and absent."""
     for i, h in enumerate(header):
         if h == name or h.split("[")[0] == name:
             return data[:, i]
+    if optional:
+        return None
     raise MissingInput(f"{path}: missing column {name!r}")
 
 
@@ -165,32 +179,20 @@ def write_density_field(fld: DensityField, path) -> Path:
 
 def read_density_field(path) -> DensityField:
     path = Path(path)
-    if not path.exists():
-        raise MissingInput(f"no such file: {path}")
-    meta: dict[str, str] = {}
+    meta, lines = _read_commented(path)
     values: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            if s.startswith("#"):
-                body = s.lstrip("#").strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    meta[k.strip()] = v.strip()
-                continue
-            try:
-                row = [float(c) for c in s.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{path}, line {lineno}: {exc}", line=lineno) from exc
-            if values and len(row) != len(values[0]):
-                raise ParseError(
-                    f"{path}, line {lineno}: {len(row)} values, "
-                    f"the first row has {len(values[0])}",
-                    line=lineno,
-                )
-            values.append(row)
+    for lineno, s in lines:
+        try:
+            row = [float(c) for c in s.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"{path}, line {lineno}: {exc}", line=lineno) from exc
+        if values and len(row) != len(values[0]):
+            raise ParseError(
+                f"{path}, line {lineno}: {len(row)} values, "
+                f"the first row has {len(values[0])}",
+                line=lineno,
+            )
+        values.append(row)
     try:
         n_rho, n_z = int(meta["n_rho"]), int(meta["n_z"])
         d_rho = float(meta["d_rho_um"]) * 1e-6
@@ -228,6 +230,17 @@ def _species_from_meta(d: dict) -> SpeciesParams:
     )
 
 
+def _convergence(gs: GroundState) -> dict:
+    """How a solve ended, as meta.json and the manifest record it."""
+    return {
+        "converged": gs.converged,
+        "iterations": gs.iterations,
+        "energy_nk": joule_to_nk(gs.energy),
+        "residual_b": gs.residual[0],
+        "residual_f": gs.residual[1],
+    }
+
+
 def save_ground_state(gs: GroundState, dirpath) -> Path:
     """Write n_b.csv, n_f.csv and meta.json into dirpath."""
     d = _ensure_dir(dirpath)
@@ -249,19 +262,15 @@ def save_ground_state(gs: GroundState, dirpath) -> Path:
         },
         "results": {
             "mode": gs.mode,
-            "converged": gs.converged,
-            "iterations": gs.iterations,
-            "energy_nk": joule_to_nk(gs.energy),
+            **_convergence(gs),
             "energy_breakdown_nk": {
                 k: joule_to_nk(v) for k, v in gs.energy_breakdown.items()
             },
             "mu_b_nk": joule_to_nk(gs.mu_b),
             "mu_f_nk": joule_to_nk(gs.mu_f),
-            "residual_b": gs.residual[0],
-            "residual_f": gs.residual[1],
         },
     }
-    atomic_write_text(d / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(d / "meta.json", meta)
     return d
 
 
@@ -321,6 +330,7 @@ class RunManifest:
     files: list = field(default_factory=list)    # {"path", "sha256", "kind"}
     points: list = field(default_factory=list)   # per-point convergence records
     notes: list = field(default_factory=list)
+    provenance: dict = field(default_factory=dict)  # config key -> file/default/derived
 
     def add_file(self, base: Path, path: Path, kind: str) -> None:
         self.files.append(
@@ -342,8 +352,9 @@ class RunManifest:
             "files": self.files,
             "points": self.points,
             "notes": self.notes,
+            "provenance": self.provenance,
         }
-        return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return write_json(path, payload)
 
 
 def verify_manifest(manifest_path) -> dict:
@@ -370,11 +381,9 @@ def verify_manifest(manifest_path) -> dict:
 # sweeps
 
 
-def _critical_a_bf(scenario: MixtureScenario) -> float:
+def _critical_a_bf(scenario: MixtureScenario, peaks: PeakQuantities) -> float:
     """Separation threshold in Bohr radii, from the reference peak density."""
-    peaks = fra_peak_quantities(scenario)
-    crit = critical_scattering_length(scenario.bosons.a_intra, peaks.n_f_peak)
-    return crit / A_BOHR
+    return critical_scattering_length(scenario.bosons.a_intra, peaks.n_f_peak) / A_BOHR
 
 
 def sweep_ground_states(
@@ -421,14 +430,26 @@ def sweep_ground_states(
 def _point_record(mode: str, a_bf: float, gs: GroundState | None, err: str | None) -> dict:
     rec = {"a_bf_a0": a_bf / A_BOHR, "mode": mode, "error": err}
     if gs is not None:
-        rec.update(
-            converged=gs.converged,
-            iterations=gs.iterations,
-            energy_nk=joule_to_nk(gs.energy),
-            residual_b=gs.residual[0],
-            residual_f=gs.residual[1],
-        )
+        rec.update(_convergence(gs))
     return rec
+
+
+def _start_sweep(config: RunConfig,
+                 out_dir) -> tuple[Path, Grid2D, PeakQuantities, RunManifest]:
+    """Output directory, grid, peak densities and manifest; writes the config snapshot."""
+    out = _ensure_dir(out_dir)
+    grid = grid_for_scenario(config.scenario, config.n_rho, config.n_z, config.box_factor)
+    config_text = serialize_config(config)
+    atomic_write_text(out / CONFIG_SNAPSHOT, config_text)
+    manifest = RunManifest(sha256_text(config_text), provenance=dict(config.provenance))
+    return out, grid, fra_peak_quantities(config.scenario), manifest
+
+
+def _finish_sweep(out: Path, manifest: RunManifest, csv_path: Path) -> Path:
+    """List the sweep table and the config snapshot, then write the manifest."""
+    manifest.add_file(out, csv_path, "sweep")
+    manifest.add_file(out, out / CONFIG_SNAPSHOT, "config")
+    return manifest.write(out / "manifest.json")
 
 
 def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Path, Path]:
@@ -439,15 +460,8 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
     predicted separation threshold rides along as metadata. Failed points
     get nan columns and an entry in the manifest.
     """
-    out = _ensure_dir(out_dir)
+    out, grid, peaks, manifest = _start_sweep(config, out_dir)
     scenario = config.scenario
-    grid = grid_for_scenario(scenario, config.n_rho, config.n_z, config.box_factor)
-    config_text = serialize_config(config)
-    snapshot = atomic_write_text(out / "config_snapshot.cfg", config_text)
-
-    peaks = fra_peak_quantities(scenario)
-
-    manifest = RunManifest(config_sha256=sha256_text(config_text))
     results: dict[str, list] = {}
     gamma_zero: dict[str, float] = {}
     for mode in ("full", "tf"):
@@ -497,34 +511,23 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
         ["a_bf[a0]", "omega_eff_full", "omega_eff_tf", "omega_zero_T"],
         rows,
         meta={
-            "critical_a_bf_a0": _critical_a_bf(scenario),
+            "critical_a_bf_a0": _critical_a_bf(scenario, peaks),
             "l3_cm6_per_s": config.l3 * M6S_TO_CM6S,
             "gamma_full_overlap_full[1/s]": gamma_zero["full"],
             "gamma_full_overlap_tf[1/s]": gamma_zero["tf"],
         },
     )
-    manifest.add_file(out, csv_path, "sweep")
-    manifest.add_file(out, snapshot, "config")
-    manifest_path = manifest.write(out / "manifest.json")
-    return csv_path, manifest_path
+    return csv_path, _finish_sweep(out, manifest, csv_path)
 
 
 def run_overlap_sweep(
     config: RunConfig, out_dir, mode: str | None = None, progress=None
 ) -> tuple[Path, Path]:
     """One-mode sweep emitting the per-point overlap report columns."""
-    out = _ensure_dir(out_dir)
+    out, grid, peaks, manifest = _start_sweep(config, out_dir)
     scenario = config.scenario
     mode = mode or config.solver.mode
-    grid = grid_for_scenario(scenario, config.n_rho, config.n_z, config.box_factor)
-    config_text = serialize_config(config)
-    snapshot = atomic_write_text(out / "config_snapshot.cfg", config_text)
-
-    peaks = fra_peak_quantities(scenario)
-    ref_b, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
-    ref_f, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
-
-    manifest = RunManifest(config_sha256=sha256_text(config_text))
+    reference = reference_fields(scenario, grid)
     states = sweep_ground_states(
         scenario, config.sweep_a_bf, grid, replace(config.solver, mode=mode), progress
     )
@@ -535,7 +538,7 @@ def run_overlap_sweep(
             rows.append([a_bf / A_BOHR] + [None] * 9)
             continue
         rep = omega_eff_from_ground_state(
-            gs, l3=config.l3, reference=(ref_f, ref_b), peaks=peaks
+            gs, l3=config.l3, reference=reference, peaks=peaks
         )
         rows.append(
             [
@@ -568,15 +571,12 @@ def run_overlap_sweep(
         rows,
         meta={
             "mode": mode,
-            "critical_a_bf_a0": _critical_a_bf(scenario),
+            "critical_a_bf_a0": _critical_a_bf(scenario, peaks),
             "l3_cm6_per_s": config.l3 * M6S_TO_CM6S,
             "alpha": scenario.alpha,
         },
     )
-    manifest.add_file(out, csv_path, "sweep")
-    manifest.add_file(out, snapshot, "config")
-    manifest_path = manifest.write(out / "manifest.json")
-    return csv_path, manifest_path
+    return csv_path, _finish_sweep(out, manifest, csv_path)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +588,7 @@ def read_decay_csv(path) -> DecaySeries:
     meta, header, data = read_table(path)
     t = _column(header, data, "t", path)
     n = _column(header, data, "N", path)
-    sigma = None
-    if any(h.split("[")[0] == "sigma_N" for h in header):
-        sigma = _column(header, data, "sigma_N", path)
+    sigma = _column(header, data, "sigma_N", path, optional=True)
     return DecaySeries(times=t, numbers=n, sigma=sigma)
 
 
@@ -599,10 +597,22 @@ def read_l3_points_csv(path):
     meta, header, data = read_table(path)
     a0 = _column(header, data, "a_bf", path)
     l3 = _column(header, data, "L3", path) / M6S_TO_CM6S
-    sigma = None
-    if any(h.split("[")[0] == "sigma" for h in header):
-        sigma = _column(header, data, "sigma", path) / M6S_TO_CM6S
-    return a0, l3, sigma
+    sigma = _column(header, data, "sigma", path, optional=True)
+    return a0, l3, None if sigma is None else sigma / M6S_TO_CM6S
+
+
+def read_gamma_csv(path) -> list[dict]:
+    """Columns a_bf[a0], gamma[1/s], optional gamma_err[1/s] (0 when absent)."""
+    meta, header, data = read_table(path)
+    a = _column(header, data, "a_bf", path)
+    g = _column(header, data, "gamma", path)
+    ge = _column(header, data, "gamma_err", path, optional=True)
+    if ge is None:
+        ge = np.zeros_like(a)
+    return [
+        {"a_bf_a0": float(ai), "gamma": float(gi), "gamma_stderr": float(ei)}
+        for ai, gi, ei in zip(a, g, ge)
+    ]
 
 
 def write_smoothed_csv(curve: SmoothedCurve, path) -> Path:
@@ -657,16 +667,10 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
     fig2b: gamma_records -> measured loss rates per set.
     fig3: pipeline_csv -> overlap curves reordered for plotting.
     """
-    out = _ensure_dir(out_dir)
-    if kind == "fig1b":
-        return _emit_fig1b(out, **inputs)
-    if kind == "fig2a":
-        return _emit_fig2a(out, **inputs)
-    if kind == "fig2b":
-        return _emit_fig2b(out, **inputs)
-    if kind == "fig3":
-        return _emit_fig3(out, **inputs)
-    raise ValidationError(f"unknown plot kind {kind!r}")
+    emit = _EMITTERS.get(kind)
+    if emit is None:
+        raise ValidationError(f"unknown plot kind {kind!r}")
+    return emit(_ensure_dir(out_dir), **inputs)
 
 
 def _emit_fig1b(out: Path, ground_state=None, noise: float = 0.0, seed: int = 0, **_):
@@ -762,3 +766,7 @@ def _emit_fig3(out: Path, pipeline_csv=None, **_):
             meta=keep,
         )
     ]
+
+
+_EMITTERS = {"fig1b": _emit_fig1b, "fig2a": _emit_fig2a,
+             "fig2b": _emit_fig2b, "fig3": _emit_fig3}

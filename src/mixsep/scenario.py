@@ -1,10 +1,11 @@
 """Scenario record: which mixture, how many atoms, at what interaction.
 
-The default numbers reproduce the typical experimental situation: 2.9e4
-potassium atoms at 50% condensate fraction inside 1.4e5 lithium atoms with
-a peak sea density of 1.2e12 cm^-3. The lithium trap is 291 x 41.6 Hz
-(1:7 aspect); potassium sees the same optical trap scaled by the mass ratio
-and its relative polarizability.
+A MixtureScenario holds both species, the atom numbers, the condensate
+fraction and the interspecies scattering length. The shipped mixture (2.9e4
+potassium atoms at 50% condensate fraction inside 1.4e5 lithium atoms in a
+291 x 41.6 Hz lithium trap) is the config's defaults: see
+config.default_scenario. Potassium sees the same optical trap scaled by the
+mass ratio and its relative polarizability, boson_frequency_scale below.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .constants import ATOMIC_MASS, A_BOHR, hz_to_angular
+from .constants import ATOMIC_MASS
 from .errors import ValidationError
-from .physics import FeshbachResonance, SpeciesParams
+from .physics import SpeciesParams
 
 MASS_K41 = 41.0 * ATOMIC_MASS
 MASS_LI6 = 6.0 * ATOMIC_MASS
@@ -23,40 +24,11 @@ MASS_LI6 = 6.0 * ATOMIC_MASS
 # power: sqrt(m_Li/m_K) from the mass, times the relative polarizability.
 POLARIZABILITY_FACTOR = 1.30
 
-NU_LI_RADIAL = 291.0   # Hz
-NU_LI_AXIAL = 41.6     # Hz
-A_BB_DEFAULT = 60.9 * A_BOHR
-
 
 def boson_frequency_scale(mass_b: float = MASS_K41,
                           mass_f: float = MASS_LI6,
                           polarizability: float = POLARIZABILITY_FACTOR) -> float:
     return math.sqrt(mass_f / mass_b) * polarizability
-
-
-def default_fermions(nu_radial: float = NU_LI_RADIAL,
-                     nu_axial: float = NU_LI_AXIAL) -> SpeciesParams:
-    return SpeciesParams(
-        name="Li6",
-        mass=MASS_LI6,
-        omega_rho=hz_to_angular(nu_radial),
-        omega_z=hz_to_angular(nu_axial),
-        a_intra=0.0,
-    )
-
-
-def default_bosons(fermions: SpeciesParams | None = None,
-                   polarizability: float = POLARIZABILITY_FACTOR,
-                   a_bb: float = A_BB_DEFAULT) -> SpeciesParams:
-    f = fermions if fermions is not None else default_fermions()
-    s = boson_frequency_scale(MASS_K41, f.mass, polarizability)
-    return SpeciesParams(
-        name="K41",
-        mass=MASS_K41,
-        omega_rho=f.omega_rho * s,
-        omega_z=f.omega_z * s,
-        a_intra=a_bb,
-    )
 
 
 @dataclass(frozen=True)
@@ -91,18 +63,3 @@ class MixtureScenario:
     def with_a_bf(self, a_bf: float) -> "MixtureScenario":
         return replace(self, a_bf=a_bf)
 
-
-def default_scenario(a_bf: float = 0.0) -> MixtureScenario:
-    fermions = default_fermions()
-    return MixtureScenario(
-        bosons=default_bosons(fermions),
-        fermions=fermions,
-        n_bosons=2.9e4,
-        n_fermions=1.4e5,
-        condensate_fraction=0.5,
-        a_bf=a_bf,
-    )
-
-
-def default_resonance() -> FeshbachResonance:
-    return FeshbachResonance()

@@ -21,7 +21,7 @@ from mixsep.abel import (
     forward_abel,
     inverse_abel,
 )
-from mixsep.config import parse_config
+from mixsep.config import default_scenario, parse_config
 from mixsep.constants import A_BOHR
 from mixsep.errors import NonDecayingWarning
 from mixsep.grid import integrate_product
@@ -37,7 +37,6 @@ from mixsep.profiles import (
     thermal_bose_profile,
     thermal_peak_coefficient,
 )
-from mixsep.scenario import default_scenario
 from mixsep.solver import SolverOptions, minimize
 
 SC = default_scenario()

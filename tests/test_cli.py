@@ -8,6 +8,7 @@ import pytest
 
 from mixsep import pipeline
 from mixsep.cli import _apply_thread_cap, main
+from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import StepUnstable
 from mixsep.pipeline import (
@@ -19,7 +20,6 @@ from mixsep.pipeline import (
     write_table,
 )
 from mixsep.profiles import thermal_peak_coefficient
-from mixsep.scenario import default_scenario
 
 FAST_CFG = """\
 [grid]
@@ -141,6 +141,15 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "n_atoms" in err
+
+    @pytest.mark.parametrize("key,value", [("span", 0.5), ("n_boot", 200), ("seed", 3)])
+    def test_removed_fits_key_exits_2(self, capsys, tmp_path, key, value):
+        # smooth-l3 takes these as --span/--boot/--seed, not from a config file
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"[fits]\n{key} = {value}\n", encoding="utf-8")
+        code, _, err = run(capsys, "criterion", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key" in err
 
 
 class TestCriterion:
@@ -462,6 +471,17 @@ class TestSweepAndFig:
         assert code == 0
         _, _, data = read_table(tmp_path / "f2b" / "fig2b_gamma.csv")
         np.testing.assert_array_equal(data[:, 0], [100.0, 300.0])
+
+    def test_fig2b_without_errors_writes_zeros(self, capsys, tmp_path):
+        gamma = tmp_path / "gamma.csv"
+        write_table(gamma, ["a_bf[a0]", "gamma[1/s]"], [[300.0, 0.2], [100.0, 0.1]])
+        code, _, _ = run(
+            capsys, "fig", "fig2b", "--in", str(gamma), "--out", str(tmp_path / "f2b")
+        )
+        assert code == 0
+        _, header, data = read_table(tmp_path / "f2b" / "fig2b_gamma.csv")
+        assert header == ["a_bf[a0]", "gamma[1/s]", "gamma_err[1/s]"]
+        np.testing.assert_array_equal(data, [[100.0, 0.1, 0.0], [300.0, 0.2, 0.0]])
 
     def test_fig_requires_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fig", "fig3", "--out", str(tmp_path))

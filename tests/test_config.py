@@ -9,6 +9,8 @@ from mixsep.config import (
     SWEEP_DEFAULT_POINTS,
     SWEEP_DEFAULT_RANGE_A0,
     default_config,
+    default_resonance,
+    default_scenario,
     default_sweep_a0,
     load_config,
     parse_config,
@@ -16,7 +18,7 @@ from mixsep.config import (
 )
 from mixsep.constants import A_BOHR
 from mixsep.errors import ParseError, ValidationError
-from mixsep.physics import scattering_length
+from mixsep.physics import FeshbachResonance, scattering_length
 
 
 def test_defaults_match_shipped_scenario():
@@ -34,6 +36,9 @@ def test_defaults_match_shipped_scenario():
     np.testing.assert_allclose(
         np.array(cfg.sweep_a_bf) / A_BOHR, default_sweep_a0(), rtol=1e-12
     )
+    # the library's default mixture is the one the CLI and config files solve
+    assert default_scenario() == sc
+    assert default_resonance() == FeshbachResonance()
 
 
 def test_default_sweep_is_geometric():
@@ -141,7 +146,7 @@ def test_grid_and_solver_validation():
         parse_config("[grid]\nbox_factor = 0.9\n")
     with pytest.raises(ValidationError, match="mode"):
         parse_config("[solver]\nmode = exact\n")
-    with pytest.raises(ValidationError, match="span"):
+    with pytest.raises(ValidationError, match="unknown key 'span'"):
         parse_config("[fits]\nspan = 1.5\n")
     with pytest.raises(ValidationError, match="l3"):
         parse_config("[fits]\nl3_cm6_per_s = 0\n")
@@ -177,9 +182,6 @@ def test_serialize_requires_raw_values():
         sweep_a_bf=cfg.sweep_a_bf,
         sweep_b_gauss=cfg.sweep_b_gauss,
         l3=cfg.l3,
-        smooth_span=cfg.smooth_span,
-        smooth_n_boot=cfg.smooth_n_boot,
-        smooth_seed=cfg.smooth_seed,
     )
     with pytest.raises(ValidationError):
         serialize_config(bare)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NumericalBlowup
 from mixsep.functional import (
@@ -21,7 +22,6 @@ from mixsep.functional import (
     tf_pressure_coefficient,
 )
 from mixsep.grid import Grid2D, grid_for_box
-from mixsep.scenario import default_scenario
 
 SC = default_scenario(a_bf=300.0 * A_BOHR)
 

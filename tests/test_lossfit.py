@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mixsep.config import default_scenario
 from mixsep.errors import (
     FitDiverged,
     NonPositiveInput,
@@ -23,7 +24,6 @@ from mixsep.lossfit import (
     smooth_l3,
 )
 from mixsep.profiles import thermal_peak_coefficient
-from mixsep.scenario import default_scenario
 
 SPECIES = default_scenario().bosons
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import NonPositiveInput, ZeroDenominator, ZeroReference
 from mixsep.grid import DensityField, grid_for_box, integrate_product
@@ -24,7 +25,6 @@ from mixsep.overlap import (
     thermal_field_for,
 )
 from mixsep.profiles import ThermalCloudParams, fra_peak_quantities, grid_for_scenario
-from mixsep.scenario import default_scenario
 from mixsep.solver import SolverOptions, minimize
 
 SC = default_scenario()
@@ -240,7 +240,7 @@ class TestGroundStateReport:
 
 
 def test_reference_fields_are_calibrated(tf0):
-    ref_f, ref_b = reference_fields(tf0)
+    ref_f, ref_b = reference_fields(tf0.scenario, tf0.grid)
     assert ref_f.integrate() == pytest.approx(SC.n_fermions, rel=1e-9)
     assert ref_b.integrate() == pytest.approx(SC.condensate_number, rel=1e-9)
 

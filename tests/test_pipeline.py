@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mixsep.config import parse_config
+from mixsep.config import default_scenario, parse_config
 from mixsep.constants import A_BOHR
 from mixsep import pipeline
 from mixsep.errors import MissingInput, OutputError, ParseError, StepUnstable, ValidationError
@@ -34,10 +34,21 @@ from mixsep.pipeline import (
     write_table,
 )
 from mixsep.profiles import grid_for_scenario
-from mixsep.scenario import default_scenario
 from mixsep.solver import SolverOptions, minimize
 
 SC = default_scenario()
+
+# Ways a hand-edited file may differ from what the writers emit.
+LAYOUTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "blank_lines": lambda text: "\n" + text.replace("\n", "\n\n"),
+    "bare_comments": lambda text: "#\n" + text.replace("\n", "\n#\n"),
+}
+
+
+def _relayout(path, layout: str) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(LAYOUTS[layout](text).encode("utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +78,22 @@ class TestTableIO:
         assert data[0, 1] == 2.5e-7
         assert np.isnan(data[1, 1])
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_round_trip_any_layout(self, tmp_path, layout):
+        p = tmp_path / "t.csv"
+        write_table(p, ["x[um]", "y[nK]"], [[1.0, 2.5e-7], [3.0, None]], meta={"label": "abc"})
+        want_meta, want_header, want = read_table(p)
+        _relayout(p, layout)
+        meta, header, data = read_table(p)
+        assert meta == want_meta and header == want_header
+        np.testing.assert_array_equal(data, want)
+        # a bad cell is still reported at its line in the edited file
+        p.write_bytes(p.read_bytes().replace(b"2.5e-07", b"oops"))
+        lines = p.read_text(encoding="utf-8").splitlines()
+        with pytest.raises(ParseError) as exc:
+            read_table(p)
+        assert exc.value.line == next(i for i, ln in enumerate(lines, 1) if "oops" in ln)
+
     def test_full_precision(self, tmp_path):
         p = tmp_path / "t.csv"
         val = 0.1234567890123
@@ -82,6 +109,13 @@ class TestTableIO:
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n3,oops\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
+            read_table(p)
+        assert exc.value.line == 3
+
+    def test_ragged_row_reports_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n3,4,5\n6,7\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row width") as exc:
             read_table(p)
         assert exc.value.line == 3
 
@@ -108,6 +142,19 @@ class TestDensityFieldIO:
         assert back.grid.d_z == pytest.approx(grid32.d_z, rel=1e-11)
         assert back.species == gs_tf.n_b.species
         np.testing.assert_allclose(back.values, gs_tf.n_b.values, rtol=1e-11, atol=1e-3)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_round_trip_any_layout(self, tmp_path, gs_tf, layout):
+        p = tmp_path / "n_b.csv"
+        write_density_field(gs_tf.n_b, p)
+        want = read_density_field(p)
+        _relayout(p, layout)
+        back = read_density_field(p)
+        assert (back.grid.n_rho, back.grid.n_z, back.grid.d_rho, back.grid.d_z) == (
+            want.grid.n_rho, want.grid.n_z, want.grid.d_rho, want.grid.d_z
+        )
+        assert back.species == want.species
+        np.testing.assert_array_equal(back.values, want.values)
 
     def test_shape_mismatch(self, tmp_path, gs_tf):
         p = tmp_path / "n.csv"
@@ -239,8 +286,10 @@ class TestPointFiles:
 
 class TestPlotData:
     def test_unknown_kind(self, tmp_path):
+        out = tmp_path / "plots"
         with pytest.raises(ValidationError, match="unknown plot kind"):
-            emit_plot_data("fig9", tmp_path)
+            emit_plot_data("fig9", out)
+        assert not out.exists()
 
     def test_fig1b_requires_ground_state(self, tmp_path):
         with pytest.raises(MissingInput):
@@ -342,6 +391,15 @@ consecutive = 5
         assert payload["config_sha256"] == sha256_text(
             snap.read_text(encoding="utf-8")
         )
+
+    def test_manifest_records_provenance(self, tmp_path):
+        cfg = parse_config(self.CFG_TEXT + "[mixture]\nn_bosons = 29000\n")
+        _, man_path = run_overlap_sweep(cfg, tmp_path, mode="tf")
+        provenance = verify_manifest(man_path)["provenance"]
+        assert provenance == cfg.provenance
+        assert provenance["mixture.n_bosons"] == "file"
+        assert provenance["mixture.n_fermions"] == "default"
+        assert provenance["bosons.nu_rho_hz"] == "derived"
 
     def test_overlap_sweep_single_mode(self, tmp_path):
         cfg = parse_config(self.CFG_TEXT)

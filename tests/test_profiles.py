@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR, K_B
 from mixsep.errors import GridTooSmall, ResolutionWarning, ValidationError
 from mixsep.grid import grid_for_box, integrate_product
@@ -26,7 +27,7 @@ from mixsep.profiles import (
     thermal_peak_coefficient,
     trap_potential,
 )
-from mixsep.scenario import MixtureScenario, default_scenario
+from mixsep.scenario import MixtureScenario
 
 SC = default_scenario()
 

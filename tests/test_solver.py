@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixsep import solver
+from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import NotSeparated, StepUnstable
 from mixsep.functional import KineticStencil, evaluate, functional_params
@@ -18,7 +19,7 @@ from mixsep.profiles import (
     fra_peak_quantities,
     grid_for_scenario,
 )
-from mixsep.scenario import MixtureScenario, default_scenario
+from mixsep.scenario import MixtureScenario
 from mixsep.solver import (
     GroundState,
     SolverOptions,
