@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import HBAR
 from .errors import NumericalBlowup
@@ -99,10 +100,12 @@ class KineticStencil:
     condition costs nothing. Outer rho and both z edges are hard zeros.
 
     The operator is separable. Its radial part, with the axial diagonal
-    2/d_z^2 folded in, is an (n_rho x n_rho) tridiagonal CSR matrix, stored
-    times d_z^2 so that the two axial neighbours are plain subtractions of
-    shifted slices; apply() divides by d_z^2 once at the end. Extra memory is
-    O(n_rho) and apply() makes no full-grid temporary besides its result.
+    2/d_z^2 folded in, is an (n_rho x n_rho) tridiagonal matrix K_line. It is
+    stored as CSR times d_z^2 so that the two axial neighbours are plain
+    subtractions of shifted slices; apply() divides by d_z^2 once at the end.
+    apply() needs O(n_rho) extra memory and makes no full-grid temporary
+    besides its result. solve_lines() inverts coef K_line + shift on every z
+    column; it keeps one full-grid buffer from its first call on.
     """
 
     def __init__(self, grid: Grid2D):
@@ -112,13 +115,21 @@ class KineticStencil:
         down = i / (i + 0.5)
         inv_dr2 = 1.0 / grid.d_rho**2
         self._inv_dz2 = 1.0 / grid.d_z**2
-        self._diag = (up + down) * inv_dr2 + 2.0 * self._inv_dz2
+        diag = (up + down) * inv_dr2 + 2.0 * self._inv_dz2
         dz2 = grid.d_z**2
         self._k_rho_dz2 = scipy.sparse.diags(
-            [-down[1:] * inv_dr2 * dz2, self._diag * dz2, -up[:-1] * inv_dr2 * dz2],
+            [-down[1:] * inv_dr2 * dz2, diag * dz2, -up[:-1] * inv_dr2 * dz2],
             [-1, 0, 1],
             format="csr",
         )
+        # R K_line is symmetric, with R = diag(i + 1/2) the cell radii in units
+        # of d_rho: both of its entries coupling cells i and i + 1 are
+        # -(i + 1) / d_rho^2, the face radius over d_rho^2.
+        self._radii = i + 0.5
+        self._sym_diag = self._radii * diag
+        self._sym_off = -(i[:-1] + 1.0) * inv_dr2
+        # Fortran-order copy of the right-hand sides, made on the first solve.
+        self._columns = None
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Minus the discrete (1/rho) d_rho(rho d_rho u) - d_z^2 u."""
@@ -128,9 +139,35 @@ class KineticStencil:
         out *= self._inv_dz2
         return out
 
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of the operator apply() represents, shape (n_rho, 1)."""
-        return self._diag[:, None].copy()
+    def solve_lines(self, coef: float, shift: float, b: np.ndarray) -> np.ndarray:
+        """Overwrite b with (coef K_line + shift)^-1 b and return it.
+
+        K_line is the radial part of the operator apply() represents plus
+        its axial diagonal 2/d_z^2, so each z column of b is one tridiagonal
+        system. It is solved as R (coef K_line + shift) x = R b, whose matrix
+        is symmetric positive definite for coef >= 0 and shift > 0: one
+        LDL^T factorization of size n_rho (LAPACK dpttrf) serves every
+        column, and one dpttrs call solves them all. Neither makes a BLAS
+        call, so the result does not depend on the thread count. dpttrs
+        needs the columns contiguous: they are copied into one Fortran-order
+        buffer, kept for the next call, and the result is copied back, so
+        that b keeps the C order every other pass over the fields runs
+        fastest in. Raises NumericalBlowup if the factorization fails.
+        """
+        radii = self._radii
+        d, e, info = dpttrf(coef * self._sym_diag + shift * radii, coef * self._sym_off)
+        if info != 0:
+            raise NumericalBlowup(
+                f"radial line operator is not positive definite (dpttrf info {info})"
+            )
+        if self._columns is None:
+            self._columns = np.empty(b.shape, order="F")
+        columns = self._columns
+        columns[...] = b
+        columns *= radii[:, None]
+        dpttrs(d, e, columns, overwrite_b=1)
+        b[...] = columns
+        return b
 
 
 @dataclass(frozen=True)
@@ -261,20 +298,16 @@ def apply_hamiltonians(
     return ev.h_psi, ev.h_phi
 
 
-def local_scale_bound(
-    params: EnergyFunctionalParams,
-    loc_b: np.ndarray,
-    loc_f: np.ndarray,
-    diag: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell diagonal scale of (H_b, H_f): max(loc, 0) + coef_kin diag(K).
+def local_scale_bound(loc: np.ndarray, mu: float) -> np.ndarray:
+    """Per-cell scale s = sqrt(|mu| / (max(loc, 0) + |mu|)) of one species.
 
-    Overwrites and returns loc_b / loc_f, the local potentials of an
-    Evaluation; diag is KineticStencil.diagonal(). The solver
-    preconditions each species' gradient by one over this scale plus |mu|.
+    Overwrites and returns loc, a local potential of an Evaluation. The
+    solver preconditions each species' gradient by s (coef_kin K_line +
+    |mu|)^-1 s, which is 1 / (max(loc, 0) + |mu|) where the kinetic term is
+    dropped. s lies in (0, 1], and is 1 where the local potential is not
+    positive.
     """
-    np.maximum(loc_b, 0.0, out=loc_b)
-    np.maximum(loc_f, 0.0, out=loc_f)
-    loc_b += params.coef_kin_b * diag
-    loc_f += params.coef_kin_f * diag
-    return loc_b, loc_f
+    np.maximum(loc, 0.0, out=loc)
+    loc += abs(mu)
+    np.divide(abs(mu), loc, out=loc)
+    return np.sqrt(loc, out=loc)

@@ -362,17 +362,23 @@ def verify_manifest(manifest_path) -> dict:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingInput(f"no such manifest: {manifest_path}")
-    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{manifest_path}: {exc}", line=exc.lineno) from exc
     base = manifest_path.parent
     for entry in payload.get("files", []):
-        p = base / entry["path"]
+        try:
+            rel, expected = entry["path"], entry["sha256"]
+        except KeyError as exc:
+            raise ParseError(f"{manifest_path}: file entry missing key {exc}") from exc
+        p = base / rel
         if not p.exists():
-            raise OutputError(f"manifest lists missing file {entry['path']}")
+            raise OutputError(f"manifest lists missing file {rel}")
         actual = sha256_file(p)
-        if actual != entry["sha256"]:
+        if actual != expected:
             raise OutputError(
-                f"hash mismatch for {entry['path']}: "
-                f"manifest {entry['sha256'][:12]}, file {actual[:12]}"
+                f"hash mismatch for {rel}: manifest {expected[:12]}, file {actual[:12]}"
             )
     return payload
 
@@ -628,6 +634,17 @@ def write_smoothed_csv(curve: SmoothedCurve, path) -> Path:
     )
 
 
+def _meta_number(meta: dict[str, str], key: str, default: str, path, integer: bool = False):
+    """The "# key = value" metadata as a float (an int if integer), default if absent."""
+    text = meta.get(key, default)
+    try:
+        value = float(text)
+        return int(value) if integer else value
+    except (ValueError, OverflowError) as exc:
+        kind = "an integer" if integer else "a number"
+        raise ParseError(f"{path}: metadata {key} = {text!r} is not {kind}") from exc
+
+
 def read_smoothed_csv(path) -> SmoothedCurve:
     meta, header, data = read_table(path)
     return SmoothedCurve(
@@ -635,9 +652,9 @@ def read_smoothed_csv(path) -> SmoothedCurve:
         l3=_column(header, data, "L3", path) / M6S_TO_CM6S,
         band_lo=_column(header, data, "band_lo", path) / M6S_TO_CM6S,
         band_hi=_column(header, data, "band_hi", path) / M6S_TO_CM6S,
-        span=float(meta.get("span", "nan")),
-        n_boot=int(float(meta.get("n_boot", "0"))),
-        seed=int(float(meta.get("seed", "0"))),
+        span=_meta_number(meta, "span", "nan", path),
+        n_boot=_meta_number(meta, "n_boot", "0", path, integer=True),
+        seed=_meta_number(meta, "seed", "0", path, integer=True),
     )
 
 

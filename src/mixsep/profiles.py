@@ -133,6 +133,33 @@ def _check_box(grid: Grid2D, r_rho: float, r_z: float, label: str) -> None:
         )
 
 
+def _calibrate(number, target: float, *args) -> float:
+    """The ratio s in [0.5, 1.6] at which number(s, *args) equals target.
+
+    The root-find runs on a dimensionless ratio because brentq's xtol is
+    absolute and would swallow the whole bracket at SI energy scales
+    (~1e-29 J). The arrays go in through brentq's args, not a closure:
+    scipy wraps the function in a closure that refers to itself, and that
+    reference cycle would keep whatever the function captured (two
+    full-grid arrays per cold solve) alive until the next full garbage
+    collection.
+    """
+    return brentq(
+        lambda s, *a: number(s, *a) - target, 0.5, 1.6, args=args,
+        xtol=1e-15, rtol=1e-14, maxiter=200,
+    )
+
+
+def _fermi_number(s: float, e0: float, pref: float, v: np.ndarray, w: np.ndarray) -> float:
+    """Atom number of the TF Fermi sea at E_F = s e0."""
+    return float(np.sum(pref * np.clip(s * e0 - v, 0.0, None) ** 1.5 * w))
+
+
+def _bec_number(s: float, mu0: float, g: float, v: np.ndarray, w: np.ndarray) -> float:
+    """Atom number of the TF condensate at mu = s mu0."""
+    return float(np.sum(np.clip(s * mu0 - v, 0.0, None) / g * w))
+
+
 def fermi_tf_profile(
     species: SpeciesParams, n_fermions: float, grid: Grid2D
 ) -> tuple[DensityField, float]:
@@ -146,17 +173,7 @@ def fermi_tf_profile(
     _check_box(grid, *tf_radii(e0, species), label="fermion")
     v = trap_potential(species, grid)
     pref = (2.0 * species.mass / HBAR**2) ** 1.5 / _SIX_PI2
-    w = grid.weights
-
-    def number(e_f: float) -> float:
-        return float(np.sum(pref * np.clip(e_f - v, 0.0, None) ** 1.5 * w))
-
-    # Root-find on the dimensionless ratio e/e0: brentq's xtol is absolute
-    # and would swallow the whole bracket at SI energy scales (~1e-29 J).
-    e_cal = e0 * brentq(
-        lambda s: number(s * e0) - n_fermions, 0.5, 1.6,
-        xtol=1e-15, rtol=1e-14, maxiter=200,
-    )
+    e_cal = e0 * _calibrate(_fermi_number, n_fermions, e0, pref, v, grid.weights)
     field = DensityField(grid, pref * np.clip(e_cal - v, 0.0, None) ** 1.5, "fermions")
     return field, float(e_cal)
 
@@ -181,15 +198,7 @@ def bec_tf_profile(
         )
     v = trap_potential(species, grid)
     g = coupling_bb(species.a_intra, species.mass)
-    w = grid.weights
-
-    def number(mu: float) -> float:
-        return float(np.sum(np.clip(mu - v, 0.0, None) / g * w))
-
-    mu_cal = mu0 * brentq(
-        lambda s: number(s * mu0) - n_condensed, 0.5, 1.6,
-        xtol=1e-15, rtol=1e-14, maxiter=200,
-    )
+    mu_cal = mu0 * _calibrate(_bec_number, n_condensed, mu0, g, v, grid.weights)
     field = DensityField(grid, np.clip(mu_cal - v, 0.0, None) / g, "bosons")
     return field, float(mu_cal)
 

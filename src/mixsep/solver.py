@@ -1,24 +1,35 @@
 """Imaginary-time minimization of the mixture energy functional.
 
-Normalized gradient flow on the square-root fields with a diagonally
-preconditioned explicit step (Bao & Du, SIAM J. Sci. Comput. 25, 1674
-(2004); Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017)):
+Normalized gradient flow on the square-root fields (Bao & Du, SIAM J. Sci.
+Comput. 25, 1674 (2004)) with a symmetric, radially line-implicit
+preconditioner (the form of Antoine, Levitt & Tang, J. Comput. Phys. 343,
+92 (2017)), per species:
 
-    u <- renormalize(u - dtau P (H u - mu u)),
-    P = 1 / (max(loc, 0) + coef_kin diag(K) + |mu|)
+    u <- renormalize(u - dtau s L^-1 s (H u - mu u)),
+    s = sqrt(|mu| / (max(loc, 0) + |mu|)),
+    L = coef_kin (K_rho + 2/d_z^2) + |mu|,
 
-per species and per cell, with mu the Rayleigh quotient. The empty corners
-of the box, where the trap energy is largest, no longer cap the step taken
-inside the clouds. mu comes from the evaluation's energy terms
-(functional.Evaluation.mu_b / mu_f), so a step makes no extra pass over
-H u. Both fields are renormalized exactly to the target atom numbers after
-every step, and the step is halved whenever it would raise the energy, so
-accepted energies are non-increasing by construction. After such a
-rejection the flow steps again from the last accepted state, which is
-re-evaluated but counts neither as a new history entry nor as a quiet step,
-and the halvings keep counting until a step is accepted. Convergence is
-declared when the relative decrease stays below tol_energy for a run of
-consecutive accepted steps.
+with mu the Rayleigh quotient, loc the local (non-kinetic) potential and
+K_rho + 2/d_z^2 the kinetic stencil's radial tridiagonal with its axial
+diagonal (functional.KineticStencil.solve_lines). On the grids
+grid_for_scenario builds, d_z = 7 d_rho, so nearly all of the kinetic
+stiffness is radial: inverting it exactly on each z column keeps grid
+refinement from multiplying the iteration count, and s lets the cells
+inside the clouds take their own step rather than one capped by the trap
+energy in the box's empty corners. One factorization of L, redone every
+step because mu moves, serves every column. Without the kinetic term (tf mode)
+L = |mu| and the step is 1 / (max(loc, 0) + |mu|) per cell. Both modes
+start at 1.7 preconditioned unit steps.
+
+mu comes from the evaluation's energy terms (functional.Evaluation.mu_b /
+mu_f), so a step makes no extra pass over H u. Both fields are renormalized
+exactly to the target atom numbers after every step, and the step is halved
+whenever it would raise the energy, so accepted energies are non-increasing
+by construction. After such a rejection the flow steps again from the last
+accepted state, which is re-evaluated but counts neither as a new history
+entry nor as a quiet step, and the halvings keep counting until a step is
+accepted. Convergence is declared when the relative decrease stays below
+tol_energy for a run of consecutive accepted steps.
 """
 
 from __future__ import annotations
@@ -38,8 +49,12 @@ from .scenario import MixtureScenario
 
 _ENERGY_FLOOR = 1.0e-300
 _RISE_TOL = 1.0e-12
-# Starting step as a fraction of the preconditioned unit step.
-_DTAU_START = 0.85
+# Starting step as a multiple of the preconditioned unit step, shared by both
+# modes. Scanned on the benchmark sweep (both modes, 64x128) against the
+# former diagonal preconditioner: 1.7 is the largest start that lowers all
+# eight energies (1.9 leaves one 2 ulp higher), and at 2.0 a tf-mode point
+# stops at a residual of 6.9e-4, six times the former worst.
+_DTAU_START = 1.7
 # Consecutive step halvings after which a rising energy raises StepUnstable.
 _MAX_HALVINGS = 60
 
@@ -93,25 +108,46 @@ def _residual(u: np.ndarray, hu: np.ndarray, mu: float, grid: Grid2D) -> float:
     return math.sqrt(grid.inner(r, r) / norm2) / abs(mu)
 
 
+def _precondition(
+    r: np.ndarray, loc: np.ndarray, mu: float, coef_kin: float, stencil: KineticStencil
+) -> np.ndarray:
+    """Overwrite r with s (coef_kin K_line + |mu|)^-1 s r and return it.
+
+    s = sqrt(|mu| / (max(loc, 0) + |mu|)) is built in loc's buffer. Without
+    the kinetic term the line operator is |mu| and the product is
+    1 / (max(loc, 0) + |mu|), which is applied as it stands.
+    """
+    if coef_kin == 0.0:
+        np.maximum(loc, 0.0, out=loc)
+        loc += abs(mu)
+        r /= loc
+        return r
+    s = local_scale_bound(loc, mu)
+    r *= s
+    stencil.solve_lines(coef_kin, abs(mu), r)
+    r *= s
+    return r
+
+
 def _preconditioned_step(
     u: np.ndarray,
     hu: np.ndarray,
-    scale: np.ndarray,
+    loc: np.ndarray,
     mu: float,
+    coef_kin: float,
     dtau: float,
     target: float,
-    grid: Grid2D,
+    stencil: KineticStencil,
 ) -> np.ndarray:
-    """renormalize(u - dtau (H u - mu u) / (scale + |mu|)), built in hu's buffer.
+    """renormalize(u - dtau P (H u - mu u)), built in hu's buffer.
 
-    Consumes hu and scale; u is left as it was.
+    P is _precondition's operator. Consumes hu and loc; u is left as it was.
     """
-    scale += abs(mu)
     hu -= mu * u
-    hu /= scale
+    _precondition(hu, loc, mu, coef_kin, stencil)
     hu *= -dtau
     hu += u
-    return _renormalize(hu, target, grid)
+    return _renormalize(hu, target, stencil.grid)
 
 
 def minimize(
@@ -143,7 +179,6 @@ def minimize(
     psi = _renormalize(psi, n_cond, grid)
     phi = _renormalize(phi, scenario.n_fermions, grid)
 
-    diag = stencil.diagonal()
     dtau = _DTAU_START
     energy_hist: list[float] = []
     e_prev = math.inf
@@ -188,15 +223,17 @@ def minimize(
             halvings = 0
             iterations += 1
 
-        scale_b, scale_f = local_scale_bound(params, ev.loc_b, ev.loc_f, diag)
         if n_cond > 0.0:
-            psi = _preconditioned_step(psi, ev.h_psi, scale_b, ev.mu_b, dtau, n_cond, grid)
+            psi = _preconditioned_step(
+                psi, ev.h_psi, ev.loc_b, ev.mu_b, params.coef_kin_b, dtau, n_cond, stencil
+            )
         phi = _preconditioned_step(
-            phi, ev.h_phi, scale_f, ev.mu_f, dtau, scenario.n_fermions, grid
+            phi, ev.h_phi, ev.loc_f, ev.mu_f, params.coef_kin_f, dtau, scenario.n_fermions,
+            stencil,
         )
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
-        del ev, scale_b, scale_f
+        del ev
 
     if not converged:
         # The last evaluation was of a rejected state or was consumed by a step.

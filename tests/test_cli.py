@@ -488,6 +488,26 @@ class TestSweepAndFig:
         assert code == 2
         assert "--in" in err
 
+    def test_fig2a_bad_curve_metadata_exits_2(self, capsys, tmp_path):
+        a = np.geomspace(100.0, 2000.0, 7)
+        src = tmp_path / "points.csv"
+        write_table(
+            src, ["a_bf[a0]", "L3[cm^6/s]"], np.column_stack([a, 1e-25 * a / 1000.0]).tolist()
+        )
+        curve = tmp_path / "curve.csv"
+        code, _, _ = run(
+            capsys, "smooth-l3", "--in", str(src), "--out", str(curve), "--boot", "20"
+        )
+        assert code == 0
+        text = curve.read_text(encoding="utf-8")
+        assert "# n_boot = 20\n" in text
+        curve.write_text(text.replace("# n_boot = 20\n", "# n_boot = many\n"), encoding="utf-8")
+        code, _, err = run(
+            capsys, "fig", "fig2a", "--in", str(curve), "--out", str(tmp_path / "f2a")
+        )
+        assert code == 2
+        assert "curve.csv" in err and "n_boot" in err
+
     def test_fig1b_from_saved_state(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
         run(capsys, "solve", "--config", fast_cfg, "--abf", "800", "--out", str(gs_dir))

@@ -205,6 +205,57 @@ def test_stencil_matches_five_point_formula(n_rho, half_n_z, d_rho, d_z, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def dense_line_operator(grid):
+    """K_rho + 2/d_z^2 as a dense (n_rho x n_rho) matrix, from the 5-point weights."""
+    i = np.arange(grid.n_rho, dtype=float)
+    up, down = (i + 1.0) / (i + 0.5), i / (i + 0.5)
+    k = np.diag((up + down) / grid.d_rho**2 + 2.0 / grid.d_z**2)
+    k -= np.diag(down[1:] / grid.d_rho**2, -1) + np.diag(up[:-1] / grid.d_rho**2, 1)
+    return k
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n_rho=st.integers(2, 40),
+    half_n_z=st.integers(1, 20),
+    d_rho=st.floats(1e-7, 1e-5),
+    d_z=st.floats(1e-7, 1e-5),
+    coef=st.floats(0.0, 10.0),
+    shift=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_rho=2, half_n_z=1, d_rho=1e-6, d_z=2e-6, coef=1.0, shift=1.0, seed=0)
+def test_line_solve_matches_dense_solve(n_rho, half_n_z, d_rho, d_z, coef, shift, seed):
+    # coef and shift are in units of 1/d_rho^2, so the operator's entries are O(1)
+    grid = Grid2D(n_rho, 2 * half_n_z, d_rho, d_z)
+    b = np.random.default_rng(seed).standard_normal((n_rho, 2 * half_n_z))
+    coef *= d_rho**2
+    shift /= d_rho**2
+    want = np.linalg.solve(coef * dense_line_operator(grid) + shift * np.eye(n_rho), b)
+    got = b.copy()
+    stencil = KineticStencil(grid)
+    assert stencil.solve_lines(coef, shift, got) is got
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the kept column buffer serves a second solve
+    again = b.copy()
+    stencil.solve_lines(coef, shift, again)
+    np.testing.assert_array_equal(again, got)
+
+
+def test_line_operator_is_apply_without_axial_neighbours(small):
+    # coef (K_rho + 2/d_z^2) x + shift x, formed from apply(), solves back to x
+    grid, _, _ = small
+    stencil = KineticStencil(grid)
+    x = np.random.default_rng(3).standard_normal((grid.n_rho, grid.n_z))
+    neighbours = np.zeros_like(x)
+    neighbours[:, :-1] += x[:, 1:]
+    neighbours[:, 1:] += x[:, :-1]
+    coef, shift = 2.0, 5.0 / grid.d_rho**2
+    b = coef * (stencil.apply(x) + neighbours / grid.d_z**2) + shift * x
+    np.testing.assert_allclose(stencil.solve_lines(coef, shift, b), x, rtol=0.0, atol=1e-12)
+
+
 @settings(derandomize=True, deadline=None)
 @given(case=random_functionals(), seed=st.integers(0, 2**32 - 1))
 def test_gradient_is_twice_weighted_hamiltonian(case, seed):
@@ -282,7 +333,7 @@ class TestKineticStencil:
         grid, _, _ = small
         st = KineticStencil(grid)
         # Gershgorin: each row's off-diagonal weights sum to its diagonal
-        bound = 2.0 * float(np.max(st.diagonal()))
+        bound = 2.0 * float(np.max(np.diag(dense_line_operator(grid))))
         rng = np.random.default_rng(14)
         u = rng.standard_normal((grid.n_rho, grid.n_z))
         for _ in range(60):
@@ -353,34 +404,20 @@ class TestAdjointness:
 
 def test_local_scale_bound_orders(small):
     grid, psi, phi = small
-    full = functional_params(SC, grid, "full")
-    tf = functional_params(SC, grid, "tf")
-    st = KineticStencil(grid)
-    ev_full = evaluate(full, psi, phi, st)
-    ev_tf = evaluate(tf, psi, phi, st)
-    np.testing.assert_array_equal(ev_full.loc_b, ev_tf.loc_b)
-    loc_b = ev_full.loc_b.copy()
-    fb, ff_ = local_scale_bound(full, ev_full.loc_b, ev_full.loc_f, st.diagonal())
-    tb, tf_ = local_scale_bound(tf, ev_tf.loc_b, ev_tf.loc_f, st.diagonal())
-    # built in place in the evaluation's local potentials
-    assert fb is ev_full.loc_b and tf_ is ev_tf.loc_f
-    np.testing.assert_array_equal(tb, np.maximum(loc_b, 0.0))
-    for arr in (fb, ff_, tb, tf_):
-        assert arr.shape == psi.shape
-    assert np.all(fb > tb) and np.all(tb >= 0.0)
-    assert np.all(ff_ > tf_) and np.all(tf_ >= 0.0)
-    # tf mode keeps only the local part, the full mode adds coef_kin diag(K)
-    np.testing.assert_allclose(
-        fb - tb, np.broadcast_to(full.coef_kin_b * st.diagonal(), psi.shape), rtol=1e-9
-    )
-
-
-def test_stencil_diagonal_matches_apply(small):
-    grid, _, _ = small
-    st = KineticStencil(grid)
-    diag = st.diagonal()
-    assert diag.shape == (grid.n_rho, 1)
-    for i, j in ((0, 0), (5, 7), (grid.n_rho - 1, grid.n_z - 1)):
-        e = np.zeros((grid.n_rho, grid.n_z))
-        e[i, j] = 1.0
-        assert st.apply(e)[i, j] == pytest.approx(diag[i, 0], rel=1e-14)
+    params = functional_params(SC, grid, "full")
+    ev = evaluate(params, psi, phi, KineticStencil(grid))
+    for loc, mu in ((ev.loc_b, ev.mu_b), (ev.loc_f, ev.mu_f)):
+        loc0 = loc.copy()
+        s = local_scale_bound(loc, mu)
+        # built in place in the evaluation's local potential
+        assert s is loc
+        np.testing.assert_allclose(
+            s, np.sqrt(abs(mu) / (np.maximum(loc0, 0.0) + abs(mu))), rtol=1e-15, atol=0.0
+        )
+        assert np.all((s > 0.0) & (s <= 1.0))
+        # the larger the local potential, the smaller the scale
+        order = np.argsort(loc0, axis=None, kind="stable")
+        assert np.all(np.diff(s.ravel()[order]) <= 0.0)
+    # a non-positive local potential leaves the gradient unscaled
+    loc = np.array([[-3.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(local_scale_bound(loc, -2.0), [[1.0, 1.0, math.sqrt(2.0 / 3.0)]])

@@ -232,6 +232,21 @@ class TestManifest:
         with pytest.raises(MissingInput):
             verify_manifest(tmp_path / "manifest.json")
 
+    def test_truncated_manifest(self, tmp_path):
+        mp = self.build(tmp_path)
+        mp.write_bytes(mp.read_bytes()[:100])
+        with pytest.raises(ParseError, match="manifest.json"):
+            verify_manifest(mp)
+
+    @pytest.mark.parametrize("key", ["path", "sha256"])
+    def test_file_entry_without_key(self, tmp_path, key):
+        mp = self.build(tmp_path)
+        payload = json.loads(mp.read_text(encoding="utf-8"))
+        del payload["files"][1][key]
+        mp.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"missing key '{key}'"):
+            verify_manifest(mp)
+
 
 class TestPointFiles:
     def test_decay_csv(self, tmp_path):
@@ -274,6 +289,21 @@ class TestPointFiles:
         assert back.span == curve.span
         assert back.n_boot == curve.n_boot
         assert back.seed == curve.seed
+
+    @pytest.mark.parametrize(
+        "key, text", [("n_boot", "many"), ("seed", "nan"), ("span", "wide"), ("n_boot", "inf")]
+    )
+    def test_smoothed_bad_metadata_names_key(self, tmp_path, key, text):
+        a = np.geomspace(100.0, 2000.0, 9)
+        curve = smooth_l3(a, 1e-25 * (a / 1000.0) ** 2, n_boot=30, seed=4)
+        p = write_smoothed_csv(curve, tmp_path / "smooth.csv")
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        p.write_text(
+            "".join(f"# {key} = {text}\n" if ln.startswith(f"# {key} =") else ln for ln in lines),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=f"smooth.csv: metadata {key} = '{text}'"):
+            read_smoothed_csv(p)
 
     def test_profile_round_trip(self, tmp_path):
         x = np.linspace(0.0, 20e-6, 11)

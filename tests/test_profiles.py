@@ -1,6 +1,8 @@
 """Reference trap profiles: closed forms, grid calibration, thermal clouds."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR, K_B
 from mixsep.errors import GridTooSmall, ResolutionWarning, ValidationError
 from mixsep.grid import grid_for_box, integrate_product
+from mixsep import profiles
 from mixsep.physics import SpeciesParams, coupling_bb
 from mixsep.profiles import (
     ThermalCloudParams,
@@ -216,6 +219,26 @@ class TestGridCalibration:
         i2 = integrate_product(f2, f2)
         rich = (4.0 * i2 - i1) / 3.0
         assert rich == pytest.approx(tp.second_moment_integral(), rel=1e-6)
+
+    def test_calibration_frees_its_trap_potential(self, grid64, monkeypatch):
+        # Freed by reference counting on return, not left in a reference
+        # cycle for the garbage collector: a cold solve calls both profiles.
+        refs = []
+
+        def tracked(species, grid):
+            v = trap_potential(species, grid)
+            refs.append(weakref.ref(v))
+            return v
+
+        monkeypatch.setattr(profiles, "trap_potential", tracked)
+        gc.disable()
+        try:
+            bec_tf_profile(SC.bosons, SC.condensate_number, grid64)
+            fermi_tf_profile(SC.fermions, SC.n_fermions, grid64)
+            alive = [r() is not None for r in refs]
+        finally:
+            gc.enable()
+        assert alive == [False, False]
 
     def test_grid_too_small(self):
         tiny = grid_for_box(10e-6, 10e-6, 32, 64)

@@ -108,6 +108,54 @@ class TestNonInteracting:
         assert isinstance(full0, GroundState)
 
 
+def _step_inputs(gs):
+    """(stencil, params, evaluation) at a returned state, for the step's operator."""
+    params = functional_params(gs.scenario, gs.grid, "full")
+    stencil = KineticStencil(gs.grid)
+    ev = evaluate(params, np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values), stencil)
+    return stencil, params, ev
+
+
+def test_tf_preconditioner_is_the_local_scale(full0):
+    # without the kinetic term the line operator is |mu|: the step is the local scale
+    stencil, _, ev = _step_inputs(full0)
+    r = np.random.default_rng(5).standard_normal(ev.loc_b.shape)
+    # the last case has a negative mu and a local potential of both signs
+    cases = ((ev.loc_b, ev.mu_b), (ev.loc_f, ev.mu_f), (ev.loc_f - 2.0 * ev.mu_f, -ev.mu_f))
+    for loc, mu in cases:
+        want = r / (np.maximum(loc, 0.0) + abs(mu))
+        got = solver._precondition(r.copy(), loc.copy(), mu, 0.0, stencil)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_full_preconditioner_is_symmetric_positive(full0):
+    # s L^-1 s is self-adjoint and positive in the grid's inner product, so
+    # minus the preconditioned gradient is a descent direction
+    stencil, params, ev = _step_inputs(full0)
+    grid = full0.grid
+    rng = np.random.default_rng(6)
+    species = ((ev.loc_b, ev.mu_b, params.coef_kin_b), (ev.loc_f, ev.mu_f, params.coef_kin_f))
+    for loc, mu, coef in species:
+        a, b = rng.standard_normal((2,) + loc.shape)
+        p_a = solver._precondition(a.copy(), loc.copy(), mu, coef, stencil)
+        p_b = solver._precondition(b.copy(), loc.copy(), mu, coef, stencil)
+        assert grid.inner(a, p_b) == pytest.approx(grid.inner(p_a, b), rel=1e-12)
+        assert grid.inner(a, p_a) > 0.0
+        # the kinetic term only lowers the step below the local scale's
+        local = solver._precondition(a.copy(), loc.copy(), mu, 0.0, stencil)
+        assert grid.inner(a, p_a) < grid.inner(a, local)
+
+
+def test_iterations_do_not_grow_with_the_grid():
+    # the radial line solve inverts the stiff part of the kinetic term, so
+    # halving both spacings leaves the cold solve's iteration count flat
+    options = SolverOptions(mode="full")
+    coarse = minimize(SC, grid_for_scenario(SC, 64, 128), options)
+    fine = minimize(SC, grid_for_scenario(SC, 128, 256), options)
+    assert coarse.converged and fine.converged
+    assert fine.iterations <= 1.1 * coarse.iterations
+
+
 def test_max_iter_cap(grid48):
     gs = minimize(SC, grid48, SolverOptions(mode="full", max_iter=5))
     assert not gs.converged
@@ -115,8 +163,8 @@ def test_max_iter_cap(grid48):
 
 
 def test_oversized_step_is_retracted(grid48, monkeypatch):
-    # a first step of four preconditioned unit steps overshoots and must be halved
-    monkeypatch.setattr(solver, "_DTAU_START", 4.0)
+    # a first step of sixteen preconditioned unit steps overshoots and must be halved
+    monkeypatch.setattr(solver, "_DTAU_START", 16.0)
     gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
     assert gs.converged
     # history holds accepted steps + 1 energies, iterations counts steps + rejections
