@@ -1,13 +1,18 @@
 """Imaginary-time minimization of the mixture energy functional.
 
-Normalized gradient flow on the square-root fields (Bao & Du, SIAM J. Sci.
-Comput. 25, 1674 (2004)) with a symmetric, radially line-implicit
-preconditioner (the form of Antoine, Levitt & Tang, J. Comput. Phys. 343,
-92 (2017)), per species:
+Preconditioned nonlinear conjugate gradient on the constraint sphere of each
+species, as in Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017), here
+with the Fletcher-Reeves beta and a fixed step rather than a line search
+(Danaila & Kazemi, SIAM J. Sci. Comput. 32, 2447 (2010) give the
+Sobolev-gradient view). It acts on the square-root fields. Per species, at
+an accepted state u:
 
-    u <- renormalize(u - dtau s L^-1 s (H u - mu u)),
-    s = sqrt(|mu| / (max(loc, 0) + |mu|)),
+    g = H u - mu u,   p = P g,   gamma = <g, p>_w,
+    P = s L^-1 s,   s = sqrt(|mu| / (max(loc, 0) + |mu|)),
     L = coef_kin (K_rho + 2/d_z^2) + |mu|,
+    d = -p + beta d_prev, beta = gamma / gamma_prev, then projected onto
+        the tangent space: d -= (<d, u>_w / <u, u>_w) u,
+    u <- |renormalize(u + dtau d)|,
 
 with mu the Rayleigh quotient, loc the local (non-kinetic) potential and
 K_rho + 2/d_z^2 the kinetic stencil's radial tridiagonal with its axial
@@ -17,19 +22,31 @@ stiffness is radial: inverting it exactly on each z column keeps grid
 refinement from multiplying the iteration count, and s lets the cells
 inside the clouds take their own step rather than one capped by the trap
 energy in the box's empty corners. One factorization of L, redone every
-step because mu moves, serves every column. Without the kinetic term (tf mode)
-L = |mu| and the step is 1 / (max(loc, 0) + |mu|) per cell. Both modes
-start at 1.7 preconditioned unit steps.
+step because mu moves, serves every column. Without the kinetic term (tf
+mode) L = |mu| and P is 1 / (max(loc, 0) + |mu|) per cell. Both modes start
+at 1.7 preconditioned unit steps.
+
+The step is steepest (d = -p, the preconditioned gradient flow of Bao & Du,
+SIAM J. Sci. Comput. 25, 1674 (2004)) on the first step, on the retry after
+a rejection, whenever beta would exceed 1 (gamma grew: with a fixed step a
+longer direction only pumps the stiff modes) and whenever the conjugate
+direction does not descend (<g, d>_w >= 0). Taking |u| costs nothing:
+every term but the kinetic ones depends on u^2 only, and the kinetic ones
+are sums of squared differences with (|a| - |b|)^2 <= (a - b)^2, so
+E(|u|) <= E(u) at the same norm.
 
 mu comes from the evaluation's energy terms (functional.Evaluation.mu_b /
 mu_f), so a step makes no extra pass over H u. Both fields are renormalized
-exactly to the target atom numbers after every step, and the step is halved
-whenever it would raise the energy, so accepted energies are non-increasing
-by construction. After such a rejection the flow steps again from the last
-accepted state, which is re-evaluated but counts neither as a new history
-entry nor as a quiet step, and the halvings keep counting until a step is
-accepted. Convergence is declared when the relative decrease stays below
-tol_energy for a run of consecutive accepted steps.
+exactly to the target atom numbers after every step. A conjugate trial is
+accepted only if the energy does not rise at all; a rejected one is retried
+as a steepest step at the same dtau. A steepest trial may rise by the
+rounding slack _RISE_TOL; a rejected one is retried at half the step, and
+StepUnstable is raised after _MAX_HALVINGS halvings in a row. Each retry
+starts from the accepted state's stored p, so no state is evaluated twice
+and every iteration costs one evaluation. A solve converges when the
+relative energy decrease has stayed below tol_energy for a run of
+consecutive accepted steps and each species' relative residual
+||g||_w / (|mu| ||u||_w) is at most _RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -39,8 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSeparated, StepUnstable
-from .functional import KineticStencil, evaluate, functional_params, local_scale_bound
+from .errors import GridMismatch, NonPositiveInput, NotSeparated, StepUnstable
+from .functional import (
+    Evaluation,
+    KineticStencil,
+    evaluate,
+    functional_params,
+    local_scale_bound,
+)
 # Bound here, though unused, so that perfbench/spans.py can trace them.
 from .functional import apply_hamiltonians, energy_terms  # noqa: F401
 from .grid import DensityField, Grid2D
@@ -57,6 +80,9 @@ _RISE_TOL = 1.0e-12
 _DTAU_START = 1.7
 # Consecutive step halvings after which a rising energy raises StepUnstable.
 _MAX_HALVINGS = 60
+# Largest relative residual ||H u - mu u||_w / (|mu| ||u||_w) of either
+# species at which a solve may stop.
+_RESIDUAL_TOL = 5.0e-5
 
 
 @dataclass(frozen=True)
@@ -92,20 +118,33 @@ class GroundState:
 
 
 def _renormalize(u: np.ndarray, target: float, grid: Grid2D) -> np.ndarray:
-    """u scaled in place to <u, u>_w = target (a new zero array for target 0)."""
+    """u scaled in place to <u, u>_w = target (a new zero array for target 0).
+
+    Raises NonPositiveInput if u is zero everywhere but target is not.
+    """
     if target == 0.0:
         return np.zeros_like(u)
-    u *= math.sqrt(target / grid.inner(u, u))
+    norm2 = grid.inner(u, u)
+    if norm2 == 0.0:
+        raise NonPositiveInput(f"an all-zero amplitude cannot hold {target:g} atoms")
+    u *= math.sqrt(target / norm2)
     return u
 
 
-def _residual(u: np.ndarray, hu: np.ndarray, mu: float, grid: Grid2D) -> float:
-    """||H u - mu u||_w / (|mu| ||u||_w); 0 for the zero field."""
-    norm2 = grid.inner(u, u)
-    if norm2 == 0.0:
-        return 0.0
-    r = hu - mu * u
-    return math.sqrt(grid.inner(r, r) / norm2) / abs(mu)
+def _gradients(ev: Evaluation, psi: np.ndarray, phi: np.ndarray) -> tuple:
+    """(g_b, g_f), g = H u - mu u, made in place of ev's H psi and H phi."""
+    for u, g, mu in ((psi, ev.h_psi, ev.mu_b), (phi, ev.h_phi, ev.mu_f)):
+        g -= mu * u
+    return ev.h_psi, ev.h_phi
+
+
+def _residuals(ev: Evaluation, psi: np.ndarray, phi: np.ndarray, grid: Grid2D) -> tuple:
+    """||g||_w / (|mu| ||u||_w) per species, 0 for the zero field; needs _gradients first."""
+    out = []
+    for u, g, mu in ((psi, ev.h_psi, ev.mu_b), (phi, ev.h_phi, ev.mu_f)):
+        norm2 = grid.inner(u, u)
+        out.append(0.0 if norm2 == 0.0 else math.sqrt(grid.inner(g, g) / norm2) / abs(mu))
+    return tuple(out)
 
 
 def _precondition(
@@ -129,25 +168,71 @@ def _precondition(
     return r
 
 
-def _preconditioned_step(
-    u: np.ndarray,
-    hu: np.ndarray,
-    loc: np.ndarray,
-    mu: float,
-    coef_kin: float,
-    dtau: float,
-    target: float,
-    stencil: KineticStencil,
-) -> np.ndarray:
-    """renormalize(u - dtau P (H u - mu u)), built in hu's buffer.
+@dataclass
+class _Species:
+    """One species' accepted amplitude and the record its next step needs."""
 
-    P is _precondition's operator. Consumes hu and loc; u is left as it was.
+    target: float
+    coef_kin: float
+    u: np.ndarray
+    p: np.ndarray | None = None  # P g at u
+    d: np.ndarray | None = None  # direction of the step from u
+    gamma: float = 0.0  # <g, P g>_w at u
+
+
+def _direction(
+    sp: _Species, g: np.ndarray, loc: np.ndarray, mu: float, stencil: KineticStencil
+) -> bool:
+    """Set sp.p, sp.gamma and sp.d for the step from sp.u; True if d is conjugate.
+
+    g = H u - mu u is left as it was and loc is consumed. The conjugate
+    direction is -p + beta d_prev projected onto the tangent space of the
+    sphere at u, with the Fletcher-Reeves beta = gamma / gamma_prev. It is
+    taken only when 0 < beta <= 1 and it descends; otherwise d = -p.
     """
-    hu -= mu * u
-    _precondition(hu, loc, mu, coef_kin, stencil)
-    hu *= -dtau
-    hu += u
-    return _renormalize(hu, target, stencil.grid)
+    grid = stencil.grid
+    p = sp.p if sp.p is not None else np.empty_like(g)
+    np.copyto(p, g)
+    _precondition(p, loc, mu, sp.coef_kin, stencil)
+    gamma = grid.inner(g, p)
+    d = sp.d
+    conjugate = 0.0 < gamma <= sp.gamma
+    if conjugate:
+        d *= gamma / sp.gamma
+        d -= p
+        d -= (grid.inner(d, sp.u) / sp.target) * sp.u
+        conjugate = grid.inner(g, d) < 0.0
+    if d is None:
+        d = -p
+    elif not conjugate:
+        np.negative(p, out=d)
+    sp.p, sp.d, sp.gamma = p, d, gamma
+    return conjugate
+
+
+def _trial(sp: _Species, dtau: float, out: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """|renormalize(u + dtau d)| of one species, built in out."""
+    np.multiply(sp.d, dtau, out=out)
+    out += sp.u
+    out = _renormalize(out, sp.target, grid)
+    return np.abs(out, out=out)
+
+
+def _start(
+    scenario: MixtureScenario, grid: Grid2D, warm_start: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized starting (psi, phi): copies of warm_start, or the TF profiles' roots."""
+    if warm_start is None:
+        bec, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
+        sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
+        return np.sqrt(bec.values), np.sqrt(sea.values)
+    fields = tuple(np.array(u, dtype=float, copy=True) for u in warm_start)
+    for u in fields:
+        if u.shape != (grid.n_rho, grid.n_z):
+            raise GridMismatch(
+                f"warm start of shape {u.shape} on a ({grid.n_rho}, {grid.n_z}) grid"
+            )
+    return fields
 
 
 def minimize(
@@ -158,87 +243,92 @@ def minimize(
 ) -> GroundState:
     """Relax to the ground state of the functional at scenario.a_bf.
 
-    warm_start, when given, is (psi, phi) from a nearby solution; otherwise
-    the flow starts from the noninteracting TF profiles. A state is always
-    returned; check .converged.
+    warm_start, when given, is (psi, phi) from a nearby solution on grid;
+    otherwise the flow starts from the noninteracting TF profiles. A state
+    is always returned; check .converged. Raises GridMismatch for a warm
+    start of another shape and NonPositiveInput for one that is zero
+    everywhere for a species with atoms.
     """
     if grid is None:
         grid = grid_for_scenario(scenario)
     params = functional_params(scenario, grid, options.mode)
     stencil = KineticStencil(grid)
-    n_cond = scenario.condensate_number
-
-    if warm_start is not None:
-        psi = np.array(warm_start[0], dtype=float, copy=True)
-        phi = np.array(warm_start[1], dtype=float, copy=True)
-    else:
-        bec, _ = bec_tf_profile(scenario.bosons, n_cond, grid)
-        sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
-        psi = np.sqrt(bec.values)
-        phi = np.sqrt(sea.values)
-    psi = _renormalize(psi, n_cond, grid)
-    phi = _renormalize(phi, scenario.n_fermions, grid)
+    species = tuple(
+        _Species(target, coef_kin, _renormalize(u, target, grid))
+        for target, coef_kin, u in zip(
+            (scenario.condensate_number, scenario.n_fermions),
+            (params.coef_kin_b, params.coef_kin_f),
+            _start(scenario, grid, warm_start),
+        )
+    )
+    moving = [k for k, sp in enumerate(species) if sp.target > 0.0]
+    trial = [sp.u for sp in species]
 
     dtau = _DTAU_START
     energy_hist: list[float] = []
     e_prev = math.inf
-    psi_best = psi
-    phi_best = phi
     quiet = 0
     halvings = 0
     iterations = 0
     converged = False
-    retracted = False
+    conjugate = False  # whether the trial state came from a conjugate step
 
     while iterations < options.max_iter:
-        ev = evaluate(params, psi, phi, stencil)
+        ev = evaluate(params, trial[0], trial[1], stencil)
         e_now = ev.energy
-
-        if retracted:
-            # The accepted state again, evaluated only to step from it with
-            # the halved step: its energy is in the history already, it is no
-            # progress, and the halvings go on counting.
-            retracted = False
-        elif e_now > e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR:
-            # The step that produced these fields raised the energy: retract.
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                raise StepUnstable(f"energy still rising after {_MAX_HALVINGS} step halvings")
-            dtau *= 0.5
-            psi, phi = psi_best, phi_best
-            retracted = True
+        limit = e_prev if conjugate else e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR
+        if e_now > limit:
+            # Rejected. A conjugate trial is retried as a steepest one at the
+            # same step, a steepest trial at half the step. Both start from
+            # the accepted state's stored P g, so no state is evaluated twice.
             del ev
+            if not conjugate:
+                halvings += 1
+                if halvings > _MAX_HALVINGS:
+                    raise StepUnstable(f"energy still rising after {_MAX_HALVINGS} step halvings")
+                dtau *= 0.5
+            conjugate = False
+            for k in moving:
+                sp = species[k]
+                np.negative(sp.p, out=sp.d)
+                trial[k] = _trial(sp, dtau, trial[k], grid)
             iterations += 1
             continue
-        else:
-            # Accepted.
-            rel_dec = (e_prev - e_now) / max(abs(e_now), _ENERGY_FLOOR)
-            e_prev = e_now
-            psi_best, phi_best = psi, phi
-            energy_hist.append(e_now)
-            quiet = quiet + 1 if rel_dec < options.tol_energy else 0
-            if quiet >= options.consecutive:
+
+        # Accepted.
+        rel_dec = (e_prev - e_now) / max(abs(e_now), _ENERGY_FLOOR)
+        e_prev = e_now
+        energy_hist.append(e_now)
+        for sp, u in zip(species, trial):
+            sp.u = u
+        grads = _gradients(ev, *trial)
+        quiet = quiet + 1 if rel_dec < options.tol_energy else 0
+        if quiet >= options.consecutive:
+            residual = _residuals(ev, *trial, grid)
+            if max(residual) <= _RESIDUAL_TOL:
                 converged = True
                 break
-            halvings = 0
-            iterations += 1
+        halvings = 0
+        iterations += 1
 
-        if n_cond > 0.0:
-            psi = _preconditioned_step(
-                psi, ev.h_psi, ev.loc_b, ev.mu_b, params.coef_kin_b, dtau, n_cond, stencil
-            )
-        phi = _preconditioned_step(
-            phi, ev.h_phi, ev.loc_f, ev.mu_f, params.coef_kin_f, dtau, scenario.n_fermions,
-            stencil,
-        )
+        locs = (ev.loc_b, ev.loc_f)
+        mus = (ev.mu_b, ev.mu_f)
+        conjugate = False
+        for k in moving:
+            sp = species[k]
+            conjugate |= _direction(sp, grads[k], locs[k], mus[k], stencil)
+            # g is spent: its buffer takes the trial state.
+            trial[k] = _trial(sp, dtau, grads[k], grid)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
-        del ev
+        del ev, grads, locs
 
+    psi, phi = species[0].u, species[1].u
     if not converged:
         # The last evaluation was of a rejected state or was consumed by a step.
-        psi, phi = psi_best, phi_best
         ev = evaluate(params, psi, phi, stencil)
+        _gradients(ev, psi, phi)
+        residual = _residuals(ev, psi, phi, grid)
 
     return GroundState(
         scenario=scenario,
@@ -252,10 +342,7 @@ def minimize(
         iterations=iterations,
         converged=converged,
         mode=options.mode,
-        residual=(
-            _residual(psi, ev.h_psi, ev.mu_b, grid),
-            _residual(phi, ev.h_phi, ev.mu_f, grid),
-        ),
+        residual=residual,
     )
 
 

@@ -1,6 +1,7 @@
 """Energy functional, discrete kinetic stencil, and their exact adjointness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ def test_mu_from_terms_is_rayleigh_quotient(case):
         # the terms may have either sign, so the bound scales with their magnitudes
         scale = float(np.sum(w * np.abs(u * h))) / norm2
         assert abs(mu - want) <= 1e-12 * scale
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=random_functionals(), seed=st.integers(0, 2**32 - 1), tf=st.booleans())
+def test_absolute_amplitudes_never_raise_the_energy(case, seed, tf):
+    # Every term but the kinetic ones depends on u^2 only, and each kinetic
+    # term is a sum of squared face differences, with (|a| - |b|)^2 <= (a - b)^2.
+    params, psi, phi = case
+    if tf:
+        params = replace(params, coef_kin_b=0.0, coef_kin_f=0.0)
+    rng = np.random.default_rng(seed)
+    psi = psi * rng.choice((-1.0, 1.0), psi.shape)
+    phi = phi * rng.choice((-1.0, 1.0), phi.shape)
+    st_ = KineticStencil(params.grid)
+    signed = evaluate(params, psi, phi, st_).terms
+    folded = evaluate(params, np.abs(psi), np.abs(phi), st_).terms
+    scale = sum(abs(v) for v in signed.values())
+    assert sum(folded.values()) <= sum(signed.values()) + 1e-14 * scale
+    if tf:
+        assert folded == signed
 
 
 def test_blowup_names_offending_term(small):

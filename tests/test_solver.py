@@ -1,5 +1,6 @@
 """Imaginary-time solver: convergence, conservation, separation diagnostics."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from mixsep import solver
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
-from mixsep.errors import NotSeparated, StepUnstable
+from mixsep.errors import GridMismatch, NonPositiveInput, NotSeparated, StepUnstable
 from mixsep.functional import KineticStencil, evaluate, functional_params
 from mixsep.grid import integrate_product
 from mixsep.physics import coupling_bb
@@ -185,7 +186,7 @@ def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
 
 
 def test_rejections_in_a_row_raise(grid48, monkeypatch):
-    # the halvings count on across the re-evaluations of the accepted state
+    # each retry from the accepted state halves the step again
     monkeypatch.setattr(solver, "_DTAU_START", 1e6)
     monkeypatch.setattr(solver, "_MAX_HALVINGS", 5)
     with pytest.raises(StepUnstable, match="after 5 step halvings"):
@@ -193,7 +194,7 @@ def test_rejections_in_a_row_raise(grid48, monkeypatch):
 
 
 def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
-    # every evaluation, the retracted state's included, reads higher than the last
+    # every evaluation reads higher than the last
     calls = itertools.count()
 
     def rising(params, psi, phi, stencil):
@@ -208,15 +209,68 @@ def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
 
 
 def test_warm_start_restarts_cheaply(full0, grid48):
+    # from a converged state every step is quiet, so the restart stops as
+    # soon as the energy test can pass
     warm = (np.sqrt(full0.n_b.values), np.sqrt(full0.n_f.values))
-    gs = minimize(
-        SC,
-        grid48,
-        SolverOptions(mode="full", tol_energy=1e-9, consecutive=5),
-        warm_start=warm,
-    )
+    options = SolverOptions(mode="full", tol_energy=1e-9, consecutive=5)
+    gs = minimize(SC, grid48, options, warm_start=warm)
     assert gs.converged
-    assert gs.iterations < full0.iterations / 10
+    assert gs.iterations == options.consecutive
+
+
+def test_warm_start_of_another_shape_raises(full0, grid48):
+    psi, phi = np.sqrt(full0.n_b.values), np.sqrt(full0.n_f.values)
+    with pytest.raises(GridMismatch, match="warm start of shape"):
+        minimize(SC, grid48, SolverOptions(mode="full"), warm_start=(psi[:, :-2], phi))
+
+
+def test_all_zero_warm_start_raises(full0, grid48):
+    phi = np.sqrt(full0.n_f.values)
+    with pytest.raises(NonPositiveInput, match="all-zero"):
+        minimize(SC, grid48, SolverOptions(mode="full"), warm_start=(np.zeros_like(phi), phi))
+
+
+def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
+    # The first conjugate trial is made to read high. It is retried as a
+    # steepest step from the stored P g, so every evaluation is of a new
+    # state and each iteration costs exactly one evaluation.
+    original = solver._direction
+    conjugate = []
+    raised = []
+    seen = []
+
+    def direction(*args):
+        conjugate.append(original(*args))
+        return conjugate[-1]
+
+    def recording(params, psi, phi, stencil):
+        ev = evaluate(params, psi, phi, stencil)
+        seen.append(hashlib.sha256(psi.tobytes() + phi.tobytes()).hexdigest())
+        if any(conjugate) and not raised:
+            raised.append(len(seen))
+            ev.terms["rise"] = abs(ev.energy)
+        return ev
+
+    monkeypatch.setattr(solver, "_direction", direction)
+    monkeypatch.setattr(solver, "evaluate", recording)
+    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    assert raised and gs.converged
+    assert len(seen) == gs.iterations + 1
+    assert len(set(seen)) == len(seen)
+
+
+def test_overlap_settles_under_the_stop_rule():
+    # At 1480 a0 the energy test alone once stopped at a boson residual of
+    # 2.4e-4, where the overlap read 9% high; with the residual test a
+    # tenfold tighter energy tolerance moves it by under 1%.
+    sc = SC.with_a_bf(1480.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 128, 256)
+    overlaps = []
+    for tol in (1e-10, 1e-11):
+        gs = minimize(sc, grid, SolverOptions(mode="full", tol_energy=tol))
+        assert gs.converged
+        overlaps.append(integrate_product(gs.n_b, gs.n_f))
+    assert overlaps[0] == pytest.approx(overlaps[1], rel=0.01)
 
 
 def test_zero_condensate_relaxes_fermions_only(grid48):
