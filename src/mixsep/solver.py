@@ -81,8 +81,11 @@ _DTAU_START = 1.7
 # Consecutive step halvings after which a rising energy raises StepUnstable.
 _MAX_HALVINGS = 60
 # Largest relative residual ||H u - mu u||_w / (|mu| ||u||_w) of either
-# species at which a solve may stop.
-_RESIDUAL_TOL = 5.0e-5
+# species at which a solve may stop. Where the energy test passes first,
+# the residual left behind depends on the start: at 5e-5 the seeded warm
+# starts of the benchmark sweep (64x128) stopped anywhere from 1.8e-5 to
+# 4.7e-5 over seeds 1-10. At 2e-6 this test binds there instead.
+_RESIDUAL_TOL = 2.0e-6
 
 
 @dataclass(frozen=True)
