@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,11 +66,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "solver": {
         "mode": ("str", "full"),
-        "tol_energy": ("float", 1.0e-10),
-        "consecutive": ("int", 10),
         "max_iter": ("int", 60000),
         "seed": ("int", 42),
-        "warm_noise": ("float", 0.01),
     },
     "sweep": {
         "a_bf_list_a0": ("floatlist", None),
@@ -114,22 +112,30 @@ def _line_of(text: str, section: str, key: str) -> int | None:
     return None
 
 
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
+
+
 def _convert(raw: str, kind: str, section: str, key: str, text: str):
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
             return int(raw)
         if kind == "floatlist":
             parts = [p for p in raw.replace(",", " ").split() if p]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return raw.strip()
     except ValueError as exc:
+        line = _line_of(text, section, key)
+        where = "" if line is None else f" on line {line}"
         raise ParseError(
-            f"bad value for [{section}] {key}: {raw!r} ({exc})",
-            line=_line_of(text, section, key),
+            f"bad value for [{section}] {key}{where}: {raw!r} ({exc})", line=line
         ) from exc
 
 
@@ -213,6 +219,10 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     sol = values["solver"]
     if sol["mode"] not in ("full", "tf"):
         raise ValidationError(f"solver mode must be 'full' or 'tf', got {sol['mode']!r}")
+    if sol["max_iter"] < 1:
+        raise ValidationError(f"solver max_iter must be at least 1, got {sol['max_iter']}")
+    if sol["seed"] < 0:
+        raise ValidationError(f"solver seed must be non-negative, got {sol['seed']}")
     solver = SolverOptions(**sol)
 
     swp = values["sweep"]

@@ -29,6 +29,8 @@ from .physics import SpeciesParams
 from .profiles import thermal_peak_coefficient
 
 SMOOTH_DOMAIN_A0 = (80.0, 2100.0)
+# Points of the smoothed curve, evenly spaced in log a_bf over the data.
+_SMOOTH_N_EVAL = 60
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,6 @@ def smooth_l3(
     span: float = 0.5,
     n_boot: int = 1000,
     seed: int = 0,
-    n_eval: int = 60,
 ) -> SmoothedCurve:
     """Smooth L3 measurements against interspecies scattering length.
 
@@ -314,7 +315,7 @@ def smooth_l3(
 
     x = np.log(a)
     y = np.log(v)
-    x_eval = np.linspace(x[0], x[-1], n_eval)
+    x_eval = np.linspace(x[0], x[-1], _SMOOTH_N_EVAL)
 
     smoother = _smoother_matrix(x, w_meas, x_eval, span)
     fit_eval = smoother @ y

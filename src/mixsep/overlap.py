@@ -176,7 +176,6 @@ def omega_eff_from_ground_state(
     gs: GroundState,
     l3: float = DEFAULT_L3,
     alpha: float | None = None,
-    thermal: DensityField | None = None,
     reference: tuple[DensityField, DensityField] | None = None,
     peaks: PeakQuantities | None = None,
 ) -> OverlapReport:
@@ -184,8 +183,7 @@ def omega_eff_from_ground_state(
     sc = gs.scenario
     if alpha is None:
         alpha = sc.alpha
-    if thermal is None:
-        thermal = thermal_field_for(gs)
+    thermal = thermal_field_for(gs)
     if reference is None:
         reference = reference_fields(sc, gs.grid)
     if peaks is None:

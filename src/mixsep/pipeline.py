@@ -51,6 +51,8 @@ M3_TO_CM3 = 1.0e-6        # density m^-3 -> cm^-3
 M6_TO_CM6 = 1.0e-12       # overlap integral m^-6 -> cm^-6
 M6S_TO_CM6S = 1.0e12      # rate coefficient m^6/s -> cm^6/s
 CONFIG_SNAPSHOT = "config_snapshot.cfg"
+# Relative noise on each warm start of a sweep, seeded from the solver's seed.
+_WARM_NOISE = 0.01
 
 
 def _f(v: float) -> str:
@@ -395,7 +397,7 @@ def _critical_a_bf(scenario: MixtureScenario, peaks: PeakQuantities) -> float:
 def sweep_ground_states(
     scenario: MixtureScenario,
     a_bf_values,
-    grid: Grid2D | None = None,
+    grid: Grid2D,
     options: SolverOptions = SolverOptions(),
     progress=None,
 ) -> list[tuple[GroundState | None, str | None]]:
@@ -403,23 +405,20 @@ def sweep_ground_states(
 
     Returns one (state, None) or (None, "ErrorType: message") per point: a
     point whose solve raises a MixsepError is recorded and the next point
-    starts cold. The warm start is perturbed with seeded relative noise
-    before relaxing, which keeps a point from inheriting the previous
-    point's topology (a mixed state carried past the separation threshold,
-    or the reverse). progress(mode, idx, a_bf, state or None) is called
-    after each point.
+    starts cold. The warm start is perturbed with relative noise of
+    _WARM_NOISE, seeded from options.seed, before relaxing, which keeps a
+    point from inheriting the previous point's topology (a mixed state
+    carried past the separation threshold, or the reverse). progress(mode,
+    idx, a_bf, state or None) is called after each point.
     """
-    if grid is None:
-        grid = grid_for_scenario(scenario)
     out = []
     warm = None
     for idx, a_bf in enumerate(a_bf_values):
         start = warm
-        if warm is not None and options.warm_noise > 0.0:
+        if warm is not None:
             rng = np.random.default_rng(options.seed + 7919 * idx)
             start = tuple(
-                np.abs(w * (1.0 + options.warm_noise * rng.standard_normal(w.shape)))
-                for w in warm
+                np.abs(w * (1.0 + _WARM_NOISE * rng.standard_normal(w.shape))) for w in warm
             )
         try:
             gs = minimize(scenario.with_a_bf(float(a_bf)), grid, options, warm_start=start)

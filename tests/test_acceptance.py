@@ -334,7 +334,7 @@ def test_criterion_12_deterministic_outputs(capsys, tmp_path):
     cfg_text = (
         "[grid]\nn_rho = 48\nn_z = 96\n"
         "[sweep]\na_bf_list_a0 = 100, 700, 1600\n"
-        "[solver]\ntol_energy = 1e-9\nconsecutive = 5\n"
+        "[solver]\n"
     )
     outputs = []
     for run in ("one", "two"):

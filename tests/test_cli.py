@@ -27,8 +27,6 @@ n_rho = 32
 n_z = 64
 [solver]
 mode = tf
-tol_energy = 1e-9
-consecutive = 5
 """
 
 
@@ -141,6 +139,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "n_atoms" in err
+
+    def test_non_finite_config_number_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("[grid]\nn_rho = 32\nbox_factor = nan\n", encoding="utf-8")
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "[grid] box_factor on line 3" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key,value", [("span", 0.5), ("n_boot", 200), ("seed", 3)])
     def test_removed_fits_key_exits_2(self, capsys, tmp_path, key, value):

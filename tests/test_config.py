@@ -4,6 +4,8 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixsep.config import (
     SWEEP_DEFAULT_POINTS,
@@ -72,8 +74,9 @@ def test_serialize_round_trips_bit_exact():
 n_bosons = 31234.0
 a_bf_a0 = 613.77
 condensate_fraction = 0.41
+[grid]
+box_factor = 1.35
 [solver]
-tol_energy = 3.5e-11
 seed = 7
 [fits]
 l3_cm6_per_s = 2.75e-26
@@ -150,6 +153,32 @@ def test_grid_and_solver_validation():
         parse_config("[fits]\nspan = 1.5\n")
     with pytest.raises(ValidationError, match="l3"):
         parse_config("[fits]\nl3_cm6_per_s = 0\n")
+    with pytest.raises(ValidationError, match="seed"):
+        parse_config("[solver]\nseed = -100000\n")
+    with pytest.raises(ValidationError, match="max_iter"):
+        parse_config("[solver]\nmax_iter = -5\n")
+    # the stop rule's energy test and the sweep's warm-start noise are
+    # fixed in the code, not settings
+    for key, value in (("tol_energy", "1e-10"), ("consecutive", "10"), ("warm_noise", "0.01")):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            parse_config(f"[solver]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("grid", "box_factor", "nan"),
+        ("mixture", "n_bosons", "nan"),
+        ("fermions", "nu_rho_hz", "inf"),
+        ("fits", "l3_cm6_per_s", "nan"),
+        ("sweep", "a_bf_list_a0", "100, nan"),
+    ],
+)
+def test_non_finite_number_rejected(section, key, value):
+    with pytest.raises(ParseError, match="not a finite number") as exc:
+        parse_config(f"# run\n[{section}]\n{key} = {value}\n")
+    assert exc.value.line == 3
+    assert f"[{section}] {key} on line 3" in str(exc.value)
 
 
 def test_inline_comments_stripped():
@@ -185,3 +214,80 @@ def test_serialize_requires_raw_values():
     )
     with pytest.raises(ValidationError):
         serialize_config(bare)
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+def _positive(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _config_text(draw):
+    """INI text setting a random subset of the schema's keys to valid values."""
+    sections = {
+        "bosons": {
+            "nu_rho_hz": draw(_maybe(_positive(1.0, 1e4))),
+            "nu_z_hz": draw(_maybe(_positive(1.0, 1e4))),
+            "a_bb_a0": draw(_maybe(_positive(1.0, 500.0))),
+            "polarizability_factor": draw(_maybe(_positive(0.1, 10.0))),
+        },
+        "fermions": {
+            "nu_rho_hz": draw(_maybe(_positive(1.0, 1e4))),
+            "nu_z_hz": draw(_maybe(_positive(1.0, 1e4))),
+        },
+        "mixture": {
+            "n_bosons": draw(_maybe(_positive(0.0, 1e7))),
+            "n_fermions": draw(_maybe(_positive(1.0, 1e7))),
+            "condensate_fraction": draw(_maybe(_positive(0.0, 1.0))),
+            "a_bf_a0": draw(_maybe(_positive(-3000.0, 3000.0))),
+            "alpha": draw(_maybe(_positive(0.01, 10.0))),
+            "thermal_model": draw(_maybe(st.sampled_from(["gaussian", "semiclassical"]))),
+        },
+        "resonance": {
+            "b0_gauss": draw(_maybe(_positive(1.0, 1000.0))),
+            "delta_gauss": draw(_maybe(_positive(0.01, 10.0))),
+            "a_bg_a0": draw(_maybe(_positive(-500.0, 500.0))),
+        },
+        "grid": {
+            "n_rho": draw(_maybe(st.integers(8, 1024))),
+            "n_z": draw(_maybe(st.integers(8, 2048))),
+            "box_factor": draw(_maybe(_positive(1.01, 5.0))),
+        },
+        "solver": {
+            "mode": draw(_maybe(st.sampled_from(["full", "tf"]))),
+            "max_iter": draw(_maybe(st.integers(1, 10**6))),
+            "seed": draw(_maybe(st.integers(0, 2**32 - 1))),
+        },
+        "sweep": {},
+        "fits": {"l3_cm6_per_s": draw(_maybe(_positive(1e-30, 1e-20)))},
+    }
+    points = st.lists(_positive(-3000.0, 3000.0), min_size=1, max_size=6)
+    sweep = draw(st.sampled_from(["default", "a_bf_list_a0", "b_list_gauss"]))
+    if sweep == "a_bf_list_a0":
+        sections["sweep"][sweep] = draw(points)
+    elif sweep == "b_list_gauss":
+        # fields at least 1 mG off the pole at the drawn (or default) b0
+        b0 = sections["resonance"]["b0_gauss"] or 335.057
+        offset = _positive(-50.0, 50.0).filter(lambda x: abs(x) >= 1e-3)
+        sections["sweep"][sweep] = [b0 + x for x in draw(st.lists(offset, min_size=1, max_size=6))]
+    lines = []
+    for sec, keys in sections.items():
+        lines.append(f"[{sec}]")
+        for key, val in keys.items():
+            if isinstance(val, list):
+                val = ", ".join(map(str, val))
+            if val is not None:
+                lines.append(f"{key} = {val}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None)
+@given(_config_text())
+def test_serialize_round_trips_random_configs(text):
+    cfg = parse_config(text)
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert again.raw == cfg.raw

@@ -388,9 +388,6 @@ n_rho = 32
 n_z = 64
 [sweep]
 a_bf_list_a0 = 100, 800
-[solver]
-tol_energy = 1e-9
-consecutive = 5
 """
 
     def test_figure3_pipeline(self, tmp_path):

@@ -44,17 +44,13 @@ def tf0(grid48):
 
 @pytest.fixture(scope="module")
 def full0(grid48):
-    return minimize(
-        SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5)
-    )
+    return minimize(SC, grid48, SolverOptions(mode="full"))
 
 
 @pytest.fixture(scope="module")
 def sep800(grid48):
     sc = SC.with_a_bf(800.0 * A_BOHR)
-    return minimize(
-        sc, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5)
-    )
+    return minimize(sc, grid48, SolverOptions(mode="full"))
 
 
 class TestNonInteracting:
@@ -166,7 +162,7 @@ def test_max_iter_cap(grid48):
 def test_oversized_step_is_retracted(grid48, monkeypatch):
     # a first step of sixteen preconditioned unit steps overshoots and must be halved
     monkeypatch.setattr(solver, "_DTAU_START", 16.0)
-    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     # history holds accepted steps + 1 energies, iterations counts steps + rejections
     assert gs.iterations > len(gs.energy_history)
@@ -177,7 +173,7 @@ def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
     # A huge first step is rejected about twenty times over. Stepping again
     # from the accepted state must not count as a quiet step each time.
     monkeypatch.setattr(solver, "_DTAU_START", 1e6)
-    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     assert gs.energy < gs.energy_history[0]
     assert gs.energy == pytest.approx(full0.energy, rel=1e-6)
@@ -190,7 +186,7 @@ def test_rejections_in_a_row_raise(grid48, monkeypatch):
     monkeypatch.setattr(solver, "_DTAU_START", 1e6)
     monkeypatch.setattr(solver, "_MAX_HALVINGS", 5)
     with pytest.raises(StepUnstable, match="after 5 step halvings"):
-        minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+        minimize(SC, grid48, SolverOptions(mode="full"))
 
 
 def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
@@ -212,10 +208,9 @@ def test_warm_start_restarts_cheaply(full0, grid48):
     # from a converged state every step is quiet, so the restart stops as
     # soon as the energy test can pass
     warm = (np.sqrt(full0.n_b.values), np.sqrt(full0.n_f.values))
-    options = SolverOptions(mode="full", tol_energy=1e-9, consecutive=5)
-    gs = minimize(SC, grid48, options, warm_start=warm)
+    gs = minimize(SC, grid48, SolverOptions(mode="full"), warm_start=warm)
     assert gs.converged
-    assert gs.iterations == options.consecutive
+    assert gs.iterations == solver._CONSECUTIVE
 
 
 def test_warm_start_of_another_shape_raises(full0, grid48):
@@ -253,13 +248,13 @@ def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
 
     monkeypatch.setattr(solver, "_direction", direction)
     monkeypatch.setattr(solver, "evaluate", recording)
-    gs = minimize(SC, grid48, SolverOptions(mode="full", tol_energy=1e-9, consecutive=5))
+    gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert raised and gs.converged
     assert len(seen) == gs.iterations + 1
     assert len(set(seen)) == len(seen)
 
 
-def test_overlap_settles_under_the_stop_rule():
+def test_overlap_settles_under_the_stop_rule(monkeypatch):
     # At 1480 a0 the energy test alone once stopped at a boson residual of
     # 2.4e-4, where the overlap read 9% high; with the residual test a
     # tenfold tighter energy tolerance moves it by under 1%.
@@ -267,7 +262,8 @@ def test_overlap_settles_under_the_stop_rule():
     grid = grid_for_scenario(sc, 128, 256)
     overlaps = []
     for tol in (1e-10, 1e-11):
-        gs = minimize(sc, grid, SolverOptions(mode="full", tol_energy=tol))
+        monkeypatch.setattr(solver, "_TOL_ENERGY", tol)
+        gs = minimize(sc, grid, SolverOptions(mode="full"))
         assert gs.converged
         overlaps.append(integrate_product(gs.n_b, gs.n_f))
     assert overlaps[0] == pytest.approx(overlaps[1], rel=0.01)
