@@ -213,6 +213,14 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     grid = values["grid"]
     if grid["n_rho"] < 8 or grid["n_z"] < 8:
         raise ValidationError("grid must be at least 8 x 8 cells")
+    if grid["n_z"] % 2 != 0:
+        # the solver relaxes the z > 0 half and mirrors it onto z < 0
+        line = _line_of(text, "grid", "n_z")
+        where = "" if line is None else f" on line {line}"
+        raise ValidationError(
+            f"[grid] n_z{where} must be even, so that every cell has a "
+            f"mirror partner across z = 0; got {grid['n_z']}"
+        )
     if grid["box_factor"] <= 1.0:
         raise ValidationError("box_factor must exceed 1")
 

@@ -58,7 +58,11 @@ def tf_pressure_coefficient(mass_f: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyFunctionalParams:
-    """Grid-bound coefficients; coef_kin_* are zero in Thomas-Fermi mode."""
+    """Grid-bound coefficients; coef_kin_* are zero in Thomas-Fermi mode.
+
+    The solver replaces v_b and v_f by their z > 0 halves, so that evaluate
+    works on the half box with a mirror stencil.
+    """
 
     grid: Grid2D
     v_b: np.ndarray
@@ -99,17 +103,26 @@ class KineticStencil:
     radius (i+1/2) d_rho; the axis face has zero radius so the symmetry
     condition costs nothing. Outer rho and both z edges are hard zeros.
 
+    With mirror=True the stencil acts on the upper half of grid instead: the
+    n_z/2 columns with z > 0 of a field that is mirror-symmetric in z. The
+    lower face of that half box, z = 0, reflects: the axial neighbour across
+    it is the cell itself. Its outer faces stay hard zeros, and on a
+    mirror-symmetric field it gives the full grid's operator restricted to
+    z > 0.
+
     The operator is separable. Its radial part, with the axial diagonal
     2/d_z^2 folded in, is an (n_rho x n_rho) tridiagonal matrix K_line. It is
     stored as CSR times d_z^2 so that the two axial neighbours are plain
-    subtractions of shifted slices; apply() divides by d_z^2 once at the end.
-    apply() needs O(n_rho) extra memory and makes no full-grid temporary
+    subtractions of shifted slices (the reflected one is a third, on the
+    z = 0 column); apply() divides by d_z^2 once at the end. apply() needs
+    O(n_rho) extra memory and makes no temporary the size of its input
     besides its result. solve_lines() inverts coef K_line + shift on every z
-    column; it keeps one full-grid buffer from its first call on.
+    column; it keeps one buffer the size of its input from its first call on.
     """
 
-    def __init__(self, grid: Grid2D):
+    def __init__(self, grid: Grid2D, mirror: bool = False):
         self.grid = grid
+        self.mirror = mirror
         i = np.arange(grid.n_rho, dtype=float)
         up = (i + 1.0) / (i + 0.5)
         down = i / (i + 0.5)
@@ -136,6 +149,8 @@ class KineticStencil:
         out = self._k_rho_dz2 @ u
         out[:, :-1] -= u[:, 1:]
         out[:, 1:] -= u[:, :-1]
+        if self.mirror:
+            out[:, 0] -= u[:, 0]
         out *= self._inv_dz2
         return out
 
@@ -144,11 +159,14 @@ class KineticStencil:
 
         K_line is the radial part of the operator apply() represents plus
         its axial diagonal 2/d_z^2, so each z column of b is one tridiagonal
-        system. It is solved as R (coef K_line + shift) x = R b, whose matrix
-        is symmetric positive definite for coef >= 0 and shift > 0: one
-        LDL^T factorization of size n_rho (LAPACK dpttrf) serves every
-        column, and one dpttrs call solves them all. Neither makes a BLAS
-        call, so the result does not depend on the thread count. dpttrs
+        system. The mirror stencil's z = 0 column takes the same K_line, so
+        that on a mirror-symmetric b both stencils solve the same systems
+        column for column. It is solved as R (coef K_line + shift) x = R b,
+        whose matrix is symmetric positive definite for coef >= 0 and
+        shift > 0: one LDL^T factorization of size n_rho (LAPACK dpttrf)
+        serves every column, and one dpttrs call solves them all. Neither
+        makes a BLAS call, so the result does not depend on the thread
+        count. dpttrs
         needs the columns contiguous: they are copied into one Fortran-order
         buffer, kept for the next call, and the result is copied back, so
         that b keeps the C order every other pass over the fields runs

@@ -70,7 +70,9 @@ class Grid2D:
         """Quadrature sum(w a b) of two full-grid arrays.
 
         The weights are constant along z, so each row's sum of products is
-        taken first and then weighted: no full-grid temporary is formed. The
+        taken first and then weighted: no full-grid temporary is formed.
+        The same holds for arrays of any number of z columns, such as the
+        solver's z > 0 half, which it gives the quadrature of. The
         sums are einsum's own loops, not BLAS, so the result does not depend
         on the BLAS thread count.
         """

@@ -408,8 +408,11 @@ def sweep_ground_states(
     starts cold. The warm start is perturbed with relative noise of
     _WARM_NOISE, seeded from options.seed, before relaxing, which keeps a
     point from inheriting the previous point's topology (a mixed state
-    carried past the separation threshold, or the reverse). progress(mode,
-    idx, a_bf, state or None) is called after each point.
+    carried past the separation threshold, or the reverse). The noise is
+    drawn on the full grid, and minimize folds it onto the z > 0 half with
+    the rest of the start, as the mean of each cell and its mirror partner;
+    every returned state is mirror-symmetric. progress(mode, idx, a_bf,
+    state or None) is called after each point.
     """
     out = []
     warm = None

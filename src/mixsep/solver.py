@@ -47,12 +47,25 @@ and every iteration costs one evaluation. A solve converges when the
 relative energy decrease has stayed below _TOL_ENERGY for _CONSECUTIVE
 accepted steps in a row and each species' relative residual
 ||g||_w / (|mu| ||u||_w) is at most _RESIDUAL_TOL.
+
+The trap is mirror-symmetric in z, and so is its ground state, so the
+relaxation runs on the upper half of the grid only: the n_rho x n_z/2
+cells with z > 0, each species holding half its atoms. The kinetic
+stencil's lower face there, z = 0, reflects (KineticStencil(mirror=True)):
+the neighbour across it is the cell itself; its outer faces stay Dirichlet.
+The radial line solve is the full grid's, since the axial diagonal 2/d_z^2
+is the same on every column. The trap potentials are sliced from the full
+grid. Every start, cold or warm, is folded onto the half as the mean of
+the field's two halves; a warm start and its mirror image fold to the same
+bytes. The returned state is mirrored back onto the full grid, with its
+energy, breakdown and history doubled. So each iteration costs half a
+full-grid one, and the returned fields are mirror-symmetric bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -226,21 +239,45 @@ def _trial(sp: _Species, dtau: float, out: np.ndarray, grid: Grid2D) -> np.ndarr
     return np.abs(out, out=out)
 
 
+def _upper(a: np.ndarray) -> np.ndarray:
+    """The z > 0 half of a full-grid array, as a contiguous copy."""
+    return np.ascontiguousarray(a[:, a.shape[1] // 2:])
+
+
+def _fold(u: np.ndarray) -> np.ndarray:
+    """Mean of a full-grid field's z > 0 half and its mirrored z < 0 half.
+
+    The sum is taken in an order that does not depend on which half is
+    which, so a field and its mirror image fold to the same bytes.
+    """
+    h = u.shape[1] // 2
+    return 0.5 * (u[:, h:] + u[:, h - 1::-1])
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The full-grid field, mirror-symmetric in z, whose z > 0 half is half."""
+    return np.concatenate((half[:, ::-1], half), axis=1)
+
+
 def _start(
     scenario: MixtureScenario, grid: Grid2D, warm_start: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized starting (psi, phi): copies of warm_start, or the TF profiles' roots."""
+    """Unnormalized starting (psi, phi) on the z > 0 half.
+
+    warm_start, or the TF profiles' roots, folded onto the half (_fold).
+    """
     if warm_start is None:
         bec, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
         sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
-        return np.sqrt(bec.values), np.sqrt(sea.values)
-    fields = tuple(np.array(u, dtype=float, copy=True) for u in warm_start)
-    for u in fields:
-        if u.shape != (grid.n_rho, grid.n_z):
-            raise GridMismatch(
-                f"warm start of shape {u.shape} on a ({grid.n_rho}, {grid.n_z}) grid"
-            )
-    return fields
+        fields = (np.sqrt(bec.values), np.sqrt(sea.values))
+    else:
+        fields = tuple(np.asarray(u, dtype=float) for u in warm_start)
+        for u in fields:
+            if u.shape != (grid.n_rho, grid.n_z):
+                raise GridMismatch(
+                    f"warm start of shape {u.shape} on a ({grid.n_rho}, {grid.n_z}) grid"
+                )
+    return tuple(_fold(u) for u in fields)
 
 
 def minimize(
@@ -252,17 +289,21 @@ def minimize(
     """Relax to the ground state of the functional at scenario.a_bf.
 
     warm_start, when given, is (psi, phi) from a nearby solution on grid;
-    otherwise the flow starts from the noninteracting TF profiles. A state
-    is always returned; check .converged. Raises GridMismatch for a warm
-    start of another shape and NonPositiveInput for one that is zero
-    everywhere for a species with atoms.
+    otherwise the flow starts from the noninteracting TF profiles. The
+    relaxation runs on the z > 0 half of grid (see the module docstring):
+    the start is folded onto it, and the returned state is mirrored back,
+    with full-grid fields and the full grid's energy, breakdown and
+    history. A state is always returned; check .converged. Raises
+    GridMismatch for a warm start of another shape and NonPositiveInput
+    for one that is zero everywhere for a species with atoms.
     """
     params = functional_params(scenario, grid, options.mode)
-    stencil = KineticStencil(grid)
+    params = replace(params, v_b=_upper(params.v_b), v_f=_upper(params.v_f))
+    stencil = KineticStencil(grid, mirror=True)
     species = tuple(
         _Species(target, coef_kin, _renormalize(u, target, grid))
         for target, coef_kin, u in zip(
-            (scenario.condensate_number, scenario.n_fermions),
+            (0.5 * scenario.condensate_number, 0.5 * scenario.n_fermions),
             (params.coef_kin_b, params.coef_kin_f),
             _start(scenario, grid, warm_start),
         )
@@ -336,15 +377,17 @@ def minimize(
         _gradients(ev, psi, phi)
         residual = _residuals(ev, psi, phi, grid)
 
+    # mu and the residuals are ratios of half-box sums, the same on the full
+    # grid; the energy and its terms are sums, doubled.
     return GroundState(
         scenario=scenario,
-        n_b=DensityField(grid, psi * psi, "bosons"),
-        n_f=DensityField(grid, phi * phi, "fermions"),
+        n_b=DensityField(grid, _unfold(psi * psi), "bosons"),
+        n_f=DensityField(grid, _unfold(phi * phi), "fermions"),
         mu_b=ev.mu_b,
         mu_f=ev.mu_f,
-        energy=ev.energy,
-        energy_breakdown=ev.terms,
-        energy_history=np.array(energy_hist),
+        energy=2.0 * ev.energy,
+        energy_breakdown={name: 2.0 * val for name, val in ev.terms.items()},
+        energy_history=2.0 * np.array(energy_hist),
         iterations=iterations,
         converged=converged,
         mode=options.mode,

@@ -306,3 +306,34 @@ def test_dasch3_matches_scalar_reference(values, step, half):
     got = inverse_abel(ColumnSlice(y, f), method="dasch3", noise_reject=1.0).values
     ref = _dasch3_reference(y, f)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+
+# Two profiles of one length, and the coefficients of their combination.
+abel_pairs = st.integers(4, 20).flatmap(
+    lambda n: st.tuples(
+        *(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n, max_size=n)
+          for _ in range(2))
+    )
+)
+coefficients = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@pytest.mark.filterwarnings("ignore::mixsep.errors.NonDecayingWarning")
+@settings(derandomize=True, deadline=None)
+@given(pair=abel_pairs, a=coefficients, b=coefficients,
+       step=st.floats(0.01, 100.0), half=st.booleans())
+def test_transforms_are_linear(pair, a, b, step, half):
+    # T(a f1 + b f2) = a T(f1) + b T(f2), to rounding on the scale of the two terms
+    f1, f2 = (np.array(v) for v in pair)
+    x = (np.arange(len(f1)) + (0.5 if half else 0.0)) * step
+    transforms = {
+        "forward": lambda v: forward_abel(RadialProfile(x, v)).values,
+        "dasch3": lambda v: inverse_abel(ColumnSlice(x, v), "dasch3", noise_reject=1.0).values,
+        "onion": lambda v: inverse_abel(ColumnSlice(x, v), "onion", noise_reject=1.0).values,
+    }
+    for name, transform in transforms.items():
+        t1, t2 = transform(f1), transform(f2)
+        got = transform(a * f1 + b * f2)
+        scale = abs(a) * np.max(np.abs(t1)) + abs(b) * np.max(np.abs(t2))
+        assert np.max(np.abs(got - (a * t1 + b * t2))) <= 1e-12 * scale, name

@@ -148,6 +148,15 @@ class TestSolve:
         assert "[grid] box_factor on line 3" in err
         assert not (tmp_path / "run").exists()
 
+    def test_odd_n_z_exits_2(self, capsys, tmp_path):
+        # rejected by the config, not later by the grid, so the line is named
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text("[grid]\nn_rho = 32\nn_z = 63\n", encoding="utf-8")
+        code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "gs"))
+        assert code == 2
+        assert "[grid] n_z on line 3 must be even" in err
+        assert not (tmp_path / "gs").exists()
+
     @pytest.mark.parametrize("key,value", [("span", 0.5), ("n_boot", 200), ("seed", 3)])
     def test_removed_fits_key_exits_2(self, capsys, tmp_path, key, value):
         # smooth-l3 takes these as --span/--boot/--seed, not from a config file

@@ -145,6 +145,9 @@ def test_condensate_fraction_bounds():
 def test_grid_and_solver_validation():
     with pytest.raises(ValidationError, match="8 x 8"):
         parse_config("[grid]\nn_rho = 4\n")
+    # the solver mirrors the z > 0 half onto z < 0, so n_z must be even
+    with pytest.raises(ValidationError, match=r"\[grid\] n_z on line 3 must be even.*got 9"):
+        parse_config("# run\n[grid]\nn_z = 9\n")
     with pytest.raises(ValidationError, match="box_factor"):
         parse_config("[grid]\nbox_factor = 0.9\n")
     with pytest.raises(ValidationError, match="mode"):
@@ -253,7 +256,7 @@ def _config_text(draw):
         },
         "grid": {
             "n_rho": draw(_maybe(st.integers(8, 1024))),
-            "n_z": draw(_maybe(st.integers(8, 2048))),
+            "n_z": draw(_maybe(st.integers(4, 1024).map(lambda k: 2 * k))),
             "box_factor": draw(_maybe(_positive(1.01, 5.0))),
         },
         "solver": {

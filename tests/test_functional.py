@@ -206,6 +206,28 @@ def test_stencil_matches_five_point_formula(n_rho, half_n_z, d_rho, d_z, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    n_rho=st.integers(2, 40),
+    half_n_z=st.integers(1, 20),
+    d_rho=st.floats(1e-7, 1e-5),
+    d_z=st.floats(1e-7, 1e-5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one column: the z = 0 face is also the only axial neighbour; five: n_z/2 odd
+@example(n_rho=2, half_n_z=1, d_rho=1e-6, d_z=2e-6, seed=0)
+@example(n_rho=3, half_n_z=5, d_rho=1e-6, d_z=2e-6, seed=1)
+def test_mirror_stencil_is_full_stencil_on_upper_half(n_rho, half_n_z, d_rho, d_z, seed):
+    # The half box is the full grid's z > 0 columns; only the stencil knows it.
+    grid = Grid2D(n_rho, 2 * half_n_z, d_rho, d_z)
+    upper = np.random.default_rng(seed).standard_normal((n_rho, half_n_z))
+    field = np.concatenate((upper[:, ::-1], upper), axis=1)
+    got = KineticStencil(grid, mirror=True).apply(upper)
+    want = KineticStencil(grid).apply(field)[:, half_n_z:]
+    # the same sums in the same order, so the same bits
+    np.testing.assert_array_equal(got, want)
+
+
 def dense_line_operator(grid):
     """K_rho + 2/d_z^2 as a dense (n_rho x n_rho) matrix, from the 5-point weights."""
     i = np.arange(grid.n_rho, dtype=float)

@@ -105,6 +105,40 @@ class TestNonInteracting:
         assert isinstance(full0, GroundState)
 
 
+def test_returned_state_is_mirror_symmetric(tf0, full0, sep800):
+    # the solve runs on the z > 0 half and mirrors it back, so the fields
+    # are symmetric bit for bit, and the doubled half-box energy is the
+    # full grid's
+    for gs in (tf0, full0, sep800):
+        for fld in (gs.n_b, gs.n_f):
+            np.testing.assert_array_equal(fld.values, fld.values[:, ::-1])
+        params = functional_params(gs.scenario, gs.grid, gs.mode)
+        ev = evaluate(
+            params, np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values), KineticStencil(gs.grid)
+        )
+        assert gs.energy == pytest.approx(ev.energy, rel=1e-13)
+        assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-13)
+        assert gs.energy_history[-1] == gs.energy
+
+
+def test_warm_start_and_its_mirror_image_agree(sep800):
+    # a start is folded onto the half box as the mean of its two halves, in
+    # an order that does not see which half is which
+    rng = np.random.default_rng(11)
+    warm = tuple(
+        np.sqrt(fld.values) * (1.0 + 0.01 * rng.standard_normal(fld.values.shape))
+        for fld in (sep800.n_b, sep800.n_f)
+    )
+    assert not np.array_equal(warm[0], warm[0][:, ::-1])
+    sc, options = sep800.scenario, SolverOptions(mode="full")
+    a = minimize(sc, sep800.grid, options, warm_start=warm)
+    b = minimize(sc, sep800.grid, options, warm_start=tuple(u[:, ::-1] for u in warm))
+    assert a.converged and b.converged
+    for fa, fb in ((a.n_b, b.n_b), (a.n_f, b.n_f)):
+        assert fa.values.tobytes() == fb.values.tobytes()
+    assert a.energy == b.energy and a.iterations == b.iterations
+
+
 def _step_inputs(gs):
     """(stencil, params, evaluation) at a returned state, for the step's operator."""
     params = functional_params(gs.scenario, gs.grid, "full")
