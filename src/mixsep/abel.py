@@ -6,13 +6,24 @@ inverse recovers n(rho) = -(1/pi) int_rho^inf F'(y) dy / sqrt(y^2 - rho^2).
 Both integrate a piecewise-linear interpolant against the exact kernel
 antiderivatives on every sample interval, so the inverse-square-root
 singularity never meets a quadrature node. One helper, _kernel_moments,
-evaluates those antiderivatives for every (point, interval) pair at once;
-the forward transform (linear n) and dasch3 (linear F') are two weighted
-sums of its output.
+evaluates those antiderivatives for every (point, interval) pair at once.
 
 Two inverse methods: "dasch3" (three-point derivative, then the exact
 kernel integral; Dasch, Appl. Opt. 31, 1146 (1992)) and "onion" (onion
 peeling: triangular solve of annular path lengths).
+
+All three transforms are linear and, as Dasch writes them, their matrices
+depend on the sample grid alone, not on the data. Each is built once per
+geometry, keyed by (number of samples, first sample, step), and a call is
+one product with it: F_half = A @ n forward, n = D @ F for dasch3 (the
+derivative and the kernel integral folded into D), and a triangular solve
+with the path-length matrix for onion. A build costs O(m^2) time for m
+samples: the kernel moments, then banded maps from segment coefficients
+to samples. Each transform keeps the operators of its last
+_CACHED_GEOMETRIES geometries in an lru_cache, as read-only arrays of
+m^2 doubles each (8 MB at m = 1024). An operator is built on the samples
+first + k step, so a grid that is uniform only to the 1e-8 the containers
+check is transformed as if it were exactly uniform.
 """
 
 from __future__ import annotations
@@ -20,8 +31,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import solve_triangular
 
 from .errors import (
@@ -33,6 +46,11 @@ from .errors import (
 
 _EDGE_WARN_FRACTION = 1.0e-3
 _LOG_GUARD = 1.0e-300
+# Geometries whose operators each transform keeps. The rows of one image
+# share a grid, so an analysis needs one per transform; the rest cover a few
+# image sizes used in turn. At m = 1024 the three transforms hold at most
+# 3 x 4 x 8 MB.
+_CACHED_GEOMETRIES = 4
 
 
 def _check_uniform(x: np.ndarray, name: str) -> float:
@@ -121,21 +139,84 @@ def _kernel_moments(
     )
 
 
-def _forward_half(rho: np.ndarray, n: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """F(y) for y >= 0 from piecewise-linear n over [rho_0, rho_last], 0 beyond.
+def _samples(m: int, first: float, step: float) -> np.ndarray:
+    return first + step * np.arange(m)
 
-    Inside rho_0 the profile continues flat at n[0] (symmetry about the axis).
-    On each segment n = c0 + c1 rho, whose kernel integral is
-    c0 S + c1 (T + y^2 L) / 2.
+
+def _read_only(op: np.ndarray) -> np.ndarray:
+    op.flags.writeable = False
+    return op
+
+
+def _hat_columns(x: np.ndarray, step: float, w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Operator on the samples v of a piecewise-linear interpolant from segment weights.
+
+    On [x_j, x_j+1] the interpolant is c0 + c1 x with
+    c0 = (x_j+1 v_j - x_j v_j+1) / step and c1 = (v_j+1 - v_j) / step. A
+    segment integral w0_j c0 + w1_j c1 therefore gives v_j the weight
+    (x_j+1 w0_j - w1_j) / step and v_j+1 the weight (w1_j - x_j w0_j) / step:
+    two column blocks, one shifted by a sample.
     """
-    c1 = np.diff(n) / np.diff(rho)
-    c0 = n[:-1] - c1 * rho[:-1]
-    lo, hi = rho[:-1], rho[1:]
-    if rho[0] > 0.0:
-        lo, hi = np.r_[0.0, lo], np.r_[rho[0], hi]
-        c0, c1 = np.r_[n[0], c0], np.r_[0.0, c1]
-    s, log_ratio, t = _kernel_moments(lo, hi, y)
-    return 2.0 * np.sum(c0 * s + 0.5 * c1 * (t + (y * y)[:, None] * log_ratio), axis=1)
+    op = np.zeros((w0.shape[0], len(x)))
+    op[:, :-1] = (x[1:] * w0 - w1) / step
+    op[:, 1:] += (w1 - x[:-1] * w0) / step
+    return op
+
+
+def _gradient_matrix(m: int, step: float, even: bool) -> scipy.sparse.dia_array:
+    """Tridiagonal G with G @ f == np.gradient(f, step).
+
+    With even, row 0 is zero: an even function's F'(0) vanishes identically.
+    """
+    lower = np.full(m - 1, -0.5 / step)
+    diag = np.zeros(m)
+    upper = np.full(m - 1, 0.5 / step)
+    # one-sided differences at the two ends
+    diag[0], upper[0] = (0.0, 0.0) if even else (-1.0 / step, 1.0 / step)
+    lower[-1], diag[-1] = -1.0 / step, 1.0 / step
+    return scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1])
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _forward_operator(m: int, first: float, step: float) -> np.ndarray:
+    """A with F(x_i) = (A @ n)_i on the samples x of the profile itself.
+
+    n is piecewise linear over [x_0, x_last] and 0 beyond; inside x_0 it
+    continues flat at n[0] (symmetry about the axis). On a segment
+    n = c0 + c1 rho, whose kernel integral is c0 S + c1 (T + y^2 L) / 2.
+    """
+    x = _samples(m, first, step)
+    s, log_ratio, t = _kernel_moments(x[:-1], x[1:], x)
+    op = _hat_columns(x, step, s, 0.5 * (t + (x * x)[:, None] * log_ratio))
+    if first > 0.0:
+        # the flat core [0, x_0] is one more segment, with c0 = n[0] and c1 = 0
+        op[:, 0] += _kernel_moments(np.zeros(1), x[:1], x)[0][:, 0]
+    return _read_only(2.0 * op)
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _dasch3_operator(m: int, first: float, step: float) -> np.ndarray:
+    """D with n = D @ F: three-point F', then the exact kernel integral of its interpolant.
+
+    On a segment F' = c0 + c1 y, whose kernel integral is c0 L + c1 S.
+    """
+    x = _samples(m, first, step)
+    s, log_ratio, _ = _kernel_moments(x[:-1], x[1:], x)
+    kernel = _hat_columns(x, step, log_ratio, s) / -math.pi
+    return _read_only(kernel @ _gradient_matrix(m, step, even=first == 0.0))
+
+
+@lru_cache(maxsize=_CACHED_GEOMETRIES)
+def _onion_operator(m: int, first: float, step: float) -> np.ndarray:
+    """Upper-triangular P with F = P @ n for n constant on the ring around each sample."""
+    y = _samples(m, first, step)
+    edges_lo = np.maximum(y - 0.5 * step, 0.0)
+    edges_hi = y + 0.5 * step
+    yy = y[:, None]
+    b = edges_hi[None, :]
+    a = np.maximum(edges_lo[None, :], yy)
+    path = 2.0 * (_sqrt_clip(b * b - yy * yy) - _sqrt_clip(a * a - yy * yy))
+    return _read_only(np.where(b > a, path, 0.0))
 
 
 def forward_abel(profile: RadialProfile) -> ColumnSlice:
@@ -153,7 +234,7 @@ def forward_abel(profile: RadialProfile) -> ColumnSlice:
             NonDecayingWarning,
             stacklevel=2,
         )
-    f_half = _forward_half(rho, n, rho)
+    f_half = _forward_operator(len(rho), float(rho[0]), profile.step) @ n
     if rho[0] == 0.0:
         y = np.concatenate((-rho[:0:-1], rho))
         vals = np.concatenate((f_half[:0:-1], f_half))
@@ -210,36 +291,13 @@ def _require_half_grid(slc: ColumnSlice) -> None:
 
 def _negative_mass_fraction(rho: np.ndarray, n: np.ndarray) -> float:
     wr = np.abs(n) * rho
-    total = float(np.sum(wr))
+    neg = float(np.sum(wr[n < 0.0]))
+    # neg + the rest, not one sum over all: a second summation order could
+    # round the total below neg and put an all-negative result above 1.
+    total = neg + float(np.sum(wr[n >= 0.0]))
     if total == 0.0:
         return 0.0
-    neg = float(np.sum(wr[n < 0.0]))
     return neg / total
-
-
-def _inverse_dasch3(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    step = float(y[1] - y[0])
-    fp = np.gradient(f, step)
-    if y[0] == 0.0:
-        fp[0] = 0.0  # even function: F'(0) vanishes identically
-    # piecewise-linear F' on [y_j, y_j+1]: c0 + c1 * y
-    c1 = np.diff(fp) / step
-    c0 = fp[:-1] - c1 * y[:-1]
-    s, log_ratio, _ = _kernel_moments(y[:-1], y[1:], y)
-    return -np.sum(c0 * log_ratio + c1 * s, axis=1) / math.pi
-
-
-def _inverse_onion(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    step = float(y[1] - y[0])
-    edges_lo = np.maximum(y - 0.5 * step, 0.0)
-    edges_hi = y + 0.5 * step
-    m = len(y)
-    yy = y[:, None]
-    b = edges_hi[None, :]
-    a = np.maximum(edges_lo[None, :], yy)
-    path = 2.0 * (_sqrt_clip(b * b - yy * yy) - _sqrt_clip(a * a - yy * yy))
-    path = np.where(b > a, path, 0.0)
-    return solve_triangular(path, f, lower=False)
 
 
 def inverse_abel(
@@ -262,10 +320,11 @@ def inverse_abel(
             NonDecayingWarning,
             stacklevel=2,
         )
+    geometry = (len(y), float(y[0]), slc.step)
     if method == "dasch3":
-        n = _inverse_dasch3(y, f)
+        n = _dasch3_operator(*geometry) @ f
     elif method == "onion":
-        n = _inverse_onion(y, f)
+        n = solve_triangular(_onion_operator(*geometry), f, lower=False)
     else:
         raise ValidationError(f"unknown inverse method {method!r}")
     frac = _negative_mass_fraction(y, n)

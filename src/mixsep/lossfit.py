@@ -325,7 +325,7 @@ def smooth_l3(
     std_resid = (y - fit_data) / s_log
 
     rng = np.random.default_rng(seed)
-    draws = np.array([rng.choice(std_resid, size=len(x)) for _ in range(n_boot)])
+    draws = rng.choice(std_resid, size=(n_boot, len(x)))
     boot = (fit_data + draws * s_log) @ smoother.T
     band_lo = np.minimum(np.percentile(boot, 2.5, axis=0), fit_eval)
     band_hi = np.maximum(np.percentile(boot, 97.5, axis=0), fit_eval)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+from mixsep import abel
 from mixsep.abel import (
     ColumnSlice,
     RadialProfile,
@@ -194,6 +196,17 @@ class TestInverseGuards:
             warnings.simplefilter("ignore", NonDecayingWarning)
             inverse_abel(noise)
 
+    def test_all_negative_result_passes_full_reject_bound(self):
+        # an all-negative reconstruction has a negative-mass fraction of
+        # exactly 1, which noise_reject=1.0 accepts in any summation order
+        y = np.arange(8.0)
+        f = np.zeros(8)
+        f[-1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonDecayingWarning)
+            rec = inverse_abel(ColumnSlice(y, f), method="dasch3", noise_reject=1.0)
+        assert np.all(rec.values <= 0.0)
+
     def test_undecayed_slice_warns(self):
         y = (np.arange(20) + 0.5) * (SIG / 10)
         with pytest.warns(NonDecayingWarning):
@@ -308,6 +321,35 @@ def test_dasch3_matches_scalar_reference(values, step, half):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _onion_reference(y, f):
+    """Back substitution through the annular path lengths, one ring at a time."""
+    step = y[1] - y[0]
+
+    def chord(i, j):
+        # path at height y_i through the ring [y_j - step/2, y_j + step/2]
+        hi = y[j] + 0.5 * step
+        a = max(y[j] - 0.5 * step, 0.0, y[i])
+        if hi <= a:
+            return 0.0
+        return 2.0 * (math.sqrt(hi * hi - y[i] * y[i]) - math.sqrt(max(a * a - y[i] * y[i], 0.0)))
+
+    n = [0.0] * len(y)
+    for i in reversed(range(len(y))):
+        outer = sum(chord(i, j) * n[j] for j in range(i + 1, len(y)))
+        n[i] = (f[i] - outer) / chord(i, i)
+    return np.array(n)
+
+
+@pytest.mark.filterwarnings("ignore::mixsep.errors.NonDecayingWarning")
+@settings(derandomize=True, deadline=None)
+@given(values=abel_samples, step=st.floats(0.01, 100.0), half=st.booleans())
+def test_onion_matches_scalar_reference(values, step, half):
+    f = np.array(values)
+    y = (np.arange(len(f)) + (0.5 if half else 0.0)) * step
+    got = inverse_abel(ColumnSlice(y, f), method="onion", noise_reject=1.0).values
+    ref = _onion_reference(y, f)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 # Two profiles of one length, and the coefficients of their combination.
 abel_pairs = st.integers(4, 20).flatmap(
@@ -337,3 +379,61 @@ def test_transforms_are_linear(pair, a, b, step, half):
         got = transform(a * f1 + b * f2)
         scale = abs(a) * np.max(np.abs(t1)) + abs(b) * np.max(np.abs(t2))
         assert np.max(np.abs(got - (a * t1 + b * t2))) <= 1e-12 * scale, name
+
+
+# ---------------------------------------------------------------------------
+# the per-geometry operator caches
+
+OPERATORS = {
+    "forward": abel._forward_operator,
+    "dasch3": abel._dasch3_operator,
+    "onion": abel._onion_operator,
+}
+
+
+def _transform(name, x, v):
+    if name == "forward":
+        return forward_abel(RadialProfile(x, v)).values[-len(v):]
+    return inverse_abel(ColumnSlice(x, v), method=name, noise_reject=1.0).values
+
+
+REFERENCES = {
+    "forward": _forward_reference,
+    "dasch3": _dasch3_reference,
+    "onion": _onion_reference,
+}
+
+
+@pytest.mark.filterwarnings("ignore::mixsep.errors.NonDecayingWarning")
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_cached_operator_gives_the_bytes_of_a_fresh_build(name):
+    x = (np.arange(30) + 0.5) * 0.7
+    v = np.random.default_rng(5).standard_normal(30)
+    warm = _transform(name, x, v)
+    OPERATORS[name].cache_clear()
+    cold = _transform(name, x, v)
+    assert OPERATORS[name].cache_info().misses == 1
+    assert _transform(name, x, v).tobytes() == cold.tobytes() == warm.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_geometries_differing_in_first_sample_do_not_share_an_operator(name):
+    # Equal length and step. The containers only admit a grid starting at 0
+    # or step/2, so the operators are applied directly to reach 3 step too.
+    step, m = 0.3, 12
+    firsts = (0.0, 0.5 * step, 3.0 * step)
+    v = np.random.default_rng(6).standard_normal(m)
+    OPERATORS[name].cache_clear()
+    for first in firsts:
+        op = OPERATORS[name](m, first, step)
+        got = solve_triangular(op, v, lower=False) if name == "onion" else op @ v
+        ref = REFERENCES[name](first + np.arange(m) * step, v)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), first
+    assert OPERATORS[name].cache_info().misses == len(firsts)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_cached_operator_is_read_only(name):
+    op = OPERATORS[name](8, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0

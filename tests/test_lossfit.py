@@ -213,6 +213,32 @@ class TestSmoothL3:
         dev_f = np.max(np.abs(np.log(without.l3 / (1.0e-25 * (without.a_bf_a0 / 1000.0) ** 2))))
         assert dev_w < 0.3 * dev_f
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_boot", [1, 7, 1000])
+    def test_bootstrap_draws_match_row_by_row_draws(self, monkeypatch, seed, n_boot):
+        # One (n_boot, n) draw must give the band bytes of n_boot draws of n.
+        a, l3 = self.power_law()
+        l3 = l3 * np.exp(0.2 * np.random.default_rng(seed + 10).standard_normal(len(a)))
+        fast = smooth_l3(a, l3, n_boot=n_boot, seed=seed)
+
+        default_rng = np.random.default_rng
+
+        class LoopForm:
+            """The draws as n_boot calls of one replicate each, whatever size is asked."""
+
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def choice(self, values, size):
+                return np.array(
+                    [self._rng.choice(values, size=len(values)) for _ in range(n_boot)]
+                )
+
+        monkeypatch.setattr(np.random, "default_rng", LoopForm)
+        slow = smooth_l3(a, l3, n_boot=n_boot, seed=seed)
+        assert fast.band_lo.tobytes() == slow.band_lo.tobytes()
+        assert fast.band_hi.tobytes() == slow.band_hi.tobytes()
+
     def test_lookup_log_interpolates(self):
         a, l3 = self.power_law()
         curve = smooth_l3(a, l3, n_boot=20)
