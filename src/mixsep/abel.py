@@ -66,6 +66,11 @@ def _check_uniform(x: np.ndarray, name: str) -> float:
     return step
 
 
+def _starts_half_grid(x0: float, step: float) -> bool:
+    """Whether a uniform grid of this step starts at 0 or at half a step."""
+    return abs(x0) < 1e-12 * step or abs(x0 - 0.5 * step) < 1e-9 * step
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Half-profile n(rho); rho uniform ascending, first sample at 0 or d/2."""
@@ -75,8 +80,7 @@ class RadialProfile:
 
     def __post_init__(self):
         step = _check_uniform(self.rho, "rho")
-        r0 = float(self.rho[0])
-        if not (abs(r0) < 1e-12 * step or abs(r0 - 0.5 * step) < 1e-9 * step):
+        if not _starts_half_grid(float(self.rho[0]), step):
             raise ValidationError("rho must start at 0 or at half a spacing")
         if len(self.values) != len(self.rho):
             raise ValidationError("rho and values length mismatch")
@@ -282,10 +286,11 @@ def center_and_symmetrize(slc: ColumnSlice, center: float | None = None) -> Colu
 
 
 def _require_half_grid(slc: ColumnSlice) -> None:
-    if slc.y[0] < 0.0:
+    """Reject a slice whose reconstruction RadialProfile would not accept."""
+    if not _starts_half_grid(float(slc.y[0]), slc.step):
         raise ValidationError(
-            "inverse transform needs a centered half-slice (y >= 0); "
-            "run center_and_symmetrize first"
+            "inverse transform needs a centered half-slice, y starting at 0 or at "
+            "half a spacing; run center_and_symmetrize first"
         )
 
 

@@ -14,11 +14,12 @@ divided by twice the cell volume. That makes dE/dpsi_ij == 2 w_ij (H psi)_ij
 hold to machine precision, which the tests check by finite differences.
 
 The solver calls evaluate once per iteration, so it is written to pass over
-each full-grid array as few times as it can: the stencil is a small sparse
-radial matrix plus two shifted subtractions, n_f^(2/3) comes from one cube
-root and also gives the Fermi pressure as c_TF <n_f, n_f^(2/3)>_w, and every
-energy term is a weighted sum of products with no temporary array
-(Grid2D.inner).
+each field-sized array as few times as it can: the stencil is three radial
+multiply-adds plus two shifted subtractions, each over contiguous memory in
+the solver's Fortran-order layout, n_f^(2/3) comes from one cube root and
+also gives the Fermi pressure as c_TF <n_f, n_f^(2/3)>_w, and every energy
+term is a weighted sum of products with no temporary array (Grid2D.inner).
+The solver passes each species on its band of z columns only (evaluate).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import HBAR
@@ -110,14 +110,16 @@ class KineticStencil:
     mirror-symmetric field it gives the full grid's operator restricted to
     z > 0.
 
-    The operator is separable. Its radial part, with the axial diagonal
-    2/d_z^2 folded in, is an (n_rho x n_rho) tridiagonal matrix K_line. It is
-    stored as CSR times d_z^2 so that the two axial neighbours are plain
-    subtractions of shifted slices (the reflected one is a third, on the
-    z = 0 column); apply() divides by d_z^2 once at the end. apply() needs
-    O(n_rho) extra memory and makes no temporary the size of its input
-    besides its result. solve_lines() inverts coef K_line + shift on every z
-    column; it keeps one buffer the size of its input from its first call on.
+    Both methods take a field of n_rho rows and any number of z columns, the
+    outer z face lying past the last one, and any memory layout; they run
+    fastest on Fortran order, where each radial line (fixed z) is
+    contiguous, which is how the solver stores its fields. The operator is
+    separable. Its radial part, with the axial diagonal 2/d_z^2 folded in,
+    is an (n_rho x n_rho) tridiagonal matrix K_line, stored as three
+    coefficient vectors times d_z^2 so that the two axial neighbours are
+    plain subtractions of shifted column blocks (the reflected one is a
+    third, on the z = 0 column); apply() divides by d_z^2 once at the end.
+    solve_lines() inverts coef K_line + shift on every z column.
     """
 
     def __init__(self, grid: Grid2D, mirror: bool = False):
@@ -130,23 +132,39 @@ class KineticStencil:
         self._inv_dz2 = 1.0 / grid.d_z**2
         diag = (up + down) * inv_dr2 + 2.0 * self._inv_dz2
         dz2 = grid.d_z**2
-        self._k_rho_dz2 = scipy.sparse.diags(
-            [-down[1:] * inv_dr2 * dz2, diag * dz2, -up[:-1] * inv_dr2 * dz2],
-            [-1, 0, 1],
-            format="csr",
-        )
+        # K_line d_z^2 by the cell each entry multiplies: cell i enters row
+        # i with _diag_dz2[i], row i + 1 with _below_dz2[i] and row i - 1
+        # with _above_dz2[i]. The entries that would leave the line are
+        # zeros, so a shift of a whole Fortran-order field adds nothing
+        # across the end of a line.
+        self._diag_dz2 = diag * dz2
+        self._below_dz2 = np.append(-down[1:] * inv_dr2 * dz2, 0.0)
+        self._above_dz2 = np.insert(-up[:-1] * inv_dr2 * dz2, 0, 0.0)
         # R K_line is symmetric, with R = diag(i + 1/2) the cell radii in units
         # of d_rho: both of its entries coupling cells i and i + 1 are
         # -(i + 1) / d_rho^2, the face radius over d_rho^2.
         self._radii = i + 0.5
         self._sym_diag = self._radii * diag
         self._sym_off = -(i[:-1] + 1.0) * inv_dr2
-        # Fortran-order copy of the right-hand sides, made on the first solve.
-        self._columns = None
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Minus the discrete (1/rho) d_rho(rho d_rho u) - d_z^2 u."""
-        out = self._k_rho_dz2 @ u
+        """Minus the discrete (1/rho) d_rho(rho d_rho u) - d_z^2 u, in u's layout.
+
+        Each cell is summed as a sparse product with K_line would sum it:
+        lower neighbour, cell, upper neighbour. Besides its result it makes
+        one temporary the size of u.
+        """
+        out = np.multiply(u, self._diag_dz2[:, None])
+        step = np.multiply(u, self._below_dz2[:, None])
+        lines, steps = out, step
+        if out.flags.f_contiguous and step.flags.f_contiguous:
+            # One radial shift of the whole field is a shift of its flat
+            # memory; the zero entries at the line ends stop it crossing one.
+            lines, steps = out.reshape(-1, order="F"), step.reshape(-1, order="F")
+        lines[1:] += steps[:-1]
+        np.multiply(u, self._above_dz2[:, None], out=step)
+        lines[:-1] += steps[1:]
+        del step, steps
         out[:, :-1] -= u[:, 1:]
         out[:, 1:] -= u[:, :-1]
         if self.mirror:
@@ -166,11 +184,9 @@ class KineticStencil:
         shift > 0: one LDL^T factorization of size n_rho (LAPACK dpttrf)
         serves every column, and one dpttrs call solves them all. Neither
         makes a BLAS call, so the result does not depend on the thread
-        count. dpttrs
-        needs the columns contiguous: they are copied into one Fortran-order
-        buffer, kept for the next call, and the result is copied back, so
-        that b keeps the C order every other pass over the fields runs
-        fastest in. Raises NumericalBlowup if the factorization fails.
+        count. dpttrs solves a Fortran-order b in place; b in another
+        layout is solved in a Fortran-order copy that is copied back.
+        Raises NumericalBlowup if the factorization fails.
         """
         radii = self._radii
         d, e, info = dpttrf(coef * self._sym_diag + shift * radii, coef * self._sym_off)
@@ -178,13 +194,10 @@ class KineticStencil:
             raise NumericalBlowup(
                 f"radial line operator is not positive definite (dpttrf info {info})"
             )
-        if self._columns is None:
-            self._columns = np.empty(b.shape, order="F")
-        columns = self._columns
-        columns[...] = b
-        columns *= radii[:, None]
-        dpttrs(d, e, columns, overwrite_b=1)
-        b[...] = columns
+        b *= radii[:, None]
+        x, info = dpttrs(d, e, b, overwrite_b=1)
+        if x is not b:
+            b[...] = x
         return b
 
 
@@ -226,37 +239,52 @@ def evaluate(
     once per field, n_f^(2/3) is one cube root squared, and the Fermi
     pressure is c_TF <n_f, n_f^(2/3)>_w, so no fractional power is taken.
 
+    psi and phi may each hold only the first z columns of the potentials'
+    box, its band: the species is zero past the band's last column, and so
+    is the band's last column itself unless it is the box's (a halo, so
+    that H u is zero past the band too). Each species' terms, H u and loc
+    are then computed on its band alone, and take its shape; the
+    interspecies terms run on the columns both bands cover. Each cell is
+    computed as on the whole box, so H u and loc are the whole box's on the
+    band, bit for bit, and the terms can differ only by the order of their
+    weighted sums.
+
     Since <u, H u>_w is a sum of the energy terms (the quadratic ones twice,
     the pressure times 5/3), mu_b and mu_f come from the terms and the two
     norms with no further pass over the Hamiltonians.
     """
     grid = params.grid
     inner = grid.inner
+    n_zb, n_zf = psi.shape[1], phi.shape[1]
+    both = min(n_zb, n_zf)
+    v_b, v_f = params.v_b[:, :n_zb], params.v_f[:, :n_zf]
     n_b = psi * psi
     n_f = phi * phi
     loc_f = np.cbrt(n_f)
     loc_f *= loc_f
-    bec_trap = inner(n_b, params.v_b)
+    bec_trap = inner(n_b, v_b)
     bec_interaction = 0.5 * params.g_bb * inner(n_b, n_b)
     fermi_pressure = params.c_tf * inner(n_f, loc_f)
-    fermi_trap = inner(n_f, params.v_f)
-    interspecies = params.g_bf * inner(n_b, n_f)
+    fermi_trap = inner(n_f, v_f)
+    interspecies = params.g_bf * inner(n_b[:, :both], n_f[:, :both])
 
-    # In place, so that few full-grid arrays are live at once: loc_f takes
-    # the cube root's buffer and loc_b n_f's, and n_b and work end as the
-    # buffers of loc u in the two Hamiltonians.
+    # In place, so that few field-sized arrays are live at once: loc_f takes
+    # the cube root's buffer and loc_b n_f's (unless the bosons reach
+    # further), and n_b and work end as the buffers of loc u in the two
+    # Hamiltonians.
     loc_f *= (5.0 / 3.0) * params.c_tf
-    loc_f += params.v_f
-    loc_b = n_f
-    loc_b *= params.g_bf
-    loc_b += params.v_b
+    loc_f += v_f
+    loc_b = n_f[:, :n_zb] if n_zb <= n_zf else np.zeros_like(n_b)
+    np.multiply(n_f[:, :both], params.g_bf, out=loc_b[:, :both])
+    loc_b += v_b
     work = params.g_bb * n_b
     loc_b += work
     n_b *= params.g_bf
-    loc_f += n_b
+    loc_f[:, :both] += n_b[:, :both]
     bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, work)
     del work
-    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, n_b)
+    work = n_b[:, :n_zf] if n_zf <= n_zb else np.empty_like(loc_f)
+    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, work)
     terms = {
         "bec_kinetic": bec_kinetic,
         "fermi_gradient": fermi_gradient,

@@ -72,7 +72,8 @@ class Grid2D:
         The weights are constant along z, so each row's sum of products is
         taken first and then weighted: no full-grid temporary is formed.
         The same holds for arrays of any number of z columns, such as the
-        solver's z > 0 half, which it gives the quadrature of. The
+        solver's z > 0 half or a species' band of it, which it gives the
+        quadrature of, and for either memory layout. The
         sums are einsum's own loops, not BLAS, so the result does not depend
         on the BLAS thread count.
         """

@@ -133,8 +133,13 @@ def _check_box(grid: Grid2D, r_rho: float, r_z: float, label: str) -> None:
         )
 
 
+# Bracket of _calibrate's ratio s. A cell whose potential is at least the
+# bracket's top times the uncalibrated energy holds no atoms anywhere in it.
+_BRACKET = (0.5, 1.6)
+
+
 def _calibrate(number, target: float, *args) -> float:
-    """The ratio s in [0.5, 1.6] at which number(s, *args) equals target.
+    """The ratio s in _BRACKET at which number(s, *args) equals target.
 
     The root-find runs on a dimensionless ratio because brentq's xtol is
     absolute and would swallow the whole bracket at SI energy scales
@@ -145,9 +150,15 @@ def _calibrate(number, target: float, *args) -> float:
     collection.
     """
     return brentq(
-        lambda s, *a: number(s, *a) - target, 0.5, 1.6, args=args,
+        lambda s, *a: number(s, *a) - target, *_BRACKET, args=args,
         xtol=1e-15, rtol=1e-14, maxiter=200,
     )
+
+
+def _reachable(energy: float, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, w) on the cells below _BRACKET[1] energy, the only ones the number functions need."""
+    inside = v < _BRACKET[1] * energy
+    return v[inside], w[inside]
 
 
 def _fermi_number(s: float, e0: float, pref: float, v: np.ndarray, w: np.ndarray) -> float:
@@ -173,7 +184,7 @@ def fermi_tf_profile(
     _check_box(grid, *tf_radii(e0, species), label="fermion")
     v = trap_potential(species, grid)
     pref = (2.0 * species.mass / HBAR**2) ** 1.5 / _SIX_PI2
-    e_cal = e0 * _calibrate(_fermi_number, n_fermions, e0, pref, v, grid.weights)
+    e_cal = e0 * _calibrate(_fermi_number, n_fermions, e0, pref, *_reachable(e0, v, grid.weights))
     field = DensityField(grid, pref * np.clip(e_cal - v, 0.0, None) ** 1.5, "fermions")
     return field, float(e_cal)
 
@@ -198,7 +209,7 @@ def bec_tf_profile(
         )
     v = trap_potential(species, grid)
     g = coupling_bb(species.a_intra, species.mass)
-    mu_cal = mu0 * _calibrate(_bec_number, n_condensed, mu0, g, v, grid.weights)
+    mu_cal = mu0 * _calibrate(_bec_number, n_condensed, mu0, g, *_reachable(mu0, v, grid.weights))
     field = DensityField(grid, np.clip(mu_cal - v, 0.0, None) / g, "bosons")
     return field, float(mu_cal)
 

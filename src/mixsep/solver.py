@@ -60,6 +60,22 @@ the field's two halves; a warm start and its mirror image fold to the same
 bytes. The returned state is mirrored back onto the full grid, with its
 energy, breakdown and history doubled. So each iteration costs half a
 full-grid one, and the returned fields are mirror-symmetric bit for bit.
+
+The half-box fields are stored in Fortran order, their index order still
+(rho, z): each radial line (fixed z) is contiguous, so the line solves run
+in place and the stencil's axial neighbours are contiguous column blocks.
+Each species works on its band, the leading z columns [0, j) its amplitude
+can reach: the columns it fills plus one zero halo column, or the whole
+box. Past the band every operand is exactly zero: H u, since the stencil
+reaches one column, and with it g, P g (a line solve per column), d and
+the trial. So evaluate, the preconditioner, the direction and the trial
+all run on the band alone, one contiguous block, and what they skip is
+exact zeros. The band grows by one column whenever a trial reaches its
+halo column, as a full-mode step does from a compact start (the TF
+condensate fills a tenth of the box's columns), and never in tf mode,
+where nothing couples neighbouring cells. It never shrinks, so every
+buffer stays zero past it. A band changes only the order of the weighted
+sums, not the method, its constants or its stop rule.
 """
 
 from __future__ import annotations
@@ -191,14 +207,33 @@ def _precondition(
 
 @dataclass
 class _Species:
-    """One species' accepted amplitude and the record its next step needs."""
+    """One species' accepted amplitude and the record its next step needs.
+
+    Every array spans the half box in Fortran order. band is the number of
+    leading z columns the species works on: its amplitudes are zero from
+    column band - 1 on (a zero halo column) unless band is the box's width,
+    and every array is zero from column band on. It only grows, so a
+    column once left behind never needs clearing.
+    """
 
     target: float
     coef_kin: float
     u: np.ndarray
-    p: np.ndarray | None = None  # P g at u
-    d: np.ndarray | None = None  # direction of the step from u
+    band: int
+    p: np.ndarray  # P g at u
+    d: np.ndarray  # direction of the step from u
+    spare: np.ndarray  # buffer of the next trial amplitude
     gamma: float = 0.0  # <g, P g>_w at u
+
+
+def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Species:
+    """A species starting from u (Fortran order), renormalized to target atoms."""
+    u = _renormalize(u, target, grid)
+    reached = np.flatnonzero(np.any(u != 0.0, axis=0))
+    band = min(reached[-1] + 2 if reached.size else 1, u.shape[1])
+    return _Species(
+        target, coef_kin, u, int(band), *(np.zeros_like(u) for _ in range(3))
+    )
 
 
 def _direction(
@@ -206,52 +241,60 @@ def _direction(
 ) -> bool:
     """Set sp.p, sp.gamma and sp.d for the step from sp.u; True if d is conjugate.
 
-    g = H u - mu u is left as it was and loc is consumed. The conjugate
-    direction is -p + beta d_prev projected onto the tangent space of the
-    sphere at u, with the Fletcher-Reeves beta = gamma / gamma_prev. It is
-    taken only when 0 < beta <= 1 and it descends; otherwise d = -p.
+    g = H u - mu u and loc cover sp's band; g is left as it was and loc is
+    consumed. The conjugate direction is -p + beta d_prev projected onto
+    the tangent space of the sphere at u, with the Fletcher-Reeves beta =
+    gamma / gamma_prev. It is taken only when 0 < beta <= 1 and it
+    descends; otherwise d = -p.
     """
     grid = stencil.grid
-    p = sp.p if sp.p is not None else np.empty_like(g)
+    band = sp.band
+    u, p, d = sp.u[:, :band], sp.p[:, :band], sp.d[:, :band]
     np.copyto(p, g)
     _precondition(p, loc, mu, sp.coef_kin, stencil)
     gamma = grid.inner(g, p)
-    d = sp.d
     conjugate = 0.0 < gamma <= sp.gamma
     if conjugate:
         d *= gamma / sp.gamma
         d -= p
-        d -= (grid.inner(d, sp.u) / sp.target) * sp.u
+        d -= (grid.inner(d, u) / sp.target) * u
         conjugate = grid.inner(g, d) < 0.0
-    if d is None:
-        d = -p
-    elif not conjugate:
+    if not conjugate:
         np.negative(p, out=d)
-    sp.p, sp.d, sp.gamma = p, d, gamma
+    sp.gamma = gamma
     return conjugate
 
 
-def _trial(sp: _Species, dtau: float, out: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """|renormalize(u + dtau d)| of one species, built in out."""
-    np.multiply(sp.d, dtau, out=out)
-    out += sp.u
-    out = _renormalize(out, sp.target, grid)
-    return np.abs(out, out=out)
+def _trial(sp: _Species, dtau: float, grid: Grid2D) -> np.ndarray:
+    """|renormalize(u + dtau d)| of one species, built in sp.spare and returned.
+
+    The trial is zero wherever u and d both are. Its band is sp.band, grown
+    by one column when the trial reaches the halo column.
+    """
+    band = sp.band
+    out = sp.spare[:, :band]
+    np.multiply(sp.d[:, :band], dtau, out=out)
+    out += sp.u[:, :band]
+    _renormalize(out, sp.target, grid)
+    np.abs(out, out=out)
+    if band < sp.spare.shape[1] and np.any(out[:, -1]):
+        sp.band = band + 1
+    return sp.spare
 
 
 def _upper(a: np.ndarray) -> np.ndarray:
-    """The z > 0 half of a full-grid array, as a contiguous copy."""
-    return np.ascontiguousarray(a[:, a.shape[1] // 2:])
+    """The z > 0 half of a full-grid array, as a Fortran-order copy."""
+    return np.asfortranarray(a[:, a.shape[1] // 2:])
 
 
 def _fold(u: np.ndarray) -> np.ndarray:
     """Mean of a full-grid field's z > 0 half and its mirrored z < 0 half.
 
-    The sum is taken in an order that does not depend on which half is
+    The result is in Fortran order. The sum is taken in an order that does not depend on which half is
     which, so a field and its mirror image fold to the same bytes.
     """
     h = u.shape[1] // 2
-    return 0.5 * (u[:, h:] + u[:, h - 1::-1])
+    return np.asfortranarray(0.5 * (u[:, h:] + u[:, h - 1::-1]))
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
@@ -290,18 +333,19 @@ def minimize(
 
     warm_start, when given, is (psi, phi) from a nearby solution on grid;
     otherwise the flow starts from the noninteracting TF profiles. The
-    relaxation runs on the z > 0 half of grid (see the module docstring):
-    the start is folded onto it, and the returned state is mirrored back,
-    with full-grid fields and the full grid's energy, breakdown and
-    history. A state is always returned; check .converged. Raises
-    GridMismatch for a warm start of another shape and NonPositiveInput
-    for one that is zero everywhere for a species with atoms.
+    relaxation runs on the z > 0 half of grid, each species on the columns
+    its amplitude can reach (see the module docstring): the start is
+    folded onto it, and the returned state is mirrored back, with
+    full-grid fields and the full grid's energy, breakdown and history. A
+    state is always returned; check .converged. Raises GridMismatch for a
+    warm start of another shape and NonPositiveInput for one that is zero
+    everywhere for a species with atoms.
     """
     params = functional_params(scenario, grid, options.mode)
     params = replace(params, v_b=_upper(params.v_b), v_f=_upper(params.v_f))
     stencil = KineticStencil(grid, mirror=True)
     species = tuple(
-        _Species(target, coef_kin, _renormalize(u, target, grid))
+        _species(target, coef_kin, u, grid)
         for target, coef_kin, u in zip(
             (0.5 * scenario.condensate_number, 0.5 * scenario.n_fermions),
             (params.coef_kin_b, params.coef_kin_f),
@@ -321,7 +365,8 @@ def minimize(
     conjugate = False  # whether the trial state came from a conjugate step
 
     while iterations < options.max_iter:
-        ev = evaluate(params, trial[0], trial[1], stencil)
+        bands = [u[:, :sp.band] for sp, u in zip(species, trial)]
+        ev = evaluate(params, bands[0], bands[1], stencil)
         e_now = ev.energy
         limit = e_prev if conjugate else e_prev * (1.0 + _RISE_TOL) + _ENERGY_FLOOR
         if e_now > limit:
@@ -337,21 +382,22 @@ def minimize(
             conjugate = False
             for k in moving:
                 sp = species[k]
-                np.negative(sp.p, out=sp.d)
-                trial[k] = _trial(sp, dtau, trial[k], grid)
+                np.negative(sp.p[:, :sp.band], out=sp.d[:, :sp.band])
+                trial[k] = _trial(sp, dtau, grid)
             iterations += 1
             continue
 
-        # Accepted.
+        # Accepted: the trial's buffer holds u, and u's takes the next trial.
         rel_dec = (e_prev - e_now) / max(abs(e_now), _ENERGY_FLOOR)
         e_prev = e_now
         energy_hist.append(e_now)
         for sp, u in zip(species, trial):
-            sp.u = u
-        grads = _gradients(ev, *trial)
+            if u is not sp.u:
+                sp.u, sp.spare = u, sp.u
+        grads = _gradients(ev, *bands)
         quiet = quiet + 1 if rel_dec < _TOL_ENERGY else 0
         if quiet >= _CONSECUTIVE:
-            residual = _residuals(ev, *trial, grid)
+            residual = _residuals(ev, *bands, grid)
             if max(residual) <= _RESIDUAL_TOL:
                 converged = True
                 break
@@ -364,18 +410,18 @@ def minimize(
         for k in moving:
             sp = species[k]
             conjugate |= _direction(sp, grads[k], locs[k], mus[k], stencil)
-            # g is spent: its buffer takes the trial state.
-            trial[k] = _trial(sp, dtau, grads[k], grid)
+            trial[k] = _trial(sp, dtau, grid)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
-        del ev, grads, locs
+        del ev, grads, locs, bands
 
     psi, phi = species[0].u, species[1].u
     if not converged:
         # The last evaluation was of a rejected state or was consumed by a step.
-        ev = evaluate(params, psi, phi, stencil)
-        _gradients(ev, psi, phi)
-        residual = _residuals(ev, psi, phi, grid)
+        bands = [sp.u[:, :sp.band] for sp in species]
+        ev = evaluate(params, bands[0], bands[1], stencil)
+        _gradients(ev, *bands)
+        residual = _residuals(ev, *bands, grid)
 
     # mu and the residuals are ratios of half-box sums, the same on the full
     # grid; the energy and its terms are sums, doubled.

@@ -183,6 +183,16 @@ class TestInverseGuards:
         with pytest.raises(ValidationError, match="center_and_symmetrize"):
             inverse_abel(ColumnSlice(y, np.exp(-(y**2))))
 
+    @pytest.mark.parametrize("method", ["dasch3", "onion"])
+    def test_slice_starting_past_the_axis_rejected_up_front(self, method):
+        # three steps out: y >= 0 throughout, but no RadialProfile starts there
+        y = (np.arange(20) + 3.0) * 1.0
+        operator = {"dasch3": abel._dasch3_operator, "onion": abel._onion_operator}[method]
+        built = operator.cache_info().misses
+        with pytest.raises(ValidationError, match="y starting at 0 or at half a spacing"):
+            inverse_abel(ColumnSlice(y, np.exp(-(y**2))), method=method)
+        assert operator.cache_info().misses == built
+
     def test_unknown_method(self):
         y = (np.arange(20) + 0.5) * 1.0
         with pytest.raises(ValidationError, match="method"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixsep import functional
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NumericalBlowup
@@ -204,6 +205,8 @@ def test_stencil_matches_five_point_formula(n_rho, half_n_z, d_rho, d_z, seed):
     want = five_point(grid, u)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the layout the solver stores its fields in gives the same bytes
+    assert KineticStencil(grid).apply(np.asfortranarray(u)).tobytes() == got.tobytes()
 
 
 @settings(derandomize=True, deadline=None)
@@ -226,6 +229,8 @@ def test_mirror_stencil_is_full_stencil_on_upper_half(n_rho, half_n_z, d_rho, d_
     want = KineticStencil(grid).apply(field)[:, half_n_z:]
     # the same sums in the same order, so the same bits
     np.testing.assert_array_equal(got, want)
+    fortran = KineticStencil(grid, mirror=True).apply(np.asfortranarray(upper))
+    assert fortran.tobytes() == got.tobytes()
 
 
 def dense_line_operator(grid):
@@ -260,10 +265,68 @@ def test_line_solve_matches_dense_solve(n_rho, half_n_z, d_rho, d_z, coef, shift
     assert stencil.solve_lines(coef, shift, got) is got
     assert got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the kept column buffer serves a second solve
-    again = b.copy()
-    stencil.solve_lines(coef, shift, again)
-    np.testing.assert_array_equal(again, got)
+    # a Fortran-order band of a wider field is solved in place, to the same
+    # bytes, and the columns past it are left alone
+    wide = np.full((n_rho, 2 * half_n_z + 2), 7.0, order="F")
+    band = wide[:, : 2 * half_n_z]
+    band[...] = b
+    assert stencil.solve_lines(coef, shift, band) is band
+    assert band.flags.f_contiguous
+    assert band.tobytes() == got.tobytes()
+    assert np.all(wide[:, 2 * half_n_z:] == 7.0)
+
+
+def test_line_solve_makes_no_copy_of_fortran_order(small, monkeypatch):
+    # LAPACK gets the caller's memory: no copy in, none back
+    grid, _, _ = small
+    stencil = KineticStencil(grid)
+    b = np.asfortranarray(np.random.default_rng(4).standard_normal((grid.n_rho, grid.n_z)))
+    original = functional.dpttrs
+    seen = []
+
+    def recording(d, e, rhs, overwrite_b):
+        seen.append(rhs.ctypes.data)
+        return original(d, e, rhs, overwrite_b=overwrite_b)
+
+    monkeypatch.setattr(functional, "dpttrs", recording)
+    stencil.solve_lines(1.0, 1.0 / grid.d_rho**2, b)
+    assert seen == [b.ctypes.data]
+
+
+@pytest.mark.parametrize("mode", ["full", "tf"])
+# (columns psi reaches, columns phi reaches) on the 8-column half box; 8 is the box
+@pytest.mark.parametrize("reach", [(2, 5), (5, 2), (3, 3), (8, 8), (7, 1)])
+def test_banded_evaluation_equals_the_whole_box(small, mode, reach):
+    # the solver's layout: the z > 0 half in Fortran order, a mirror stencil,
+    # and each species passed as the band of columns it reaches plus a halo
+    grid, psi, phi = small
+    half = grid.n_z // 2
+    params = functional_params(SC, grid, mode)
+    params = replace(
+        params,
+        v_b=np.asfortranarray(params.v_b[:, half:]),
+        v_f=np.asfortranarray(params.v_f[:, half:]),
+    )
+    stencil = KineticStencil(grid, mirror=True)
+    fields = []
+    for u, n in zip((psi, phi), reach):
+        u = np.asfortranarray(u[:, half:])
+        u[:, n:] = 0.0
+        fields.append(u)
+    whole = evaluate(params, *fields, stencil)
+    bands = [min(n + 1, half) for n in reach]
+    banded = evaluate(params, *(u[:, :b] for u, b in zip(fields, bands)), stencil)
+    for name in ENERGY_TERMS:
+        assert banded.terms[name] == pytest.approx(whole.terms[name], rel=1e-15, abs=0.0)
+    assert banded.mu_b == pytest.approx(whole.mu_b, rel=1e-15, abs=0.0)
+    assert banded.mu_f == pytest.approx(whole.mu_f, rel=1e-15, abs=0.0)
+    pairs = ((banded.h_psi, whole.h_psi, bands[0]), (banded.h_phi, whole.h_phi, bands[1]))
+    for got, want, band in pairs:
+        assert got.shape[1] == band
+        np.testing.assert_array_equal(got, want[:, :band])
+        assert np.all(want[:, band:] == 0.0)
+    np.testing.assert_array_equal(banded.loc_b, whole.loc_b[:, : bands[0]])
+    np.testing.assert_array_equal(banded.loc_f, whole.loc_f[:, : bands[1]])
 
 
 def test_line_operator_is_apply_without_axial_neighbours(small):

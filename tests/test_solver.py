@@ -193,6 +193,33 @@ def test_max_iter_cap(grid48):
     assert gs.iterations == 5
 
 
+def _columns_reached(values):
+    """Indices of the z columns where a field is not exactly zero."""
+    return np.flatnonzero(np.any(values != 0.0, axis=0))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_capped_full_solve_spreads_one_column_per_step(grid48, k):
+    # the kinetic stencil reaches one axial neighbour, so each accepted step
+    # grows the condensate's support by one column on each side, and every
+    # cell past it stays exactly zero
+    tf, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
+    start = _columns_reached(tf.values)
+    gs = minimize(SC, grid48, SolverOptions(mode="full", max_iter=k))
+    assert len(gs.energy_history) == k  # no step was rejected
+    reached = _columns_reached(gs.n_b.values)
+    assert reached[0] == start[0] - (k - 1) and reached[-1] == start[-1] + (k - 1)
+
+
+@pytest.mark.parametrize("a_bf_a0", [0.0, 800.0])
+def test_tf_solve_never_grows_the_condensate(grid48, a_bf_a0):
+    # without the kinetic term nothing couples a cell to its neighbours
+    tf, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
+    gs = minimize(SC.with_a_bf(a_bf_a0 * A_BOHR), grid48, SolverOptions(mode="tf"))
+    assert gs.converged
+    np.testing.assert_array_equal(gs.n_b.values != 0.0, tf.values != 0.0)
+
+
 def test_oversized_step_is_retracted(grid48, monkeypatch):
     # a first step of sixteen preconditioned unit steps overshoots and must be halved
     monkeypatch.setattr(solver, "_DTAU_START", 16.0)
