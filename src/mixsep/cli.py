@@ -54,9 +54,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .constants import A_BOHR, joule_to_nk
+    from .constants import A_BOHR
     from .physics import scattering_length
-    from .pipeline import M3_TO_CM3, save_ground_state
+    from .pipeline import M3_TO_CM3, _convergence, save_ground_state
     from .solver import minimize
     from .profiles import grid_for_scenario
 
@@ -75,11 +75,7 @@ def cmd_solve(args) -> int:
         [
             ("a_bf_a0", scenario.a_bf / A_BOHR),
             ("mode", gs.mode),
-            ("converged", gs.converged),
-            ("iterations", gs.iterations),
-            ("energy_nk", joule_to_nk(gs.energy)),
-            ("residual_b", gs.residual[0]),
-            ("residual_f", gs.residual[1]),
+            *_convergence(gs).items(),
             ("n_b_peak_cm3", gs.n_b.peak() * M3_TO_CM3),
             ("n_f_peak_cm3", gs.n_f.peak() * M3_TO_CM3),
             ("n_f_center_cm3", gs.n_f.center_value() * M3_TO_CM3),

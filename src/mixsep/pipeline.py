@@ -276,15 +276,23 @@ def save_ground_state(gs: GroundState, dirpath) -> Path:
     return d
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in path; a ParseError naming path if it holds anything else."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}", line=exc.lineno) from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: the top level must be a JSON object")
+    return payload
+
+
 def load_ground_state(dirpath) -> GroundState:
     d = Path(dirpath)
     meta_path = d / "meta.json"
     if not meta_path.exists():
         raise MissingInput(f"no ground state at {d} (missing meta.json)")
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{meta_path}: {exc}", line=exc.lineno) from exc
+    meta = _read_json_object(meta_path)
     n_b = read_density_field(d / "n_b.csv")
     n_f = read_density_field(d / "n_f.csv")
     try:
@@ -318,6 +326,8 @@ def load_ground_state(dirpath) -> GroundState:
         )
     except KeyError as exc:
         raise ParseError(f"{meta_path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{meta_path}: wrongly typed value ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +374,20 @@ def verify_manifest(manifest_path) -> dict:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingInput(f"no such manifest: {manifest_path}")
-    try:
-        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}: {exc}", line=exc.lineno) from exc
+    payload = _read_json_object(manifest_path)
+    files = payload.get("files", [])
+    if not isinstance(files, list):
+        raise ParseError(f"{manifest_path}: files must be a list")
     base = manifest_path.parent
-    for entry in payload.get("files", []):
+    for entry in files:
+        if not isinstance(entry, dict):
+            raise ParseError(f"{manifest_path}: file entry {entry!r} is not an object")
         try:
             rel, expected = entry["path"], entry["sha256"]
         except KeyError as exc:
             raise ParseError(f"{manifest_path}: file entry missing key {exc}") from exc
+        if not (isinstance(rel, str) and isinstance(expected, str)):
+            raise ParseError(f"{manifest_path}: file entry {entry!r} needs string values")
         p = base / rel
         if not p.exists():
             raise OutputError(f"manifest lists missing file {rel}")
@@ -460,6 +474,24 @@ def _finish_sweep(out: Path, manifest: RunManifest, csv_path: Path) -> Path:
     return manifest.write(out / "manifest.json")
 
 
+def _sweep_reports(config: RunConfig, grid: Grid2D, peaks: PeakQuantities,
+                   options: SolverOptions, reference: tuple[DensityField, DensityField],
+                   manifest: RunManifest, progress) -> list[OverlapReport | None]:
+    """One sweep-list chain in options.mode: an OverlapReport, or None, per point.
+
+    Both sweep products run each mode through here. Each report is taken
+    against reference, (n_f, n_b). Every point's record, a convergence
+    record or an error, goes into the manifest.
+    """
+    states = sweep_ground_states(config.scenario, config.sweep_a_bf, grid, options, progress)
+    reports = []
+    for (gs, err), a_bf in zip(states, config.sweep_a_bf):
+        manifest.points.append(_point_record(options.mode, a_bf, gs, err))
+        reports.append(None if gs is None else omega_eff_from_ground_state(
+            gs, l3=config.l3, reference=reference, peaks=peaks))
+    return reports
+
+
 def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Path, Path]:
     """Both solver modes over the sweep list; returns (csv_path, manifest_path).
 
@@ -473,47 +505,27 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
     results: dict[str, list] = {}
     gamma_zero: dict[str, float] = {}
     for mode in ("full", "tf"):
+        options = replace(config.solver, mode=mode)
         # Full-overlap reference: the same functional at a_bf = 0. Each
         # mode's curve is normalized by its own zero-interaction solution,
         # so the overlap columns start at exactly 1.
-        gs0 = minimize(scenario.with_a_bf(0.0), grid, replace(config.solver, mode=mode))
+        gs0 = minimize(scenario.with_a_bf(0.0), grid, options)
         reference = (gs0.n_f, gs0.n_b)
-        rep0 = omega_eff_from_ground_state(
+        gamma_zero[mode] = omega_eff_from_ground_state(
             gs0, l3=config.l3, reference=reference, peaks=peaks
+        ).gamma_pred
+        manifest.points.append({**_point_record(mode, 0.0, gs0, None), "role": "reference"})
+        results[mode] = _sweep_reports(
+            config, grid, peaks, options, reference, manifest, progress
         )
-        gamma_zero[mode] = rep0.gamma_pred
-        rec = _point_record(mode, 0.0, gs0, None)
-        rec["role"] = "reference"
-        manifest.points.append(rec)
 
-        states = sweep_ground_states(
-            scenario, config.sweep_a_bf, grid, replace(config.solver, mode=mode), progress
-        )
-        reports = []
-        for (gs, err), a_bf in zip(states, config.sweep_a_bf):
-            manifest.points.append(_point_record(mode, a_bf, gs, err))
-            if gs is None:
-                reports.append(None)
-            else:
-                reports.append(
-                    omega_eff_from_ground_state(
-                        gs, l3=config.l3, reference=reference, peaks=peaks
-                    )
-                )
-        results[mode] = reports
-
-    rows = []
-    for i, a_bf in enumerate(config.sweep_a_bf):
-        full: OverlapReport | None = results["full"][i]
-        tf: OverlapReport | None = results["tf"][i]
-        rows.append(
-            [
-                a_bf / A_BOHR,
-                None if full is None else full.gamma_pred / gamma_zero["full"],
-                None if tf is None else tf.gamma_pred / gamma_zero["tf"],
-                None if full is None else full.omega,
-            ]
-        )
+    rows = [
+        [a_bf / A_BOHR,
+         None if full is None else full.gamma_pred / gamma_zero["full"],
+         None if tf is None else tf.gamma_pred / gamma_zero["tf"],
+         None if full is None else full.omega]
+        for a_bf, full, tf in zip(config.sweep_a_bf, results["full"], results["tf"])
+    ]
     csv_path = write_table(
         out / "sweep_omega_eff.csv",
         ["a_bf[a0]", "omega_eff_full", "omega_eff_tf", "omega_zero_T"],
@@ -528,54 +540,46 @@ def run_figure3_pipeline(config: RunConfig, out_dir, progress=None) -> tuple[Pat
     return csv_path, _finish_sweep(out, manifest, csv_path)
 
 
+# (header, OverlapReport field, unit scale) of each sweep_overlap_<mode>.csv
+# column after a_bf[a0].
+_OVERLAP_COLUMNS = (
+    ("Omega", "omega", 1.0),
+    ("Omega_eff", "omega_eff", 1.0),
+    ("gamma_pred[1/s]", "gamma_pred", 1.0),
+    ("I_bb[cm^-6]", "i_bb", M6_TO_CM6),
+    ("I_bt[cm^-6]", "i_bt", M6_TO_CM6),
+    ("I_tt[cm^-6]", "i_tt_fra", M6_TO_CM6),
+    ("n_f_peak[cm^-3]", "n_f_peak", M3_TO_CM3),
+    ("n_b_peak[cm^-3]", "n_b_peak", M3_TO_CM3),
+    ("n_t_peak[cm^-3]", "n_t_peak", M3_TO_CM3),
+)
+
+
 def run_overlap_sweep(
     config: RunConfig, out_dir, mode: str | None = None, progress=None
 ) -> tuple[Path, Path]:
-    """One-mode sweep emitting the per-point overlap report columns."""
+    """One-mode sweep emitting the per-point overlap report columns.
+
+    The columns are _OVERLAP_COLUMNS against the default reference fields;
+    a failed point's row is nan after its a_bf.
+    """
     out, grid, peaks, manifest = _start_sweep(config, out_dir)
     scenario = config.scenario
     mode = mode or config.solver.mode
     reference = reference_fields(scenario, grid)
-    states = sweep_ground_states(
-        scenario, config.sweep_a_bf, grid, replace(config.solver, mode=mode), progress
+    reports = _sweep_reports(
+        config, grid, peaks, replace(config.solver, mode=mode), reference, manifest, progress
     )
-    rows = []
-    for (gs, err), a_bf in zip(states, config.sweep_a_bf):
-        manifest.points.append(_point_record(mode, a_bf, gs, err))
-        if gs is None:
-            rows.append([a_bf / A_BOHR] + [None] * 9)
-            continue
-        rep = omega_eff_from_ground_state(
-            gs, l3=config.l3, reference=reference, peaks=peaks
-        )
-        rows.append(
-            [
-                a_bf / A_BOHR,
-                rep.omega,
-                rep.omega_eff,
-                rep.gamma_pred,
-                rep.i_bb * M6_TO_CM6,
-                rep.i_bt * M6_TO_CM6,
-                rep.i_tt_fra * M6_TO_CM6,
-                rep.n_f_peak * M3_TO_CM3,
-                rep.n_b_peak * M3_TO_CM3,
-                rep.n_t_peak * M3_TO_CM3,
-            ]
-        )
+    rows = [
+        [a_bf / A_BOHR] + [
+            None if rep is None else getattr(rep, name) * scale
+            for _, name, scale in _OVERLAP_COLUMNS
+        ]
+        for a_bf, rep in zip(config.sweep_a_bf, reports)
+    ]
     csv_path = write_table(
         out / f"sweep_overlap_{mode}.csv",
-        [
-            "a_bf[a0]",
-            "Omega",
-            "Omega_eff",
-            "gamma_pred[1/s]",
-            "I_bb[cm^-6]",
-            "I_bt[cm^-6]",
-            "I_tt[cm^-6]",
-            "n_f_peak[cm^-3]",
-            "n_b_peak[cm^-3]",
-            "n_t_peak[cm^-3]",
-        ],
+        ["a_bf[a0]"] + [header for header, _, _ in _OVERLAP_COLUMNS],
         rows,
         meta={
             "mode": mode,
@@ -685,17 +689,21 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
     fig2a: smoothed -> curve with confidence band.
     fig2b: gamma_records -> measured loss rates per set.
     fig3: pipeline_csv -> overlap curves reordered for plotting.
+
+    The first input named for a kind is required: an absent or empty one
+    raises MissingInput before anything is written. An input the kind's
+    writer does not take raises TypeError.
     """
-    emit = _EMITTERS.get(kind)
-    if emit is None:
+    if kind not in _EMITTERS:
         raise ValidationError(f"unknown plot kind {kind!r}")
+    emit, required = _EMITTERS[kind]
+    if not inputs.get(required):
+        raise MissingInput(f"{kind} needs {required}")
     return emit(_ensure_dir(out_dir), **inputs)
 
 
-def _emit_fig1b(out: Path, ground_state=None, noise: float = 0.0, seed: int = 0, **_):
-    if ground_state is None:
-        raise MissingInput("fig1b needs ground_state")
-    gs: GroundState = ground_state
+def _emit_fig1b(out: Path, ground_state: GroundState, noise: float = 0.0, seed: int = 0):
+    gs = ground_state
     grid = gs.grid
     true_radial = RadialProfile(grid.rho.copy(), gs.n_f.axial_slice().copy())
     slc = forward_abel(true_radial)
@@ -734,12 +742,9 @@ def _emit_fig1b(out: Path, ground_state=None, noise: float = 0.0, seed: int = 0,
     return [p1, p2]
 
 
-def _emit_fig2a(out: Path, smoothed=None, points=None, **_):
-    if smoothed is None:
-        raise MissingInput("fig2a needs smoothed")
-    curve: SmoothedCurve = smoothed
-    paths = [write_smoothed_csv(curve, out / "fig2a_curve.csv")]
-    pts = points if points is not None else curve.points
+def _emit_fig2a(out: Path, smoothed: SmoothedCurve, points=None):
+    paths = [write_smoothed_csv(smoothed, out / "fig2a_curve.csv")]
+    pts = points if points is not None else smoothed.points
     if pts:
         rows = [[a, l * M6S_TO_CM6S] for a, l in pts]
         paths.append(
@@ -748,9 +753,7 @@ def _emit_fig2a(out: Path, smoothed=None, points=None, **_):
     return paths
 
 
-def _emit_fig2b(out: Path, gamma_records=None, **_):
-    if not gamma_records:
-        raise MissingInput("fig2b needs gamma_records")
+def _emit_fig2b(out: Path, gamma_records: list[dict]):
     rows = [
         [rec["a_bf_a0"], rec["gamma"], rec.get("gamma_stderr", 0.0)]
         for rec in gamma_records
@@ -765,9 +768,7 @@ def _emit_fig2b(out: Path, gamma_records=None, **_):
     ]
 
 
-def _emit_fig3(out: Path, pipeline_csv=None, **_):
-    if pipeline_csv is None:
-        raise MissingInput("fig3 needs pipeline_csv")
+def _emit_fig3(out: Path, pipeline_csv):
     meta, header, data = read_table(pipeline_csv)
     a = _column(header, data, "a_bf", pipeline_csv)
     order = np.argsort(a)
@@ -787,5 +788,6 @@ def _emit_fig3(out: Path, pipeline_csv=None, **_):
     ]
 
 
-_EMITTERS = {"fig1b": _emit_fig1b, "fig2a": _emit_fig2a,
-             "fig2b": _emit_fig2b, "fig3": _emit_fig3}
+# kind -> (writer, its required input)
+_EMITTERS = {"fig1b": (_emit_fig1b, "ground_state"), "fig2a": (_emit_fig2a, "smoothed"),
+             "fig2b": (_emit_fig2b, "gamma_records"), "fig3": (_emit_fig3, "pipeline_csv")}

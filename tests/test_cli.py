@@ -46,6 +46,18 @@ def run(capsys, *argv):
 def _damage(gs_dir, kind: str) -> str:
     """Damage a saved ground state; returns what the error message must name."""
     meta_path, csv_path = gs_dir / "meta.json", gs_dir / "n_f.csv"
+    if kind in ("text_for_number", "breakdown_list", "top_level_list"):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if kind == "text_for_number":
+            meta["scenario"]["n_bosons"] = "many"
+        elif kind == "breakdown_list":
+            meta["results"]["energy_breakdown_nk"] = [1.0, 2.0]
+        else:
+            meta = [meta]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        if kind == "top_level_list":
+            return "meta.json: the top level must be a JSON object"
+        return "meta.json: wrongly typed value"
     if kind == "missing_key":
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         del meta["results"]["mu_b_nk"]
@@ -448,7 +460,8 @@ class TestSweepAndFig:
 
     @pytest.mark.parametrize(
         "damage",
-        ["non_numeric_cell", "short_row", "bad_header", "missing_key", "truncated_meta"],
+        ["non_numeric_cell", "short_row", "bad_header", "missing_key", "truncated_meta",
+         "text_for_number", "breakdown_list", "top_level_list"],
     )
     def test_damaged_ground_state_exits_2(self, capsys, tmp_path, fast_cfg, damage):
         gs_dir = tmp_path / "gs"

@@ -12,6 +12,7 @@ from mixsep import pipeline
 from mixsep.errors import MissingInput, OutputError, ParseError, StepUnstable, ValidationError
 from mixsep.grid import DensityField
 from mixsep.lossfit import smooth_l3
+from mixsep.overlap import omega_eff_from_ground_state, reference_fields
 from mixsep.pipeline import (
     RunManifest,
     atomic_write_text,
@@ -33,7 +34,7 @@ from mixsep.pipeline import (
     write_smoothed_csv,
     write_table,
 )
-from mixsep.profiles import grid_for_scenario
+from mixsep.profiles import fra_peak_quantities, grid_for_scenario
 from mixsep.solver import SolverOptions, minimize
 
 SC = default_scenario()
@@ -247,6 +248,24 @@ class TestManifest:
         with pytest.raises(ParseError, match=f"missing key '{key}'"):
             verify_manifest(mp)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda payload: [payload], "the top level must be a JSON object"),
+            (lambda payload: {**payload, "files": {"a.csv": "0" * 64}}, "files must be a list"),
+            (lambda payload: {**payload, "files": ["a.csv"]}, "'a.csv' is not an object"),
+            (lambda payload: {**payload, "files": [{"path": 3, "sha256": "0"}]},
+             "needs string values"),
+        ],
+        ids=["top_level_list", "files_not_a_list", "entry_not_an_object", "entry_not_strings"],
+    )
+    def test_wrongly_typed_manifest(self, tmp_path, damage, message):
+        mp = self.build(tmp_path)
+        payload = json.loads(mp.read_text(encoding="utf-8"))
+        mp.write_text(json.dumps(damage(payload)), encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            verify_manifest(mp)
+
 
 class TestPointFiles:
     def test_decay_csv(self, tmp_path):
@@ -324,6 +343,25 @@ class TestPlotData:
     def test_fig1b_requires_ground_state(self, tmp_path):
         with pytest.raises(MissingInput):
             emit_plot_data("fig1b", tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, required",
+        [("fig1b", "ground_state"), ("fig2a", "smoothed"),
+         ("fig2b", "gamma_records"), ("fig3", "pipeline_csv")],
+    )
+    def test_each_kind_requires_its_input(self, tmp_path, kind, required):
+        out = tmp_path / "plots"
+        with pytest.raises(MissingInput, match=f"{kind} needs {required}"):
+            emit_plot_data(kind, out)
+        assert not out.exists()
+
+    def test_fig2b_rejects_empty_records(self, tmp_path):
+        with pytest.raises(MissingInput, match="fig2b needs gamma_records"):
+            emit_plot_data("fig2b", tmp_path, gamma_records=[])
+
+    def test_input_the_writer_does_not_take(self, tmp_path, gs_sep):
+        with pytest.raises(TypeError, match="nosie"):
+            emit_plot_data("fig1b", tmp_path, ground_state=gs_sep, nosie=0.1)
 
     @pytest.mark.filterwarnings("ignore::mixsep.errors.NonDecayingWarning")
     def test_fig1b_outputs(self, tmp_path, gs_sep):
@@ -439,6 +477,40 @@ a_bf_list_a0 = 100, 800
         assert data[1, 1] < data[0, 1]  # overlap falls with interaction
         assert np.all(data[:, 3] > 0.0)  # predicted rates positive
         verify_manifest(man_path)
+
+    def test_overlap_sweep_columns_are_the_reports(self, tmp_path, monkeypatch):
+        cfg = parse_config(self.CFG_TEXT)
+        solve, states = pipeline.minimize, []
+
+        def collect(*args, **kwargs):
+            states.append(solve(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(pipeline, "minimize", collect)
+        csv_path, _ = run_overlap_sweep(cfg, tmp_path, mode="full")
+        _, header, data = read_table(csv_path)
+        # header -> (OverlapReport field, factor from SI to the file's unit)
+        columns = {
+            "Omega": ("omega", 1.0),
+            "Omega_eff": ("omega_eff", 1.0),
+            "gamma_pred[1/s]": ("gamma_pred", 1.0),
+            "I_bb[cm^-6]": ("i_bb", 1e-12),
+            "I_bt[cm^-6]": ("i_bt", 1e-12),
+            "I_tt[cm^-6]": ("i_tt_fra", 1e-12),
+            "n_f_peak[cm^-3]": ("n_f_peak", 1e-6),
+            "n_b_peak[cm^-3]": ("n_b_peak", 1e-6),
+            "n_t_peak[cm^-3]": ("n_t_peak", 1e-6),
+        }
+        assert header == ["a_bf[a0]", *columns]
+        assert len(states) == len(data) == 2
+        grid = grid_for_scenario(cfg.scenario, cfg.n_rho, cfg.n_z, cfg.box_factor)
+        reference = reference_fields(cfg.scenario, grid)
+        peaks = fra_peak_quantities(cfg.scenario)
+        for row, gs in zip(data, states):
+            rep = omega_eff_from_ground_state(gs, l3=cfg.l3, reference=reference, peaks=peaks)
+            want = [float(format(getattr(rep, name) * scale, ".12g"))
+                    for name, scale in columns.values()]
+            assert list(row[1:]) == want
 
     def test_failed_point_is_isolated(self, tmp_path, monkeypatch):
         cfg = parse_config(self.CFG_TEXT.replace("100, 800", "100, 400, 800"))
