@@ -37,7 +37,7 @@ class NonPositiveInput(InputError):
 
 
 class GridTooSmall(InputError):
-    """Cloud extent exceeds the grid box."""
+    """Cloud extent exceeds the grid box, or the box's cells miss the cloud."""
 
 
 class GridMismatch(InputError):

@@ -131,6 +131,20 @@ class DensityField:
         return np.array(self.values[:, self.grid.n_z // 2])
 
 
+def unfold(half: np.ndarray) -> np.ndarray:
+    """The full-grid field, mirror-symmetric in z, whose z > 0 half is half.
+
+    It is written in C order, DensityField's layout, whatever half's layout:
+    a Fortran-order concatenation would cost DensityField a second,
+    transposing copy.
+    """
+    h = half.shape[1]
+    out = np.empty((half.shape[0], 2 * h))
+    out[:, :h] = half[:, ::-1]
+    out[:, h:] = half
+    return out
+
+
 def require_same_grid(*fields: DensityField) -> Grid2D:
     g = fields[0].grid
     for f in fields[1:]:

@@ -3,11 +3,10 @@
 Three building blocks: the Thomas-Fermi Fermi sea n_f ~ (E_F - V)^(3/2),
 the Thomas-Fermi condensate n_b = (mu - V)/g_bb, and the thermal bosonic
 cloud (Gaussian by default, semiclassical polylog as an option). Builders
-return fields whose grid quadrature hits the target atom number to 1e-9
-relative: the closed-form chemical potential / Fermi energy is recalibrated
-against the actual midpoint sum, so discretization never leaks into atom
-numbers. The uncalibrated closed forms remain available as plain functions
-and are what enters the loss-formula denominators.
+return fields whose grid quadrature hits the target atom number to 1e-14
+relative; the TF builders get there by Newton's method on the z > 0 half of
+the grid, so discretization never leaks into atom numbers. The closed forms
+remain plain functions and are what enters the loss-formula denominators.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import HBAR, K_B, TWO_PI, ZETA_3
 from .errors import GridTooSmall, NonPositiveInput, ResolutionWarning, ValidationError
-from .grid import DensityField, Grid2D, grid_for_box
+from .grid import DensityField, Grid2D, grid_for_box, unfold
 from .physics import SpeciesParams, coupling_bb, fermi_wavenumber, healing_length
 from .scenario import MixtureScenario
 
@@ -29,18 +27,19 @@ from .scenario import MixtureScenario
 _SIX_PI2 = 6.0 * math.pi**2
 
 
+def _harmonic(species: SpeciesParams, rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return 0.5 * species.mass * ((species.omega_rho * rho) ** 2 + (species.omega_z * z) ** 2)
+
+
 def trap_potential(species: SpeciesParams, grid: Grid2D) -> np.ndarray:
     """Harmonic trap energy (J) at every cell center."""
-    rho, z = grid.mesh()
-    return 0.5 * species.mass * (
-        (species.omega_rho * rho) ** 2 + (species.omega_z * z) ** 2
-    )
+    return _harmonic(species, *grid.mesh())
 
 
 def fermi_energy_trap(n_fermions: float, species: SpeciesParams) -> float:
     """Trapped-gas Fermi energy E_F = hbar wbar (6 N)^(1/3), in J."""
-    if n_fermions < 1.0:
-        raise NonPositiveInput("need at least one fermion")
+    if not 1.0 <= n_fermions < math.inf:
+        raise NonPositiveInput(f"need a finite number of at least one fermion, got {n_fermions}")
     return HBAR * species.omega_bar * (6.0 * n_fermions) ** (1.0 / 3.0)
 
 
@@ -50,6 +49,8 @@ def fermi_peak_density(e_fermi: float, species: SpeciesParams) -> float:
 
 def tf_chemical_potential(n_condensed: float, species: SpeciesParams) -> float:
     """Condensate TF chemical potential, in J."""
+    if not 0.0 <= n_condensed < math.inf:
+        raise NonPositiveInput(f"need a finite, non-negative condensate number, got {n_condensed}")
     if n_condensed == 0.0:
         return 0.0
     if species.a_intra <= 0.0:
@@ -133,42 +134,43 @@ def _check_box(grid: Grid2D, r_rho: float, r_z: float, label: str) -> None:
         )
 
 
-# Bracket of _calibrate's ratio s. A cell whose potential is at least the
-# bracket's top times the uncalibrated energy holds no atoms anywhere in it.
-_BRACKET = (0.5, 1.6)
+def _calibrate_half(number, target: float, e: float, species: SpeciesParams, grid: Grid2D):
+    """(e, v): the energy at which number(e, v, w)[0] is target, and the trap potential v.
 
-
-def _calibrate(number, target: float, *args) -> float:
-    """The ratio s in _BRACKET at which number(s, *args) equals target.
-
-    The root-find runs on a dimensionless ratio because brentq's xtol is
-    absolute and would swallow the whole bracket at SI energy scales
-    (~1e-29 J). The arrays go in through brentq's args, not a closure:
-    scipy wraps the function in a closure that refers to itself, and that
-    reference cycle would keep whatever the function captured (two
-    full-grid arrays per cold solve) alive until the next full garbage
-    collection.
+    Both on the z > 0 half of grid; v has trap_potential's bits, in a fresh
+    array. number gives the cells' atom number at e and its slope, a sum of
+    w (e - v)_+^p with p >= 1: convex and increasing, so Newton from the
+    closed-form e falls on the root from above after its first step. Only
+    that step can leave the cells below 1.6 e, selected once; it, or a start
+    where no cell holds atoms, raises GridTooSmall. Convergence is quadratic:
+    a step of at most 1e-14 e leaves e at the root to rounding, and ends it.
     """
-    return brentq(
-        lambda s, *a: number(s, *a) - target, *_BRACKET, args=args,
-        xtol=1e-15, rtol=1e-14, maxiter=200,
-    )
+    v = _harmonic(species, grid.rho[:, None], grid.z[None, grid.n_z // 2:])
+    top = 1.6 * e
+    inside = v < top
+    vi, w = v[inside], grid.weights[:, grid.n_z // 2:][inside]
+    while True:
+        n, slope = number(e, vi, w)
+        if slope == 0.0:
+            raise GridTooSmall(f"no cell center lies inside the cloud at {e:.3e} J")
+        step = (n - target) / slope
+        e -= step
+        if e > top:
+            raise GridTooSmall(f"calibration left the cells below {top:.3e} J")
+        if abs(step) <= 1e-14 * e:
+            return float(e), v
 
 
-def _reachable(energy: float, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v, w) on the cells below _BRACKET[1] energy, the only ones the number functions need."""
-    inside = v < _BRACKET[1] * energy
-    return v[inside], w[inside]
+def _fermi_number(e: float, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Atom number of the TF Fermi sea at E_F = e and its slope, over the density prefactor."""
+    d = np.maximum(e - v, 0.0)
+    root = np.sqrt(d)
+    return np.einsum("i,i->", w, d * root), 1.5 * np.einsum("i,i->", w, root)
 
 
-def _fermi_number(s: float, e0: float, pref: float, v: np.ndarray, w: np.ndarray) -> float:
-    """Atom number of the TF Fermi sea at E_F = s e0."""
-    return float(np.sum(pref * np.clip(s * e0 - v, 0.0, None) ** 1.5 * w))
-
-
-def _bec_number(s: float, mu0: float, g: float, v: np.ndarray, w: np.ndarray) -> float:
-    """Atom number of the TF condensate at mu = s mu0."""
-    return float(np.sum(np.clip(s * mu0 - v, 0.0, None) / g * w))
+def _bec_number(mu: float, v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Atom number of the TF condensate at chemical potential mu and its slope, times g."""
+    return np.einsum("i,i->", w, np.maximum(mu - v, 0.0)), np.einsum("i,i->", w, v < mu)
 
 
 def fermi_tf_profile(
@@ -176,17 +178,16 @@ def fermi_tf_profile(
 ) -> tuple[DensityField, float]:
     """Thomas-Fermi Fermi sea on the grid.
 
-    Returns (field, E_F). E_F is calibrated so the grid quadrature of the
-    field equals n_fermions to 1e-9 relative; it differs from
-    fermi_energy_trap by the quadrature correction, O(spacing^2).
+    Returns (field, E_F); the field is built on the z > 0 half (_calibrate_half)
+    and mirrored, symmetric in z to the bit. E_F differs from fermi_energy_trap
+    by the quadrature correction, O(spacing^2).
     """
     e0 = fermi_energy_trap(n_fermions, species)
     _check_box(grid, *tf_radii(e0, species), label="fermion")
-    v = trap_potential(species, grid)
     pref = (2.0 * species.mass / HBAR**2) ** 1.5 / _SIX_PI2
-    e_cal = e0 * _calibrate(_fermi_number, n_fermions, e0, pref, *_reachable(e0, v, grid.weights))
-    field = DensityField(grid, pref * np.clip(e_cal - v, 0.0, None) ** 1.5, "fermions")
-    return field, float(e_cal)
+    e_cal, v = _calibrate_half(_fermi_number, 0.5 * n_fermions / pref, e0, species, grid)
+    d = np.maximum(e_cal - v, 0.0, out=v)
+    return DensityField(grid, unfold(pref * (d * np.sqrt(d))), "fermions"), e_cal
 
 
 def bec_tf_profile(
@@ -194,7 +195,8 @@ def bec_tf_profile(
 ) -> tuple[DensityField, float]:
     """Thomas-Fermi condensate on the grid; returns (field, mu), mu calibrated.
 
-    A zero atom number is a legitimate limit and returns the zero field.
+    Built as fermi_tf_profile is. A zero atom number is a legitimate limit
+    and returns the zero field.
     """
     if n_condensed == 0.0:
         return DensityField(grid, np.zeros((grid.n_rho, grid.n_z)), "bosons"), 0.0
@@ -207,11 +209,9 @@ def bec_tf_profile(
             ResolutionWarning,
             stacklevel=2,
         )
-    v = trap_potential(species, grid)
     g = coupling_bb(species.a_intra, species.mass)
-    mu_cal = mu0 * _calibrate(_bec_number, n_condensed, mu0, g, *_reachable(mu0, v, grid.weights))
-    field = DensityField(grid, np.clip(mu_cal - v, 0.0, None) / g, "bosons")
-    return field, float(mu_cal)
+    mu_cal, v = _calibrate_half(_bec_number, 0.5 * n_condensed * g, mu0, species, grid)
+    return DensityField(grid, unfold(np.maximum(mu_cal - v, 0.0, out=v) / g), "bosons"), mu_cal
 
 
 def thermal_bose_profile(

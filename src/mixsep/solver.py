@@ -55,9 +55,10 @@ stencil's lower face there, z = 0, reflects (KineticStencil(mirror=True)):
 the neighbour across it is the cell itself; its outer faces stay Dirichlet.
 The radial line solve is the full grid's, since the axial diagonal 2/d_z^2
 is the same on every column. The trap potentials are sliced from the full
-grid. Every start, cold or warm, is folded onto the half as the mean of
-the field's two halves; a warm start and its mirror image fold to the same
-bytes. The returned state is mirrored back onto the full grid, with its
+grid. A warm start is folded onto the half as the mean of the field's two
+halves, so it and its mirror image fold to the same bytes. A cold start
+takes the z > 0 half of the TF profiles, which are mirror-symmetric to the
+bit, so that half is their fold. The returned state is mirrored back onto the full grid, with its
 energy, breakdown and history doubled. So each iteration costs half a
 full-grid one, and the returned fields are mirror-symmetric bit for bit.
 
@@ -93,7 +94,7 @@ from .functional import (
     functional_params,
     local_scale_bound,
 )
-from .grid import DensityField, Grid2D
+from .grid import DensityField, Grid2D, unfold
 from .profiles import bec_tf_profile, fermi_tf_profile
 # Bound here, though unused, so that perfbench/spans.py can trace them.
 from .functional import apply_hamiltonians, energy_terms  # noqa: F401
@@ -290,16 +291,12 @@ def _upper(a: np.ndarray) -> np.ndarray:
 def _fold(u: np.ndarray) -> np.ndarray:
     """Mean of a full-grid field's z > 0 half and its mirrored z < 0 half.
 
-    The result is in Fortran order. The sum is taken in an order that does not depend on which half is
-    which, so a field and its mirror image fold to the same bytes.
+    The result is in Fortran order. The sum is taken in an order that does
+    not depend on which half is which, so a field and its mirror image fold
+    to the same bytes.
     """
     h = u.shape[1] // 2
     return np.asfortranarray(0.5 * (u[:, h:] + u[:, h - 1::-1]))
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """The full-grid field, mirror-symmetric in z, whose z > 0 half is half."""
-    return np.concatenate((half[:, ::-1], half), axis=1)
 
 
 def _start(
@@ -307,19 +304,20 @@ def _start(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized starting (psi, phi) on the z > 0 half.
 
-    warm_start, or the TF profiles' roots, folded onto the half (_fold).
+    warm_start folded onto the half (_fold), or the roots of the TF
+    profiles' z > 0 halves: those profiles are mirror-symmetric to the bit,
+    so that half is what _fold of them would give.
     """
     if warm_start is None:
         bec, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
         sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
-        fields = (np.sqrt(bec.values), np.sqrt(sea.values))
-    else:
-        fields = tuple(np.asarray(u, dtype=float) for u in warm_start)
-        for u in fields:
-            if u.shape != (grid.n_rho, grid.n_z):
-                raise GridMismatch(
-                    f"warm start of shape {u.shape} on a ({grid.n_rho}, {grid.n_z}) grid"
-                )
+        return tuple(np.sqrt(_upper(f.values)) for f in (bec, sea))
+    fields = tuple(np.asarray(u, dtype=float) for u in warm_start)
+    for u in fields:
+        if u.shape != (grid.n_rho, grid.n_z):
+            raise GridMismatch(
+                f"warm start of shape {u.shape} on a ({grid.n_rho}, {grid.n_z}) grid"
+            )
     return tuple(_fold(u) for u in fields)
 
 
@@ -427,8 +425,8 @@ def minimize(
     # grid; the energy and its terms are sums, doubled.
     return GroundState(
         scenario=scenario,
-        n_b=DensityField(grid, _unfold(psi * psi), "bosons"),
-        n_f=DensityField(grid, _unfold(phi * phi), "fermions"),
+        n_b=DensityField(grid, unfold(psi * psi), "bosons"),
+        n_f=DensityField(grid, unfold(phi * phi), "fermions"),
         mu_b=ev.mu_b,
         mu_f=ev.mu_f,
         energy=2.0 * ev.energy,

@@ -10,6 +10,7 @@ from mixsep.grid import (
     grid_for_box,
     integrate_product,
     require_same_grid,
+    unfold,
 )
 
 
@@ -126,3 +127,11 @@ def test_integrate_product_powers(small_grid):
     manual = float(np.sum(va**2 * vb ** (5.0 / 3.0) * small_grid.weights))
     got = integrate_product(a, b, powers=[2, 5.0 / 3.0])
     assert got == pytest.approx(manual, rel=1e-14)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unfold_mirrors_into_c_order(order):
+    half = np.asarray(np.random.default_rng(5).uniform(size=(16, 8)), order=order)
+    full = unfold(half)
+    assert full.flags.c_contiguous
+    np.testing.assert_array_equal(full, np.concatenate((half[:, ::-1], half), axis=1))

@@ -6,10 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR, K_B
-from mixsep.errors import GridTooSmall, ResolutionWarning, ValidationError
+from mixsep.errors import GridTooSmall, NonPositiveInput, ResolutionWarning, ValidationError
 from mixsep.grid import grid_for_box, integrate_product
 from mixsep import profiles
 from mixsep.physics import SpeciesParams, coupling_bb
@@ -223,14 +226,16 @@ class TestGridCalibration:
     def test_calibration_frees_its_trap_potential(self, grid64, monkeypatch):
         # Freed by reference counting on return, not left in a reference
         # cycle for the garbage collector: a cold solve calls both profiles.
+        # _harmonic builds the half-box potential each calibration runs on.
         refs = []
 
-        def tracked(species, grid):
-            v = trap_potential(species, grid)
+        def tracked(*args):
+            v = harmonic(*args)
             refs.append(weakref.ref(v))
             return v
 
-        monkeypatch.setattr(profiles, "trap_potential", tracked)
+        harmonic = profiles._harmonic
+        monkeypatch.setattr(profiles, "_harmonic", tracked)
         gc.disable()
         try:
             bec_tf_profile(SC.bosons, SC.condensate_number, grid64)
@@ -239,6 +244,28 @@ class TestGridCalibration:
         finally:
             gc.enable()
         assert alive == [False, False]
+
+    @pytest.mark.parametrize("n", [-5.0, math.nan, math.inf])
+    def test_bec_rejects_bad_atom_number(self, grid64, n):
+        with pytest.raises(NonPositiveInput):
+            bec_tf_profile(SC.bosons, n, grid64)
+
+    @pytest.mark.parametrize("n", [0.5, -5.0, math.nan, math.inf])
+    def test_fermi_rejects_bad_atom_number(self, grid64, n):
+        with pytest.raises(NonPositiveInput):
+            fermi_tf_profile(SC.fermions, n, grid64)
+
+    def test_calibration_that_cannot_hold_the_cloud_raises(self, grid64):
+        # No cell center lies inside the condensate on this 2x2 grid.
+        with pytest.raises(GridTooSmall, match="no cell center"):
+            bec_tf_profile(SC.bosons, SC.condensate_number, grid_for_box(30e-6, 200e-6, 2, 2))
+        # A root above 1.6 times the start would need cells never selected.
+        e0 = fermi_energy_trap(SC.n_fermions, SC.fermions)
+        with pytest.raises(GridTooSmall, match="left the cells"):
+            profiles._calibrate_half(
+                lambda e, v, w: (e * w.sum(), w.sum()),
+                2.0 * e0 * grid64.weights[:, grid64.n_z // 2:].sum(), e0, SC.fermions, grid64,
+            )
 
     def test_grid_too_small(self):
         tiny = grid_for_box(10e-6, 10e-6, 32, 64)
@@ -249,6 +276,52 @@ class TestGridCalibration:
         coarse = grid_for_box(40e-6, 30e-6, 8, 16)
         with pytest.warns(ResolutionWarning):
             bec_tf_profile(SC.bosons, SC.condensate_number, coarse)
+
+
+def _brentq_energy(number, target, e0):
+    """Reference root: brentq on the full grid for E / e0 in [0.5, 1.6], to full precision."""
+    return e0 * brentq(lambda s: number(s * e0) - target, 0.5, 1.6, xtol=1e-300, rtol=1e-15)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n_rho=st.integers(8, 128),
+    half_n_z=st.integers(8, 128),
+    scale=st.floats(0.1, 10.0),
+)
+def test_calibration_matches_brentq(n_rho, half_n_z, scale):
+    sc = MixtureScenario(
+        bosons=SC.bosons,
+        fermions=SC.fermions,
+        n_bosons=scale * SC.n_bosons,
+        n_fermions=scale * SC.n_fermions,
+        condensate_fraction=SC.condensate_fraction,
+    )
+    grid = grid_for_scenario(sc, n_rho, 2 * half_n_z)
+    w = grid.weights
+    v_f = trap_potential(sc.fermions, grid)
+    v_b = trap_potential(sc.bosons, grid)
+    pref = (2.0 * sc.fermions.mass / HBAR**2) ** 1.5 / (6.0 * math.pi**2)
+    g = coupling_bb(sc.bosons.a_intra, sc.bosons.mass)
+
+    sea, e_f = fermi_tf_profile(sc.fermions, sc.n_fermions, grid)
+    e_ref = _brentq_energy(
+        lambda e: np.sum(pref * np.clip(e - v_f, 0.0, None) ** 1.5 * w),
+        sc.n_fermions, fermi_energy_trap(sc.n_fermions, sc.fermions),
+    )
+    assert sea.integrate() == pytest.approx(sc.n_fermions, rel=1e-12)
+    assert e_f == pytest.approx(e_ref, rel=1e-14)
+
+    bec, mu = bec_tf_profile(sc.bosons, sc.condensate_number, grid)
+    mu_ref = _brentq_energy(
+        lambda m: np.sum(np.clip(m - v_b, 0.0, None) / g * w),
+        sc.condensate_number, tf_chemical_potential(sc.condensate_number, sc.bosons),
+    )
+    assert bec.integrate() == pytest.approx(sc.condensate_number, rel=1e-12)
+    assert mu == pytest.approx(mu_ref, rel=1e-14)
+    # built on the z > 0 half and mirrored
+    for field in (sea, bec):
+        assert np.array_equal(field.values, field.values[:, ::-1])
 
 
 class TestSemiclassicalThermal:

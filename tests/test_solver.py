@@ -121,6 +121,18 @@ def test_returned_state_is_mirror_symmetric(tf0, full0, sep800):
         assert gs.energy_history[-1] == gs.energy
 
 
+def test_cold_start_is_the_fold_of_the_tf_roots(grid48):
+    # The TF profiles are mirror-symmetric to the bit, so _fold gives back
+    # the z > 0 half of their roots, which _start takes without folding.
+    bec, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
+    sea, _ = fermi_tf_profile(SC.fermions, SC.n_fermions, grid48)
+    for start, field in zip(solver._start(SC, grid48, None), (bec, sea)):
+        root = np.sqrt(field.values)
+        np.testing.assert_array_equal(solver._fold(root), root[:, grid48.n_z // 2:])
+        np.testing.assert_array_equal(start, solver._fold(root))
+        assert start.flags.f_contiguous
+
+
 def test_warm_start_and_its_mirror_image_agree(sep800):
     # a start is folded onto the half box as the mean of its two halves, in
     # an order that does not see which half is which
