@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,6 +24,17 @@ def _apply_thread_cap() -> None:
         return
     for var in _THREAD_VARS:
         os.environ.setdefault(var, cap)
+
+
+def _finite(raw: str) -> float:
+    """argparse type of every float option: a finite float, else exit 2."""
+    try:
+        v = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
+    return v
 
 
 def _print_kv(pairs) -> None:
@@ -303,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="relax one ground state and save it")
     p.add_argument("--config", help="INI config file (defaults if omitted)")
-    p.add_argument("--abf", type=float, help="interspecies scattering length, a0")
-    p.add_argument("--b", type=float, help="magnetic field in G (alternative to --abf)")
+    p.add_argument("--abf", type=_finite, help="interspecies scattering length, a0")
+    p.add_argument("--b", type=_finite, help="magnetic field in G (alternative to --abf)")
     p.add_argument("--mode", choices=("full", "tf"), help="solver mode")
     p.add_argument("--out", help="output directory for the ground state")
     p.set_defaults(func=cmd_solve)
@@ -323,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", help="overlap report for a saved ground state")
     p.add_argument("--ground-state", required=True, help="directory from solve --out")
-    p.add_argument("--alpha", type=float, default=None, help="thermal loss weight")
-    p.add_argument("--l3", type=float, default=None, help="L3 in cm^6/s")
+    p.add_argument("--alpha", type=_finite, default=None, help="thermal loss weight")
+    p.add_argument("--l3", type=_finite, default=None, help="L3 in cm^6/s")
     p.add_argument("--out", help="write the full report as JSON")
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("criterion", help="phase-separation threshold")
     p.add_argument("--config", help="INI config file (defaults if omitted)")
-    p.add_argument("--abf", type=float, help="value to test against, a0")
-    p.add_argument("--nf-peak", type=float, help="fermion peak density, cm^-3")
+    p.add_argument("--abf", type=_finite, help="value to test against, a0")
+    p.add_argument("--nf-peak", type=_finite, help="fermion peak density, cm^-3")
     p.set_defaults(func=cmd_criterion)
 
     p = sub.add_parser("abel", help="project or reconstruct a radial profile")
@@ -339,15 +351,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="two-column CSV")
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--method", choices=("dasch3", "onion"), default="dasch3")
-    p.add_argument("--center", type=float, default=None,
+    p.add_argument("--center", type=_finite, default=None,
                    help="slice center in um (auto-detected if omitted)")
-    p.add_argument("--noise-reject", type=float, default=0.2,
+    p.add_argument("--noise-reject", type=_finite, default=0.2,
                    help="negative-mass fraction treated as failure")
     p.set_defaults(func=cmd_abel)
 
     p = sub.add_parser("fit-gamma", help="initial loss rate from a decay series")
     p.add_argument("--in", dest="infile", required=True, help="CSV t[s],N[,sigma_N]")
-    p.add_argument("--window", type=float, default=0.7,
+    p.add_argument("--window", type=_finite, default=0.7,
                    help="fit points with N >= window * N(0)")
     p.add_argument("--out", help="write the fit record as JSON")
     p.set_defaults(func=cmd_fit_gamma)
@@ -355,17 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-l3", help="L3 from a thermal-cloud decay series")
     p.add_argument("--in", dest="infile", required=True, help="CSV t[s],N[,sigma_N]")
     p.add_argument("--config", help="INI config for the boson trap")
-    p.add_argument("--temperature-nk", type=float, required=True)
-    p.add_argument("--nf-peak", type=float, required=True,
+    p.add_argument("--temperature-nk", type=_finite, required=True)
+    p.add_argument("--nf-peak", type=_finite, required=True,
                    help="fermion peak density, cm^-3")
-    p.add_argument("--overlap-factor", type=float, default=1.0)
+    p.add_argument("--overlap-factor", type=_finite, default=1.0)
     p.add_argument("--out", help="write the fit record as JSON")
     p.set_defaults(func=cmd_fit_l3)
 
     p = sub.add_parser("smooth-l3", help="smooth L3(a_bf) with a confidence band")
     p.add_argument("--in", dest="infile", required=True,
                    help="CSV a_bf[a0],L3[cm^6/s][,sigma]")
-    p.add_argument("--span", type=float, default=0.5)
+    p.add_argument("--span", type=_finite, default=0.5)
     p.add_argument("--boot", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="output curve CSV")
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("fig1b", "fig2a", "fig2b", "fig3"))
     p.add_argument("--in", dest="infile", help="input CSV (fig2a, fig2b, fig3)")
     p.add_argument("--ground-state", help="ground-state directory (fig1b)")
-    p.add_argument("--noise", type=float, default=0.02, help="fig1b noise level")
+    p.add_argument("--noise", type=_finite, default=0.02, help="fig1b noise level")
     p.add_argument("--seed", type=int, default=0, help="fig1b noise seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fig)

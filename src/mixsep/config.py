@@ -224,14 +224,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     if grid["box_factor"] <= 1.0:
         raise ValidationError("box_factor must exceed 1")
 
-    sol = values["solver"]
-    if sol["mode"] not in ("full", "tf"):
-        raise ValidationError(f"solver mode must be 'full' or 'tf', got {sol['mode']!r}")
-    if sol["max_iter"] < 1:
-        raise ValidationError(f"solver max_iter must be at least 1, got {sol['max_iter']}")
-    if sol["seed"] < 0:
-        raise ValidationError(f"solver seed must be non-negative, got {sol['seed']}")
-    solver = SolverOptions(**sol)
+    solver = SolverOptions(**values["solver"])
 
     swp = values["sweep"]
     a_list, b_list = swp["a_bf_list_a0"], swp["b_list_gauss"]

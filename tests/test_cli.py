@@ -371,6 +371,30 @@ class TestFits:
         assert "output failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["fit-l3", "--in", "{decay}", "--temperature-nk", "nan", "--nf-peak", "1e12"],
+         "--temperature-nk"),
+        (["fit-l3", "--in", "{decay}", "--temperature-nk", "440", "--nf-peak", "inf"],
+         "--nf-peak"),
+        (["criterion", "--nf-peak", "nan", "--abf", "700"], "--nf-peak"),
+        (["solve", "--config", "{cfg}", "--abf", "nan"], "--abf"),
+        (["solve", "--config", "{cfg}", "--b", "inf"], "--b"),
+    ],
+)
+def test_non_finite_float_option_exits_2(capsys, tmp_path, fast_cfg, argv, option):
+    # every float option takes finite numbers only, and the message names it
+    t = np.linspace(0.0, 5.0, 12)
+    decay = tmp_path / "decay.csv"
+    write_table(decay, ["t[s]", "N"], np.column_stack([t, 2.0e5 / (1.0 + 0.05 * t)]).tolist())
+    argv = [a.format(decay=decay, cfg=fast_cfg) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: not a finite number" in capsys.readouterr().err
+
+
 class TestSweepAndFig:
     def test_sweep_single_mode(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

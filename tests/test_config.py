@@ -160,8 +160,8 @@ def test_grid_and_solver_validation():
         parse_config("[solver]\nseed = -100000\n")
     with pytest.raises(ValidationError, match="max_iter"):
         parse_config("[solver]\nmax_iter = -5\n")
-    # the stop rule's energy test and the sweep's warm-start noise are
-    # fixed in the code, not settings
+    # the stop rule and the sweep's warm-start noise are fixed in the code,
+    # not settings; the former energy test's keys stay unknown
     for key, value in (("tol_energy", "1e-10"), ("consecutive", "10"), ("warm_noise", "0.01")):
         with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
             parse_config(f"[solver]\n{key} = {value}\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import pytest
 from mixsep import solver
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
-from mixsep.errors import GridMismatch, NonPositiveInput, NotSeparated, StepUnstable
+from mixsep.errors import (
+    GridMismatch,
+    NonPositiveInput,
+    NotSeparated,
+    StepUnstable,
+    ValidationError,
+)
 from mixsep.functional import KineticStencil, evaluate, functional_params
 from mixsep.grid import integrate_product
 from mixsep.physics import coupling_bb
@@ -54,11 +61,17 @@ def sep800(grid48):
 
 
 class TestNonInteracting:
-    def test_tf_mode_starts_at_minimum(self, tf0):
-        # the noninteracting start is the TF minimizer, so convergence is
-        # nearly immediate
+    def test_tf_mode_starts_at_minimum(self, tf0, grid48):
+        # The noninteracting start is the TF minimizer, so it meets the
+        # residual test: it is returned without a step, and no step is
+        # rejected for a rounding-level rise.
         assert tf0.converged
-        assert tf0.iterations < 50
+        assert tf0.iterations == 0
+        assert len(tf0.energy_history) == 1
+        bec, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
+        sea, _ = fermi_tf_profile(SC.fermions, SC.n_fermions, grid48)
+        np.testing.assert_allclose(tf0.n_b.values, bec.values, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(tf0.n_f.values, sea.values, rtol=1e-14, atol=0.0)
 
     def test_numbers_conserved_exactly(self, tf0, full0):
         for gs in (tf0, full0):
@@ -92,7 +105,7 @@ class TestNonInteracting:
         for gs in (tf0, full0):
             h = gs.energy_history
             assert len(h) >= 1
-            assert np.all(np.diff(h) <= np.abs(h[:-1]) * 1e-12 + 1e-300)
+            assert np.all(np.diff(h) <= 0.0)
 
     def test_energy_matches_breakdown(self, full0):
         assert full0.energy == pytest.approx(
@@ -243,8 +256,8 @@ def test_oversized_step_is_retracted(grid48, monkeypatch):
 
 
 def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
-    # A huge first step is rejected about twenty times over. Stepping again
-    # from the accepted state must not count as a quiet step each time.
+    # A huge first step is rejected about twenty times over. Each retry
+    # starts again from the accepted state, which is recorded once.
     monkeypatch.setattr(solver, "_DTAU_START", 1e6)
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
@@ -278,12 +291,27 @@ def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
 
 
 def test_warm_start_restarts_cheaply(full0, grid48):
-    # from a converged state every step is quiet, so the restart stops as
-    # soon as the energy test can pass
+    # a converged state already meets the residual test, so a restart from
+    # it returns its start without a step
     warm = (np.sqrt(full0.n_b.values), np.sqrt(full0.n_f.values))
     gs = minimize(SC, grid48, SolverOptions(mode="full"), warm_start=warm)
     assert gs.converged
-    assert gs.iterations == solver._CONSECUTIVE
+    assert gs.iterations == 0
+    assert gs.energy == pytest.approx(full0.energy, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "gross"}, "solver mode must be 'full' or 'tf', got 'gross'"),
+        ({"max_iter": 0}, "solver max_iter must be at least 1, got 0"),
+        ({"seed": -1}, "solver seed must be non-negative, got -1"),
+    ],
+)
+def test_solver_options_reject_bad_values(kwargs, message):
+    # max_iter >= 1 means every solve evaluates and accepts its start
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SolverOptions(**kwargs)
 
 
 def test_warm_start_of_another_shape_raises(full0, grid48):
@@ -328,14 +356,14 @@ def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
 
 
 def test_overlap_settles_under_the_stop_rule(monkeypatch):
-    # At 1480 a0 the energy test alone once stopped at a boson residual of
-    # 2.4e-4, where the overlap read 9% high; with the residual test a
-    # tenfold tighter energy tolerance moves it by under 1%.
+    # At 1480 a0 an energy test alone once stopped at a boson residual of
+    # 2.4e-4, where the overlap read 9% high; a tenfold tighter residual
+    # test moves it by under 1%.
     sc = SC.with_a_bf(1480.0 * A_BOHR)
     grid = grid_for_scenario(sc, 128, 256)
     overlaps = []
-    for tol in (1e-10, 1e-11):
-        monkeypatch.setattr(solver, "_TOL_ENERGY", tol)
+    for tol in (1.5e-6, 1.5e-7):
+        monkeypatch.setattr(solver, "_RESIDUAL_TOL", tol)
         gs = minimize(sc, grid, SolverOptions(mode="full"))
         assert gs.converged
         overlaps.append(integrate_product(gs.n_b, gs.n_f))
@@ -401,9 +429,9 @@ def test_sweep_warm_chain(grid48):
 
 
 def test_warm_start_noise_does_not_set_the_residual(grid48):
-    # Past the threshold the energy test passes at a residual that depends on
-    # the warm start's seeded noise; the residual bound must bind there, so
-    # every seed returns states at or below it.
+    # Past the threshold the residual a solve stops at depends on the warm
+    # start's seeded noise; the residual bound must bind there, so every seed
+    # returns states at or below it.
     a_values = np.array([0.0, 800.0, 1480.0]) * A_BOHR
     for seed in (1, 2, 3):
         results = sweep_ground_states(
@@ -411,11 +439,12 @@ def test_warm_start_noise_does_not_set_the_residual(grid48):
         )
         for gs, err in results:
             assert err is None and gs.converged
-            assert max(gs.residual) <= 2.0e-6
+            assert max(gs.residual) <= solver._RESIDUAL_TOL
 
 
 def test_capped_solve_reports_best_state(grid48):
-    # a max_iter exit is the one path that evaluates the returned state again
+    # a max_iter exit returns the last accepted state with that evaluation's
+    # own terms, mu and residual, which a fresh evaluation must reproduce
     sc = SC.with_a_bf(800.0 * A_BOHR)
     gs = minimize(sc, grid48, SolverOptions(mode="full", max_iter=37))
     assert not gs.converged
