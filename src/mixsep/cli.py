@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -27,14 +26,13 @@ def _apply_thread_cap() -> None:
 
 
 def _finite(raw: str) -> float:
-    """argparse type of every float option: a finite float, else exit 2."""
+    """argparse type of every float option: config's finite float, else exit 2."""
+    from .config import _finite as finite
+
     try:
-        v = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"not a finite number: {raw!r}")
-    return v
+        return finite(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {raw!r}") from None
 
 
 def _print_kv(pairs) -> None:

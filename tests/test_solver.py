@@ -442,6 +442,24 @@ def test_warm_start_noise_does_not_set_the_residual(grid48):
             assert max(gs.residual) <= solver._RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_tf_stop_waits_while_the_energy_falls(seed):
+    # Coming down from the separated regime, the warm start at 226.4 a0 has
+    # all but emptied the fermions from the centre. At these seeds the
+    # residual test passes after 24 iterations, with the central n_f at
+    # 1e-3 to 1e-2 m^-3, while the energy still falls; the tf stop's wait
+    # for quiet steps carries the flow on to the mixed arrangement, 7.8e-4
+    # lower.
+    grid = grid_for_scenario(SC, 128, 256)
+    a_values = np.geomspace(100.0, 2000.0, 12)[::-1][:9]
+    a_values = np.insert(a_values, 2, 1480.0) * A_BOHR
+    results = sweep_ground_states(SC, a_values, grid, SolverOptions(mode="tf", seed=seed))
+    gs, err = results[-1]
+    assert err is None and gs.converged
+    assert gs.scenario.a_bf == pytest.approx(226.3739 * A_BOHR, rel=1e-6)
+    assert gs.n_f.center_value() > 0.1 * np.max(gs.n_f.values)
+
+
 def test_capped_solve_reports_best_state(grid48):
     # a max_iter exit returns the last accepted state with that evaluation's
     # own terms, mu and residual, which a fresh evaluation must reproduce
