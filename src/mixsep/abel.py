@@ -19,11 +19,13 @@ one product with it: F_half = A @ n forward, n = D @ F for dasch3 (the
 derivative and the kernel integral folded into D), and a triangular solve
 with the path-length matrix for onion. A build costs O(m^2) time for m
 samples: the kernel moments, then banded maps from segment coefficients
-to samples. Each transform keeps the operators of its last
-_CACHED_GEOMETRIES geometries in an lru_cache, as read-only arrays of
-m^2 doubles each (8 MB at m = 1024). An operator is built on the samples
+to samples, each a sum of shifted column slices. Each transform keeps the
+operators of its last _CACHED_GEOMETRIES geometries in an lru_cache, as
+read-only arrays of m^2 doubles each (8 MB at m = 1024). An operator is built on the samples
 first + k step, so a grid that is uniform only to the 1e-8 the containers
-check is transformed as if it were exactly uniform.
+check is transformed as if it were exactly uniform. The containers also
+reject a nan or inf sample or value, which would otherwise spread through
+every product into an all-nan result.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import solve_triangular
 
 from .errors import (
@@ -54,16 +55,33 @@ _CACHED_GEOMETRIES = 4
 
 
 def _check_uniform(x: np.ndarray, name: str) -> float:
+    """The step of a finite, strictly ascending grid uniform to 1e-8 of its first step.
+
+    Uniform means |d - step| <= 1e-8 step for every spacing d: the test of
+    np.allclose(d, step, rtol=1e-8, atol=0) as one vectorized comparison.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValidationError(f"{name} needs at least 4 samples")
-    d = np.diff(x)
-    if np.any(d <= 0.0):
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{name} samples must be finite")
+    d = x[1:] - x[:-1]
+    if (d <= 0.0).any():
         raise ValidationError(f"{name} must be strictly ascending")
     step = float(d[0])
-    if not np.allclose(d, step, rtol=1.0e-8, atol=0.0):
+    if not (np.abs(d - step) <= 1.0e-8 * step).all():
         raise ValidationError(f"{name} must be uniformly spaced")
     return step
+
+
+def _finite_values(values, n: int, name: str) -> np.ndarray:
+    """values as a float array of n finite samples, else ValidationError."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,):
+        raise ValidationError(f"{name} and values length mismatch")
+    if not np.isfinite(v).all():
+        raise ValidationError("values must be finite")
+    return v
 
 
 def _starts_half_grid(x0: float, step: float) -> bool:
@@ -73,7 +91,10 @@ def _starts_half_grid(x0: float, step: float) -> bool:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Half-profile n(rho); rho uniform ascending, first sample at 0 or d/2."""
+    """Half-profile n(rho); rho uniform ascending, first sample at 0 or d/2.
+
+    The samples and the values must be finite (ValidationError otherwise).
+    """
 
     rho: np.ndarray
     values: np.ndarray
@@ -82,10 +103,9 @@ class RadialProfile:
         step = _check_uniform(self.rho, "rho")
         if not _starts_half_grid(float(self.rho[0]), step):
             raise ValidationError("rho must start at 0 or at half a spacing")
-        if len(self.values) != len(self.rho):
-            raise ValidationError("rho and values length mismatch")
+        values = _finite_values(self.values, len(self.rho), "rho")
         object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", values)
 
     @property
     def step(self) -> float:
@@ -94,17 +114,19 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ColumnSlice:
-    """Projected slice F(y) on a uniform ascending y grid (may span both signs)."""
+    """Projected slice F(y) on a uniform ascending y grid (may span both signs).
+
+    The samples and the values must be finite (ValidationError otherwise).
+    """
 
     y: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         _check_uniform(self.y, "y")
-        if len(self.values) != len(self.y):
-            raise ValidationError("y and values length mismatch")
+        values = _finite_values(self.values, len(self.y), "y")
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "values", values)
 
     @property
     def step(self) -> float:
@@ -167,18 +189,24 @@ def _hat_columns(x: np.ndarray, step: float, w0: np.ndarray, w1: np.ndarray) -> 
     return op
 
 
-def _gradient_matrix(m: int, step: float, even: bool) -> scipy.sparse.dia_array:
-    """Tridiagonal G with G @ f == np.gradient(f, step).
+def _times_gradient(a: np.ndarray, step: float, even: bool) -> np.ndarray:
+    """a @ G, for the tridiagonal G with G @ f == np.gradient(f, step).
 
-    With even, row 0 is zero: an even function's F'(0) vanishes identically.
+    Column j of a @ G is a[:, j-1] G[j-1, j] + a[:, j] G[j, j] + a[:, j+1] G[j+1, j],
+    so the product is three shifted column slices scaled by G's bands. With
+    even, row 0 of G is zero: an even function's F'(0) vanishes identically.
     """
-    lower = np.full(m - 1, -0.5 / step)
-    diag = np.zeros(m)
-    upper = np.full(m - 1, 0.5 / step)
+    m = a.shape[1]
+    lower = np.full(m - 1, -0.5 / step)   # G[j+1, j]
+    diag = np.zeros(m)                    # G[j, j]
+    upper = np.full(m - 1, 0.5 / step)    # G[j, j+1]
     # one-sided differences at the two ends
     diag[0], upper[0] = (0.0, 0.0) if even else (-1.0 / step, 1.0 / step)
     lower[-1], diag[-1] = -1.0 / step, 1.0 / step
-    return scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1])
+    out = a * diag
+    out[:, 1:] += a[:, :-1] * upper
+    out[:, :-1] += a[:, 1:] * lower
+    return out
 
 
 @lru_cache(maxsize=_CACHED_GEOMETRIES)
@@ -207,7 +235,7 @@ def _dasch3_operator(m: int, first: float, step: float) -> np.ndarray:
     x = _samples(m, first, step)
     s, log_ratio, _ = _kernel_moments(x[:-1], x[1:], x)
     kernel = _hat_columns(x, step, log_ratio, s) / -math.pi
-    return _read_only(kernel @ _gradient_matrix(m, step, even=first == 0.0))
+    return _read_only(_times_gradient(kernel, step, even=first == 0.0))
 
 
 @lru_cache(maxsize=_CACHED_GEOMETRIES)

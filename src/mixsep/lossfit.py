@@ -7,6 +7,15 @@ runs a locally weighted regression through (a_bf, L3) measurements with a
 bootstrap confidence band. The regression's weights depend on a_bf and sigma,
 not on L3, so it is a linear smoother (Cleveland, JASA 74, 829 (1979)): smooth_l3 builds
 its matrix once and gets the fit and every bootstrap replicate as products.
+
+Both decay fits are weighted least squares written out for their model, with
+no general optimizer. fit_gamma fits a straight line in closed form (_line_fit).
+fit_l3 fits the hyperbola N = n0 / (1 + k n0 t). It starts from the same
+closed-form line fit of 1/N against t, then takes Gauss-Newton steps with the
+analytic Jacobian, each a 2x2 solve, until both relative steps are at most
+1e-12. Its covariance is the inverse normal matrix at the solution, scaled by
+cost / (M - 2) when the series has no sigma: the convention of
+scipy.optimize.curve_fit with absolute_sigma set exactly when sigma is given.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import (
     FitDiverged,
@@ -31,6 +39,13 @@ from .profiles import thermal_peak_coefficient
 SMOOTH_DOMAIN_A0 = (80.0, 2100.0)
 # Points of the smoothed curve, evenly spaced in log a_bf over the data.
 _SMOOTH_N_EVAL = 60
+# fit_l3 stops once both Gauss-Newton steps are at most this share of their
+# parameter, and gives up after _FIT_MAX_STEPS steps.
+_FIT_STEP_RTOL = 1.0e-12
+_FIT_MAX_STEPS = 50
+# A 2x2 normal matrix with det at most this share of a00 a11 is singular:
+# the determinant's own rounding error is a few eps a00 a11.
+_SINGULAR_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,26 @@ class L3Fit:
     overlap_factor: float
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least-squares line y = a + b x in closed form.
+
+    Returns a, b, the sums sw, swx, swxx and det = sw swxx - swx^2; the
+    inverse normal matrix is [[swxx, -swx], [-swx, sw]] / det.
+    """
+    wx = w * x
+    sw = w.sum()
+    swx = wx.sum()
+    swxx = (wx * x).sum()
+    swy = (w * y).sum()
+    swxy = (wx * y).sum()
+    det = sw * swxx - swx * swx
+    if det <= 0.0:
+        raise FitDiverged("degenerate time samples in a line fit")
+    a = (swxx * swy - swx * swxy) / det
+    b = (sw * swxy - swx * swy) / det
+    return a, b, sw, swx, swxx, det
+
+
 def fit_gamma(series: DecaySeries, window_fraction: float = 0.7) -> GammaFit:
     """Weighted linear fit of the early decay; gamma = -slope / N(0).
 
@@ -113,18 +148,7 @@ def fit_gamma(series: DecaySeries, window_fraction: float = 0.7) -> GammaFit:
         w = 1.0 / series.sigma[keep] ** 2
     else:
         w = np.ones_like(tt)
-
-    # weighted least squares for n = a + b t
-    sw = np.sum(w)
-    swt = np.sum(w * tt)
-    swtt = np.sum(w * tt * tt)
-    swn = np.sum(w * nn)
-    swtn = np.sum(w * tt * nn)
-    det = sw * swtt - swt * swt
-    if det <= 0.0:
-        raise FitDiverged("degenerate time samples in gamma fit")
-    a = (swtt * swn - swt * swtn) / det
-    b = (sw * swtn - swt * swn) / det
+    a, b, sw, swt, swtt, det = _line_fit(tt, nn, w)
 
     resid = nn - (a + b * tt)
     dof = len(tt) - 2
@@ -152,8 +176,34 @@ def fit_gamma(series: DecaySeries, window_fraction: float = 0.7) -> GammaFit:
     )
 
 
-def _decay_model(t, n0, k):
-    return n0 / (1.0 + k * n0 * t)
+def _hyperbola_terms(t, n, inv_sigma, basis, n0: float, k: float):
+    """Whitened residuals, gradient J^T W r and normal matrix J^T W J of
+    N = n0 / (1 + k n0 t) at (n0, k).
+
+    With D = 1 + k n0 t the Jacobian columns are dN/dn0 = 1/D^2 = (N/n0)^2
+    and dN/dk = -n0^2 t / D^2 = -t N^2, so J^T is N^2 times basis, the rows
+    1/sigma and -t/sigma, with the first row divided by n0^2. The normal
+    matrix comes back as (a00, a01, a11).
+    """
+    d = 1.0 + (k * n0) * t
+    # D is monotonic in t, so the two ends bound it.
+    if not (math.isfinite(n0) and math.isfinite(k) and d[0] > 0.0 and d[-1] > 0.0):
+        raise FitDiverged("decay fit left the model's domain (non-finite, or 1 + k n0 t <= 0)")
+    f = n0 / d
+    r = (n - f) * inv_sigma
+    jac_t = (f * f) * basis
+    jac_t[0] /= n0 * n0
+    (a00, a01), (_, a11) = (jac_t @ jac_t.T).tolist()
+    return r, (jac_t @ r).tolist(), (a00, a01, a11)
+
+
+def _solve_normal(normal, rhs) -> tuple[float, float]:
+    """The 2x2 normal equations in closed form; FitDiverged where singular."""
+    a00, a01, a11 = normal
+    det = a00 * a11 - a01 * a01
+    if not det > _SINGULAR_RTOL * a00 * a11:
+        raise FitDiverged("decay fit normal matrix is singular")
+    return (a11 * rhs[0] - a01 * rhs[1]) / det, (a00 * rhs[1] - a01 * rhs[0]) / det
 
 
 def fit_l3(
@@ -169,6 +219,18 @@ def fit_l3(
     with k = L3 * n_f_peak * c_T / sqrt(8), where c_T N is the thermal
     peak density at the given temperature. Inverting the fitted k gives
     L3. overlap_factor divides out a known density-overlap reduction.
+
+    N(t) = n0 / (1 + k n0 t) is fitted by weighted least squares (weights
+    1/sigma^2, or 1 without sigma). The start is the closed-form line fit
+    of 1/N against t with weights N^4 / sigma^2. Undamped Gauss-Newton
+    steps follow, each the closed-form solve of the 2x2 normal equations,
+    and the fit stops at the first point whose steps are both at most 1e-12
+    of their parameter. It raises FitDiverged on a constant series, a
+    non-positive start N(0), a non-finite iterate or 1 + k n0 t <= 0 at any
+    sample, a singular normal matrix, no stop within 50 steps, or a
+    non-positive n0 or k. The errors come from (J^T W J)^-1 at the solution:
+    as it stands with sigma (taken as absolute), scaled by cost / (M - 2)
+    without.
     """
     if temperature <= 0.0:
         raise NonPositiveInput("temperature must be positive")
@@ -180,39 +242,45 @@ def fit_l3(
     if len(t) < 4:
         raise TooFewPoints("L3 fit needs at least 4 points")
 
-    n0_guess = float(n[0])
-    # crude k from the endpoints of 1/N, clamped positive
-    k_guess = (1.0 / n[-1] - 1.0 / n[0]) / max(t[-1] - t[0], 1e-300)
-    k_guess = max(k_guess, 1e-12 / n0_guess / max(t[-1], 1e-300))
-    sigma = series.sigma
-    try:
-        popt, pcov = curve_fit(
-            _decay_model,
-            t,
-            n,
-            p0=(n0_guess, k_guess),
-            sigma=sigma,
-            absolute_sigma=sigma is not None,
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitDiverged(f"decay fit did not converge: {exc}") from exc
-    n0_fit, k_fit = float(popt[0]), float(popt[1])
-    if not np.all(np.isfinite(pcov)):
+    if (n == n[0]).all():
+        # The fit would be k = 0, which rounding tips to either sign.
+        raise FitDiverged("atom numbers are constant; the series shows no decay")
+    inv_sigma = 1.0 / series.sigma if series.sigma is not None else np.ones_like(t)
+    basis = np.array((inv_sigma, -t * inv_sigma))
+
+    # 1/N = 1/n0 + k t is a line, and 1/N has variance sigma^2 / N^4.
+    a, k, *_ = _line_fit(t, 1.0 / n, (inv_sigma * (n / n[0]) ** 2) ** 2)
+    if not a > 0.0:
+        raise FitDiverged("decay fit start has a non-positive N(0)")
+    n0 = 1.0 / a
+    for _ in range(_FIT_MAX_STEPS):
+        r, grad, normal = _hyperbola_terms(t, n, inv_sigma, basis, n0, k)
+        step = _solve_normal(normal, grad)
+        if abs(step[0]) <= _FIT_STEP_RTOL * abs(n0) and abs(step[1]) <= _FIT_STEP_RTOL * abs(k):
+            break
+        n0, k = n0 + step[0], k + step[1]
+    else:
+        raise FitDiverged(f"decay fit did not converge in {_FIT_MAX_STEPS} steps")
+
+    # pcov = (J^T W J)^-1, scaled by the residual variance without sigma
+    var_scale = 1.0 if series.sigma is not None else float(r @ r) / (len(t) - 2)
+    var_n0 = _solve_normal(normal, (var_scale, 0.0))[0]
+    var_k = _solve_normal(normal, (0.0, var_scale))[1]
+    if not (math.isfinite(var_n0) and math.isfinite(var_k)):
         raise FitDiverged("decay fit covariance is not finite")
-    if n0_fit <= 0.0 or k_fit <= 0.0:
+    if n0 <= 0.0 or k <= 0.0:
         raise FitDiverged("decay fit produced non-positive parameters")
-    n0_err = float(math.sqrt(max(pcov[0, 0], 0.0)))
-    k_err = float(math.sqrt(max(pcov[1, 1], 0.0)))
+    n0_err = math.sqrt(max(var_n0, 0.0))
+    k_err = math.sqrt(max(var_k, 0.0))
 
     c_t = thermal_peak_coefficient(species, temperature)
     scale = math.sqrt(8.0) / (n_f_peak * c_t * overlap_factor)
     return L3Fit(
-        l3=k_fit * scale,
+        l3=k * scale,
         l3_stderr=k_err * scale,
-        n0=n0_fit,
+        n0=n0,
         n0_stderr=n0_err,
-        rate_constant=k_fit,
+        rate_constant=k,
         rate_stderr=k_err,
         temperature=temperature,
         n_f_peak=n_f_peak,

@@ -43,6 +43,9 @@ class MixtureScenario:
     thermal_model: str = "gaussian"
 
     def __post_init__(self):
+        for name in ("n_bosons", "n_fermions", "alpha", "a_bf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_bosons < 0.0 or self.n_fermions < 1.0:
             raise ValidationError("need n_bosons >= 0 and n_fermions >= 1")
         if not 0.0 <= self.condensate_fraction <= 1.0:

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
@@ -62,6 +63,55 @@ class TestContainers:
     def test_valid_starts(self):
         RadialProfile(np.arange(4.0), np.ones(4))
         RadialProfile(np.arange(4.0) + 0.5, np.ones(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [RadialProfile, ColumnSlice])
+    def test_non_finite_values_rejected(self, cls, bad):
+        values = np.ones(6)
+        values[3] = bad
+        with pytest.raises(ValidationError, match="values must be finite"):
+            cls(np.arange(6.0) + 0.5, values)
+
+    @pytest.mark.parametrize(
+        "x", [[-math.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, math.nan]], ids=["-inf", "nan"]
+    )
+    @pytest.mark.parametrize("cls", [RadialProfile, ColumnSlice])
+    def test_non_finite_samples_rejected(self, cls, x):
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            cls(np.array(x), np.ones(4))
+
+
+def _allclose_accepts(x: np.ndarray) -> bool:
+    """The former grid check: strictly ascending, and np.allclose on the spacings."""
+    with np.errstate(invalid="ignore"):
+        d = np.diff(x)
+    return not np.any(d <= 0.0) and bool(np.allclose(d, d[0], rtol=1.0e-8, atol=0.0))
+
+
+# Spacing deviations around the 1e-8 bound, and samples replaced by nan or inf.
+_jitters = st.sampled_from([0.0, 0.5e-8, 0.99e-8, 1e-8, 1.01e-8, -1e-8, -1.01e-8, 3e-8, 1e-3])
+_specials = st.tuples(st.integers(0, 11), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    m=st.integers(4, 12),
+    first=st.floats(-1e3, 1e3),
+    step=st.floats(1e-6, 1e3),
+    jitter=st.lists(_jitters, min_size=11, max_size=11),
+    specials=st.lists(_specials, max_size=2),
+)
+def test_uniform_check_accepts_exactly_what_allclose_did(m, first, step, jitter, specials):
+    spacing = step * (1.0 + np.array(jitter[: m - 1]))
+    x = first + np.concatenate(([0.0], np.cumsum(spacing)))
+    for i, value in specials:
+        x[i % m] = value
+    try:
+        abel._check_uniform(x, "x")
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == _allclose_accepts(x)
 
 
 class TestForward:
@@ -440,6 +490,26 @@ def test_geometries_differing_in_first_sample_do_not_share_an_operator(name):
         ref = REFERENCES[name](first + np.arange(m) * step, v)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), first
     assert OPERATORS[name].cache_info().misses == len(firsts)
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["zero-start", "half-start"])
+@pytest.mark.parametrize("m", [4, 5, 128, 1024])
+def test_dasch3_operator_matches_the_sparse_product(m, half):
+    # The operator was once kernel @ G with G a scipy.sparse tridiagonal.
+    step = 0.37
+    first = 0.5 * step if half else 0.0
+    x = first + step * np.arange(m)
+    s, log_ratio, _ = abel._kernel_moments(x[:-1], x[1:], x)
+    kernel = abel._hat_columns(x, step, log_ratio, s) / -math.pi
+    lower, diag, upper = np.full(m - 1, -0.5 / step), np.zeros(m), np.full(m - 1, 0.5 / step)
+    # one-sided at both ends; row 0 is zero on a grid from 0, where F'(0) = 0
+    diag[0], upper[0] = (-1.0 / step, 1.0 / step) if half else (0.0, 0.0)
+    lower[-1], diag[-1] = -1.0 / step, 1.0 / step
+    ref = kernel @ scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1])
+    abel._dasch3_operator.cache_clear()
+    got = abel._dasch3_operator(m, first, step)
+    abel._dasch3_operator.cache_clear()
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))

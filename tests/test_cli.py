@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,22 @@ def test_constants_prints_json(capsys):
     payload = json.loads(out)
     assert payload["hbar[J*s]"] == 1.054571817e-34
     assert payload["a_bohr[m]"] == pytest.approx(5.29177210903e-11)
+
+
+def test_import_leaves_out_scipy_optimize_and_sparse():
+    # The package uses numpy and scipy.linalg only; importing more costs
+    # every command start-up time and memory.
+    code = (
+        "import sys, mixsep, mixsep.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+    )
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_thread_cap(monkeypatch):
@@ -251,6 +271,19 @@ class TestAbel:
         assert code == 0
         rho, rec = read_profile_csv(out_csv)
         assert rec[0] == pytest.approx(1.0 / (math.sqrt(math.pi) * 4e-6), rel=0.05)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_non_finite_value_exits_2(self, capsys, tmp_path, direction):
+        rho = (np.arange(40) + 0.5) * 0.25e-6
+        values = np.exp(-((rho / 4.0e-6) ** 2))
+        values[7] = math.nan
+        src = tmp_path / "in.csv"
+        write_profile_csv(src, rho, values, "rho[um]")
+        out_csv = tmp_path / "out.csv"
+        code, _, err = run(capsys, "abel", direction, "--in", str(src), "--out", str(out_csv))
+        assert code == 2
+        assert "values must be finite" in err
+        assert not out_csv.exists()
 
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(

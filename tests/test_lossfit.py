@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from mixsep.config import default_scenario
 from mixsep.errors import (
@@ -166,6 +167,68 @@ class TestFitL3:
         short = DecaySeries(np.array([0.0, 1.0, 2.0]), np.array([9.0, 8.0, 7.0]))
         with pytest.raises(TooFewPoints):
             fit_l3(short, SPECIES, self.T, self.NF)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "numbers, sigma_share, match",
+        [
+            # rising: the least-squares k is negative
+            (1.0e5 * (1.0 + 0.05 * np.arange(12.0)), None, "non-positive"),
+            (np.full(12, 1.0e5), None, "constant"),
+            (np.full(12, 1.0e5), 0.02, "constant"),
+            # sigma pins the line of 1/N to the middle two points, which
+            # crosses 0 before the last sample: 1 + k n0 t <= 0 there
+            (1.0 / np.array([1.0, 0.9, 0.1, 0.05]), np.array([1.0, 1e-6, 1e-6, 1.0]), "domain"),
+        ],
+        ids=["rising", "flat", "flat-sigma", "d-negative"],
+    )
+    def test_diverges_without_a_warning(self, numbers, sigma_share, match):
+        t = np.arange(float(len(numbers)))
+        sigma = None if sigma_share is None else sigma_share * numbers
+        with pytest.raises(FitDiverged, match=match):
+            fit_l3(DecaySeries(t, numbers, sigma=sigma), SPECIES, self.T, self.NF)
+
+
+def _hyperbola(t, n0, k):
+    return n0 / (1.0 + k * n0 * t)
+
+
+@pytest.mark.parametrize("with_sigma", [True, False], ids=["sigma", "no-sigma"])
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
+    # The same weighted least squares as a tightly converged curve_fit, with
+    # its covariance convention: absolute sigma, else scaled by cost/(M - 2).
+    T, NF = TestFitL3.T, TestFitL3.NF
+    c_t = thermal_peak_coefficient(SPECIES, T)
+    scale = math.sqrt(8.0) / (NF * c_t)
+    k_true = 1.0e-37 / scale
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 25))
+    t = np.linspace(0.0, rng.uniform(2.0, 10.0), m)
+    clean = _hyperbola(t, 2.0e5, k_true)
+    n = clean * (1.0 + 0.05 * rng.standard_normal(m))
+    sigma = 0.05 * clean if with_sigma else None
+    fit = fit_l3(DecaySeries(t, n, sigma=sigma), SPECIES, T, NF)
+    popt, pcov = curve_fit(
+        _hyperbola, t, n, p0=(n[0], k_true), sigma=sigma,
+        absolute_sigma=with_sigma, ftol=1e-14, xtol=1e-14,
+    )
+    assert fit.l3 == pytest.approx(popt[1] * scale, rel=1e-6)
+    assert fit.n0 == pytest.approx(popt[0], rel=1e-6)
+    assert fit.l3_stderr == pytest.approx(math.sqrt(pcov[1, 1]) * scale, rel=1e-4)
+    assert fit.n0_stderr == pytest.approx(math.sqrt(pcov[0, 0]), rel=1e-4)
+
+    inv_sigma = 1.0 / sigma if with_sigma else np.ones(m)
+
+    def whitened_residual(n0, k):
+        return (n - _hyperbola(t, n0, k)) * inv_sigma
+
+    r = whitened_residual(fit.n0, fit.rate_constant)
+    assert r @ r <= (1.0 + 1e-12) * np.sum(whitened_residual(*popt) ** 2)
+    # scaled gradient: the cosine between the residual and each Jacobian column
+    d = 1.0 + fit.rate_constant * fit.n0 * t
+    for col in (inv_sigma / d**2, -(fit.n0**2) * t * inv_sigma / d**2):
+        assert abs(col @ r) <= 1e-9 * np.linalg.norm(col) * np.linalg.norm(r)
 
 
 class TestSmoothL3:

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,13 @@ class TestScenarioDefaults:
                 condensate_fraction=0.5,
                 thermal_model="parabolic",
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["n_bosons", "n_fermions", "alpha", "a_bf"])
+    def test_non_finite_number_rejected(self, name, value):
+        # A comparison with nan is false, so a range check alone lets it through.
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            replace(SC, **{name: value})
 
     def test_with_a_bf(self):
         sc2 = SC.with_a_bf(500.0 * A_BOHR)
