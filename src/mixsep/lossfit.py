@@ -12,10 +12,12 @@ Both decay fits are weighted least squares written out for their model, with
 no general optimizer. fit_gamma fits a straight line in closed form (_line_fit).
 fit_l3 fits the hyperbola N = n0 / (1 + k n0 t). It starts from the same
 closed-form line fit of 1/N against t, then takes Gauss-Newton steps with the
-analytic Jacobian, each a 2x2 solve, until both relative steps are at most
-1e-12. Its covariance is the inverse normal matrix at the solution, scaled by
-cost / (M - 2) when the series has no sigma: the convention of
-scipy.optimize.curve_fit with absolute_sigma set exactly when sigma is given.
+analytic Jacobian, each a 2x2 solve from one Gram product, shortened where a
+step turns back on the one before, until each step is at most 1e-12 of its
+parameter or 1e-10 of its standard error. Its covariance is the inverse
+normal matrix at the solution, scaled by cost / (M - 2) when the series has
+no sigma: the convention of scipy.optimize.curve_fit with absolute_sigma set
+exactly when sigma is given.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .profiles import thermal_peak_coefficient
 SMOOTH_DOMAIN_A0 = (80.0, 2100.0)
 # Points of the smoothed curve, evenly spaced in log a_bf over the data.
 _SMOOTH_N_EVAL = 60
-# fit_l3 stops once both Gauss-Newton steps are at most this share of their
-# parameter, and gives up after _FIT_MAX_STEPS steps.
+# fit_l3 stops once each step is at most _FIT_STEP_RTOL of its parameter or
+# _FIT_STEP_SE of its standard error, and gives up after _FIT_MAX_STEPS steps.
 _FIT_STEP_RTOL = 1.0e-12
+_FIT_STEP_SE = 1.0e-10
 _FIT_MAX_STEPS = 50
 # A 2x2 normal matrix with det at most this share of a00 a11 is singular:
 # the determinant's own rounding error is a few eps a00 a11.
@@ -107,23 +110,30 @@ class L3Fit:
     overlap_factor: float
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted least-squares line y = a + b x in closed form.
+def _line_from_sums(sw: float, swx: float, swxx: float, swy: float, swxy: float):
+    """Weighted least-squares line y = a + b x from its weighted sums.
 
-    Returns a, b, the sums sw, swx, swxx and det = sw swxx - swx^2; the
-    inverse normal matrix is [[swxx, -swx], [-swx, sw]] / det.
+    Returns a, b and det = sw swxx - swx^2; the inverse normal matrix is
+    [[swxx, -swx], [-swx, sw]] / det.
     """
-    wx = w * x
-    sw = w.sum()
-    swx = wx.sum()
-    swxx = (wx * x).sum()
-    swy = (w * y).sum()
-    swxy = (wx * y).sum()
     det = sw * swxx - swx * swx
     if det <= 0.0:
         raise FitDiverged("degenerate time samples in a line fit")
     a = (swxx * swy - swx * swxy) / det
     b = (sw * swxy - swx * swy) / det
+    return a, b, det
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted least-squares line y = a + b x in closed form.
+
+    Returns a, b, the sums sw, swx, swxx and det = sw swxx - swx^2.
+    """
+    wx = w * x
+    sw = w.sum()
+    swx = wx.sum()
+    swxx = (wx * x).sum()
+    a, b, det = _line_from_sums(sw, swx, swxx, (w * y).sum(), (wx * y).sum())
     return a, b, sw, swx, swxx, det
 
 
@@ -136,26 +146,21 @@ def fit_gamma(series: DecaySeries, window_fraction: float = 0.7) -> GammaFit:
     if not 0.0 < window_fraction < 1.0:
         raise ValidationError("window_fraction must lie in (0, 1)")
     t, n = series.times, series.numbers
+    # n[0] > 0 and window_fraction < 1 keep the first point
     keep = n >= window_fraction * n[0]
-    keep[0] = True
-    if int(np.sum(keep)) < 3:
+    if np.count_nonzero(keep) < 3:
         raise TooFewPoints(
             "fewer than 3 points above the window threshold; "
             "widen window_fraction or take denser early data"
         )
     tt, nn = t[keep], n[keep]
-    if series.sigma is not None:
-        w = 1.0 / series.sigma[keep] ** 2
-    else:
-        w = np.ones_like(tt)
+    w = 1.0 / series.sigma[keep] ** 2 if series.sigma is not None else np.ones_like(tt)
     a, b, sw, swt, swtt, det = _line_fit(tt, nn, w)
-
-    resid = nn - (a + b * tt)
-    dof = len(tt) - 2
     if series.sigma is not None:
         var_scale = 1.0
     else:
-        var_scale = float(np.sum(w * resid * resid) / dof) if dof > 0 else 0.0
+        resid = nn - (a + b * tt)
+        var_scale = float(np.sum(w * resid * resid) / (len(tt) - 2))
     var_a = var_scale * swtt / det
     var_b = var_scale * sw / det
     cov_ab = -var_scale * swt / det
@@ -176,34 +181,32 @@ def fit_gamma(series: DecaySeries, window_fraction: float = 0.7) -> GammaFit:
     )
 
 
-def _hyperbola_terms(t, n, inv_sigma, basis, n0: float, k: float):
-    """Whitened residuals, gradient J^T W r and normal matrix J^T W J of
-    N = n0 / (1 + k n0 t) at (n0, k).
+def _hyperbola_gram(t, n, inv_sigma, basis, n0: float, k: float, work: np.ndarray):
+    """J^T W J, J^T W r and r.r of N = n0 / (1 + k n0 t) at (n0, k), from one product.
 
     With D = 1 + k n0 t the Jacobian columns are dN/dn0 = 1/D^2 = (N/n0)^2
     and dN/dk = -n0^2 t / D^2 = -t N^2, so J^T is N^2 times basis, the rows
-    1/sigma and -t/sigma, with the first row divided by n0^2. The normal
-    matrix comes back as (a00, a01, a11).
+    1/sigma and -t/sigma, with the first row divided by n0^2. work (3, M)
+    receives N^2 basis and the whitened residual r = (n - N) / sigma; the
+    division by n0^2 is applied to the entries of their Gram matrix. Returns
+    (a00, a01, a11), (g0, g1) and r.r.
     """
     d = 1.0 + (k * n0) * t
     # D is monotonic in t, so the two ends bound it.
     if not (math.isfinite(n0) and math.isfinite(k) and d[0] > 0.0 and d[-1] > 0.0):
         raise FitDiverged("decay fit left the model's domain (non-finite, or 1 + k n0 t <= 0)")
     f = n0 / d
-    r = (n - f) * inv_sigma
-    jac_t = (f * f) * basis
-    jac_t[0] /= n0 * n0
-    (a00, a01), (_, a11) = (jac_t @ jac_t.T).tolist()
-    return r, (jac_t @ r).tolist(), (a00, a01, a11)
+    np.multiply(f * f, basis, out=work[:2])
+    np.subtract(n, f, out=work[2])
+    work[2] *= inv_sigma
+    (b00, b01, c0), (_, a11, g1), (_, _, rr) = np.dot(work, work.T).tolist()
+    scale = 1.0 / (n0 * n0)
+    return (b00 * scale * scale, b01 * scale, a11), (c0 * scale, g1), rr
 
 
-def _solve_normal(normal, rhs) -> tuple[float, float]:
-    """The 2x2 normal equations in closed form; FitDiverged where singular."""
-    a00, a01, a11 = normal
-    det = a00 * a11 - a01 * a01
-    if not det > _SINGULAR_RTOL * a00 * a11:
-        raise FitDiverged("decay fit normal matrix is singular")
-    return (a11 * rhs[0] - a01 * rhs[1]) / det, (a00 * rhs[1] - a01 * rhs[0]) / det
+def _negligible(step: float, value: float, variance: float) -> bool:
+    """Whether a step is at most 1e-12 of its parameter or 1e-10 of its standard error."""
+    return abs(step) <= _FIT_STEP_RTOL * abs(value) or step * step <= _FIT_STEP_SE**2 * variance
 
 
 def fit_l3(
@@ -222,12 +225,15 @@ def fit_l3(
 
     N(t) = n0 / (1 + k n0 t) is fitted by weighted least squares (weights
     1/sigma^2, or 1 without sigma). The start is the closed-form line fit
-    of 1/N against t with weights N^4 / sigma^2. Undamped Gauss-Newton
-    steps follow, each the closed-form solve of the 2x2 normal equations,
-    and the fit stops at the first point whose steps are both at most 1e-12
-    of their parameter. It raises FitDiverged on a constant series, a
-    non-positive start N(0), a non-finite iterate or 1 + k n0 t <= 0 at any
-    sample, a singular normal matrix, no stop within 50 steps, or a
+    of 1/N against t with weights N^4 / sigma^2. Gauss-Newton steps follow,
+    each the closed-form solve of the 2x2 normal equations; a step that turns
+    back on the one before by rho of its length is shortened by 1 + rho,
+    which damps the oscillation of fits with large residuals. The fit stops
+    at the first point where each step is at most 1e-12 of its parameter or
+    1e-10 of its standard error (the second rule ends fits whose rounding
+    floor lies above the first). It raises FitDiverged on a constant series,
+    a non-positive start N(0), a non-finite iterate or 1 + k n0 t <= 0 at
+    any sample, a singular normal matrix, no stop within 50 steps, or a
     non-positive n0 or k. The errors come from (J^T W J)^-1 at the solution:
     as it stands with sigma (taken as absolute), scaled by cost / (M - 2)
     without.
@@ -247,25 +253,44 @@ def fit_l3(
         raise FitDiverged("atom numbers are constant; the series shows no decay")
     inv_sigma = 1.0 / series.sigma if series.sigma is not None else np.ones_like(t)
     basis = np.array((inv_sigma, -t * inv_sigma))
+    work = np.empty((3, len(t)))
 
-    # 1/N = 1/n0 + k t is a line, and 1/N has variance sigma^2 / N^4.
-    a, k, *_ = _line_fit(t, 1.0 / n, (inv_sigma * (n / n[0]) ** 2) ** 2)
+    # 1/N = 1/n0 + k t is a line, and 1/N has variance sigma^2 / N^4: its
+    # whitened rows are u, u t and u / N with u = (N / N[0])^2 / sigma.
+    u = np.divide(n, n[0], out=work[0])
+    u *= u
+    u *= inv_sigma
+    np.multiply(u, t, out=work[1])
+    np.divide(u, n, out=work[2])
+    (sw, swt, swy), (_, swtt, swty), _ = np.dot(work, work.T).tolist()
+    a, k, _ = _line_from_sums(sw, swt, swtt, swy, swty)
     if not a > 0.0:
         raise FitDiverged("decay fit start has a non-positive N(0)")
     n0 = 1.0 / a
+    p0 = p1 = 0.0  # the step taken before
     for _ in range(_FIT_MAX_STEPS):
-        r, grad, normal = _hyperbola_terms(t, n, inv_sigma, basis, n0, k)
-        step = _solve_normal(normal, grad)
-        if abs(step[0]) <= _FIT_STEP_RTOL * abs(n0) and abs(step[1]) <= _FIT_STEP_RTOL * abs(k):
+        (a00, a01, a11), (g0, g1), rr = _hyperbola_gram(t, n, inv_sigma, basis, n0, k, work)
+        det = a00 * a11 - a01 * a01
+        if not det > _SINGULAR_RTOL * a00 * a11:
+            raise FitDiverged("decay fit normal matrix is singular")
+        # pcov = (J^T W J)^-1, scaled by the residual variance without sigma
+        var_scale = 1.0 if series.sigma is not None else rr / (len(t) - 2)
+        var_n0, var_k = var_scale * a11 / det, var_scale * a00 / det
+        s0, s1 = (a11 * g0 - a01 * g1) / det, (a00 * g1 - a01 * g0) / det
+        if _negligible(s0, n0, var_n0) and _negligible(s1, k, var_k):
             break
-        n0, k = n0 + step[0], k + step[1]
+        # A step that turns back on the one before overshot. Were each step
+        # -rho times the one before (in the metric J^T W J), the minimum
+        # would lie s / (1 + rho) along this one.
+        back = a00 * s0 * p0 + a01 * (s0 * p1 + s1 * p0) + a11 * s1 * p1
+        if back < 0.0:
+            shrink = 1.0 - back / (a00 * p0 * p0 + 2.0 * a01 * p0 * p1 + a11 * p1 * p1)
+            s0, s1 = s0 / shrink, s1 / shrink
+        n0, k = n0 + s0, k + s1
+        p0, p1 = s0, s1
     else:
         raise FitDiverged(f"decay fit did not converge in {_FIT_MAX_STEPS} steps")
 
-    # pcov = (J^T W J)^-1, scaled by the residual variance without sigma
-    var_scale = 1.0 if series.sigma is not None else float(r @ r) / (len(t) - 2)
-    var_n0 = _solve_normal(normal, (var_scale, 0.0))[0]
-    var_k = _solve_normal(normal, (0.0, var_scale))[1]
     if not (math.isfinite(var_n0) and math.isfinite(var_k)):
         raise FitDiverged("decay fit covariance is not finite")
     if n0 <= 0.0 or k <= 0.0:

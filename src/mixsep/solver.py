@@ -226,8 +226,9 @@ def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Sp
     u = _renormalize(u, target, grid)
     reached = np.flatnonzero(np.any(u != 0.0, axis=0))
     band = min(reached[-1] + 2 if reached.size else 1, u.shape[1])
+    # np.zeros, unlike np.zeros_like, leaves the pages past the band unwritten
     return _Species(
-        target, coef_kin, u, int(band), *(np.zeros_like(u) for _ in range(3))
+        target, coef_kin, u, int(band), *(np.zeros(u.shape, order="F") for _ in range(3))
     )
 
 

@@ -231,6 +231,55 @@ def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
         assert abs(col @ r) <= 1e-9 * np.linalg.norm(col) * np.linalg.norm(r)
 
 
+
+# Two decays on which a fit of undamped Gauss-Newton steps, stopped only at
+# steps of 1e-12 of each parameter, gave up after 50 steps while curve_fit
+# converged: 30% noise on 6 points, where each step overshoots and turns back
+# on the one before, shrinking by only about 0.7; and 0.1% noise on 5 points,
+# where k is 2000 times smaller than its standard error and the rounding floor
+# of its step lies above 1e-12 of it. Each is (times, numbers, sigma, k start).
+HARD_DECAYS = {
+    "overshooting-steps": (
+        [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [312157.8456730891, 143824.04459701525, 116942.76593085186,
+         96063.47908481023, 212302.95721027572, 225281.38138884527],
+        [60000.0, 56603.773584905655, 53571.428571428565,
+         50847.457627118645, 48387.096774193546, 46153.84615384615],
+        3.0e-7,
+    ),
+    "rounding-floor": (
+        [0.0, 1.25, 2.5, 3.75, 5.0],
+        [200023.0627810021, 199770.47663482226, 199809.25018625215,
+         199917.43213617406, 199949.37330093156],
+        [200.0, 199.9850011249156, 199.97000449932509,
+         199.9550101227224, 199.94001799460165],
+        3.0e-10,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_DECAYS))
+def test_hard_decays_fit_to_the_least_squares_solution(name):
+    t, n, sigma, k_start = HARD_DECAYS[name]
+    t, n, sigma = np.array(t), np.array(n), np.array(sigma)
+    fit = fit_l3(DecaySeries(t, n, sigma=sigma), SPECIES, TestFitL3.T, TestFitL3.NF)
+    popt, pcov = curve_fit(
+        _hyperbola, t, n, p0=(n[0], k_start), sigma=sigma,
+        absolute_sigma=True, ftol=1e-14, xtol=1e-14,
+    )
+    assert abs(fit.rate_constant - popt[1]) <= 1e-6 * math.sqrt(pcov[1, 1])
+    r = (n - _hyperbola(t, fit.n0, fit.rate_constant)) / sigma
+    d = 1.0 + fit.rate_constant * fit.n0 * t
+    jac = np.array((1.0 / (sigma * d**2), -(fit.n0**2) * t / (sigma * d**2)))
+    for col in jac:
+        assert abs(col @ r) <= 1e-9 * np.linalg.norm(col) * np.linalg.norm(r)
+    # curve_fit's finite-difference Jacobian gives the covariance only to about
+    # 1% on the second series; the analytic one is the reference
+    cov = np.linalg.inv(jac @ jac.T)
+    assert fit.rate_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-6)
+    assert fit.n0_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-6)
+
+
 class TestSmoothL3:
     def power_law(self, n=12, amp=1.0e-25, p=2.0):
         a = np.geomspace(100.0, 2000.0, n)
