@@ -20,6 +20,11 @@ the solver's Fortran-order layout, n_f^(2/3) comes from one cube root and
 also gives the Fermi pressure as c_TF <n_f, n_f^(2/3)>_w, and every energy
 term is a weighted sum of products with no temporary array (Grid2D.inner).
 The solver passes each species on its band of z columns only (evaluate).
+
+The module needs numpy alone until a full-mode solve preconditions with the
+radial line operator: KineticStencil.solve_lines imports LAPACK's tridiagonal
+routines from scipy on its first call, so importing the package, a tf-mode
+solve and the analysis commands never load scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .constants import HBAR
 from .errors import NumericalBlowup
@@ -186,8 +190,12 @@ class KineticStencil:
         makes a BLAS call, so the result does not depend on the thread
         count. dpttrs solves a Fortran-order b in place; b in another
         layout is solved in a Fortran-order copy that is copied back.
-        Raises NumericalBlowup if the factorization fails.
+        Both routines are bound from scipy.linalg.lapack on each call, which
+        loads scipy at the first one (about 0.3 s and 24 MB). Raises
+        NumericalBlowup if the factorization fails.
         """
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         radii = self._radii
         d, e, info = dpttrf(coef * self._sym_diag + shift * radii, coef * self._sym_off)
         if info != 0:

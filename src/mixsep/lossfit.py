@@ -13,11 +13,12 @@ no general optimizer. fit_gamma fits a straight line in closed form (_line_fit).
 fit_l3 fits the hyperbola N = n0 / (1 + k n0 t). It starts from the same
 closed-form line fit of 1/N against t, then takes Gauss-Newton steps with the
 analytic Jacobian, each a 2x2 solve from one Gram product, shortened where a
-step turns back on the one before, until each step is at most 1e-12 of its
-parameter or 1e-10 of its standard error. Its covariance is the inverse
-normal matrix at the solution, scaled by cost / (M - 2) when the series has
-no sigma: the convention of scipy.optimize.curve_fit with absolute_sigma set
-exactly when sigma is given.
+step turns back on the one before and halved where it would leave the model's
+domain 1 + k n0 t > 0, until each step is at most 1e-12 of its parameter or
+1e-10 of its standard error. Its covariance is the inverse normal matrix at
+the solution, scaled by cost / (M - 2) when the series has no sigma: the
+convention of scipy.optimize.curve_fit with absolute_sigma set exactly when
+sigma is given.
 """
 
 from __future__ import annotations
@@ -191,17 +192,23 @@ def _hyperbola_gram(t, n, inv_sigma, basis, n0: float, k: float, work: np.ndarra
     division by n0^2 is applied to the entries of their Gram matrix. Returns
     (a00, a01, a11), (g0, g1) and r.r.
     """
-    d = 1.0 + (k * n0) * t
-    # D is monotonic in t, so the two ends bound it.
-    if not (math.isfinite(n0) and math.isfinite(k) and d[0] > 0.0 and d[-1] > 0.0):
-        raise FitDiverged("decay fit left the model's domain (non-finite, or 1 + k n0 t <= 0)")
-    f = n0 / d
+    f = n0 / (1.0 + (k * n0) * t)
     np.multiply(f * f, basis, out=work[:2])
     np.subtract(n, f, out=work[2])
     work[2] *= inv_sigma
     (b00, b01, c0), (_, a11, g1), (_, _, rr) = np.dot(work, work.T).tolist()
     scale = 1.0 / (n0 * n0)
     return (b00 * scale * scale, b01 * scale, a11), (c0 * scale, g1), rr
+
+
+def _in_domain(n0: float, k: float, t_first: float, t_last: float) -> bool:
+    """Whether n0 and k are finite and D = 1 + k n0 t > 0 at every sample.
+
+    D is monotonic in t, so the two ends bound it.
+    """
+    kn0 = k * n0
+    return (math.isfinite(n0) and math.isfinite(k)
+            and 1.0 + kn0 * t_first > 0.0 and 1.0 + kn0 * t_last > 0.0)
 
 
 def _negligible(step: float, value: float, variance: float) -> bool:
@@ -228,15 +235,16 @@ def fit_l3(
     of 1/N against t with weights N^4 / sigma^2. Gauss-Newton steps follow,
     each the closed-form solve of the 2x2 normal equations; a step that turns
     back on the one before by rho of its length is shortened by 1 + rho,
-    which damps the oscillation of fits with large residuals. The fit stops
-    at the first point where each step is at most 1e-12 of its parameter or
-    1e-10 of its standard error (the second rule ends fits whose rounding
-    floor lies above the first). It raises FitDiverged on a constant series,
-    a non-positive start N(0), a non-finite iterate or 1 + k n0 t <= 0 at
-    any sample, a singular normal matrix, no stop within 50 steps, or a
-    non-positive n0 or k. The errors come from (J^T W J)^-1 at the solution:
-    as it stands with sigma (taken as absolute), scaled by cost / (M - 2)
-    without.
+    which damps the oscillation of fits with large residuals, and a step
+    that would make 1 + k n0 t <= 0 at a sample is halved until it does not.
+    The fit stops at the first point where each step is at most 1e-12 of its
+    parameter or 1e-10 of its standard error (the second rule ends fits
+    whose rounding floor lies above the first). It raises FitDiverged on a
+    constant series, a non-positive start N(0), a start that is not finite
+    or has 1 + k n0 t <= 0 at a sample, a singular normal matrix, no stop
+    within 50 steps, or a non-positive n0 or k. The errors come from
+    (J^T W J)^-1 at the solution: as it stands with sigma (taken as
+    absolute), scaled by cost / (M - 2) without.
     """
     if temperature <= 0.0:
         raise NonPositiveInput("temperature must be positive")
@@ -267,6 +275,11 @@ def fit_l3(
     if not a > 0.0:
         raise FitDiverged("decay fit start has a non-positive N(0)")
     n0 = 1.0 / a
+    t_ends = float(t[0]), float(t[-1])
+    if not _in_domain(n0, k, *t_ends):
+        raise FitDiverged(
+            "decay fit start lies outside the model's domain (non-finite, or 1 + k n0 t <= 0)"
+        )
     p0 = p1 = 0.0  # the step taken before
     for _ in range(_FIT_MAX_STEPS):
         (a00, a01, a11), (g0, g1), rr = _hyperbola_gram(t, n, inv_sigma, basis, n0, k, work)
@@ -286,6 +299,12 @@ def fit_l3(
         if back < 0.0:
             shrink = 1.0 - back / (a00 * p0 * p0 + 2.0 * a01 * p0 * p1 + a11 * p1 * p1)
             s0, s1 = s0 / shrink, s1 / shrink
+        # A step that crosses D = 0 at a sample leaves the model. The iterate
+        # lies strictly inside, so halving a finite step ends.
+        while not _in_domain(n0 + s0, k + s1, *t_ends):
+            if not (math.isfinite(s0) and math.isfinite(s1)):
+                raise FitDiverged("decay fit step is not finite")
+            s0, s1 = 0.5 * s0, 0.5 * s1
         n0, k = n0 + s0, k + s1
         p0, p1 = s0, s1
     else:

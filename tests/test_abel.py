@@ -1,7 +1,11 @@
 """Forward/inverse Abel transforms against closed-form projection pairs."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,18 @@ class TestCentering:
         half = center_and_symmetrize(slc, center=0.0)
         expect = gaussian_slice_exact(half.y)
         assert np.max(np.abs(half.values - expect)) < 3e-3 * expect.max()
+
+    @pytest.mark.parametrize("center", [None, 0.0], ids=["detected", "explicit"])
+    @pytest.mark.parametrize("m", [64, 1024, 4096])
+    def test_keeps_the_outermost_sample(self, m, center):
+        # the grid forward_abel gives a profile on (k + 1/2) 0.025, where
+        # span / step rounds just below m - 1/2 at 64 and 1024 samples; the
+        # floor once dropped the last sample there
+        rho = (np.arange(m) + 0.5) * 0.025
+        y = np.concatenate((-rho[::-1], rho))
+        slc = ColumnSlice(y, np.exp(-((4.0 * y / rho[-1]) ** 2)))
+        half = center_and_symmetrize(slc, center=center)
+        assert np.array_equal(half.y, (np.arange(m) + 0.5) * slc.step)
 
     def test_constant_slice_has_no_center(self):
         with pytest.raises(CenterNotFound):
@@ -528,6 +544,34 @@ def test_onion_product_matches_a_triangular_solve(m, half):
     ref = solve_triangular(abel._onion_paths(m, first, step), f, lower=False)
     got = abel._onion_inverse(m, first, step) @ f
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_onion_operator_keeps_fortran_order():
+    # the layout in which P^-1 @ F has always summed
+    assert abel._onion_inverse(16, 0.5, 1.0).flags.f_contiguous
+
+
+def test_onion_bytes_do_not_depend_on_the_blas_thread_count():
+    code = (
+        "import hashlib, numpy as np\n"
+        "from mixsep import abel\n"
+        "h = hashlib.sha256()\n"
+        "for m in (5, 128, 1024):\n"
+        "    op = abel._onion_inverse(m, 0.5, 0.37)\n"
+        "    h.update(op.tobytes(order='A'))\n"
+        "    h.update((op @ np.random.default_rng(m).standard_normal(m)).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    src = str(Path(abel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def _raised(build):

@@ -102,20 +102,67 @@ def test_constants_prints_json(capsys):
     assert payload["a_bohr[m]"] == pytest.approx(5.29177210903e-11)
 
 
-def test_import_leaves_out_scipy_optimize_and_sparse():
-    # The package uses numpy and scipy.linalg only; importing more costs
-    # every command start-up time and memory.
-    code = (
-        "import sys, mixsep, mixsep.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+def _scipy_modules_after(code: str) -> list:
+    """[result, the scipy modules loaded] once a fresh interpreter has run code.
+
+    code may set `result` to any JSON value; it is None otherwise.
+    """
+    probe = (
+        "import json, sys\nresult = None\n" + code
+        + "\nscipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+        + "\nprint(json.dumps([result, scipy]))"
     )
     src = str(Path(pipeline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    # Only the radial line solve of a full-mode minimize uses scipy (LAPACK);
+    # importing it with the package would cost every command about 0.3 s and
+    # 24 MB.
+    assert _scipy_modules_after("import mixsep, mixsep.cli") == [None, []]
+
+
+def test_analysis_commands_load_no_scipy(tmp_path):
+    rho = (np.arange(64) + 0.5) * 0.25e-6
+    write_profile_csv(tmp_path / "radial.csv", rho, 3.0e17 * np.exp(-(rho / 4.0e-6) ** 2),
+                      "rho[um]")
+    t = np.linspace(0.0, 5.0, 12)
+    write_table(tmp_path / "decay.csv", ["t[s]", "N"],
+                np.column_stack([t, 2.0e5 / (1.0 + 0.05 * t)]).tolist())
+    code = f"""
+from mixsep.cli import main
+d = {str(tmp_path)!r}
+result = [
+    main(["criterion", "--abf", "1000"]),
+    main(["abel", "forward", "--in", d + "/radial.csv", "--out", d + "/proj.csv"]),
+    main(["fit-l3", "--in", d + "/decay.csv", "--temperature-nk", "440", "--nf-peak", "4.5e12"]),
+]
+"""
+    assert _scipy_modules_after(code) == [[0, 0, 0], []]
+
+
+def test_only_a_full_mode_solve_loads_lapack():
+    code = """
+import warnings
+from mixsep.config import default_scenario
+from mixsep.profiles import grid_for_scenario
+from mixsep.solver import SolverOptions, minimize
+warnings.simplefilter("ignore")
+sc = default_scenario()
+grid = grid_for_scenario(sc, 16, 32)
+minimize(sc, grid, SolverOptions(mode="tf"))
+result = sorted(sys.modules)
+minimize(sc, grid, SolverOptions(mode="full"))
+"""
+    before_full, after_full = _scipy_modules_after(code)
+    assert not [m for m in before_full if m.split(".")[0] == "scipy"]
+    assert "scipy.linalg.lapack" in after_full
 
 
 def test_thread_cap(monkeypatch):

@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mixsep import functional
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NumericalBlowup
@@ -281,14 +281,15 @@ def test_line_solve_makes_no_copy_of_fortran_order(small, monkeypatch):
     grid, _, _ = small
     stencil = KineticStencil(grid)
     b = np.asfortranarray(np.random.default_rng(4).standard_normal((grid.n_rho, grid.n_z)))
-    original = functional.dpttrs
+    # solve_lines binds dpttrs from scipy.linalg.lapack when it runs
+    original = scipy.linalg.lapack.dpttrs
     seen = []
 
     def recording(d, e, rhs, overwrite_b):
         seen.append(rhs.ctypes.data)
         return original(d, e, rhs, overwrite_b=overwrite_b)
 
-    monkeypatch.setattr(functional, "dpttrs", recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", recording)
     stencil.solve_lines(1.0, 1.0 / grid.d_rho**2, b)
     assert seen == [b.ctypes.data]
 

@@ -237,7 +237,10 @@ def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
 # converged: 30% noise on 6 points, where each step overshoots and turns back
 # on the one before, shrinking by only about 0.7; and 0.1% noise on 5 points,
 # where k is 2000 times smaller than its standard error and the rounding floor
-# of its step lies above 1e-12 of it. Each is (times, numbers, sigma, k start).
+# of its step lies above 1e-12 of it. Two more, each 20-30% noise on 4 points
+# with a low first point, once raised "left the model's domain": the second
+# Gauss-Newton step crosses 1 + k n0 t = 0 at the last sample.
+# Each is (times, numbers, sigma, k start).
 HARD_DECAYS = {
     "overshooting-steps": (
         [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
@@ -254,6 +257,18 @@ HARD_DECAYS = {
         [200.0, 199.9850011249156, 199.97000449932509,
          199.9550101227224, 199.94001799460165],
         3.0e-10,
+    ),
+    "domain-crossing-step": (
+        [0.0, 1.0, 2.0, 3.0],
+        [79250.73561471252, 242956.9257957877, 96227.8833198134, 85774.23691022284],
+        [51268.43678056079, 42723.69731713399, 36620.31198611485, 32042.772987850494],
+        1.0e-6,
+    ),
+    "domain-crossing-step-long-hold": (
+        [0.0, 3.3333333333333335, 6.666666666666667, 10.0],
+        [29616.88719757578, 193281.59654790978, 123399.60821065554, 73362.98757183318],
+        [52114.928669880865, 39086.19650241064, 31268.95720192852, 26057.464334940432],
+        5.0e-7,
     ),
 }
 
