@@ -12,7 +12,6 @@ from .abel import (
 from .config import (
     RunConfig,
     default_config,
-    default_resonance,
     default_scenario,
     load_config,
     parse_config,
@@ -28,13 +27,11 @@ from .overlap import (
     omega_eff_from_ground_state,
     omega_from_measurement,
     overlap_integral,
-    predicted_loss_rate,
 )
 from .physics import (
     FeshbachResonance,
     SpeciesParams,
     critical_scattering_length,
-    fermi_energy_from_density,
     fermi_wavenumber,
     healing_length,
     is_phase_separated,
@@ -91,10 +88,8 @@ __all__ = [
     "center_and_symmetrize",
     "critical_scattering_length",
     "default_config",
-    "default_resonance",
     "default_scenario",
     "emit_plot_data",
-    "fermi_energy_from_density",
     "fermi_tf_profile",
     "fermi_wavenumber",
     "fit_gamma",
@@ -115,7 +110,6 @@ __all__ = [
     "omega_from_measurement",
     "overlap_integral",
     "parse_config",
-    "predicted_loss_rate",
     "run_figure3_pipeline",
     "run_overlap_sweep",
     "save_ground_state",

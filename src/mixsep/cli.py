@@ -271,26 +271,18 @@ def cmd_smooth_l3(args) -> int:
 
 def cmd_fig(args) -> int:
     from .errors import MissingInput
-    from .pipeline import emit_plot_data, load_ground_state, read_gamma_csv, read_smoothed_csv
+    from .pipeline import PLOT_KINDS, emit_plot_data
 
+    _, name, read, what = PLOT_KINDS[args.kind]
     if args.kind == "fig1b":
-        if not args.ground_state:
-            raise MissingInput("--ground-state is required for fig1b")
-        inputs = {
-            "ground_state": load_ground_state(args.ground_state),
-            "noise": args.noise,
-            "seed": args.seed,
-        }
+        path, extra = args.ground_state, {"noise": args.noise, "seed": args.seed}
+        missing = "--ground-state is required for fig1b"
     else:
-        # (emit_plot_data keyword, reader of the --in file, what that file is)
-        name, read, what = {
-            "fig2a": ("smoothed", read_smoothed_csv, "smoothed curve CSV"),
-            "fig2b": ("gamma_records", read_gamma_csv, "gamma CSV"),
-            "fig3": ("pipeline_csv", str, "pipeline sweep CSV"),
-        }[args.kind]
-        if not args.infile:
-            raise MissingInput(f"--in is required for {args.kind} ({what})")
-        inputs = {name: read(args.infile)}
+        path, extra = args.infile, {}
+        missing = f"--in is required for {args.kind} ({what})"
+    if not path:
+        raise MissingInput(missing)
+    inputs = {name: read(path), **extra}
     for p in emit_plot_data(args.kind, args.out, **inputs):
         print(f"written {p}")
     return 0

@@ -6,8 +6,9 @@ or keys are rejected rather than ignored, and every effective value carries
 provenance ("file", "default", or "derived") so a run manifest can record
 exactly what was assumed.
 
-The shipped mixture is this module's defaults: default_scenario() and
-default_resonance() are what an empty config file parses to.
+The shipped mixture is this module's defaults: default_scenario() is the
+mixture an empty config file parses to, and default_config().resonance its
+resonance.
 """
 
 from __future__ import annotations
@@ -274,10 +275,6 @@ def default_config() -> RunConfig:
 
 def default_scenario(a_bf: float = 0.0) -> MixtureScenario:
     return default_config().scenario.with_a_bf(a_bf)
-
-
-def default_resonance() -> FeshbachResonance:
-    return default_config().resonance
 
 
 def _fmt(v) -> str:

@@ -18,18 +18,13 @@ class ValidationError(InputError):
 
 
 class ParseError(InputError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class PoleAtResonance(InputError):
     """Field requested within the guard window of the resonance pole."""
-
-
-class UnreachableScatteringLength(InputError):
-    """No magnetic field maps to the requested scattering length."""
 
 
 class NonPositiveInput(InputError):

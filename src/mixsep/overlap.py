@@ -1,4 +1,4 @@
-"""Overlap factors and predicted three-body loss rates.
+"""Overlap factors and the predicted three-body loss rate of a ground state.
 
 The measured normalized loss rate gamma relates to the three-body
 coefficient through overlap factors between the small bosonic clouds and
@@ -19,6 +19,10 @@ channels are true field quadratures; the field quadrature of the thermal
 channel is still reported for inspection. In the fully separated limit the
 condensate integrals vanish and Omega_eff lands exactly on the analytic
 thermal-only fraction of the denominator.
+
+omega_eff_from_ground_state is the one place gamma_pred = -Ndot / N_b is
+formed. It takes each integral once, I[n_f n_b^2] included, and Omega is
+that integral over the reference one, as omega() computes it.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .constants import A_BOHR
-from .errors import NonPositiveInput, ZeroDenominator, ZeroReference
-from .grid import DensityField, Grid2D, integrate_product, require_same_grid
+from .errors import ZeroDenominator, ZeroReference
+from .grid import DensityField, Grid2D, integrate_product
+from .physics import coupling_bb, coupling_bf
 from .profiles import (
     PeakQuantities,
     ThermalCloudParams,
@@ -59,10 +64,15 @@ def overlap_integral(n_f: DensityField, n_b: DensityField) -> float:
 def omega(n_f: DensityField, n_b: DensityField,
           ref_f: DensityField, ref_b: DensityField) -> float:
     """Zero-temperature overlap factor: interacting over noninteracting."""
+    return _over_reference(overlap_integral(n_f, n_b), ref_f, ref_b)
+
+
+def _over_reference(i_bb: float, ref_f: DensityField, ref_b: DensityField) -> float:
+    """i_bb over the reference overlap integral I[ref_f ref_b^2]."""
     ref = overlap_integral(ref_f, ref_b)
     if ref <= 0.0:
         raise ZeroReference("reference overlap integral vanished")
-    return overlap_integral(n_f, n_b) / ref
+    return i_bb / ref
 
 
 def eq6_denominator_rate(l3: float, n_f_peak: float, n_b_peak: float,
@@ -91,22 +101,6 @@ def omega_from_measurement(gamma: float, l3: float,
     beta = 1, alpha = 1, n_t = 0 reduces to this bit for bit.
     """
     return omega_eff(gamma, l3, n_f_peak, n_b_peak, 0.0, 1.0, 1.0)
-
-
-def predicted_loss_rate(n_f: DensityField, n_b: DensityField,
-                        n_t: DensityField, l3: float, alpha: float) -> float:
-    """Normalized loss rate gamma = -Ndot/N from field quadratures, s^-1."""
-    require_same_grid(n_f, n_b, n_t)
-    if l3 < 0.0 or alpha <= 0.0:
-        raise NonPositiveInput("need l3 >= 0 and alpha > 0")
-    i_bb = integrate_product(n_f, n_b, powers=(1, 2))
-    i_bt = integrate_product(n_f, n_b, n_t)
-    i_tt = integrate_product(n_f, n_t, powers=(1, 2))
-    n_total = n_b.integrate() + n_t.integrate()
-    if n_total <= 0.0:
-        raise ZeroDenominator("no bosons: loss rate undefined")
-    n_dot = -l3 * (0.5 * alpha * i_bb + alpha * i_bt + i_tt)
-    return -n_dot / n_total
 
 
 @dataclass(frozen=True)
@@ -155,20 +149,21 @@ def reference_fields(scenario: MixtureScenario,
     return ref_f, ref_b
 
 
-def thermal_field_for(gs: GroundState) -> DensityField:
-    """Thermal cloud on the ground-state grid per the scenario's model."""
-    sc = gs.scenario
-    params = ThermalCloudParams(sc.bosons, sc.n_bosons, sc.condensate_fraction)
-    if sc.thermal_model == "semiclassical":
-        from .physics import coupling_bb, coupling_bf
+def thermal_field_for(gs: GroundState, cloud: ThermalCloudParams) -> DensityField:
+    """Thermal cloud on the ground-state grid per the scenario's model.
 
+    cloud is the scenario's thermal component, ThermalCloudParams(bosons,
+    n_bosons, condensate_fraction).
+    """
+    sc = gs.scenario
+    if sc.thermal_model == "semiclassical":
         extra = (
             2.0 * coupling_bb(sc.bosons.a_intra, sc.bosons.mass) * gs.n_b.values
             + coupling_bf(sc.a_bf, sc.bosons.mass, sc.fermions.mass) * gs.n_f.values
         )
-        field, _ = thermal_bose_profile_semiclassical(params, gs.grid, extra)
+        field, _ = thermal_bose_profile_semiclassical(cloud, gs.grid, extra)
     else:
-        field, _ = thermal_bose_profile(params, gs.grid)
+        field, _ = thermal_bose_profile(cloud, gs.grid)
     return field
 
 
@@ -183,18 +178,17 @@ def omega_eff_from_ground_state(
     sc = gs.scenario
     if alpha is None:
         alpha = sc.alpha
-    thermal = thermal_field_for(gs)
+    beta = sc.condensate_fraction
+    cloud = ThermalCloudParams(sc.bosons, sc.n_bosons, beta)
+    thermal = thermal_field_for(gs, cloud)
     if reference is None:
         reference = reference_fields(sc, gs.grid)
     if peaks is None:
         peaks = fra_peak_quantities(sc)
-    ref_f, ref_b = reference
-    beta = sc.condensate_fraction
 
-    i_bb = integrate_product(gs.n_f, gs.n_b, powers=(1, 2))
+    i_bb = overlap_integral(gs.n_f, gs.n_b)
     i_bt = integrate_product(gs.n_f, gs.n_b, thermal)
     i_tt_fields = integrate_product(gs.n_f, thermal, powers=(1, 2))
-    cloud = ThermalCloudParams(sc.bosons, sc.n_bosons, beta)
     i_tt_fra = peaks.n_f_peak * cloud.second_moment_integral()
 
     n_total = sc.n_bosons
@@ -207,7 +201,7 @@ def omega_eff_from_ground_state(
         i_bt=i_bt,
         i_tt_fields=i_tt_fields,
         i_tt_fra=i_tt_fra,
-        omega=omega(gs.n_f, gs.n_b, ref_f, ref_b) if sc.condensate_number > 0 else 0.0,
+        omega=_over_reference(i_bb, *reference) if sc.condensate_number > 0 else 0.0,
         omega_eff=omega_eff(
             gamma_pred, l3, peaks.n_f_peak, peaks.n_b_peak, peaks.n_t_peak, beta, alpha
         ),

@@ -1,9 +1,9 @@
 """Scattering, Fermi-gas, and stability relations for the K-Li mixture.
 
-Covers the magnetic-field map of the interspecies Feshbach resonance, the
-Fermi wavenumber/energy of the trapped sea, mean-field coupling constants,
-the condensate healing length, and the phase-separation threshold
-a_bf > 1.15 * sqrt(a_bb / k_F).
+Covers the magnetic-field map a_bf(B) of the interspecies Feshbach
+resonance, the Fermi wavenumber of the trapped sea, mean-field coupling
+constants, the condensate healing length, and the phase-separation
+threshold a_bf > 1.15 * sqrt(a_bb / k_F).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import A_BOHR, HBAR, TWO_PI
-from .errors import NonPositiveInput, PoleAtResonance, UnreachableScatteringLength
+from .errors import NonPositiveInput, PoleAtResonance
 
 
 @dataclass(frozen=True)
@@ -72,36 +72,11 @@ def scattering_length(res: FeshbachResonance, b_field: float) -> float:
     return res.a_bg * (1.0 - res.delta / detuning)
 
 
-def field_for_scattering_length(res: FeshbachResonance, a_bf: float) -> float:
-    """Magnetic field (Gauss) at which the resonance gives a_bf (meters).
-
-    Inverts the dispersive formula; a_bf = a_bg is the asymptote reached only
-    at infinite detuning and has no field.
-    """
-    rel = 1.0 - a_bf / res.a_bg
-    if rel == 0.0:
-        raise UnreachableScatteringLength(
-            "a_bf equals the background scattering length; no finite field"
-        )
-    b_field = res.b0 + res.delta / rel
-    if abs(b_field - res.b0) < res.pole_eps:
-        raise PoleAtResonance(
-            f"requested a_bf maps into the pole guard window at {res.b0} G"
-        )
-    return b_field
-
-
 def fermi_wavenumber(n_f: float) -> float:
     """Peak Fermi wavenumber k_F = (6 pi^2 n_f)^(1/3) for density n_f (m^-3)."""
     if n_f <= 0.0:
         raise NonPositiveInput(f"fermion density must be positive, got {n_f}")
     return (6.0 * math.pi**2 * n_f) ** (1.0 / 3.0)
-
-
-def fermi_energy_from_density(n_f: float, mass_f: float) -> float:
-    """E_F = hbar^2 k_F^2 / 2 m_f, in J."""
-    k_f = fermi_wavenumber(n_f)
-    return HBAR * HBAR * k_f * k_f / (2.0 * mass_f)
 
 
 def coupling_bb(a_bb: float, mass_b: float) -> float:

@@ -694,9 +694,9 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
     raises MissingInput before anything is written. An input the kind's
     writer does not take raises TypeError.
     """
-    if kind not in _EMITTERS:
+    if kind not in PLOT_KINDS:
         raise ValidationError(f"unknown plot kind {kind!r}")
-    emit, required = _EMITTERS[kind]
+    emit, required, _, _ = PLOT_KINDS[kind]
     if not inputs.get(required):
         raise MissingInput(f"{kind} needs {required}")
     return emit(_ensure_dir(out_dir), **inputs)
@@ -788,6 +788,11 @@ def _emit_fig3(out: Path, pipeline_csv):
     ]
 
 
-# kind -> (writer, its required input)
-_EMITTERS = {"fig1b": (_emit_fig1b, "ground_state"), "fig2a": (_emit_fig2a, "smoothed"),
-             "fig2b": (_emit_fig2b, "gamma_records"), "fig3": (_emit_fig3, "pipeline_csv")}
+# kind -> (writer, its required input, the reader that makes that input from
+# the path the CLI is given, what that path names)
+PLOT_KINDS = {
+    "fig1b": (_emit_fig1b, "ground_state", load_ground_state, "ground-state directory"),
+    "fig2a": (_emit_fig2a, "smoothed", read_smoothed_csv, "smoothed curve CSV"),
+    "fig2b": (_emit_fig2b, "gamma_records", read_gamma_csv, "gamma CSV"),
+    "fig3": (_emit_fig3, "pipeline_csv", str, "pipeline sweep CSV"),
+}

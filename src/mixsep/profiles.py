@@ -7,6 +7,8 @@ return fields whose grid quadrature hits the target atom number to 1e-14
 relative; the TF builders get there by Newton's method on the z > 0 half of
 the grid, so discretization never leaks into atom numbers. The closed forms
 remain plain functions and are what enters the loss-formula denominators.
+The thermal cloud's temperature follows from the condensate fraction, and
+ThermalCloudParams.n_thermal is the package's one count of thermal atoms.
 """
 
 from __future__ import annotations
@@ -87,14 +89,12 @@ class ThermalCloudParams:
     """Thermal bosonic component of a partially condensed cloud.
 
     With a measured condensate fraction beta, the ideal-gas relation fixes
-    T = T_c (1 - beta)^(1/3). An explicit temperature overrides that (needed
-    for fully thermal clouds, where beta alone says nothing about T).
+    T = T_c (1 - beta)^(1/3); a fully thermal cloud (beta = 0) sits at T_c.
     """
 
     species: SpeciesParams
     n_total: float
     condensate_fraction: float
-    temperature: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.condensate_fraction <= 1.0:
@@ -106,8 +106,6 @@ class ThermalCloudParams:
 
     @property
     def t(self) -> float:
-        if self.temperature is not None:
-            return self.temperature
         return self.t_crit * (1.0 - self.condensate_fraction) ** (1.0 / 3.0)
 
     @property

@@ -59,10 +59,6 @@ class MixtureScenario:
     def condensate_number(self) -> float:
         return self.condensate_fraction * self.n_bosons
 
-    @property
-    def thermal_number(self) -> float:
-        return (1.0 - self.condensate_fraction) * self.n_bosons
-
     def with_a_bf(self, a_bf: float) -> "MixtureScenario":
         return replace(self, a_bf=a_bf)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mixsep import pipeline
-from mixsep.cli import _apply_thread_cap, main
+from mixsep.cli import _apply_thread_cap, build_parser, main
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import StepUnstable
@@ -619,6 +619,11 @@ class TestSweepAndFig:
         code, _, err = run(capsys, "fig", "fig3", "--out", str(tmp_path))
         assert code == 2
         assert "--in" in err
+
+    def test_fig_kinds_are_the_plot_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        kind = next(a for a in sub.choices["fig"]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == tuple(pipeline.PLOT_KINDS)
 
     def test_fig2a_bad_curve_metadata_exits_2(self, capsys, tmp_path):
         a = np.geomspace(100.0, 2000.0, 7)

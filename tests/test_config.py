@@ -11,7 +11,6 @@ from mixsep.config import (
     SWEEP_DEFAULT_POINTS,
     SWEEP_DEFAULT_RANGE_A0,
     default_config,
-    default_resonance,
     default_scenario,
     default_sweep_a0,
     load_config,
@@ -40,7 +39,7 @@ def test_defaults_match_shipped_scenario():
     )
     # the library's default mixture is the one the CLI and config files solve
     assert default_scenario() == sc
-    assert default_resonance() == FeshbachResonance()
+    assert cfg.resonance == FeshbachResonance()
 
 
 def test_default_sweep_is_geometric():

@@ -239,7 +239,10 @@ def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
 # where k is 2000 times smaller than its standard error and the rounding floor
 # of its step lies above 1e-12 of it. Two more, each 20-30% noise on 4 points
 # with a low first point, once raised "left the model's domain": the second
-# Gauss-Newton step crosses 1 + k n0 t = 0 at the last sample.
+# Gauss-Newton step crosses 1 + k n0 t = 0 at the last sample. The last,
+# 20-30% noise on 4 points with a low third point, takes 93 steps, each
+# shorter than the one before by a steady factor: it once gave up at the
+# 50-step cap.
 # Each is (times, numbers, sigma, k start).
 HARD_DECAYS = {
     "overshooting-steps": (
@@ -269,6 +272,12 @@ HARD_DECAYS = {
         [29616.88719757578, 193281.59654790978, 123399.60821065554, 73362.98757183318],
         [52114.928669880865, 39086.19650241064, 31268.95720192852, 26057.464334940432],
         5.0e-7,
+    ),
+    "slow-linear-contraction": (
+        [0.0, 2.564450004402674, 5.128900008805348, 7.693350013208022],
+        [116444.25101279352, 55103.01564260541, 8972.042213196031, 60447.10071401044],
+        [58312.73907985419, 31347.166202251647, 21434.982490702187, 16285.422821304279],
+        1.6772087999487534e-06,
     ),
 }
 

@@ -1,6 +1,5 @@
 """Overlap factors, loss-rate predictions, and the measurement-form identity."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,19 +7,17 @@ import pytest
 
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
-from mixsep.errors import NonPositiveInput, ZeroDenominator, ZeroReference
+from mixsep.errors import ZeroDenominator, ZeroReference
 from mixsep.grid import DensityField, grid_for_box, integrate_product
 from mixsep.overlap import (
     DEFAULT_L3,
     SQRT8,
-    OverlapReport,
     eq6_denominator_rate,
     omega,
     omega_eff,
     omega_eff_from_ground_state,
     omega_from_measurement,
     overlap_integral,
-    predicted_loss_rate,
     reference_fields,
     thermal_field_for,
 )
@@ -135,33 +132,17 @@ def test_overlap_integral_manual(synth):
 
 
 class TestPredictedLossRate:
-    def test_channel_sum(self, synth):
-        _, n_f, n_b, n_t = synth
+    def test_channel_sum(self, tf0):
+        # gamma_pred from quadratures taken here, not from the report's own
+        cloud = ThermalCloudParams(SC.bosons, SC.n_bosons, SC.condensate_fraction)
+        n_t = thermal_field_for(tf0, cloud)
+        i_bb = integrate_product(tf0.n_f, tf0.n_b, powers=(1, 2))
+        i_bt = integrate_product(tf0.n_f, tf0.n_b, n_t)
+        i_tt = PEAKS.n_f_peak * cloud.second_moment_integral()
         l3, alpha = 1e-37, 1.5
-        i_bb = integrate_product(n_f, n_b, powers=(1, 2))
-        i_bt = integrate_product(n_f, n_b, n_t)
-        i_tt = integrate_product(n_f, n_t, powers=(1, 2))
-        n_tot = n_b.integrate() + n_t.integrate()
-        expect = l3 * (0.5 * alpha * i_bb + alpha * i_bt + i_tt) / n_tot
-        assert predicted_loss_rate(n_f, n_b, n_t, l3, alpha) == pytest.approx(
-            expect, rel=1e-13
-        )
-
-    def test_linear_in_l3(self, synth):
-        _, n_f, n_b, n_t = synth
-        g1 = predicted_loss_rate(n_f, n_b, n_t, 1e-37, 1.5)
-        g2 = predicted_loss_rate(n_f, n_b, n_t, 3e-37, 1.5)
-        assert g2 == pytest.approx(3.0 * g1, rel=1e-13)
-
-    def test_input_guards(self, synth):
-        grid, n_f, n_b, n_t = synth
-        with pytest.raises(NonPositiveInput):
-            predicted_loss_rate(n_f, n_b, n_t, 1e-37, 0.0)
-        with pytest.raises(NonPositiveInput):
-            predicted_loss_rate(n_f, n_b, n_t, -1e-37, 1.5)
-        zero = DensityField(grid, np.zeros((grid.n_rho, grid.n_z)))
-        with pytest.raises(ZeroDenominator):
-            predicted_loss_rate(n_f, zero, zero, 1e-37, 1.5)
+        expect = l3 * (0.5 * alpha * i_bb + alpha * i_bt + i_tt) / SC.n_bosons
+        rep = omega_eff_from_ground_state(tf0, l3=l3, alpha=alpha)
+        assert rep.gamma_pred == pytest.approx(expect, rel=1e-13)
 
 
 class TestGroundStateReport:
@@ -191,6 +172,14 @@ class TestGroundStateReport:
         # the field quadrature sees the fermion hole and trap curvature
         assert rep.i_tt_fields != rep.i_tt_fra
 
+    @pytest.mark.parametrize("state", ["tf0", "tf2000"])
+    def test_one_overlap_integral_gives_i_bb_and_omega(self, request, state):
+        gs = request.getfixturevalue(state)
+        reference = reference_fields(gs.scenario, gs.grid)
+        rep = omega_eff_from_ground_state(gs)
+        assert rep.i_bb == overlap_integral(gs.n_f, gs.n_b)
+        assert rep.omega == omega(gs.n_f, gs.n_b, *reference)
+
     def test_omega_eff_consistent(self, tf0):
         rep = omega_eff_from_ground_state(tf0)
         assert rep.omega_eff == pytest.approx(
@@ -210,6 +199,13 @@ class TestGroundStateReport:
         rep = omega_eff_from_ground_state(tf2000)
         assert rep.omega < 1e-8
         assert rep.omega_eff == pytest.approx(PLATEAU, rel=1e-4)
+
+    def test_gamma_pred_linear_in_l3(self, tf0):
+        r1 = omega_eff_from_ground_state(tf0, l3=1e-37)
+        r3 = omega_eff_from_ground_state(tf0, l3=3e-37)
+        assert r3.gamma_pred == pytest.approx(3.0 * r1.gamma_pred, rel=1e-13)
+        # L3 cancels between the rate and its denominator
+        assert r3.omega_eff == pytest.approx(r1.omega_eff, rel=1e-13)
 
     def test_alpha_override(self, tf0):
         r15 = omega_eff_from_ground_state(tf0, alpha=1.5)
@@ -246,5 +242,6 @@ def test_reference_fields_are_calibrated(tf0):
 
 
 def test_thermal_field_number(tf0):
-    t = thermal_field_for(tf0)
-    assert t.integrate() == pytest.approx(SC.thermal_number, rel=1e-12)
+    cloud = ThermalCloudParams(SC.bosons, SC.n_bosons, SC.condensate_fraction)
+    t = thermal_field_for(tf0, cloud)
+    assert t.integrate() == pytest.approx(cloud.n_thermal, rel=1e-12)

@@ -2,24 +2,17 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from mixsep.constants import A_BOHR, HBAR
-from mixsep.errors import (
-    NonPositiveInput,
-    PoleAtResonance,
-    UnreachableScatteringLength,
-)
+from mixsep.errors import NonPositiveInput, PoleAtResonance
 from mixsep.physics import (
     FeshbachResonance,
     SpeciesParams,
     coupling_bb,
     coupling_bf,
     critical_scattering_length,
-    fermi_energy_from_density,
     fermi_wavenumber,
-    field_for_scattering_length,
     healing_length,
     is_phase_separated,
     scattering_length,
@@ -50,19 +43,6 @@ class TestFeshbachMap:
         with pytest.raises(PoleAtResonance):
             scattering_length(RES, RES.b0 + 0.5 * RES.pole_eps)
 
-    def test_field_inversion_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a = float(rng.uniform(-3000.0, 3000.0)) * A_BOHR
-            if abs(a - RES.a_bg) < 1e-3 * A_BOHR:
-                continue
-            b = field_for_scattering_length(RES, a)
-            assert scattering_length(RES, b) == pytest.approx(a, rel=1e-9)
-
-    def test_background_value_unreachable(self):
-        with pytest.raises(UnreachableScatteringLength):
-            field_for_scattering_length(RES, RES.a_bg)
-
     def test_zero_width_rejected(self):
         with pytest.raises(NonPositiveInput):
             FeshbachResonance(delta=0.0)
@@ -77,13 +57,6 @@ class TestFermiGas:
 
     def test_wavenumber_frozen_value(self):
         assert fermi_wavenumber(1.2e18) == pytest.approx(4142006.225, rel=1e-9)
-
-    def test_energy_from_density(self):
-        mass = 6.0 * 1.66053906660e-27
-        n = 1.2e18
-        k = fermi_wavenumber(n)
-        expect = HBAR**2 * k**2 / (2.0 * mass)
-        assert fermi_energy_from_density(n, mass) == pytest.approx(expect, rel=1e-14)
 
     def test_nonpositive_density_rejected(self):
         with pytest.raises(NonPositiveInput):

@@ -57,7 +57,8 @@ class TestScenarioDefaults:
         assert SC.n_bosons == pytest.approx(2.9e4)
         assert SC.n_fermions == pytest.approx(1.4e5)
         assert SC.condensate_number == pytest.approx(1.45e4)
-        assert SC.thermal_number == pytest.approx(1.45e4)
+        thermal = ThermalCloudParams(SC.bosons, SC.n_bosons, SC.condensate_fraction)
+        assert thermal.n_thermal == pytest.approx(1.45e4)
 
     def test_condensate_fraction_bounds(self):
         with pytest.raises(ValidationError):
@@ -160,10 +161,6 @@ class TestThermalCloudParams:
         tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.5)
         assert tp.t == pytest.approx(tp.t_crit * 0.5 ** (1.0 / 3.0), rel=1e-14)
         assert tp.t == pytest.approx(83.2863616241777e-9, rel=1e-12)
-
-    def test_explicit_temperature_wins(self):
-        tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.0, temperature=440e-9)
-        assert tp.t == pytest.approx(440e-9)
 
     def test_second_moment_closed_form(self):
         tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.5)
