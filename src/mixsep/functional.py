@@ -37,7 +37,7 @@ import numpy as np
 from .constants import HBAR
 from .errors import NumericalBlowup
 from .grid import Grid2D
-from .profiles import trap_potential
+from .profiles import half_trap_potential, trap_potential
 from .scenario import MixtureScenario
 from .physics import coupling_bb, coupling_bf
 
@@ -64,8 +64,8 @@ def tf_pressure_coefficient(mass_f: float) -> float:
 class EnergyFunctionalParams:
     """Grid-bound coefficients; coef_kin_* are zero in Thomas-Fermi mode.
 
-    The solver replaces v_b and v_f by their z > 0 halves, so that evaluate
-    works on the half box with a mirror stencil.
+    v_b and v_f span grid (functional_params) or, for the solver, its z > 0
+    half (half_box_params), on which evaluate works with a mirror stencil.
     """
 
     grid: Grid2D
@@ -83,6 +83,20 @@ def functional_params(
     grid: Grid2D,
     mode: str = "full",
 ) -> EnergyFunctionalParams:
+    """The functional's coefficients and trap potentials on grid."""
+    return _params(scenario, grid, mode, trap_potential)
+
+
+def half_box_params(scenario: MixtureScenario, grid: Grid2D, mode: str) -> EnergyFunctionalParams:
+    """functional_params for the z > 0 half of grid, where the solver relaxes.
+
+    v_b and v_f cover only the n_z/2 columns with z > 0, in Fortran order,
+    with the whole grid's bits there (profiles.half_trap_potential).
+    """
+    return _params(scenario, grid, mode, half_trap_potential)
+
+
+def _params(scenario, grid, mode, potential) -> EnergyFunctionalParams:
     if mode not in ("full", "tf"):
         raise ValueError(f"mode must be 'full' or 'tf', got {mode!r}")
     b, f = scenario.bosons, scenario.fermions
@@ -90,8 +104,8 @@ def functional_params(
     kin_f = LAMBDA_W * HBAR * HBAR / (2.0 * f.mass) if mode == "full" else 0.0
     return EnergyFunctionalParams(
         grid=grid,
-        v_b=trap_potential(b, grid),
-        v_f=trap_potential(f, grid),
+        v_b=potential(b, grid),
+        v_f=potential(f, grid),
         g_bb=coupling_bb(b.a_intra, b.mass),
         g_bf=coupling_bf(scenario.a_bf, b.mass, f.mass),
         c_tf=tf_pressure_coefficient(f.mass),
@@ -236,6 +250,7 @@ def evaluate(
     psi: np.ndarray,
     phi: np.ndarray,
     stencil: KineticStencil,
+    norms: tuple[float, float] | None = None,
 ) -> Evaluation:
     """Energy breakdown (J) and both Hamiltonians applied, in one pass.
 
@@ -259,7 +274,10 @@ def evaluate(
 
     Since <u, H u>_w is a sum of the energy terms (the quadratic ones twice,
     the pressure times 5/3), mu_b and mu_f come from the terms and the two
-    norms with no further pass over the Hamiltonians.
+    norms <psi, psi>_w and <phi, phi>_w with no further pass over the
+    Hamiltonians. norms, when given, are those two: the solver passes the
+    atom numbers it renormalized each field to, so it makes no sum for them.
+    Otherwise they are summed here.
     """
     grid = params.grid
     inner = grid.inner
@@ -305,12 +323,12 @@ def evaluate(
     for name, val in terms.items():
         if not math.isfinite(val):
             raise NumericalBlowup(f"energy term {name!r} is not finite")
+    norm_b, norm_f = norms if norms is not None else (inner(psi, psi), inner(phi, phi))
     mu_b = _rayleigh_from_terms(
-        bec_kinetic + bec_trap + 2.0 * bec_interaction + interspecies, inner(psi, psi)
+        bec_kinetic + bec_trap + 2.0 * bec_interaction + interspecies, norm_b
     )
     mu_f = _rayleigh_from_terms(
-        fermi_gradient + fermi_trap + (5.0 / 3.0) * fermi_pressure + interspecies,
-        inner(phi, phi),
+        fermi_gradient + fermi_trap + (5.0 / 3.0) * fermi_pressure + interspecies, norm_f
     )
     return Evaluation(terms, h_psi, h_phi, loc_b, loc_f, mu_b, mu_f)
 

@@ -70,14 +70,16 @@ class Grid2D:
         """Quadrature sum(w a b) of two full-grid arrays.
 
         The weights are constant along z, so each row's sum of products is
-        taken first and then weighted: no full-grid temporary is formed.
-        The same holds for arrays of any number of z columns, such as the
-        solver's z > 0 half or a species' band of it, which it gives the
-        quadrature of, and for either memory layout. The
-        sums are einsum's own loops, not BLAS, so the result does not depend
-        on the BLAS thread count.
+        taken first, by einsum, and then weighted, by one dot of n_rho
+        values: no full-grid temporary is formed. The same holds for arrays
+        of any number of z columns, such as the solver's z > 0 half or a
+        species' band of it, which it gives the quadrature of, and for
+        either memory layout. The row sums are einsum's own loops, not BLAS.
+        The dot is BLAS's ddot, which OpenBLAS runs on one thread for up to
+        10,000 values, so on any grid with n_rho <= 10,000 the result does
+        not depend on the BLAS thread count.
         """
-        return float(np.einsum("i,i->", self.ring_volumes, np.einsum("ij,ij->i", a, b)))
+        return float(np.einsum("ij,ij->i", a, b).dot(self.ring_volumes))
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Broadcastable (rho, z) coordinate arrays."""

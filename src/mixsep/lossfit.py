@@ -235,17 +235,18 @@ def fit_l3(
 
     N(t) = n0 / (1 + k n0 t) is fitted by weighted least squares (weights
     1/sigma^2, or 1 without sigma). The start is the closed-form line fit
-    of 1/N against t with weights N^4 / sigma^2. Gauss-Newton steps follow,
-    each the closed-form solve of the 2x2 normal equations; a step that turns
-    back on the one before by rho of its length is shortened by 1 + rho,
-    which damps the oscillation of fits with large residuals, and a step
-    that would make 1 + k n0 t <= 0 at a sample is halved until it does not.
-    The fit stops at the first point where each step is at most 1e-12 of its
-    parameter or 1e-10 of its standard error (the second rule ends fits
-    whose rounding floor lies above the first). It raises FitDiverged on a
-    constant series, a non-positive start N(0), a start that is not finite
-    or has 1 + k n0 t <= 0 at a sample, a singular normal matrix, no stop
-    within 500 steps, or a non-positive n0 or k. The errors come from
+    of 1/N against t with weights N^4 / sigma^2; where that line's intercept
+    is not positive, n0 starts at N[0] instead, k at the line's slope.
+    Gauss-Newton steps follow, each the closed-form solve of the 2x2 normal
+    equations; a step that turns back on the one before by rho of its
+    length is shortened by 1 + rho, which damps the oscillation of fits with
+    large residuals, and a step that would make 1 + k n0 t <= 0 at a sample
+    is halved until it does not. The fit stops at the first point where
+    each step is at most 1e-12 of its parameter or 1e-10 of its standard
+    error (the second rule ends fits whose rounding floor lies above the
+    first). It raises FitDiverged on a constant series, a start that is not
+    finite or has 1 + k n0 t <= 0 at a sample, a singular normal matrix, no
+    stop within 500 steps, or a non-positive n0 or k. The errors come from
     (J^T W J)^-1 at the solution: as it stands with sigma (taken as
     absolute), scaled by cost / (M - 2) without.
     """
@@ -275,9 +276,11 @@ def fit_l3(
     np.divide(u, n, out=work[2])
     (sw, swt, swy), (_, swtt, swty), _ = np.dot(work, work.T).tolist()
     a, k, _ = _line_from_sums(sw, swt, swtt, swy, swty)
-    if not a > 0.0:
-        raise FitDiverged("decay fit start has a non-positive N(0)")
-    n0 = 1.0 / a
+    # A line with no positive intercept gives no n0: N(0) is taken as it was
+    # measured. At the weighted mean time the line is the weighted mean of
+    # 1/N > 0, so on holds from t >= 0 its slope k is positive and the start
+    # lies in the model's domain.
+    n0 = 1.0 / a if a > 0.0 else float(n[0])
     t_ends = float(t[0]), float(t[-1])
     if not _in_domain(n0, k, *t_ends):
         raise FitDiverged(

@@ -38,6 +38,15 @@ def trap_potential(species: SpeciesParams, grid: Grid2D) -> np.ndarray:
     return _harmonic(species, *grid.mesh())
 
 
+def half_trap_potential(species: SpeciesParams, grid: Grid2D) -> np.ndarray:
+    """trap_potential's n_z/2 columns with z > 0, in Fortran order, to the same bits.
+
+    It is the transpose of the C-order (z, rho) array the same formula
+    gives, so no full-grid potential is built and nothing is copied.
+    """
+    return _harmonic(species, grid.rho[None, :], grid.z[grid.n_z // 2:, None]).T
+
+
 def fermi_energy_trap(n_fermions: float, species: SpeciesParams) -> float:
     """Trapped-gas Fermi energy E_F = hbar wbar (6 N)^(1/3), in J."""
     if not 1.0 <= n_fermions < math.inf:

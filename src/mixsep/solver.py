@@ -36,7 +36,8 @@ are sums of squared differences with (|a| - |b|)^2 <= (a - b)^2, so
 E(|u|) <= E(u) at the same norm.
 
 mu comes from the evaluation's energy terms (functional.Evaluation.mu_b /
-mu_f), so a step makes no extra pass over H u. Both fields are renormalized
+mu_f) over the atom number u was renormalized to, so a step makes no extra
+pass over H u and no sum for <u, u>_w. Both fields are renormalized
 exactly to the target atom numbers after every step. A trial, conjugate or
 steepest, is accepted only if the energy does not rise. A rejected
 conjugate trial is retried as a steepest step at the same dtau, a rejected
@@ -59,12 +60,13 @@ cells with z > 0, each species holding half its atoms. The kinetic
 stencil's lower face there, z = 0, reflects (KineticStencil(mirror=True)):
 the neighbour across it is the cell itself; its outer faces stay Dirichlet.
 The radial line solve is the full grid's, since the axial diagonal 2/d_z^2
-is the same on every column. The trap potentials are sliced from the full
-grid. A warm start is folded onto the half as the mean of the field's two
-halves, so it and its mirror image fold to the same bytes. A cold start
-takes the z > 0 half of the TF profiles, which are mirror-symmetric to the
-bit, so that half is their fold. The returned state is mirrored back onto the full grid, with its
-energy, breakdown and history doubled. So each iteration costs half a
+is the same on every column. The trap potentials are built on the half
+alone (functional.half_box_params). A warm start is folded onto the half
+as the mean of the field's two halves, so it and its mirror image fold to
+the same bytes. A cold start takes the z > 0 half of the TF profiles, which
+are mirror-symmetric to the bit, so that half is their fold. The returned
+state is mirrored back onto the full grid, with its energy, breakdown and
+history doubled. So each iteration costs half a
 full-grid one, and the returned fields are mirror-symmetric bit for bit.
 
 The half-box fields are stored in Fortran order, their index order still
@@ -75,19 +77,28 @@ can reach: the columns it fills plus one zero halo column, or the whole
 box. Past the band every operand is exactly zero: H u, since the stencil
 reaches one column, and with it g, P g (a line solve per column), d and
 the trial. So evaluate, the preconditioner, the direction and the trial
-all run on the band alone, one contiguous block, and what they skip is
-exact zeros. The band grows by one column whenever a trial reaches its
-halo column, as a full-mode step does from a compact start (the TF
-condensate fills a tenth of the box's columns), and never in tf mode,
-where nothing couples neighbouring cells. It never shrinks, so every
-buffer stays zero past it. A band changes only the order of the weighted
-sums, not the method, its constants or its stop rule.
+all run on the band alone, one contiguous block. The band grows by one
+column when a trial's halo column holds an amplitude above _TAIL_FLOOR =
+eps^2 of the trial's peak amplitude, as a full-mode step does from a
+compact start (the TF condensate fills a tenth of the box's columns), and
+never in tf mode, where nothing couples neighbouring cells. A halo column
+below the floor is set to zero instead, and a start is cut at the floor
+the same way (_species), so a band stops at the floor: past the interface
+the amplitudes decay exponentially, and a band that followed them would
+reach the box's edge through subnormal densities, whose arithmetic is
+slow. What a band skips is therefore zeros, or
+amplitudes no double sum can see: below eps^2 of the peak, an amplitude
+adds under eps^4 to any density sum, and through one stencil apply or line
+solve it cannot move any amplitude above eps of the peak. A band never
+shrinks, so every buffer stays zero past it. It changes the weighted sums
+only by their order and by what lies below the floor, not the method, its
+constants or its stop rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +106,7 @@ from .errors import GridMismatch, NonPositiveInput, NotSeparated, StepUnstable, 
 from .functional import (
     KineticStencil,
     evaluate,
-    functional_params,
+    half_box_params,
     local_scale_bound,
 )
 from .grid import DensityField, Grid2D, unfold
@@ -126,6 +137,9 @@ _RESIDUAL_TOL = 1.5e-6
 # seed 2 ends 226.4 a0 7.8e-4 higher. An algebraic tf solve would drop it.
 _TOL_ENERGY = 1.0e-10
 _CONSECUTIVE = 10
+# A band grows only into a halo column holding an amplitude above this share
+# of the trial's peak amplitude (the module docstring gives the reason).
+_TAIL_FLOOR = np.finfo(float).eps ** 2
 
 
 @dataclass(frozen=True)
@@ -222,9 +236,18 @@ class _Species:
 
 
 def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Species:
-    """A species starting from u (Fortran order), renormalized to target atoms."""
+    """A species starting from u (Fortran order), renormalized to target atoms.
+
+    Its band ends after the last column holding an amplitude above
+    _TAIL_FLOOR of u's peak, and u is set to zero past that column, so a
+    start with a tail, such as a field solved without the floor, takes the
+    band a solve would have left it.
+    """
     u = _renormalize(u, target, grid)
-    reached = np.flatnonzero(np.any(u != 0.0, axis=0))
+    top = np.abs(u).max(axis=0)
+    reached = np.flatnonzero(top > _TAIL_FLOOR * top.max())
+    if reached.size:
+        u[:, reached[-1] + 1:] = 0.0
     band = min(reached[-1] + 2 if reached.size else 1, u.shape[1])
     # np.zeros, unlike np.zeros_like, leaves the pages past the band unwritten
     return _Species(
@@ -265,7 +288,8 @@ def _trial(sp: _Species, dtau: float, grid: Grid2D) -> np.ndarray:
     """|renormalize(u + dtau d)| of one species, built in sp.spare and returned.
 
     The trial is zero wherever u and d both are. Its band is sp.band, grown
-    by one column when the trial reaches the halo column.
+    by one column when the trial's halo column holds an amplitude above
+    _TAIL_FLOOR of its peak; a halo column below that is set to zero.
     """
     band = sp.band
     out = sp.spare[:, :band]
@@ -273,14 +297,15 @@ def _trial(sp: _Species, dtau: float, grid: Grid2D) -> np.ndarray:
     out += sp.u[:, :band]
     _renormalize(out, sp.target, grid)
     np.abs(out, out=out)
-    if band < sp.spare.shape[1] and np.any(out[:, -1]):
-        sp.band = band + 1
+    if band < sp.spare.shape[1]:
+        halo = out[:, -1]
+        top = halo.max()
+        if top > 0.0:
+            if top > _TAIL_FLOOR * out.max():
+                sp.band = band + 1
+            else:
+                halo.fill(0.0)
     return sp.spare
-
-
-def _upper(a: np.ndarray) -> np.ndarray:
-    """The z > 0 half of a full-grid array, as a Fortran-order copy."""
-    return np.asfortranarray(a[:, a.shape[1] // 2:])
 
 
 def _fold(u: np.ndarray) -> np.ndarray:
@@ -306,7 +331,7 @@ def _start(
     if warm_start is None:
         bec, _ = bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)
         sea, _ = fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)
-        return tuple(np.sqrt(_upper(f.values)) for f in (bec, sea))
+        return tuple(np.sqrt(f.values[:, grid.n_z // 2:], order="F") for f in (bec, sea))
     fields = tuple(np.asarray(u, dtype=float) for u in warm_start)
     for u in fields:
         if u.shape != (grid.n_rho, grid.n_z):
@@ -334,8 +359,7 @@ def minimize(
     warm start of another shape and NonPositiveInput for one that is zero
     everywhere for a species with atoms.
     """
-    params = functional_params(scenario, grid, options.mode)
-    params = replace(params, v_b=_upper(params.v_b), v_f=_upper(params.v_f))
+    params = half_box_params(scenario, grid, options.mode)
     stencil = KineticStencil(grid, mirror=True)
     species = tuple(
         _species(target, coef_kin, u, grid)
@@ -346,6 +370,8 @@ def minimize(
         )
     )
     moving = [k for k, sp in enumerate(species) if sp.target > 0.0]
+    # Each field is renormalized to its target, so <u, u>_w needs no sum.
+    targets = tuple(sp.target for sp in species)
     trial = [sp.u for sp in species]
 
     dtau = _DTAU_START
@@ -359,7 +385,7 @@ def minimize(
 
     while iterations < options.max_iter:
         bands = [u[:, :sp.band] for sp, u in zip(species, trial)]
-        ev = evaluate(params, bands[0], bands[1], stencil)
+        ev = evaluate(params, bands[0], bands[1], stencil, targets)
         e_now = ev.energy
         if e_now > e_prev:
             # Rejected. A conjugate trial is retried as a steepest one at the

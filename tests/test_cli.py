@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, printed values."""
 
+import importlib.resources
 import json
 import math
 import os
@@ -644,6 +645,20 @@ class TestSweepAndFig:
         )
         assert code == 2
         assert "curve.csv" in err and "n_boot" in err
+
+    @pytest.mark.filterwarnings("error::mixsep.errors.NonDecayingWarning")
+    def test_fig1b_default_noise_does_not_warn_on_the_shipped_tf_state(self, capsys, tmp_path):
+        # The default --noise 0.02 adds 2% of the column peak to every
+        # sample, the outermost included; the edge is judged on the
+        # noiseless data, which has decayed.
+        cfg = importlib.resources.files("mixsep") / "data" / "default.cfg"
+        gs_dir = tmp_path / "gs"
+        code, _, _ = run(capsys, "solve", "--config", str(cfg), "--mode", "tf", "--out", str(gs_dir))
+        assert code == 0
+        code, _, _ = run(
+            capsys, "fig", "fig1b", "--ground-state", str(gs_dir), "--out", str(tmp_path / "f1b")
+        )
+        assert code == 0
 
     def test_fig1b_from_saved_state(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"

@@ -20,6 +20,7 @@ from mixsep.functional import (
     energy_terms,
     evaluate,
     functional_params,
+    half_box_params,
     local_scale_bound,
     tf_pressure_coefficient,
 )
@@ -528,3 +529,34 @@ def test_local_scale_bound_orders(small):
     # a non-positive local potential leaves the gradient unscaled
     loc = np.array([[-3.0, 0.0, 1.0]])
     np.testing.assert_array_equal(local_scale_bound(loc, -2.0), [[1.0, 1.0, math.sqrt(2.0 / 3.0)]])
+
+
+@pytest.mark.parametrize("mode", ["full", "tf"])
+def test_half_box_params_hold_the_upper_half_to_the_bit(small, mode):
+    # the solver's potentials are built on the z > 0 columns alone, in
+    # Fortran order, with the bits of the whole grid's potentials there
+    grid, _, _ = small
+    whole, half = functional_params(SC, grid, mode), half_box_params(SC, grid, mode)
+    for name in ("v_b", "v_f"):
+        upper, built = getattr(whole, name)[:, grid.n_z // 2:], getattr(half, name)
+        assert built.flags.f_contiguous
+        assert built.tobytes("F") == upper.tobytes("F")
+    for name in ("grid", "g_bb", "g_bf", "c_tf", "coef_kin_b", "coef_kin_f"):
+        assert getattr(half, name) == getattr(whole, name)
+
+
+def test_given_norms_replace_only_the_norm_sums(small):
+    # the solver passes the atom numbers it renormalized to; given the sums
+    # themselves, evaluate returns the same bits as summing them
+    grid, psi, phi = small
+    params = functional_params(SC, grid, "full")
+    st_ = KineticStencil(grid)
+    summed = evaluate(params, psi, phi, st_)
+    norms = (grid.inner(psi, psi), grid.inner(phi, phi))
+    given = evaluate(params, psi, phi, st_, norms)
+    assert given.terms == summed.terms
+    assert (given.mu_b, given.mu_f) == (summed.mu_b, summed.mu_f)
+    for a, b in ((given.h_psi, summed.h_psi), (given.h_phi, summed.h_phi)):
+        np.testing.assert_array_equal(a, b)
+    doubled = evaluate(params, psi, phi, st_, (2.0 * norms[0], 2.0 * norms[1]))
+    assert (doubled.mu_b, doubled.mu_f) == (0.5 * summed.mu_b, 0.5 * summed.mu_f)

@@ -25,6 +25,17 @@ def test_weights_sum_to_cylinder_volume(small_grid):
     assert np.sum(g.weights) == pytest.approx(vol, rel=1e-12)
 
 
+@pytest.mark.parametrize("columns", [32, 16, 5])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inner_is_the_weighted_sum(small_grid, columns, order):
+    # whole grid, the z > 0 half, or a band of it, in either layout
+    rng = np.random.default_rng(columns)
+    a, b = (np.array(rng.standard_normal((16, columns)), order=order) for _ in range(2))
+    expect = np.sum(small_grid.weights[:, :columns] * a * b)
+    assert small_grid.inner(a, b) == pytest.approx(expect, rel=1e-12)
+    assert isinstance(small_grid.inner(a, b), float)
+
+
 def test_rho_cells_are_centered(small_grid):
     g = small_grid
     assert g.rho[0] == pytest.approx(0.5 * g.d_rho)

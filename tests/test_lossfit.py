@@ -242,7 +242,9 @@ def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
 # Gauss-Newton step crosses 1 + k n0 t = 0 at the last sample. The last,
 # 20-30% noise on 4 points with a low third point, takes 93 steps, each
 # shorter than the one before by a steady factor: it once gave up at the
-# 50-step cap.
+# 50-step cap. The three "negative-intercept" ones, 20-30% noise on 4 points
+# with a low first point, once raised "start has a non-positive N(0)": the
+# weighted line fit of 1/N against t crosses 0 before t = 0.
 # Each is (times, numbers, sigma, k start).
 HARD_DECAYS = {
     "overshooting-steps": (
@@ -279,7 +281,33 @@ HARD_DECAYS = {
         [58312.73907985419, 31347.166202251647, 21434.982490702187, 16285.422821304279],
         1.6772087999487534e-06,
     ),
+    "negative-intercept-1": (
+        [0.0, 2.6902520732597215, 5.380504146519443, 8.070756219779165],
+        [5485.612541097877, 18254.606149481373, 8298.29033452425, 3591.878607764737],
+        [13685.964247749396, 4213.7248205988735, 2490.2141830229693, 1767.3338686886116],
+        1.6599796100107218e-05,
+    ),
+    "negative-intercept-2": (
+        [0.0, 2.5396914470200316, 5.079382894040063, 7.619074341060095],
+        [31460.087843636396, 76867.2274556567, 19106.876813254887, 22749.34588396989],
+        [54451.44962940725, 19208.94850188713, 11661.378308766294, 8371.896880437893],
+        3.7577194061652277e-06,
+    ),
+    "negative-intercept-3": (
+        [0.0, 2.156658865386944, 4.313317730773888, 6.469976596160833],
+        [46833.35559724357, 88616.2518410422, 41160.156177000004, 23820.354076527467],
+        [52145.67287864461, 21812.639801027464, 13790.647737456751, 10082.592374030279],
+        3.3528602005369454e-06,
+    ),
 }
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(HARD_DECAYS) if "intercept" in k])
+def test_negative_intercept_decays_have_no_line_start(name):
+    # the weighted line of 1/N (weights N^4 / sigma^2) has no positive
+    # intercept, so its reciprocal gives no N(0) to start from
+    t, n, sigma, _ = (np.array(v) for v in HARD_DECAYS[name])
+    assert np.polyfit(t, 1.0 / n, 1, w=n**2 / sigma)[1] <= 0.0
 
 
 @pytest.mark.parametrize("name", sorted(HARD_DECAYS))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ import pytest
 from mixsep.config import default_scenario, parse_config
 from mixsep.constants import A_BOHR
 from mixsep import pipeline
-from mixsep.errors import MissingInput, OutputError, ParseError, StepUnstable, ValidationError
+from mixsep.errors import (
+    MissingInput,
+    NonDecayingWarning,
+    OutputError,
+    ParseError,
+    StepUnstable,
+    ValidationError,
+)
 from mixsep.grid import DensityField
 from mixsep.lossfit import smooth_l3
 from mixsep.overlap import omega_eff_from_ground_state, reference_fields
@@ -362,6 +370,15 @@ class TestPlotData:
     def test_input_the_writer_does_not_take(self, tmp_path, gs_sep):
         with pytest.raises(TypeError, match="nosie"):
             emit_plot_data("fig1b", tmp_path, ground_state=gs_sep, nosie=0.1)
+
+    def test_fig1b_warns_on_a_profile_that_has_not_decayed(self, tmp_path, gs_sep):
+        # a Fermi sea that fills the box to its edge has not decayed there,
+        # with noise or without
+        flat = DensityField(gs_sep.grid, np.full(gs_sep.n_f.values.shape, 1.0e18), "fermions")
+        gs = replace(gs_sep, n_f=flat)
+        for noise in (0.0, 0.02):
+            with pytest.warns(NonDecayingWarning, match="has not decayed at the outer edge"):
+                emit_plot_data("fig1b", tmp_path, ground_state=gs, noise=noise)
 
     @pytest.mark.filterwarnings("ignore::mixsep.errors.NonDecayingWarning")
     def test_fig1b_outputs(self, tmp_path, gs_sep):

@@ -279,8 +279,8 @@ def test_energy_that_keeps_rising_raises(grid48, monkeypatch):
     # every evaluation reads higher than the last
     calls = itertools.count()
 
-    def rising(params, psi, phi, stencil):
-        ev = evaluate(params, psi, phi, stencil)
+    def rising(params, psi, phi, stencil, norms=None):
+        ev = evaluate(params, psi, phi, stencil, norms)
         ev.terms["rise"] = abs(ev.energy) * next(calls)
         return ev
 
@@ -339,8 +339,8 @@ def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
         conjugate.append(original(*args))
         return conjugate[-1]
 
-    def recording(params, psi, phi, stencil):
-        ev = evaluate(params, psi, phi, stencil)
+    def recording(params, psi, phi, stencil, norms=None):
+        ev = evaluate(params, psi, phi, stencil, norms)
         seen.append(hashlib.sha256(psi.tobytes() + phi.tobytes()).hexdigest())
         if any(conjugate) and not raised:
             raised.append(len(seen))
@@ -353,6 +353,66 @@ def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
     assert raised and gs.converged
     assert len(seen) == gs.iterations + 1
     assert len(set(seen)) == len(seen)
+
+
+@pytest.fixture(scope="module")
+def floor_pair():
+    """Cold full-mode solves at 1480 a0 on 64x128: with the tail floor, and under
+    the former rule that grew a band into any non-zero halo (a floor of 0)."""
+    sc = SC.with_a_bf(1480.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 64, 128)
+    floored = minimize(sc, grid, SolverOptions(mode="full"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_TAIL_FLOOR", 0.0)
+        former = minimize(sc, grid, SolverOptions(mode="full"))
+    assert floored.converged and former.converged
+    return floored, former
+
+
+def _subnormal_cells(gs) -> int:
+    tiny = np.finfo(float).tiny
+    return sum(int(np.count_nonzero((f.values > 0.0) & (f.values < tiny))) for f in (gs.n_b, gs.n_f))
+
+
+def test_floored_solve_has_no_subnormal_density(floor_pair):
+    # past the interface the boson amplitude decays exponentially; the former
+    # rule followed it into subnormal densities on this grid
+    floored, former = floor_pair
+    assert _subnormal_cells(floored) == 0
+    assert _subnormal_cells(former) > 0
+
+
+def _boson_band(gs) -> int:
+    """The number of leading z > 0 columns holding bosons; every later one is zero."""
+    upper = gs.n_b.values[:, gs.grid.n_z // 2:]
+    filled = np.flatnonzero(upper.any(axis=0))
+    np.testing.assert_array_equal(filled, np.arange(filled.size))
+    return filled.size
+
+
+def test_boson_band_stops_short_of_the_box(floor_pair):
+    # 19 of the 64 half-box columns; the former rule reached 61
+    floored, former = floor_pair
+    assert _boson_band(floored) < 32 < 48 < _boson_band(former)
+
+
+def test_warm_start_with_a_tail_takes_a_floored_band(floor_pair):
+    # a state solved under the former rule carries its tail into a warm
+    # start; the start's band ends at the floor all the same
+    _, former = floor_pair
+    warm = (np.sqrt(former.n_b.values), np.sqrt(former.n_f.values))
+    gs = minimize(former.scenario, former.grid, SolverOptions(mode="full"), warm_start=warm)
+    assert gs.converged
+    assert _subnormal_cells(gs) == 0
+    assert _boson_band(gs) < 32
+    assert gs.energy == pytest.approx(former.energy, rel=1e-15, abs=0.0)
+
+
+def test_tail_floor_changes_no_iteration_or_energy(floor_pair):
+    # what the floor skips adds under eps^4 to any density sum
+    floored, former = floor_pair
+    assert floored.iterations == former.iterations
+    assert floored.energy == pytest.approx(former.energy, rel=1e-15, abs=0.0)
 
 
 def test_overlap_settles_under_the_stop_rule(monkeypatch):
