@@ -57,12 +57,15 @@ from .profiles import (
 from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, interface_thickness, minimize
 
-try:
-    from importlib.metadata import version as _version
 
-    __version__ = _version("mixsep")
-except Exception:
-    __version__ = "0.1.0"
+def __getattr__(name: str):
+    # __version__, looked up on first use (pipeline.tool_version)
+    if name == "__version__":
+        from .pipeline import tool_version
+
+        return tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ColumnSlice",

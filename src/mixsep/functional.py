@@ -9,34 +9,52 @@ phi = sqrt(n_f) uses |grad n_f|^2 / n_f = 4 |grad phi|^2 identically, so no
 regularization of the division is ever needed.
 
 Discretely, both kinetic terms are face-difference quadratic forms and the
-operators H_b, H_f that evaluate applies are their exact algebraic gradients
-divided by twice the cell volume. That makes dE/dpsi_ij == 2 w_ij (H psi)_ij
-hold to machine precision, which the tests check by finite differences.
+operators H_b, H_f are their exact algebraic gradients divided by twice the
+cell volume. That makes dE/dpsi_ij == 2 w_ij (H psi)_ij hold to machine
+precision, which the tests check by finite differences.
+
+evaluate works on volume-weighted amplitudes psi~ = sqrt(w) psi, w being the
+cell volume of the row (Grid2D.ring_volumes, constant along z). In them
+every quadrature is a plain sum: the integral of f n_b is sum(f psi~^2),
+psi~^2 being the atoms per cell, and the kinetic form is
+sum(psi~ K~ psi~) with K~ = W^1/2 K W^-1/2, the same three-point radial
+stencil as K with the coefficient that carries cell i into row j
+multiplied by sqrt(w_j / w_i), and the same axial part (KineticStencil).
+K~ is symmetric under the plain sum, and so is its radial line operator.
+evaluate returns H~ psi~ = sqrt(w) (H_b psi), likewise for phi. The local
+potentials need the densities n = psi~^2 / w, and each 1/w rides in the
+per-row factor of a product the pass forms anyway
+(EnergyFunctionalParams.row_factors), so the weights cost no pass.
+energy_terms and apply_hamiltonians take unweighted fields: they scale
+them in and H psi, H phi back out.
 
 The solver calls evaluate once per iteration, so it is written to pass over
 each field-sized array as few times as it can: the stencil is three radial
 multiply-adds plus two shifted subtractions, each over contiguous memory in
 the solver's Fortran-order layout, n_f^(2/3) comes from one cube root and
-also gives the Fermi pressure as c_TF <n_f, n_f^(2/3)>_w, and every energy
-term is a weighted sum of products with no temporary array (Grid2D.inner).
-The solver passes each species on its band of z columns only (evaluate).
+also gives the Fermi pressure as (3/5) sum(phi~^2 (5/3) c_TF n_f^(2/3)),
+and every energy term is one plain sum of products with no temporary array
+(grid.dot: one BLAS ddot, or one per radial line past 10,000 values, so no
+sum depends on the BLAS thread count). The solver passes each species on
+its band of z columns only (evaluate).
 
 The module needs numpy alone until a full-mode solve preconditions with the
-radial line operator: KineticStencil.solve_lines imports LAPACK's tridiagonal
-routines from scipy on its first call, so importing the package, a tf-mode
-solve and the analysis commands never load scipy.
+radial line operator: KineticStencil.solve_lines imports LAPACK's dptsv from
+scipy at a stencil's first solve with each coefficient, so importing the
+package, a tf-mode solve and the analysis commands never load scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import NumericalBlowup
-from .grid import Grid2D
+from .grid import Grid2D, dot
 from .profiles import half_trap_potential, trap_potential
 from .scenario import MixtureScenario
 from .physics import coupling_bb, coupling_bf
@@ -77,6 +95,17 @@ class EnergyFunctionalParams:
     coef_kin_b: float
     coef_kin_f: float
 
+    @cached_property
+    def row_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g_bb / w, g_bf / w, (5/3) c_TF w^(-2/3)), each an (n_rho, 1) column.
+
+        Times a species' atoms per cell w n, the first two give g_bb n and
+        g_bf n; times (w n)^(2/3), the last gives the local Fermi energy
+        (5/3) c_TF n^(2/3).
+        """
+        w = self.grid.ring_volumes[:, None]
+        return self.g_bb / w, self.g_bf / w, (5.0 / 3.0) * self.c_tf / np.cbrt(w) ** 2
+
 
 def functional_params(
     scenario: MixtureScenario,
@@ -115,11 +144,17 @@ def _params(scenario, grid, mode, potential) -> EnergyFunctionalParams:
 
 
 class KineticStencil:
-    """Conservative cylindrical Laplacian with axis-Neumann / outer-Dirichlet.
+    """Conservative cylindrical Laplacian on volume-weighted amplitudes.
 
-    Radial fluxes are weighted by the face radius (i+1) d_rho over the cell
-    radius (i+1/2) d_rho; the axis face has zero radius so the symmetry
-    condition costs nothing. Outer rho and both z edges are hard zeros.
+    The Laplacian K, with axis-Neumann and outer-Dirichlet faces, weights
+    each radial flux by the face radius (i+1) d_rho over the cell radius
+    (i+1/2) d_rho; the axis face has zero radius so the symmetry condition
+    costs nothing. Outer rho and both z edges are hard zeros. The stencil
+    applies K~ = W^1/2 K W^-1/2, W the cell volumes, to sqrt(w) u: the
+    coefficient that carries cell i into radial row j is K's times
+    sqrt(w_j / w_i), so both entries coupling cells i and i + 1 are
+    -(i + 1) / sqrt((i + 1/2) (i + 3/2)) / d_rho^2 and K~ is symmetric
+    under the plain sum. The axial part, which stays in a row, is K's.
 
     With mirror=True the stencil acts on the upper half of grid instead: the
     n_z/2 columns with z > 0 of a field that is mirror-symmetric in z. The
@@ -133,9 +168,9 @@ class KineticStencil:
     fastest on Fortran order, where each radial line (fixed z) is
     contiguous, which is how the solver stores its fields. The operator is
     separable. Its radial part, with the axial diagonal 2/d_z^2 folded in,
-    is an (n_rho x n_rho) tridiagonal matrix K_line, stored as three
-    coefficient vectors times d_z^2 so that the two axial neighbours are
-    plain subtractions of shifted column blocks (the reflected one is a
+    is a symmetric (n_rho x n_rho) tridiagonal matrix K_line, stored as
+    three coefficient vectors times d_z^2 so that the two axial neighbours
+    are plain subtractions of shifted column blocks (the reflected one is a
     third, on the z = 0 column); apply() divides by d_z^2 once at the end.
     solve_lines() inverts coef K_line + shift on every z column.
     """
@@ -148,25 +183,26 @@ class KineticStencil:
         down = i / (i + 0.5)
         inv_dr2 = 1.0 / grid.d_rho**2
         self._inv_dz2 = 1.0 / grid.d_z**2
-        diag = (up + down) * inv_dr2 + 2.0 * self._inv_dz2
+        # K_line's diagonal, and its off-diagonal: entry i couples cells i
+        # and i + 1.
+        self._line_diag = (up + down) * inv_dr2 + 2.0 * self._inv_dz2
+        self._line_off = -(i[:-1] + 1.0) / np.sqrt((i[:-1] + 0.5) * (i[:-1] + 1.5)) * inv_dr2
         dz2 = grid.d_z**2
         # K_line d_z^2 by the cell each entry multiplies: cell i enters row
         # i with _diag_dz2[i], row i + 1 with _below_dz2[i] and row i - 1
         # with _above_dz2[i]. The entries that would leave the line are
         # zeros, so a shift of a whole Fortran-order field adds nothing
         # across the end of a line.
-        self._diag_dz2 = diag * dz2
-        self._below_dz2 = np.append(-down[1:] * inv_dr2 * dz2, 0.0)
-        self._above_dz2 = np.insert(-up[:-1] * inv_dr2 * dz2, 0, 0.0)
-        # R K_line is symmetric, with R = diag(i + 1/2) the cell radii in units
-        # of d_rho: both of its entries coupling cells i and i + 1 are
-        # -(i + 1) / d_rho^2, the face radius over d_rho^2.
-        self._radii = i + 0.5
-        self._sym_diag = self._radii * diag
-        self._sym_off = -(i[:-1] + 1.0) * inv_dr2
+        self._diag_dz2 = self._line_diag * dz2
+        self._below_dz2 = np.append(self._line_off * dz2, 0.0)
+        self._above_dz2 = np.insert(self._line_off * dz2, 0, 0.0)
+        # coef -> (coef K_line's diagonal, its off-diagonal)
+        self._lines: dict = {}
+        self._dptsv = None  # LAPACK's, bound at the first line solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Minus the discrete (1/rho) d_rho(rho d_rho u) - d_z^2 u, in u's layout.
+        """K~ u: sqrt(w) times minus the discrete (1/rho) d_rho(rho d_rho v) - d_z^2 v
+        of v = u / sqrt(w), in u's layout.
 
         Each cell is summed as a sparse product with K_line would sum it:
         lower neighbour, cell, upper neighbour. Besides its result it makes
@@ -197,27 +233,30 @@ class KineticStencil:
         its axial diagonal 2/d_z^2, so each z column of b is one tridiagonal
         system. The mirror stencil's z = 0 column takes the same K_line, so
         that on a mirror-symmetric b both stencils solve the same systems
-        column for column. It is solved as R (coef K_line + shift) x = R b,
-        whose matrix is symmetric positive definite for coef >= 0 and
-        shift > 0: one LDL^T factorization of size n_rho (LAPACK dpttrf)
-        serves every column, and one dpttrs call solves them all. Neither
-        makes a BLAS call, so the result does not depend on the thread
-        count. dpttrs solves a Fortran-order b in place; b in another
-        layout is solved in a Fortran-order copy that is copied back.
-        Both routines are bound from scipy.linalg.lapack on each call, which
-        loads scipy at the first one (about 0.3 s and 24 MB). Raises
-        NumericalBlowup if the factorization fails.
+        column for column. The matrix is symmetric, and positive definite
+        for coef >= 0 and shift > 0, so one LAPACK dptsv call factors it
+        (LDL^T, size n_rho) and solves every column. It makes no BLAS call,
+        so the result does not depend on the thread count. dptsv solves a
+        Fortran-order b in place; b in another layout is solved in a
+        Fortran-order copy that is copied back. The stencil keeps coef
+        K_line's two diagonals per coef, and binds dptsv from
+        scipy.linalg.lapack at its first solve, which loads scipy at the
+        first one in the process (about 0.3 s and 24 MB).
+        Raises NumericalBlowup if the factorization fails.
         """
-        from scipy.linalg.lapack import dpttrf, dpttrs
+        if self._dptsv is None:
+            from scipy.linalg.lapack import dptsv
 
-        radii = self._radii
-        d, e, info = dpttrf(coef * self._sym_diag + shift * radii, coef * self._sym_off)
+            self._dptsv = dptsv
+        line = self._lines.get(coef)
+        if line is None:
+            line = self._lines[coef] = (coef * self._line_diag, coef * self._line_off)
+        diag, off = line
+        _, _, x, info = self._dptsv(diag + shift, off, b, overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise NumericalBlowup(
-                f"radial line operator is not positive definite (dpttrf info {info})"
+                f"radial line operator is not positive definite (dptsv info {info})"
             )
-        b *= radii[:, None]
-        x, info = dpttrs(d, e, b, overwrite_b=1)
         if x is not b:
             b[...] = x
         return b
@@ -225,11 +264,13 @@ class KineticStencil:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One pass over (psi, phi): energy terms, H psi, H phi, local potentials.
+    """One pass over (psi~, phi~): energy terms, H~ psi~, H~ phi~, local potentials.
 
-    loc_b / loc_f are the local (non-kinetic) parts of H_b and H_f. mu_b /
-    mu_f are the Rayleigh quotients <u, H u>_w / <u, u>_w of each species,
-    0 for an empty one.
+    h_psi / h_phi are sqrt(w) (H_b psi) and sqrt(w) (H_f phi). loc_b /
+    loc_f are the local (non-kinetic) parts of H_b and H_f, the same in
+    either scaling. mu_b / mu_f are the Rayleigh quotients
+    sum(psi~ H~ psi~) / sum(psi~^2) = <psi, H_b psi>_w / <psi, psi>_w of
+    each species, 0 for an empty one.
     """
 
     terms: dict
@@ -254,13 +295,18 @@ def evaluate(
 ) -> Evaluation:
     """Energy breakdown (J) and both Hamiltonians applied, in one pass.
 
-    dE/dpsi = 2 w (H_b psi) and likewise for phi, with
-    H_b = -coef_b lap + V_b + g_bb n_b + g_bf n_f
-    H_f = -coef_f lap + V_f + (5/3) c_TF n_f^(2/3) + g_bf n_b
-    where (5/3) c_TF n^(2/3) is the local Fermi energy of the sea. Raises
-    NumericalBlowup on a non-finite energy term. The stencil is applied
-    once per field, n_f^(2/3) is one cube root squared, and the Fermi
-    pressure is c_TF <n_f, n_f^(2/3)>_w, so no fractional power is taken.
+    psi and phi are volume-weighted amplitudes sqrt(w) psi and sqrt(w) phi
+    (module docstring), and h_psi, h_phi come back weighted the same way:
+    sqrt(w) times
+    H_b psi = (-coef_b lap + V_b + g_bb n_b + g_bf n_f) psi
+    H_f phi = (-coef_f lap + V_f + (5/3) c_TF n_f^(2/3) + g_bf n_b) phi
+    where (5/3) c_TF n^(2/3) is the local Fermi energy of the sea, and
+    dE/dpsi = 2 w (H_b psi), likewise for phi. Raises NumericalBlowup on a
+    non-finite energy term. The stencil is applied once per field, the
+    densities come from psi~^2 and phi~^2 through the per-row factors of
+    params.row_factors, n_f^(2/3) is one cube root squared, and every term
+    is one plain sum (grid.dot), the Fermi pressure (3/5) of
+    sum(phi~^2 (5/3) c_TF n_f^(2/3)), so no fractional power is taken.
 
     psi and phi may each hold only the first z columns of the potentials'
     box, its band: the species is zero past the band's last column, and so
@@ -270,46 +316,46 @@ def evaluate(
     interspecies terms run on the columns both bands cover. Each cell is
     computed as on the whole box, so H u and loc are the whole box's on the
     band, bit for bit, and the terms can differ only by the order of their
-    weighted sums.
+    sums.
 
-    Since <u, H u>_w is a sum of the energy terms (the quadratic ones twice,
-    the pressure times 5/3), mu_b and mu_f come from the terms and the two
-    norms <psi, psi>_w and <phi, phi>_w with no further pass over the
+    Since sum(psi~ H~ psi~) is a sum of the energy terms (the quadratic ones
+    twice, the pressure times 5/3), mu_b and mu_f come from the terms and
+    the two norms sum(psi~^2) and sum(phi~^2) with no further pass over the
     Hamiltonians. norms, when given, are those two: the solver passes the
     atom numbers it renormalized each field to, so it makes no sum for them.
     Otherwise they are summed here.
     """
-    grid = params.grid
-    inner = grid.inner
+    g_bb_w, g_bf_w, fermi_w = params.row_factors
     n_zb, n_zf = psi.shape[1], phi.shape[1]
     both = min(n_zb, n_zf)
     v_b, v_f = params.v_b[:, :n_zb], params.v_f[:, :n_zf]
-    n_b = psi * psi
-    n_f = phi * phi
-    loc_f = np.cbrt(n_f)
+    # atoms per cell, w n
+    a_b = psi * psi
+    a_f = phi * phi
+    loc_f = np.cbrt(a_f)
     loc_f *= loc_f
-    bec_trap = inner(n_b, v_b)
-    bec_interaction = 0.5 * params.g_bb * inner(n_b, n_b)
-    fermi_pressure = params.c_tf * inner(n_f, loc_f)
-    fermi_trap = inner(n_f, v_f)
-    interspecies = params.g_bf * inner(n_b[:, :both], n_f[:, :both])
+    loc_f *= fermi_w
+    fermi_pressure = 0.6 * dot(a_f, loc_f)
+    bec_trap = dot(a_b, v_b)
+    fermi_trap = dot(a_f, v_f)
+    work = a_b * g_bb_w
+    bec_interaction = 0.5 * dot(a_b, work)
 
     # In place, so that few field-sized arrays are live at once: loc_f takes
-    # the cube root's buffer and loc_b n_f's (unless the bosons reach
-    # further), and n_b and work end as the buffers of loc u in the two
+    # the cube root's buffer and loc_b a_f's (unless the bosons reach
+    # further), and a_b and work end as the buffers of loc u in the two
     # Hamiltonians.
-    loc_f *= (5.0 / 3.0) * params.c_tf
-    loc_f += v_f
-    loc_b = n_f[:, :n_zb] if n_zb <= n_zf else np.zeros_like(n_b)
-    np.multiply(n_f[:, :both], params.g_bf, out=loc_b[:, :both])
+    loc_b = a_f[:, :n_zb] if n_zb <= n_zf else np.zeros_like(a_b)
+    np.multiply(a_f[:, :both], g_bf_w, out=loc_b[:, :both])
+    interspecies = dot(a_b[:, :both], loc_b[:, :both])
     loc_b += v_b
-    work = params.g_bb * n_b
     loc_b += work
-    n_b *= params.g_bf
-    loc_f[:, :both] += n_b[:, :both]
+    a_b *= g_bf_w
+    loc_f += v_f
+    loc_f[:, :both] += a_b[:, :both]
     bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, work)
     del work
-    work = n_b[:, :n_zf] if n_zf <= n_zb else np.empty_like(loc_f)
+    work = a_b[:, :n_zf] if n_zf <= n_zb else np.empty_like(loc_f)
     fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, work)
     terms = {
         "bec_kinetic": bec_kinetic,
@@ -323,7 +369,7 @@ def evaluate(
     for name, val in terms.items():
         if not math.isfinite(val):
             raise NumericalBlowup(f"energy term {name!r} is not finite")
-    norm_b, norm_f = norms if norms is not None else (inner(psi, psi), inner(phi, phi))
+    norm_b, norm_f = norms if norms is not None else (dot(psi, psi), dot(phi, phi))
     mu_b = _rayleigh_from_terms(
         bec_kinetic + bec_trap + 2.0 * bec_interaction + interspecies, norm_b
     )
@@ -338,12 +384,12 @@ def _rayleigh_from_terms(u_h_u: float, norm2: float) -> float:
 
 
 def _hamiltonian(loc, u, coef_kin, stencil, work):
-    """(coef_kin <u, K u>_w, loc u + coef_kin K u), in K u's buffer or in work."""
+    """(coef_kin sum(u K~ u), loc u + coef_kin K~ u), in K~ u's buffer or in work."""
     np.multiply(loc, u, out=work)
     if coef_kin == 0.0:
         return 0.0, work
     k_u = stencil.apply(u)
-    kinetic = coef_kin * stencil.grid.inner(u, k_u)
+    kinetic = coef_kin * dot(u, k_u)
     k_u *= coef_kin
     k_u += work
     return kinetic, k_u
@@ -355,8 +401,12 @@ def energy_terms(
     phi: np.ndarray,
     stencil: KineticStencil,
 ) -> dict:
-    """Breakdown of the total energy, J. Raises on non-finite terms."""
-    return evaluate(params, psi, phi, stencil).terms
+    """Breakdown of the total energy, J, of unweighted fields psi and phi.
+
+    Raises on non-finite terms.
+    """
+    root = params.grid.root_volumes[:, None]
+    return evaluate(params, psi * root, phi * root, stencil).terms
 
 
 def apply_hamiltonians(
@@ -365,9 +415,13 @@ def apply_hamiltonians(
     phi: np.ndarray,
     stencil: KineticStencil,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(H_b psi, H_f phi); dE/dpsi = 2 w (H_b psi) and likewise for phi."""
-    ev = evaluate(params, psi, phi, stencil)
-    return ev.h_psi, ev.h_phi
+    """(H_b psi, H_f phi) of unweighted fields; dE/dpsi = 2 w (H_b psi), likewise for phi."""
+    root = params.grid.root_volumes[:, None]
+    ev = evaluate(params, psi * root, phi * root, stencil)
+    h_psi, h_phi = ev.h_psi, ev.h_phi  # buffers of this evaluation's own
+    h_psi /= root
+    h_phi /= root
+    return h_psi, h_phi
 
 
 def local_scale_bound(loc: np.ndarray, mu: float) -> np.ndarray:

@@ -10,6 +10,7 @@ hash and a sha256 for every emitted file.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -41,12 +42,22 @@ from .profiles import PeakQuantities, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, minimize
 
-try:
+
+@functools.cache
+def tool_version() -> str:
+    """The installed package's version, "0.1.0" when running from a source tree.
+
+    It is looked up on first use, when a meta.json or a manifest is
+    written: importing importlib.metadata costs about 20 ms, which no
+    command that writes neither should pay.
+    """
     from importlib.metadata import PackageNotFoundError, version
 
-    TOOL_VERSION = version("mixsep")
-except PackageNotFoundError:  # running from a source tree
-    TOOL_VERSION = "0.1.0"
+    try:
+        return version("mixsep")
+    except PackageNotFoundError:
+        return "0.1.0"
+
 
 FLOAT_FMT = ".12g"
 M3_TO_CM3 = 1.0e-6        # density m^-3 -> cm^-3
@@ -253,7 +264,7 @@ def save_ground_state(gs: GroundState, dirpath) -> Path:
     sc = gs.scenario
     meta = {
         "tool": "mixsep",
-        "version": TOOL_VERSION,
+        "version": tool_version(),
         "bosons": _species_meta(sc.bosons),
         "fermions": _species_meta(sc.fermions),
         "scenario": {
@@ -340,7 +351,7 @@ def load_ground_state(dirpath) -> GroundState:
 class RunManifest:
     config_sha256: str
     created_utc: str = ""
-    version: str = TOOL_VERSION
+    version: str = ""  # the package's, filled in by write()
     files: list = field(default_factory=list)    # {"path", "sha256", "kind"}
     points: list = field(default_factory=list)   # per-point convergence records
     notes: list = field(default_factory=list)
@@ -358,6 +369,8 @@ class RunManifest:
     def write(self, path) -> Path:
         if not self.created_utc:
             self.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        if not self.version:
+            self.version = tool_version()
         payload = {
             "tool": "mixsep",
             "version": self.version,

@@ -26,6 +26,22 @@ step because mu moves, serves every column. Without the kinetic term (tf
 mode) L = |mu| and P is 1 / (max(loc, 0) + |mu|) per cell. Both modes start
 at 1.7 preconditioned unit steps.
 
+The solver stores each amplitude weighted by the cell volume, as
+u~ = sqrt(w) u row by row (w is constant along z; Grid2D.root_volumes), so
+that <a, b>_w is the plain dot of a~ and b~ and the weight leaves every sum:
+the energy terms, mu, both residuals, gamma, the projection coefficient,
+the descent test and the renormalization are each one dot product over a
+band's contiguous block (grid.dot). A block of up to 10,000 values is one
+BLAS ddot, which OpenBLAS runs on one thread; a larger one is one ddot per
+radial line and the sum of those, so no sum, and no solve, depends on the
+BLAS thread count. In these amplitudes the kinetic operator is
+K~ = W^1/2 K W^-1/2, the same three-point stencil, and the line operator
+L~ = coef_kin K~_line + |mu| is symmetric tridiagonal, so each species'
+line solve is one LAPACK call (dptsv) with no scaling pass. s, P, the step,
+the stop rule and the band floor keep their form, since
+W^1/2 s L^-1 s W^-1/2 = s L~^-1 s. The start is scaled in once (_species)
+and the returned densities out once ((u~ / sqrt(w))^2, _density).
+
 The step is steepest (d = -p, the preconditioned gradient flow of Bao & Du,
 SIAM J. Sci. Comput. 25, 1674 (2004)) on the first step, on the retry after
 a rejection, whenever beta would exceed 1 (gamma grew: with a fixed step a
@@ -79,9 +95,9 @@ reaches one column, and with it g, P g (a line solve per column), d and
 the trial. So evaluate, the preconditioner, the direction and the trial
 all run on the band alone, one contiguous block. The band grows by one
 column when a trial's halo column holds an amplitude above _TAIL_FLOOR =
-eps^2 of the trial's peak amplitude, as a full-mode step does from a
-compact start (the TF condensate fills a tenth of the box's columns), and
-never in tf mode, where nothing couples neighbouring cells. A halo column
+eps^2 of the trial's peak amplitude (both weighted, u~ being what every sum
+squares), as a full-mode step does from a compact start (the TF condensate
+fills a tenth of the box's columns), and never in tf mode, where nothing couples neighbouring cells. A halo column
 below the floor is set to zero instead, and a start is cut at the floor
 the same way (_species), so a band stops at the floor: past the interface
 the amplitudes decay exponentially, and a band that followed them would
@@ -109,7 +125,7 @@ from .functional import (
     half_box_params,
     local_scale_bound,
 )
-from .grid import DensityField, Grid2D, unfold
+from .grid import DensityField, Grid2D, dot, unfold
 from .profiles import bec_tf_profile, fermi_tf_profile
 # Bound here, though unused, so that perfbench/spans.py can trace them.
 from .functional import apply_hamiltonians, energy_terms  # noqa: F401
@@ -179,14 +195,15 @@ class GroundState:
         return self.n_b.grid
 
 
-def _renormalize(u: np.ndarray, target: float, grid: Grid2D) -> np.ndarray:
-    """u scaled in place to <u, u>_w = target (a new zero array for target 0).
+def _renormalize(u: np.ndarray, target: float) -> np.ndarray:
+    """A weighted amplitude u scaled in place to sum(u^2) = target atoms.
 
-    Raises NonPositiveInput if u is zero everywhere but target is not.
+    A new zero array for target 0. Raises NonPositiveInput if u is zero
+    everywhere but target is not.
     """
     if target == 0.0:
         return np.zeros_like(u)
-    norm2 = grid.inner(u, u)
+    norm2 = dot(u, u)
     if norm2 == 0.0:
         raise NonPositiveInput(f"an all-zero amplitude cannot hold {target:g} atoms")
     u *= math.sqrt(target / norm2)
@@ -238,12 +255,14 @@ class _Species:
 def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Species:
     """A species starting from u (Fortran order), renormalized to target atoms.
 
-    Its band ends after the last column holding an amplitude above
-    _TAIL_FLOOR of u's peak, and u is set to zero past that column, so a
-    start with a tail, such as a field solved without the floor, takes the
-    band a solve would have left it.
+    u is an unweighted amplitude, scaled in place to sqrt(w) u. Its band
+    ends after the last column holding a weighted amplitude above
+    _TAIL_FLOOR of the peak one, and u is set to zero past that column, so
+    a start with a tail, such as a field solved without the floor, takes
+    the band a solve would have left it.
     """
-    u = _renormalize(u, target, grid)
+    u *= grid.root_volumes[:, None]
+    u = _renormalize(u, target)
     top = np.abs(u).max(axis=0)
     reached = np.flatnonzero(top > _TAIL_FLOOR * top.max())
     if reached.size:
@@ -266,25 +285,24 @@ def _direction(
     gamma / gamma_prev. It is taken only when 0 < beta <= 1 and it
     descends; otherwise d = -p.
     """
-    grid = stencil.grid
     band = sp.band
     u, p, d = sp.u[:, :band], sp.p[:, :band], sp.d[:, :band]
     np.copyto(p, g)
     _precondition(p, loc, mu, sp.coef_kin, stencil)
-    gamma = grid.inner(g, p)
+    gamma = dot(g, p)
     conjugate = 0.0 < gamma <= sp.gamma
     if conjugate:
         d *= gamma / sp.gamma
         d -= p
-        d -= (grid.inner(d, u) / sp.target) * u
-        conjugate = grid.inner(g, d) < 0.0
+        d -= (dot(d, u) / sp.target) * u
+        conjugate = dot(g, d) < 0.0
     if not conjugate:
         np.negative(p, out=d)
     sp.gamma = gamma
     return conjugate
 
 
-def _trial(sp: _Species, dtau: float, grid: Grid2D) -> np.ndarray:
+def _trial(sp: _Species, dtau: float) -> np.ndarray:
     """|renormalize(u + dtau d)| of one species, built in sp.spare and returned.
 
     The trial is zero wherever u and d both are. Its band is sp.band, grown
@@ -295,7 +313,7 @@ def _trial(sp: _Species, dtau: float, grid: Grid2D) -> np.ndarray:
     out = sp.spare[:, :band]
     np.multiply(sp.d[:, :band], dtau, out=out)
     out += sp.u[:, :band]
-    _renormalize(out, sp.target, grid)
+    _renormalize(out, sp.target)
     np.abs(out, out=out)
     if band < sp.spare.shape[1]:
         halo = out[:, -1]
@@ -370,7 +388,7 @@ def minimize(
         )
     )
     moving = [k for k, sp in enumerate(species) if sp.target > 0.0]
-    # Each field is renormalized to its target, so <u, u>_w needs no sum.
+    # Each field is renormalized to its target, so sum(u^2) needs no sum.
     targets = tuple(sp.target for sp in species)
     trial = [sp.u for sp in species]
 
@@ -401,7 +419,7 @@ def minimize(
             for k in moving:
                 sp = species[k]
                 np.negative(sp.p[:, :sp.band], out=sp.d[:, :sp.band])
-                trial[k] = _trial(sp, dtau, grid)
+                trial[k] = _trial(sp, dtau)
             iterations += 1
             continue
 
@@ -418,9 +436,9 @@ def minimize(
         grads = (ev.h_psi, ev.h_phi)
         for u, g, mu in zip(bands, grads, mus):
             g -= mu * u  # g = H u - mu u, in place of H u
-        # <u, u>_w is the target exactly, up to the renormalization's rounding.
+        # sum(u^2) is the target exactly, up to the renormalization's rounding.
         residual = tuple(
-            math.sqrt(grid.inner(g, g) / sp.target) / abs(mu) if sp.target > 0.0 else 0.0
+            math.sqrt(dot(g, g) / sp.target) / abs(mu) if sp.target > 0.0 else 0.0
             for sp, g, mu in zip(species, grads, mus)
         )
         accepted = (ev.terms, mus, residual)
@@ -435,7 +453,7 @@ def minimize(
         for k in moving:
             sp = species[k]
             conjugate |= _direction(sp, grads[k], locs[k], mus[k], stencil)
-            trial[k] = _trial(sp, dtau, grid)
+            trial[k] = _trial(sp, dtau)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
         del ev, grads, locs, bands
@@ -445,11 +463,11 @@ def minimize(
     # the residuals are ratios of half-box sums, the same on the full grid;
     # the energy and its terms are sums, doubled.
     terms, (mu_b, mu_f), residual = accepted
-    psi, phi = species[0].u, species[1].u
+    n_b, n_f = (_density(sp.u, grid) for sp in species)
     return GroundState(
         scenario=scenario,
-        n_b=DensityField(grid, unfold(psi * psi), "bosons"),
-        n_f=DensityField(grid, unfold(phi * phi), "fermions"),
+        n_b=DensityField(grid, unfold(n_b), "bosons"),
+        n_f=DensityField(grid, unfold(n_f), "fermions"),
         mu_b=mu_b,
         mu_f=mu_f,
         energy=2.0 * e_prev,
@@ -460,6 +478,13 @@ def minimize(
         mode=options.mode,
         residual=residual,
     )
+
+
+def _density(u: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """The density (u / sqrt(w))^2 of a weighted amplitude u."""
+    n = u / grid.root_volumes[:, None]
+    n *= n
+    return n
 
 
 def interface_thickness(gs: GroundState) -> float:

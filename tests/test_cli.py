@@ -125,8 +125,28 @@ def _scipy_modules_after(code: str) -> list:
 def test_import_loads_no_scipy():
     # Only the radial line solve of a full-mode minimize uses scipy (LAPACK);
     # importing it with the package would cost every command about 0.3 s and
-    # 24 MB.
-    assert _scipy_modules_after("import mixsep, mixsep.cli") == [None, []]
+    # 24 MB. Nor does it load importlib.metadata (about 20 ms): the version
+    # is looked up only when a meta.json or a manifest is written.
+    code = "import mixsep, mixsep.cli\nresult = 'importlib.metadata' in sys.modules"
+    assert _scipy_modules_after(code) == [False, []]
+
+
+def test_version_is_looked_up_on_first_use(tmp_path):
+    import importlib.metadata
+
+    import mixsep
+
+    try:
+        want = importlib.metadata.version("mixsep")
+    except importlib.metadata.PackageNotFoundError:
+        want = "0.1.0"
+    assert mixsep.__version__ == pipeline.tool_version() == want
+    with pytest.raises(AttributeError):
+        mixsep.no_such_name
+    # a manifest takes it when written
+    manifest = pipeline.RunManifest(config_sha256="0" * 64)
+    manifest.write(tmp_path / "manifest.json")
+    assert json.loads((tmp_path / "manifest.json").read_text())["version"] == want
 
 
 def test_analysis_commands_load_no_scipy(tmp_path):

@@ -24,7 +24,7 @@ from mixsep.functional import (
     local_scale_bound,
     tf_pressure_coefficient,
 )
-from mixsep.grid import Grid2D, grid_for_box
+from mixsep.grid import Grid2D, dot, grid_for_box
 
 SC = default_scenario(a_bf=300.0 * A_BOHR)
 
@@ -82,6 +82,12 @@ def test_tf_mode_drops_kinetic_terms(small):
         assert terms[name] == terms_full[name]
 
 
+def weighted(grid, *fields):
+    """The fields times sqrt(w), row by row: the amplitudes evaluate takes."""
+    root = grid.root_volumes[:, None]
+    return tuple(root * u for u in fields)
+
+
 def test_total_energy_is_sum_of_terms(small):
     grid, psi, phi = small
     params = functional_params(SC, grid, "full")
@@ -109,23 +115,20 @@ def five_point(grid, u):
 FORMULA_RTOL = 1e-13
 
 
-@pytest.mark.parametrize("mode", ["full", "tf"])
-def test_evaluate_matches_term_by_term_formulas(small, mode):
-    grid, psi, phi = small
-    params = functional_params(SC, grid, mode)
-    st_ = KineticStencil(grid)
-    psi0, phi0 = psi.copy(), phi.copy()
-    ev = evaluate(params, psi, phi, st_)
-    np.testing.assert_array_equal(psi, psi0)
-    np.testing.assert_array_equal(phi, phi0)
+def explicit_functional(params, psi, phi):
+    """(terms, loc_b, loc_f, H_b psi, H_f phi) of unweighted fields, by the plain formulas.
 
-    w = grid.weights
+    Every quadrature is np.sum(w * ...), and the kinetic operator is the
+    5-point formula on the full grid.
+    """
+    grid = params.grid
+    w = grid.weights[:, : psi.shape[1]]
     n_b, n_f = psi * psi, phi * phi
     loc_b = params.v_b + params.g_bb * n_b + params.g_bf * n_f
     loc_f = params.v_f + (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0) + params.g_bf * n_b
     h_psi, h_phi = loc_b * psi, loc_f * phi
     kinetic = {"bec_kinetic": 0.0, "fermi_gradient": 0.0}
-    if mode == "full":
+    if params.coef_kin_b or params.coef_kin_f:
         k_psi, k_phi = five_point(grid, psi), five_point(grid, phi)
         h_psi = h_psi + params.coef_kin_b * k_psi
         h_phi = h_phi + params.coef_kin_f * k_phi
@@ -133,9 +136,7 @@ def test_evaluate_matches_term_by_term_formulas(small, mode):
             "bec_kinetic": params.coef_kin_b * float(np.sum(w * psi * k_psi)),
             "fermi_gradient": params.coef_kin_f * float(np.sum(w * phi * k_phi)),
         }
-    for got, want in ((ev.loc_b, loc_b), (ev.loc_f, loc_f), (ev.h_psi, h_psi), (ev.h_phi, h_phi)):
-        np.testing.assert_allclose(got, want, rtol=FORMULA_RTOL, atol=0.0)
-    want_terms = {
+    terms = {
         **kinetic,
         "bec_trap": float(np.sum(w * params.v_b * n_b)),
         "bec_interaction": 0.5 * params.g_bb * float(np.sum(w * n_b * n_b)),
@@ -143,10 +144,29 @@ def test_evaluate_matches_term_by_term_formulas(small, mode):
         "fermi_trap": float(np.sum(w * params.v_f * n_f)),
         "interspecies": params.g_bf * float(np.sum(w * n_b * n_f)),
     }
+    return terms, loc_b, loc_f, h_psi, h_phi
+
+
+@pytest.mark.parametrize("mode", ["full", "tf"])
+def test_evaluate_matches_term_by_term_formulas(small, mode):
+    # the unweighted views on full-grid C-order fields, against the plain
+    # formulas the functional is defined by
+    grid, psi, phi = small
+    params = functional_params(SC, grid, mode)
+    st_ = KineticStencil(grid)
+    psi0, phi0 = psi.copy(), phi.copy()
+    terms = energy_terms(params, psi, phi, st_)
+    h_psi, h_phi = apply_hamiltonians(params, psi, phi, st_)
+    np.testing.assert_array_equal(psi, psi0)
+    np.testing.assert_array_equal(phi, phi0)
+
+    want_terms, _, _, want_psi, want_phi = explicit_functional(params, psi, phi)
+    for got, want in ((h_psi, want_psi), (h_phi, want_phi)):
+        np.testing.assert_allclose(got, want, rtol=FORMULA_RTOL, atol=0.0)
     for name, want in want_terms.items():
-        assert ev.terms[name] == pytest.approx(want, rel=FORMULA_RTOL, abs=0.0), name
+        assert terms[name] == pytest.approx(want, rel=FORMULA_RTOL, abs=0.0), name
     # the total sums the terms in this order
-    assert list(ev.terms) == [
+    assert list(terms) == [
         "bec_kinetic",
         "fermi_gradient",
         "bec_trap",
@@ -156,10 +176,40 @@ def test_evaluate_matches_term_by_term_formulas(small, mode):
         "interspecies",
     ]
 
-    # the views return the same arrays and terms
-    assert energy_terms(params, psi, phi, st_) == ev.terms
-    for got, want in zip(apply_hamiltonians(params, psi, phi, st_), (ev.h_psi, ev.h_phi)):
-        np.testing.assert_array_equal(got, want)
+    # the views are the one evaluation, scaled in and out
+    ev = evaluate(params, *weighted(grid, psi, phi), st_)
+    assert terms == ev.terms
+    root = grid.root_volumes[:, None]
+    np.testing.assert_array_equal(h_psi, ev.h_psi / root)
+    np.testing.assert_array_equal(h_phi, ev.h_phi / root)
+
+
+@pytest.mark.parametrize("mode", ["full", "tf"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_evaluate_matches_explicit_weights(small, mode, order, seed):
+    # random fields, each zero past a random z column, in either layout:
+    # evaluate on sqrt(w) u gives the explicitly weighted terms, and
+    # H~ u~ = sqrt(w) (H u)
+    grid, psi, phi = small
+    params = functional_params(SC, grid, mode)
+    params = replace(params, v_b=np.array(params.v_b, order=order),
+                     v_f=np.array(params.v_f, order=order))
+    rng = np.random.default_rng(seed)
+    fields = []
+    for u in (psi, phi):
+        u = np.array(u * rng.uniform(0.5, 1.5, u.shape), order=order)
+        u[:, rng.integers(1, grid.n_z + 1):] = 0.0
+        fields.append(u)
+    ev = evaluate(params, *weighted(grid, *fields), KineticStencil(grid))
+    want_terms, loc_b, loc_f, h_psi, h_phi = explicit_functional(params, *fields)
+    for name, want in want_terms.items():
+        assert ev.terms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+    root = grid.root_volumes[:, None]
+    pairs = ((ev.h_psi, root * h_psi), (ev.h_phi, root * h_phi), (ev.loc_b, loc_b),
+             (ev.loc_f, loc_f))
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=FORMULA_RTOL, atol=0.0)
 
 
 @st.composite
@@ -202,12 +252,15 @@ def random_functionals(draw):
 def test_stencil_matches_five_point_formula(n_rho, half_n_z, d_rho, d_z, seed):
     grid = Grid2D(n_rho, 2 * half_n_z, d_rho, d_z)
     u = np.random.default_rng(seed).standard_normal((n_rho, 2 * half_n_z))
-    got = KineticStencil(grid).apply(u)
+    # the stencil takes and gives amplitudes scaled by sqrt(w)
+    (u_w,) = weighted(grid, u)
+    got = KineticStencil(grid).apply(u_w)
     want = five_point(grid, u)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got_u = got / grid.root_volumes[:, None]
+    assert np.max(np.abs(got_u - want)) <= 1e-13 * np.max(np.abs(want))
     # the layout the solver stores its fields in gives the same bytes
-    assert KineticStencil(grid).apply(np.asfortranarray(u)).tobytes() == got.tobytes()
+    assert KineticStencil(grid).apply(np.asfortranarray(u_w)).tobytes() == got.tobytes()
 
 
 @settings(derandomize=True, deadline=None)
@@ -235,12 +288,17 @@ def test_mirror_stencil_is_full_stencil_on_upper_half(n_rho, half_n_z, d_rho, d_
 
 
 def dense_line_operator(grid):
-    """K_rho + 2/d_z^2 as a dense (n_rho x n_rho) matrix, from the 5-point weights."""
+    """W^1/2 (K_rho + 2/d_z^2) W^-1/2 as a dense (n_rho x n_rho) matrix.
+
+    K_rho comes from the 5-point weights; W is the cell volume, proportional
+    to the cell radius i + 1/2.
+    """
     i = np.arange(grid.n_rho, dtype=float)
     up, down = (i + 1.0) / (i + 0.5), i / (i + 0.5)
     k = np.diag((up + down) / grid.d_rho**2 + 2.0 / grid.d_z**2)
     k -= np.diag(down[1:] / grid.d_rho**2, -1) + np.diag(up[:-1] / grid.d_rho**2, 1)
-    return k
+    root = np.sqrt(i + 0.5)
+    return root[:, None] * k / root[None, :]
 
 
 @settings(derandomize=True, deadline=None)
@@ -260,12 +318,17 @@ def test_line_solve_matches_dense_solve(n_rho, half_n_z, d_rho, d_z, coef, shift
     b = np.random.default_rng(seed).standard_normal((n_rho, 2 * half_n_z))
     coef *= d_rho**2
     shift /= d_rho**2
-    want = np.linalg.solve(coef * dense_line_operator(grid) + shift * np.eye(n_rho), b)
+    matrix = coef * dense_line_operator(grid) + shift * np.eye(n_rho)
+    # the weighted line operator is symmetric
+    np.testing.assert_allclose(matrix, matrix.T, rtol=1e-15, atol=0.0)
+    want = np.linalg.solve(matrix, b)
     got = b.copy()
     stencil = KineticStencil(grid)
     assert stencil.solve_lines(coef, shift, got) is got
     assert got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the solve's relative residual
+    assert np.max(np.abs(matrix @ got - b)) <= 1e-12 * np.max(np.abs(b))
     # a Fortran-order band of a wider field is solved in place, to the same
     # bytes, and the columns past it are left alone
     wide = np.full((n_rho, 2 * half_n_z + 2), 7.0, order="F")
@@ -278,21 +341,36 @@ def test_line_solve_matches_dense_solve(n_rho, half_n_z, d_rho, d_z, coef, shift
 
 
 def test_line_solve_makes_no_copy_of_fortran_order(small, monkeypatch):
-    # LAPACK gets the caller's memory: no copy in, none back
+    # LAPACK gets the caller's memory: no copy in, none back, in one call
     grid, _, _ = small
     stencil = KineticStencil(grid)
     b = np.asfortranarray(np.random.default_rng(4).standard_normal((grid.n_rho, grid.n_z)))
-    # solve_lines binds dpttrs from scipy.linalg.lapack when it runs
-    original = scipy.linalg.lapack.dpttrs
+    # a stencil binds dptsv from scipy.linalg.lapack at its first solve
+    original = scipy.linalg.lapack.dptsv
     seen = []
 
-    def recording(d, e, rhs, overwrite_b):
+    def recording(d, e, rhs, **overwrite):
         seen.append(rhs.ctypes.data)
-        return original(d, e, rhs, overwrite_b=overwrite_b)
+        return original(d, e, rhs, **overwrite)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", recording)
-    stencil.solve_lines(1.0, 1.0 / grid.d_rho**2, b)
-    assert seen == [b.ctypes.data]
+    monkeypatch.setattr(scipy.linalg.lapack, "dptsv", recording)
+    for shift in (1.0, 2.0):
+        stencil.solve_lines(1.0, shift / grid.d_rho**2, b)
+    assert seen == [b.ctypes.data] * 2
+
+
+def test_line_solve_keeps_its_operator(small):
+    # the coef-scaled diagonals are kept per coef and left as they were
+    grid, _, _ = small
+    stencil = KineticStencil(grid)
+    b = np.random.default_rng(5).standard_normal((grid.n_rho, grid.n_z))
+    first = stencil.solve_lines(2.0, 3.0 / grid.d_rho**2, b.copy())
+    kept = [a.copy() for a in stencil._lines[2.0]]
+    stencil.solve_lines(0.5, 1.0 / grid.d_rho**2, b.copy())
+    again = stencil.solve_lines(2.0, 3.0 / grid.d_rho**2, b.copy())
+    assert again.tobytes() == first.tobytes()
+    for a, k in zip(stencil._lines[2.0], kept):
+        assert a.tobytes() == k.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["full", "tf"])
@@ -347,20 +425,23 @@ def test_line_operator_is_apply_without_axial_neighbours(small):
 @settings(derandomize=True, deadline=None)
 @given(case=random_functionals(), seed=st.integers(0, 2**32 - 1))
 def test_gradient_is_twice_weighted_hamiltonian(case, seed):
-    # dE/dpsi = 2 w (H_b psi) and dE/dphi = 2 w (H_f phi), by central differences
+    # dE/dpsi = 2 w (H_b psi) and dE/dphi = 2 w (H_f phi), by central
+    # differences, through the weighted evaluation: H u = (H~ u~) / sqrt(w)
     params, psi, phi = case
-    st_ = KineticStencil(params.grid)
-    w = params.grid.weights
-    ev = evaluate(params, psi, phi, st_)
+    grid = params.grid
+    st_ = KineticStencil(grid)
+    w = grid.weights
+    root = grid.root_volumes[:, None]
+    ev = evaluate(params, *weighted(grid, psi, phi), st_)
     rng = np.random.default_rng(seed)
     eps = 1e-4
-    for which, h in enumerate((ev.h_psi, ev.h_phi)):
+    for which, h in enumerate((ev.h_psi / root, ev.h_phi / root)):
         d = rng.standard_normal(psi.shape)
 
         def energy(t):
             fields = [psi, phi]
             fields[which] = fields[which] + t * d
-            return evaluate(params, *fields, st_).energy
+            return evaluate(params, *weighted(grid, *fields), st_).energy
 
         num = (energy(eps) - energy(-eps)) / (2.0 * eps)
         grad_d = 2.0 * w * h * d
@@ -371,9 +452,11 @@ def test_gradient_is_twice_weighted_hamiltonian(case, seed):
 @given(case=random_functionals())
 def test_mu_from_terms_is_rayleigh_quotient(case):
     params, psi, phi = case
-    w = params.grid.weights
-    ev = evaluate(params, psi, phi, KineticStencil(params.grid))
-    for mu, u, h in ((ev.mu_b, psi, ev.h_psi), (ev.mu_f, phi, ev.h_phi)):
+    grid = params.grid
+    w = grid.weights
+    root = grid.root_volumes[:, None]
+    ev = evaluate(params, *weighted(grid, psi, phi), KineticStencil(grid))
+    for mu, u, h in ((ev.mu_b, psi, ev.h_psi / root), (ev.mu_f, phi, ev.h_phi / root)):
         norm2 = float(np.sum(w * u * u))
         want = float(np.sum(w * u * h)) / norm2
         # the terms may have either sign, so the bound scales with their magnitudes
@@ -412,14 +495,27 @@ def test_blowup_names_offending_term(small):
 
 class TestKineticStencil:
     def test_symmetric_under_volume_weights(self, small):
+        # K is symmetric under the volume weights, so K~ = W^1/2 K W^-1/2,
+        # which the stencil applies, is symmetric under the plain sum
         grid, _, _ = small
         st = KineticStencil(grid)
         rng = np.random.default_rng(12)
         u = rng.standard_normal((grid.n_rho, grid.n_z))
         v = rng.standard_normal((grid.n_rho, grid.n_z))
-        lhs = float(np.sum(grid.weights * u * st.apply(v)))
-        rhs = float(np.sum(grid.weights * v * st.apply(u)))
+        lhs = float(np.sum(u * st.apply(v)))
+        rhs = float(np.sum(v * st.apply(u)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+        root = grid.root_volumes[:, None]
+        k_u, k_v = st.apply(root * u) / root, st.apply(root * v) / root
+        lhs = float(np.sum(grid.weights * u * k_v))
+        rhs = float(np.sum(grid.weights * v * k_u))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        # and so is its dense matrix, on each layout and with the mirror face
+        for mirror in (False, True):
+            st_m = KineticStencil(grid, mirror=mirror)
+            basis = np.eye(grid.n_rho * grid.n_z).reshape(-1, grid.n_rho, grid.n_z)
+            dense = np.array([st_m.apply(e).ravel() for e in basis])
+            np.testing.assert_allclose(dense, dense.T, rtol=1e-14, atol=0.0)
 
     def test_positive_semidefinite(self, small):
         grid, _, _ = small
@@ -427,13 +523,14 @@ class TestKineticStencil:
         rng = np.random.default_rng(13)
         for _ in range(20):
             u = rng.standard_normal((grid.n_rho, grid.n_z))
-            q = float(np.sum(grid.weights * u * st.apply(u)))
+            q = float(np.sum(u * st.apply(u)))
             assert q >= 0.0
 
     def test_interior_constant_annihilated(self, small):
         grid, _, _ = small
         st = KineticStencil(grid)
-        out = st.apply(np.ones((grid.n_rho, grid.n_z)))
+        (ones,) = weighted(grid, np.ones((grid.n_rho, grid.n_z)))
+        out = st.apply(ones) / grid.root_volumes[:, None]
         # interior (away from the Dirichlet edges) must be exactly flat
         np.testing.assert_allclose(out[:-1, 1:-1], 0.0, atol=1e-12 / grid.d_rho**2)
 
@@ -446,8 +543,8 @@ class TestKineticStencil:
         u = rng.standard_normal((grid.n_rho, grid.n_z))
         for _ in range(60):
             u = st.apply(u)
-            u /= np.sqrt(np.sum(grid.weights * u * u))
-        rayleigh = float(np.sum(grid.weights * u * st.apply(u)))
+            u /= np.sqrt(np.sum(u * u))
+        rayleigh = float(np.sum(u * st.apply(u)))
         assert rayleigh <= bound
 
     def test_gradient_quadrature_converges_to_analytic(self):
@@ -458,8 +555,8 @@ class TestKineticStencil:
         def form(n_rho, n_z):
             g = grid_for_box(20e-6, 20e-6, n_rho, n_z)
             rho, z = g.mesh()
-            u = np.exp(-(rho**2 + z**2) / (2.0 * s**2))
-            return float(np.sum(g.weights * u * KineticStencil(g).apply(u)))
+            (u,) = weighted(g, np.exp(-(rho**2 + z**2) / (2.0 * s**2)))
+            return dot(u, KineticStencil(g).apply(u))
 
         e1 = abs(form(48, 96) - exact) / exact
         e2 = abs(form(96, 192) - exact) / exact
@@ -551,8 +648,9 @@ def test_given_norms_replace_only_the_norm_sums(small):
     grid, psi, phi = small
     params = functional_params(SC, grid, "full")
     st_ = KineticStencil(grid)
+    psi, phi = weighted(grid, psi, phi)
     summed = evaluate(params, psi, phi, st_)
-    norms = (grid.inner(psi, psi), grid.inner(phi, phi))
+    norms = (dot(psi, psi), dot(phi, phi))
     given = evaluate(params, psi, phi, st_, norms)
     assert given.terms == summed.terms
     assert (given.mu_b, given.mu_f) == (summed.mu_b, summed.mu_f)

@@ -7,6 +7,7 @@ from mixsep.errors import GridMismatch, NonPositiveInput
 from mixsep.grid import (
     DensityField,
     Grid2D,
+    dot,
     grid_for_box,
     integrate_product,
     require_same_grid,
@@ -28,12 +29,29 @@ def test_weights_sum_to_cylinder_volume(small_grid):
 @pytest.mark.parametrize("columns", [32, 16, 5])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_inner_is_the_weighted_sum(small_grid, columns, order):
+    # <a, b>_w is the plain dot of the amplitudes scaled by sqrt(w): on the
     # whole grid, the z > 0 half, or a band of it, in either layout
     rng = np.random.default_rng(columns)
     a, b = (np.array(rng.standard_normal((16, columns)), order=order) for _ in range(2))
     expect = np.sum(small_grid.weights[:, :columns] * a * b)
-    assert small_grid.inner(a, b) == pytest.approx(expect, rel=1e-12)
-    assert isinstance(small_grid.inner(a, b), float)
+    root = small_grid.root_volumes[:, None]
+    got = dot(root * a, root * b)
+    assert got == pytest.approx(expect, rel=1e-12)
+    assert isinstance(got, float)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dot_past_one_ddot_sums_each_radial_line(order):
+    # past 10,000 values the sum is one ddot per radial line (fixed z) and
+    # the sum of those, so no ddot is long enough for OpenBLAS to thread
+    rng = np.random.default_rng(3)
+    a, b = (np.array(rng.standard_normal((128, 100)), order=order) for _ in range(2))
+    lines = [float(np.dot(a[:, j], b[:, j])) for j in range(100)]
+    assert dot(a, b) == float(np.add.reduce(np.array(lines)))
+    assert dot(a, b) == pytest.approx(float(np.sum(a * b)), rel=1e-12)
+    # a mixed-layout pair gives the same sum as a matching one
+    small = a[:, :50]
+    assert dot(small, np.asfortranarray(b[:, :50])) == dot(small, np.ascontiguousarray(b[:, :50]))
 
 
 def test_rho_cells_are_centered(small_grid):

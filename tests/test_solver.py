@@ -2,7 +2,11 @@
 
 import hashlib
 import itertools
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from mixsep.errors import (
     ValidationError,
 )
 from mixsep.functional import KineticStencil, evaluate, functional_params
-from mixsep.grid import integrate_product
+from mixsep.grid import dot, integrate_product
 from mixsep.physics import coupling_bb
 from mixsep.pipeline import sweep_ground_states
 from mixsep.profiles import (
@@ -126,12 +130,16 @@ def test_returned_state_is_mirror_symmetric(tf0, full0, sep800):
         for fld in (gs.n_b, gs.n_f):
             np.testing.assert_array_equal(fld.values, fld.values[:, ::-1])
         params = functional_params(gs.scenario, gs.grid, gs.mode)
-        ev = evaluate(
-            params, np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values), KineticStencil(gs.grid)
-        )
+        ev = evaluate(params, *_weighted_amplitudes(gs), KineticStencil(gs.grid))
         assert gs.energy == pytest.approx(ev.energy, rel=1e-13)
         assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-13)
         assert gs.energy_history[-1] == gs.energy
+
+
+def _weighted_amplitudes(gs):
+    """sqrt(w n_b) and sqrt(w n_f) of a returned state: the amplitudes evaluate takes."""
+    root = gs.grid.root_volumes[:, None]
+    return root * np.sqrt(gs.n_b.values), root * np.sqrt(gs.n_f.values)
 
 
 def test_cold_start_is_the_fold_of_the_tf_roots(grid48):
@@ -168,7 +176,7 @@ def _step_inputs(gs):
     """(stencil, params, evaluation) at a returned state, for the step's operator."""
     params = functional_params(gs.scenario, gs.grid, "full")
     stencil = KineticStencil(gs.grid)
-    ev = evaluate(params, np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values), stencil)
+    ev = evaluate(params, *_weighted_amplitudes(gs), stencil)
     return stencil, params, ev
 
 
@@ -185,21 +193,21 @@ def test_tf_preconditioner_is_the_local_scale(full0):
 
 
 def test_full_preconditioner_is_symmetric_positive(full0):
-    # s L^-1 s is self-adjoint and positive in the grid's inner product, so
-    # minus the preconditioned gradient is a descent direction
+    # s L~^-1 s is self-adjoint and positive under the plain sum of the
+    # weighted amplitudes (the grid's inner product of the unweighted ones),
+    # so minus the preconditioned gradient is a descent direction
     stencil, params, ev = _step_inputs(full0)
-    grid = full0.grid
     rng = np.random.default_rng(6)
     species = ((ev.loc_b, ev.mu_b, params.coef_kin_b), (ev.loc_f, ev.mu_f, params.coef_kin_f))
     for loc, mu, coef in species:
         a, b = rng.standard_normal((2,) + loc.shape)
         p_a = solver._precondition(a.copy(), loc.copy(), mu, coef, stencil)
         p_b = solver._precondition(b.copy(), loc.copy(), mu, coef, stencil)
-        assert grid.inner(a, p_b) == pytest.approx(grid.inner(p_a, b), rel=1e-12)
-        assert grid.inner(a, p_a) > 0.0
+        assert dot(a, p_b) == pytest.approx(dot(p_a, b), rel=1e-12)
+        assert dot(a, p_a) > 0.0
         # the kinetic term only lowers the step below the local scale's
         local = solver._precondition(a.copy(), loc.copy(), mu, 0.0, stencil)
-        assert grid.inner(a, p_a) < grid.inner(a, local)
+        assert dot(a, p_a) < dot(a, local)
 
 
 def test_iterations_do_not_grow_with_the_grid():
@@ -415,6 +423,34 @@ def test_tail_floor_changes_no_iteration_or_energy(floor_pair):
     assert floored.energy == pytest.approx(former.energy, rel=1e-15, abs=0.0)
 
 
+def test_solver_bytes_do_not_depend_on_the_blas_thread_count():
+    # The 128x256 half box holds 16,384 cells, more than the 10,000 values
+    # OpenBLAS takes in one ddot on one thread; a sum over them as one ddot
+    # split across two threads ends this solve at another iteration count.
+    code = (
+        "import hashlib, warnings\n"
+        "from mixsep.config import default_scenario\n"
+        "from mixsep.constants import A_BOHR\n"
+        "from mixsep.profiles import grid_for_scenario\n"
+        "from mixsep.solver import SolverOptions, minimize\n"
+        "warnings.simplefilter('ignore')\n"
+        "sc = default_scenario().with_a_bf(1480.0 * A_BOHR)\n"
+        "gs = minimize(sc, grid_for_scenario(sc, 128, 256), SolverOptions(mode='full'))\n"
+        "h = hashlib.sha256(gs.n_b.values.tobytes() + gs.n_f.values.tobytes())\n"
+        "print(h.hexdigest(), gs.energy.hex(), gs.iterations)\n"
+    )
+    src = str(Path(solver.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        runs.add(out.stdout.strip())
+    assert len(runs) == 1
+
+
 def test_overlap_settles_under_the_stop_rule(monkeypatch):
     # At 1480 a0 an energy test alone once stopped at a boson residual of
     # 2.4e-4, where the overlap read 9% high; a tenfold tighter residual
@@ -531,12 +567,14 @@ def test_capped_solve_reports_best_state(grid48):
 
     params = functional_params(sc, grid48, "full")
     psi, phi = np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values)
-    ev = evaluate(params, psi, phi, KineticStencil(grid48))
+    ev = evaluate(params, *_weighted_amplitudes(gs), KineticStencil(grid48))
     w = grid48.weights
-    mu_b = float(np.sum(w * psi * ev.h_psi)) / float(np.sum(w * psi * psi))
-    mu_f = float(np.sum(w * phi * ev.h_phi)) / float(np.sum(w * phi * phi))
-    res_b = np.sqrt(np.sum(w * (ev.h_psi - mu_b * psi) ** 2) / np.sum(w * psi * psi)) / abs(mu_b)
-    res_f = np.sqrt(np.sum(w * (ev.h_phi - mu_f * phi) ** 2) / np.sum(w * phi * phi)) / abs(mu_f)
+    root = grid48.root_volumes[:, None]
+    h_psi, h_phi = ev.h_psi / root, ev.h_phi / root
+    mu_b = float(np.sum(w * psi * h_psi)) / float(np.sum(w * psi * psi))
+    mu_f = float(np.sum(w * phi * h_phi)) / float(np.sum(w * phi * phi))
+    res_b = np.sqrt(np.sum(w * (h_psi - mu_b * psi) ** 2) / np.sum(w * psi * psi)) / abs(mu_b)
+    res_f = np.sqrt(np.sum(w * (h_phi - mu_f * phi) ** 2) / np.sum(w * phi * phi)) / abs(mu_f)
     # the stored fields are squares, so the re-derived amplitudes differ in the last bit
     assert gs.energy == pytest.approx(ev.energy, rel=1e-12)
     assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-12)
