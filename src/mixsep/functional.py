@@ -39,9 +39,9 @@ sum depends on the BLAS thread count). The solver passes each species on
 its band of z columns only (evaluate).
 
 The module needs numpy alone until a full-mode solve preconditions with the
-radial line operator: KineticStencil.solve_lines imports LAPACK's dptsv from
-scipy at a stencil's first solve with each coefficient, so importing the
-package, a tf-mode solve and the analysis commands never load scipy.
+radial line operator: KineticStencil.solve_cells imports LAPACK's dptsv from
+scipy at a stencil's first solve, so importing the package, a tf-mode solve
+and the analysis commands never load scipy.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ class KineticStencil:
     three coefficient vectors times d_z^2 so that the two axial neighbours
     are plain subtractions of shifted column blocks (the reflected one is a
     third, on the z = 0 column); apply() divides by d_z^2 once at the end.
-    solve_lines() inverts coef K_line + shift on every z column.
+    solve_cells() inverts coef K_line plus a diagonal that varies from cell
+    to cell on every z column.
     """
 
     def __init__(self, grid: Grid2D, mirror: bool = False):
@@ -196,8 +197,6 @@ class KineticStencil:
         self._diag_dz2 = self._line_diag * dz2
         self._below_dz2 = np.append(self._line_off * dz2, 0.0)
         self._above_dz2 = np.insert(self._line_off * dz2, 0, 0.0)
-        # coef -> (coef K_line's diagonal, its off-diagonal)
-        self._lines: dict = {}
         self._dptsv = None  # LAPACK's, bound at the first line solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -226,39 +225,45 @@ class KineticStencil:
         out *= self._inv_dz2
         return out
 
-    def solve_lines(self, coef: float, shift: float, b: np.ndarray) -> np.ndarray:
-        """Overwrite b with (coef K_line + shift)^-1 b and return it.
+    def solve_cells(self, coef: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Overwrite b with (coef K_line + diag(diag))^-1 b and return it.
 
         K_line is the radial part of the operator apply() represents plus
-        its axial diagonal 2/d_z^2, so each z column of b is one tridiagonal
-        system. The mirror stencil's z = 0 column takes the same K_line, so
-        that on a mirror-symmetric b both stencils solve the same systems
-        column for column. The matrix is symmetric, and positive definite
-        for coef >= 0 and shift > 0, so one LAPACK dptsv call factors it
-        (LDL^T, size n_rho) and solves every column. It makes no BLAS call,
-        so the result does not depend on the thread count. dptsv solves a
-        Fortran-order b in place; b in another layout is solved in a
-        Fortran-order copy that is copied back. The stencil keeps coef
-        K_line's two diagonals per coef, and binds dptsv from
-        scipy.linalg.lapack at its first solve, which loads scipy at the
-        first one in the process (about 0.3 s and 24 MB).
+        its axial diagonal 2/d_z^2, and diag holds one value per cell of b,
+        so each z column of b is its own tridiagonal system. The mirror
+        stencil's z = 0 column takes the same K_line, so that on a
+        mirror-symmetric b both stencils solve the same systems column for
+        column. Laid end to end in Fortran order, with zero coupling across
+        the end of each column, the columns form one tridiagonal system of
+        b.size unknowns. It is symmetric, and positive definite for coef >=
+        0 and diag > 0, so one LAPACK dptsv call factors (LDL^T) and solves
+        it. It makes no BLAS call, so the result does not depend on the
+        thread count. diag is overwritten with the factor. dptsv solves a
+        Fortran-order b in place; b or diag in another layout is solved in
+        a Fortran-order copy, and b's is copied back. The stencil binds
+        dptsv from scipy.linalg.lapack at its first solve, which loads
+        scipy at the first one in the process (about 0.3 s and 24 MB).
         Raises NumericalBlowup if the factorization fails.
         """
         if self._dptsv is None:
             from scipy.linalg.lapack import dptsv
 
             self._dptsv = dptsv
-        line = self._lines.get(coef)
-        if line is None:
-            line = self._lines[coef] = (coef * self._line_diag, coef * self._line_off)
-        diag, off = line
-        _, _, x, info = self._dptsv(diag + shift, off, b, overwrite_d=1, overwrite_b=1)
+        n_rho, n_cols = b.shape
+        diag += coef * self._line_diag[:, None]
+        off = np.zeros((n_cols, n_rho))
+        off[:, :-1] = coef * self._line_off
+        flat = b.reshape((-1, 1), order="F")
+        _, _, x, info = self._dptsv(
+            diag.reshape(-1, order="F"), off.reshape(-1)[:-1], flat,
+            overwrite_d=1, overwrite_e=1, overwrite_b=1,
+        )
         if info != 0:
             raise NumericalBlowup(
                 f"radial line operator is not positive definite (dptsv info {info})"
             )
-        if x is not b:
-            b[...] = x
+        if x is not flat or not b.flags.f_contiguous:
+            b[...] = x.reshape(b.shape, order="F")
         return b
 
 
@@ -268,7 +273,12 @@ class Evaluation:
 
     h_psi / h_phi are sqrt(w) (H_b psi) and sqrt(w) (H_f phi). loc_b /
     loc_f are the local (non-kinetic) parts of H_b and H_f, the same in
-    either scaling. mu_b / mu_f are the Rayleigh quotients
+    either scaling. curv_b / curv_f are what the second variation of the
+    energy adds to them on its diagonal, 2 g_bb n_b and
+    (4/3) (5/3) c_TF n_f^(2/3), so that loc + curv - mu is the local part of
+    each species' diagonal block of that operator; they are None from the
+    pass energy_terms and apply_hamiltonians run. mu_b / mu_f
+    are the Rayleigh quotients
     sum(psi~ H~ psi~) / sum(psi~^2) = <psi, H_b psi>_w / <psi, psi>_w of
     each species, 0 for an empty one.
     """
@@ -278,6 +288,8 @@ class Evaluation:
     h_phi: np.ndarray
     loc_b: np.ndarray
     loc_f: np.ndarray
+    curv_b: np.ndarray | None
+    curv_f: np.ndarray | None
     mu_b: float
     mu_f: float
 
@@ -306,17 +318,19 @@ def evaluate(
     densities come from psi~^2 and phi~^2 through the per-row factors of
     params.row_factors, n_f^(2/3) is one cube root squared, and every term
     is one plain sum (grid.dot), the Fermi pressure (3/5) of
-    sum(phi~^2 (5/3) c_TF n_f^(2/3)), so no fractional power is taken.
+    sum(phi~^2 (5/3) c_TF n_f^(2/3)), so no fractional power is taken. The
+    curvatures are g_bb n_b and the local Fermi energy, which the pass
+    forms for the terms, kept in their own buffers and scaled.
 
     psi and phi may each hold only the first z columns of the potentials'
     box, its band: the species is zero past the band's last column, and so
     is the band's last column itself unless it is the box's (a halo, so
-    that H u is zero past the band too). Each species' terms, H u and loc
-    are then computed on its band alone, and take its shape; the
+    that H u is zero past the band too). Each species' terms, H u, loc and
+    curv are then computed on its band alone, and take its shape; the
     interspecies terms run on the columns both bands cover. Each cell is
-    computed as on the whole box, so H u and loc are the whole box's on the
-    band, bit for bit, and the terms can differ only by the order of their
-    sums.
+    computed as on the whole box, so H u, loc and curv are the whole box's
+    on the band, bit for bit, and the terms can differ only by the order of
+    their sums.
 
     Since sum(psi~ H~ psi~) is a sum of the energy terms (the quadratic ones
     twice, the pressure times 5/3), mu_b and mu_f come from the terms and
@@ -325,38 +339,64 @@ def evaluate(
     atom numbers it renormalized each field to, so it makes no sum for them.
     Otherwise they are summed here.
     """
+    return _evaluate(params, psi, phi, stencil, norms, in_place=False)
+
+
+def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
+    """evaluate, or with in_place H~ psi~ and H~ phi~ built over psi and phi.
+
+    In place, the pass keeps no curvature (curv_b and curv_f are None) and
+    holds at most four field-sized arrays besides psi and phi at any time,
+    so that apply_hamiltonians and energy_terms, whose scaled copies of
+    their inputs it overwrites, peak at six. The solver's pass keeps the
+    curvatures and peaks at seven arrays of a band's size. H u and loc are
+    the same bits either way.
+    """
     g_bb_w, g_bf_w, fermi_w = params.row_factors
     n_zb, n_zf = psi.shape[1], phi.shape[1]
     both = min(n_zb, n_zf)
     v_b, v_f = params.v_b[:, :n_zb], params.v_f[:, :n_zf]
+    if norms is None:
+        norms = (dot(psi, psi), dot(phi, phi))
     # atoms per cell, w n
     a_b = psi * psi
     a_f = phi * phi
-    loc_f = np.cbrt(a_f)
-    loc_f *= loc_f
-    loc_f *= fermi_w
-    fermi_pressure = 0.6 * dot(a_f, loc_f)
+    fermi = np.cbrt(a_f)  # the local Fermi energy (5/3) c_TF n_f^(2/3)
+    fermi *= fermi
+    fermi *= fermi_w
+    fermi_pressure = 0.6 * dot(a_f, fermi)
     bec_trap = dot(a_b, v_b)
     fermi_trap = dot(a_f, v_f)
-    work = a_b * g_bb_w
-    bec_interaction = 0.5 * dot(a_b, work)
+    g_bb_n_b = a_b * g_bb_w
+    bec_interaction = 0.5 * dot(a_b, g_bb_n_b)
 
-    # In place, so that few field-sized arrays are live at once: loc_f takes
-    # the cube root's buffer and loc_b a_f's (unless the bosons reach
-    # further), and a_b and work end as the buffers of loc u in the two
-    # Hamiltonians.
+    # loc_b takes a_f's buffer (unless the bosons reach further), and a_b
+    # ends as g_bf n_b. In place, loc_f is built in the Fermi energy's
+    # buffer and the Hamiltonians over psi and phi; otherwise the Fermi
+    # energy and g_bb n_b are kept for the curvatures and a_b's buffer
+    # takes H~ psi~.
     loc_b = a_f[:, :n_zb] if n_zb <= n_zf else np.zeros_like(a_b)
     np.multiply(a_f[:, :both], g_bf_w, out=loc_b[:, :both])
     interspecies = dot(a_b[:, :both], loc_b[:, :both])
+    del a_f
     loc_b += v_b
-    loc_b += work
+    loc_b += g_bb_n_b
     a_b *= g_bf_w
-    loc_f += v_f
+    if in_place:
+        loc_f = fermi
+        loc_f += v_f
+        curv_b = curv_f = None
+        out_b, out_f = psi, phi
+    else:
+        loc_f = np.add(fermi, v_f)
+        curv_b, curv_f = g_bb_n_b, fermi
+        curv_b *= 2.0
+        curv_f *= 4.0 / 3.0
+        out_b, out_f = a_b, None
     loc_f[:, :both] += a_b[:, :both]
-    bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, work)
-    del work
-    work = a_b[:, :n_zf] if n_zf <= n_zb else np.empty_like(loc_f)
-    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, work)
+    del fermi, g_bb_n_b, a_b
+    bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, out_b)
+    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, out_f)
     terms = {
         "bec_kinetic": bec_kinetic,
         "fermi_gradient": fermi_gradient,
@@ -369,30 +409,34 @@ def evaluate(
     for name, val in terms.items():
         if not math.isfinite(val):
             raise NumericalBlowup(f"energy term {name!r} is not finite")
-    norm_b, norm_f = norms if norms is not None else (dot(psi, psi), dot(phi, phi))
+    norm_b, norm_f = norms
     mu_b = _rayleigh_from_terms(
         bec_kinetic + bec_trap + 2.0 * bec_interaction + interspecies, norm_b
     )
     mu_f = _rayleigh_from_terms(
         fermi_gradient + fermi_trap + (5.0 / 3.0) * fermi_pressure + interspecies, norm_f
     )
-    return Evaluation(terms, h_psi, h_phi, loc_b, loc_f, mu_b, mu_f)
+    return Evaluation(terms, h_psi, h_phi, loc_b, loc_f, curv_b, curv_f, mu_b, mu_f)
 
 
 def _rayleigh_from_terms(u_h_u: float, norm2: float) -> float:
     return u_h_u / norm2 if norm2 > 0.0 else 0.0
 
 
-def _hamiltonian(loc, u, coef_kin, stencil, work):
-    """(coef_kin sum(u K~ u), loc u + coef_kin K~ u), in K~ u's buffer or in work."""
-    np.multiply(loc, u, out=work)
+def _hamiltonian(loc, u, coef_kin, stencil, out):
+    """(coef_kin sum(u K~ u), loc u + coef_kin K~ u), the latter in out.
+
+    out may be u itself, or None for a new array, which is made only once
+    the stencil's own temporary is freed.
+    """
     if coef_kin == 0.0:
-        return 0.0, work
+        return 0.0, np.multiply(loc, u, out=out)
     k_u = stencil.apply(u)
     kinetic = coef_kin * dot(u, k_u)
     k_u *= coef_kin
-    k_u += work
-    return kinetic, k_u
+    h_u = np.multiply(loc, u, out=out)
+    h_u += k_u
+    return kinetic, h_u
 
 
 def energy_terms(
@@ -406,7 +450,7 @@ def energy_terms(
     Raises on non-finite terms.
     """
     root = params.grid.root_volumes[:, None]
-    return evaluate(params, psi * root, phi * root, stencil).terms
+    return _evaluate(params, psi * root, phi * root, stencil, None, in_place=True).terms
 
 
 def apply_hamiltonians(
@@ -415,25 +459,31 @@ def apply_hamiltonians(
     phi: np.ndarray,
     stencil: KineticStencil,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(H_b psi, H_f phi) of unweighted fields; dE/dpsi = 2 w (H_b psi), likewise for phi."""
+    """(H_b psi, H_f phi) of unweighted fields; dE/dpsi = 2 w (H_b psi), likewise for phi.
+
+    They are built in the scaled copies of psi and phi the pass works on.
+    """
     root = params.grid.root_volumes[:, None]
-    ev = evaluate(params, psi * root, phi * root, stencil)
-    h_psi, h_phi = ev.h_psi, ev.h_phi  # buffers of this evaluation's own
+    ev = _evaluate(params, psi * root, phi * root, stencil, None, in_place=True)
+    h_psi, h_phi = ev.h_psi, ev.h_phi
     h_psi /= root
     h_phi /= root
     return h_psi, h_phi
 
 
-def local_scale_bound(loc: np.ndarray, mu: float) -> np.ndarray:
-    """Per-cell scale s = sqrt(|mu| / (max(loc, 0) + |mu|)) of one species.
+def local_scale_bound(loc: np.ndarray, curv: np.ndarray, mu: float, floor: float) -> np.ndarray:
+    """Per-cell diagonal D = max(loc + curv - mu, 0) + floor of one species.
 
-    Overwrites and returns loc, a local potential of an Evaluation. The
-    solver preconditions each species' gradient by s (coef_kin K_line +
-    |mu|)^-1 s, which is 1 / (max(loc, 0) + |mu|) where the kinetic term is
-    dropped. s lies in (0, 1], and is 1 where the local potential is not
-    positive.
+    loc and curv are a local potential and its curvature from one
+    Evaluation; loc is overwritten with D and returned. loc + curv - mu is
+    the local part of the second variation of the energy, so 1 / D bounds
+    each cell's step by the energy's own curvature there, and floor > 0
+    keeps it finite where that curvature vanishes, at a Thomas-Fermi edge.
+    The solver preconditions each species' gradient in full mode by
+    (coef_kin K_line + diag(D))^-1 (KineticStencil.solve_cells).
     """
+    loc += curv
+    loc -= mu
     np.maximum(loc, 0.0, out=loc)
-    loc += abs(mu)
-    np.divide(abs(mu), loc, out=loc)
-    return np.sqrt(loc, out=loc)
+    loc += floor
+    return loc

@@ -8,23 +8,56 @@ Sobolev-gradient view). It acts on the square-root fields. Per species, at
 an accepted state u:
 
     g = H u - mu u,   p = P g,   gamma = <g, p>_w,
-    P = s L^-1 s,   s = sqrt(|mu| / (max(loc, 0) + |mu|)),
-    L = coef_kin (K_rho + 2/d_z^2) + |mu|,
+    P = (coef_kin (K_rho + 2/d_z^2) + diag(D))^-1,
+    D = max(loc + curv - mu, 0) + eps |mu|,
     d = -p + beta d_prev, beta = gamma / gamma_prev, then projected onto
         the tangent space: d -= (<d, u>_w / <u, u>_w) u,
     u <- |renormalize(u + dtau d)|,
 
-with mu the Rayleigh quotient, loc the local (non-kinetic) potential and
+with mu the Rayleigh quotient, loc the local (non-kinetic) potential,
 K_rho + 2/d_z^2 the kinetic stencil's radial tridiagonal with its axial
-diagonal (functional.KineticStencil.solve_lines). On the grids
-grid_for_scenario builds, d_z = 7 d_rho, so nearly all of the kinetic
-stiffness is radial: inverting it exactly on each z column keeps grid
-refinement from multiplying the iteration count, and s lets the cells
-inside the clouds take their own step rather than one capped by the trap
-energy in the box's empty corners. One factorization of L, redone every
-step because mu moves, serves every column. Without the kinetic term (tf
-mode) L = |mu| and P is 1 / (max(loc, 0) + |mu|) per cell. Both modes start
-at 1.7 preconditioned unit steps.
+diagonal, and curv what the second variation of the energy adds to loc on
+its diagonal: 2 g_bb n_b for the bosons, (4/3) (5/3) c_TF n_f^(2/3) for the
+fermions (functional.Evaluation). loc + curv - mu is the local part of that
+second variation, so D is the energy's own curvature in each cell: about
+2 g_bb n_b inside the condensate, and near zero at a Thomas-Fermi edge,
+where the cloud has to move. The former preconditioner,
+s (coef_kin (K_rho + 2/d_z^2) + |mu|)^-1 s with
+s = sqrt(|mu| / (max(loc, 0) + |mu|)), gave a cell the step
+1 / (max(loc, 0) + |mu|), about 1 / (2 mu) at such an edge, so its steps
+were far too short exactly there; it took 41 and 470 iterations for the
+cold 128x256 solves at a_bf = 0 and 1480 a0 that now take 15 and 264.
+(Antoine, Levitt & Tang build their preconditioners from the kinetic and
+the potential part; here the potential part is the local curvature.)
+eps = _CURVATURE_FLOOR keeps D positive where the curvature vanishes. On
+the grids grid_for_scenario builds, d_z = 7 d_rho, so nearly all of the
+kinetic stiffness is radial: inverting it exactly on each z column keeps
+grid refinement from multiplying the iteration count. D varies from cell
+to cell, so the columns share no factorization: laid end to end, with no
+coupling across a column's end, they form one tridiagonal system of
+n_rho x band unknowns, factored and solved by one LAPACK call per species
+and step (functional.KineticStencil.solve_cells).
+
+Tf mode keeps P = 1 / (max(loc, 0) + |mu|) per cell, the former
+preconditioner without its kinetic term, and its start step of 1.7, so that
+every tf-mode state, and the tf column of Figure 3, stays bit for bit what
+it was. A start step of 1.5 shared with full mode would cost tf mode 5% more
+iterations on the acceptance sweep (934 against 887) and 9% on the fig3
+sweep (113 against 104 at seed 1).
+
+The start step is _DTAU_START preconditioned unit steps: 1.7 in tf mode,
+the largest start that lowered all eight fig3 energies (64x128) when it
+was scanned, and 1.5 in full mode. eps and the full-mode start were
+scanned together, eps over 0.1-0.5 and the start over 1.0-2.0 in steps of
+0.25, on the 64x128 fig3 sweep at seeds 1-3, the cold 256x512 solve and the
+13-point 128x256 acceptance sweep. The iteration counts are erratic in
+both: at (0.3, 1.5) the fig3 sweeps take 106-119 full-mode iterations, at
+(0.3, 1.75) 128-135 and at (0.2, 1.5) 107-112. A small eps wins at
+a_bf = 0 and loses past the interface. At (0.1, 1.25) the fig3 sweeps take
+the fewest iterations (97-102), the acceptance sweep 666 and the 256x512
+solve 18, but the cold 128x256 solve at 1480 a0 takes 439; at (0.3, 1.5)
+those take 701, 18 and 264. Every point scanned kept every full-mode
+energy within 3e-11 of the former solver's.
 
 The solver stores each amplitude weighted by the cell volume, as
 u~ = sqrt(w) u row by row (w is constant along z; Grid2D.root_volumes), so
@@ -35,11 +68,11 @@ band's contiguous block (grid.dot). A block of up to 10,000 values is one
 BLAS ddot, which OpenBLAS runs on one thread; a larger one is one ddot per
 radial line and the sum of those, so no sum, and no solve, depends on the
 BLAS thread count. In these amplitudes the kinetic operator is
-K~ = W^1/2 K W^-1/2, the same three-point stencil, and the line operator
-L~ = coef_kin K~_line + |mu| is symmetric tridiagonal, so each species'
-line solve is one LAPACK call (dptsv) with no scaling pass. s, P, the step,
-the stop rule and the band floor keep their form, since
-W^1/2 s L^-1 s W^-1/2 = s L~^-1 s. The start is scaled in once (_species)
+K~ = W^1/2 K W^-1/2, the same three-point stencil, and since D is diagonal
+the line operator coef_kin K~_line + diag(D) is W^1/2 (coef_kin K_line +
+diag(D)) W^-1/2, symmetric tridiagonal, so each species' line solve is one
+LAPACK call (dptsv) with no scaling pass, and P, the step, the stop rule
+and the band floor keep their form. The start is scaled in once (_species)
 and the returned densities out once ((u~ / sqrt(w))^2, _density).
 
 The step is steepest (d = -p, the preconditioned gradient flow of Bao & Du,
@@ -132,12 +165,11 @@ from .functional import apply_hamiltonians, energy_terms  # noqa: F401
 from .profiles import grid_for_scenario  # noqa: F401
 from .scenario import MixtureScenario
 
-# Starting step as a multiple of the preconditioned unit step, shared by both
-# modes. Scanned on the benchmark sweep (both modes, 64x128) against the
-# former diagonal preconditioner: 1.7 is the largest start that lowers all
-# eight energies (1.9 leaves one 2 ulp higher), and at 2.0 a tf-mode point
-# stops at a residual of 6.9e-4, six times the former worst.
-_DTAU_START = 1.7
+# Starting step as a multiple of the preconditioned unit step, per mode (the
+# module docstring gives the scans).
+_DTAU_START = {"full": 1.5, "tf": 1.7}
+# Full mode: the floor of each cell's diagonal D, as a share of |mu|.
+_CURVATURE_FLOOR = 0.3
 # Consecutive step halvings after which a rising energy raises StepUnstable.
 _MAX_HALVINGS = 60
 # The stop rule: a solve converges at the first accepted state where each
@@ -211,24 +243,27 @@ def _renormalize(u: np.ndarray, target: float) -> np.ndarray:
 
 
 def _precondition(
-    r: np.ndarray, loc: np.ndarray, mu: float, coef_kin: float, stencil: KineticStencil
+    r: np.ndarray,
+    loc: np.ndarray,
+    curv: np.ndarray,
+    mu: float,
+    coef_kin: float,
+    stencil: KineticStencil,
 ) -> np.ndarray:
-    """Overwrite r with s (coef_kin K_line + |mu|)^-1 s r and return it.
+    """Overwrite r with P r and return it; loc is consumed.
 
-    s = sqrt(|mu| / (max(loc, 0) + |mu|)) is built in loc's buffer. Without
-    the kinetic term the line operator is |mu| and the product is
-    1 / (max(loc, 0) + |mu|), which is applied as it stands.
+    With the kinetic term, P = (coef_kin K_line + diag(D))^-1 with
+    D = max(loc + curv - mu, 0) + _CURVATURE_FLOOR |mu|, built in loc's
+    buffer (functional.local_scale_bound). Without it (tf mode), P is
+    1 / (max(loc, 0) + |mu|) per cell.
     """
     if coef_kin == 0.0:
         np.maximum(loc, 0.0, out=loc)
         loc += abs(mu)
         r /= loc
         return r
-    s = local_scale_bound(loc, mu)
-    r *= s
-    stencil.solve_lines(coef_kin, abs(mu), r)
-    r *= s
-    return r
+    diag = local_scale_bound(loc, curv, mu, _CURVATURE_FLOOR * abs(mu))
+    return stencil.solve_cells(coef_kin, diag, r)
 
 
 @dataclass
@@ -275,20 +310,25 @@ def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Sp
 
 
 def _direction(
-    sp: _Species, g: np.ndarray, loc: np.ndarray, mu: float, stencil: KineticStencil
+    sp: _Species,
+    g: np.ndarray,
+    loc: np.ndarray,
+    curv: np.ndarray,
+    mu: float,
+    stencil: KineticStencil,
 ) -> bool:
     """Set sp.p, sp.gamma and sp.d for the step from sp.u; True if d is conjugate.
 
-    g = H u - mu u and loc cover sp's band; g is left as it was and loc is
-    consumed. The conjugate direction is -p + beta d_prev projected onto
-    the tangent space of the sphere at u, with the Fletcher-Reeves beta =
-    gamma / gamma_prev. It is taken only when 0 < beta <= 1 and it
+    g = H u - mu u, loc and curv cover sp's band; g is left as it was and
+    loc is consumed. The conjugate direction is -p + beta d_prev projected
+    onto the tangent space of the sphere at u, with the Fletcher-Reeves
+    beta = gamma / gamma_prev. It is taken only when 0 < beta <= 1 and it
     descends; otherwise d = -p.
     """
     band = sp.band
     u, p, d = sp.u[:, :band], sp.p[:, :band], sp.d[:, :band]
     np.copyto(p, g)
-    _precondition(p, loc, mu, sp.coef_kin, stencil)
+    _precondition(p, loc, curv, mu, sp.coef_kin, stencil)
     gamma = dot(g, p)
     conjugate = 0.0 < gamma <= sp.gamma
     if conjugate:
@@ -392,7 +432,7 @@ def minimize(
     targets = tuple(sp.target for sp in species)
     trial = [sp.u for sp in species]
 
-    dtau = _DTAU_START
+    dtau = _DTAU_START[options.mode]
     energy_hist: list[float] = []
     e_prev = math.inf
     halvings = 0
@@ -448,15 +488,15 @@ def minimize(
         halvings = 0
         iterations += 1
 
-        locs = (ev.loc_b, ev.loc_f)
+        locs, curvs = (ev.loc_b, ev.loc_f), (ev.curv_b, ev.curv_f)
         conjugate = False
         for k in moving:
             sp = species[k]
-            conjugate |= _direction(sp, grads[k], locs[k], mus[k], stencil)
+            conjugate |= _direction(sp, grads[k], locs[k], curvs[k], mus[k], stencil)
             trial[k] = _trial(sp, dtau)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory.
-        del ev, grads, locs, bands
+        del ev, grads, locs, curvs, bands
 
     # The last accepted state, which max_iter >= 1 guarantees: the first
     # evaluation is of the start, and no energy exceeds e_prev = inf. mu and

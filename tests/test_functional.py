@@ -1,6 +1,7 @@
 """Energy functional, discrete kinetic stencil, and their exact adjointness."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,8 @@ from mixsep.functional import (
     tf_pressure_coefficient,
 )
 from mixsep.grid import Grid2D, dot, grid_for_box
+from mixsep.profiles import bec_tf_profile, fermi_tf_profile, grid_for_scenario
+from mixsep.solver import SolverOptions, minimize
 
 SC = default_scenario(a_bf=300.0 * A_BOHR)
 
@@ -301,6 +304,15 @@ def dense_line_operator(grid):
     return root[:, None] * k / root[None, :]
 
 
+def dense_cell_solve(grid, coef, diag, b):
+    """(coef K_line + diag(diag)) x = b solved column by column with numpy."""
+    line = coef * dense_line_operator(grid)
+    return np.stack(
+        [np.linalg.solve(line + np.diag(diag[:, j]), b[:, j]) for j in range(b.shape[1])],
+        axis=1,
+    )
+
+
 @settings(derandomize=True, deadline=None)
 @given(
     n_rho=st.integers(2, 40),
@@ -313,63 +325,76 @@ def dense_line_operator(grid):
 )
 @example(n_rho=2, half_n_z=1, d_rho=1e-6, d_z=2e-6, coef=1.0, shift=1.0, seed=0)
 def test_line_solve_matches_dense_solve(n_rho, half_n_z, d_rho, d_z, coef, shift, seed):
-    # coef and shift are in units of 1/d_rho^2, so the operator's entries are O(1)
+    # coef and shift are in units of 1/d_rho^2, so the operator's entries are
+    # O(1); the diagonal varies from cell to cell, along z too, over a factor 10
     grid = Grid2D(n_rho, 2 * half_n_z, d_rho, d_z)
-    b = np.random.default_rng(seed).standard_normal((n_rho, 2 * half_n_z))
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n_rho, 2 * half_n_z))
     coef *= d_rho**2
-    shift /= d_rho**2
-    matrix = coef * dense_line_operator(grid) + shift * np.eye(n_rho)
+    diag = shift / d_rho**2 * rng.uniform(0.1, 1.0, b.shape)
+    matrix = coef * dense_line_operator(grid)
     # the weighted line operator is symmetric
     np.testing.assert_allclose(matrix, matrix.T, rtol=1e-15, atol=0.0)
-    want = np.linalg.solve(matrix, b)
+    want = dense_cell_solve(grid, coef, diag, b)
     got = b.copy()
     stencil = KineticStencil(grid)
-    assert stencil.solve_lines(coef, shift, got) is got
+    assert stencil.solve_cells(coef, diag.copy(), got) is got
     assert got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the solve's relative residual
-    assert np.max(np.abs(matrix @ got - b)) <= 1e-12 * np.max(np.abs(b))
+    # the solve's relative residual, column by column
+    residual = np.stack(
+        [(matrix + np.diag(diag[:, j])) @ got[:, j] - b[:, j] for j in range(b.shape[1])],
+        axis=1,
+    )
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b))
     # a Fortran-order band of a wider field is solved in place, to the same
     # bytes, and the columns past it are left alone
     wide = np.full((n_rho, 2 * half_n_z + 2), 7.0, order="F")
     band = wide[:, : 2 * half_n_z]
     band[...] = b
-    assert stencil.solve_lines(coef, shift, band) is band
+    assert stencil.solve_cells(coef, np.asfortranarray(diag), band) is band
     assert band.flags.f_contiguous
     assert band.tobytes() == got.tobytes()
     assert np.all(wide[:, 2 * half_n_z:] == 7.0)
 
 
 def test_line_solve_makes_no_copy_of_fortran_order(small, monkeypatch):
-    # LAPACK gets the caller's memory: no copy in, none back, in one call
+    # LAPACK gets the caller's memory for the right-hand side and the
+    # diagonal: no copy in, none back, and one call per solve
     grid, _, _ = small
     stencil = KineticStencil(grid)
-    b = np.asfortranarray(np.random.default_rng(4).standard_normal((grid.n_rho, grid.n_z)))
+    rng = np.random.default_rng(4)
+    b = np.asfortranarray(rng.standard_normal((grid.n_rho, grid.n_z)))
     # a stencil binds dptsv from scipy.linalg.lapack at its first solve
     original = scipy.linalg.lapack.dptsv
     seen = []
 
     def recording(d, e, rhs, **overwrite):
-        seen.append(rhs.ctypes.data)
+        seen.append((d.ctypes.data, rhs.ctypes.data))
         return original(d, e, rhs, **overwrite)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dptsv", recording)
     for shift in (1.0, 2.0):
-        stencil.solve_lines(1.0, shift / grid.d_rho**2, b)
-    assert seen == [b.ctypes.data] * 2
+        diag = np.asfortranarray(shift / grid.d_rho**2 * rng.uniform(0.5, 1.0, b.shape))
+        stencil.solve_cells(1.0, diag, b)
+        assert seen[-1] == (diag.ctypes.data, b.ctypes.data)
+    assert len(seen) == 2
 
 
 def test_line_solve_keeps_its_operator(small):
-    # the coef-scaled diagonals are kept per coef and left as they were
+    # a solve leaves the stencil's K_line as it was, so a repeat solve gives
+    # the same bytes, whatever coefficient came in between
     grid, _, _ = small
     stencil = KineticStencil(grid)
-    b = np.random.default_rng(5).standard_normal((grid.n_rho, grid.n_z))
-    first = stencil.solve_lines(2.0, 3.0 / grid.d_rho**2, b.copy())
-    kept = [a.copy() for a in stencil._lines[2.0]]
-    stencil.solve_lines(0.5, 1.0 / grid.d_rho**2, b.copy())
-    again = stencil.solve_lines(2.0, 3.0 / grid.d_rho**2, b.copy())
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((grid.n_rho, grid.n_z))
+    diag = 3.0 / grid.d_rho**2 * rng.uniform(0.5, 1.0, b.shape)
+    kept = [a.copy() for a in (stencil._line_diag, stencil._line_off)]
+    first = stencil.solve_cells(2.0, diag.copy(), b.copy())
+    stencil.solve_cells(0.5, diag.copy(), b.copy())
+    again = stencil.solve_cells(2.0, diag.copy(), b.copy())
     assert again.tobytes() == first.tobytes()
-    for a, k in zip(stencil._lines[2.0], kept):
+    for a, k in zip((stencil._line_diag, stencil._line_off), kept):
         assert a.tobytes() == k.tobytes()
 
 
@@ -407,19 +432,22 @@ def test_banded_evaluation_equals_the_whole_box(small, mode, reach):
         assert np.all(want[:, band:] == 0.0)
     np.testing.assert_array_equal(banded.loc_b, whole.loc_b[:, : bands[0]])
     np.testing.assert_array_equal(banded.loc_f, whole.loc_f[:, : bands[1]])
+    np.testing.assert_array_equal(banded.curv_b, whole.curv_b[:, : bands[0]])
+    np.testing.assert_array_equal(banded.curv_f, whole.curv_f[:, : bands[1]])
 
 
 def test_line_operator_is_apply_without_axial_neighbours(small):
-    # coef (K_rho + 2/d_z^2) x + shift x, formed from apply(), solves back to x
+    # coef (K_rho + 2/d_z^2) x + diag x, formed from apply(), solves back to x
     grid, _, _ = small
     stencil = KineticStencil(grid)
-    x = np.random.default_rng(3).standard_normal((grid.n_rho, grid.n_z))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((grid.n_rho, grid.n_z))
     neighbours = np.zeros_like(x)
     neighbours[:, :-1] += x[:, 1:]
     neighbours[:, 1:] += x[:, :-1]
-    coef, shift = 2.0, 5.0 / grid.d_rho**2
-    b = coef * (stencil.apply(x) + neighbours / grid.d_z**2) + shift * x
-    np.testing.assert_allclose(stencil.solve_lines(coef, shift, b), x, rtol=0.0, atol=1e-12)
+    coef, diag = 2.0, 5.0 / grid.d_rho**2 * rng.uniform(0.1, 1.0, x.shape)
+    b = coef * (stencil.apply(x) + neighbours / grid.d_z**2) + diag * x
+    np.testing.assert_allclose(stencil.solve_cells(coef, diag, b), x, rtol=0.0, atol=1e-12)
 
 
 @settings(derandomize=True, deadline=None)
@@ -608,24 +636,100 @@ class TestAdjointness:
 
 
 def test_local_scale_bound_orders(small):
+    # D = max(loc + curv - mu, 0) + floor, built in the evaluation's local
+    # potential: never below the floor, and larger where the local curvature is
     grid, psi, phi = small
     params = functional_params(SC, grid, "full")
-    ev = evaluate(params, psi, phi, KineticStencil(grid))
-    for loc, mu in ((ev.loc_b, ev.mu_b), (ev.loc_f, ev.mu_f)):
-        loc0 = loc.copy()
-        s = local_scale_bound(loc, mu)
+    ev = evaluate(params, *weighted(grid, psi, phi), KineticStencil(grid))
+    for loc, curv, mu in ((ev.loc_b, ev.curv_b, ev.mu_b), (ev.loc_f, ev.curv_f, ev.mu_f)):
+        local = loc + curv - mu
+        floor = 0.3 * abs(mu)
+        d = local_scale_bound(loc, curv, mu, floor)
         # built in place in the evaluation's local potential
-        assert s is loc
-        np.testing.assert_allclose(
-            s, np.sqrt(abs(mu) / (np.maximum(loc0, 0.0) + abs(mu))), rtol=1e-15, atol=0.0
-        )
-        assert np.all((s > 0.0) & (s <= 1.0))
-        # the larger the local potential, the smaller the scale
-        order = np.argsort(loc0, axis=None, kind="stable")
-        assert np.all(np.diff(s.ravel()[order]) <= 0.0)
-    # a non-positive local potential leaves the gradient unscaled
-    loc = np.array([[-3.0, 0.0, 1.0]])
-    np.testing.assert_array_equal(local_scale_bound(loc, -2.0), [[1.0, 1.0, math.sqrt(2.0 / 3.0)]])
+        assert d is loc
+        np.testing.assert_array_equal(d, np.maximum(local, 0.0) + floor)
+        assert np.all(d >= floor) and np.any(d > floor)
+        order = np.argsort(local, axis=None, kind="stable")
+        assert np.all(np.diff(d.ravel()[order]) >= 0.0)
+    # where the curvature does not exceed mu, D is the floor
+    loc, curv = np.array([[-3.0, 0.0, 1.0]]), np.array([[1.0, 1.0, 2.0]])
+    np.testing.assert_array_equal(local_scale_bound(loc, curv, 2.0, 0.5), [[0.5, 0.5, 1.5]])
+
+
+@pytest.fixture(scope="module")
+def mixed_and_separated():
+    """Full-mode ground states on 32x64 at 300 a0 (mixed) and 1480 a0 (separated)."""
+    states = []
+    for a_bf_a0 in (300.0, 1480.0):
+        sc = SC.with_a_bf(a_bf_a0 * A_BOHR)
+        gs = minimize(sc, grid_for_scenario(sc, 32, 64), SolverOptions(mode="full"))
+        assert gs.converged
+        states.append(gs)
+    return states
+
+
+@pytest.mark.parametrize("which", ["mixed", "separated"])
+def test_curvature_is_the_local_part_of_the_second_variation(mixed_and_separated, which):
+    # Without the kinetic term (tf-mode params) H u is local: each cell of
+    # H~ u~ depends on that cell's amplitudes alone. So the derivative of
+    # cell i of H~ u~ by u~_i, the local part of the second variation plus
+    # mu, is a central difference under a perturbation of cell i alone, and
+    # perturbing every cell at once takes all those one-cell differences in
+    # one evaluation. It must be loc + curv, for both species.
+    gs = mixed_and_separated[["mixed", "separated"].index(which)]
+    grid = gs.grid
+    params = functional_params(gs.scenario, grid, "tf")
+    stencil = KineticStencil(grid)
+    root = grid.root_volumes[:, None]
+    psi, phi = root * np.sqrt(gs.n_b.values), root * np.sqrt(gs.n_f.values)
+    if which == "separated":
+        # the centre holds almost no fermions
+        assert gs.n_f.center_value() < 1e-6 * gs.n_f.peak()
+    ev = evaluate(params, psi, phi, stencil)
+    step = 1e-5
+    for k, (u, h, loc, curv) in enumerate(
+        ((psi, "h_psi", ev.loc_b, ev.curv_b), (phi, "h_phi", ev.loc_f, ev.curv_f))
+    ):
+        shifted = []
+        for sign in (1.0, -1.0):
+            fields = [psi, phi]
+            fields[k] = u * (1.0 + sign * step)
+            shifted.append(getattr(evaluate(params, *fields, stencil), h))
+        held = u != 0.0
+        fd = (shifted[0][held] - shifted[1][held]) / (2.0 * step * u[held])
+        np.testing.assert_allclose(fd, (loc + curv)[held], rtol=1e-8, atol=0.0)
+        # the curvature is what the second variation adds: 2 g_bb n_b and
+        # (4/3) (5/3) c_TF n_f^(2/3)
+        assert np.all(curv >= 0.0) and np.any(curv > 0.0)
+
+
+def test_unweighted_calls_peak_at_six_fields():
+    # apply_hamiltonians and energy_terms build H u in their scaled copies of
+    # the fields and keep no curvature: on the full 256x512 grid each peaks
+    # at six field-sized arrays of 1 MiB, no more than the 6.4 MB the call
+    # took while evaluate worked on unweighted fields
+    grid = grid_for_scenario(SC, 256, 512)
+    params = functional_params(SC, grid, "full")
+    psi = np.sqrt(bec_tf_profile(SC.bosons, SC.condensate_number, grid)[0].values)
+    phi = np.sqrt(fermi_tf_profile(SC.fermions, SC.n_fermions, grid)[0].values)
+    stencil = KineticStencil(grid)
+    peaks = []
+    for fn in (apply_hamiltonians, energy_terms):
+        tracemalloc.start()
+        try:
+            result = fn(params, psi, phi, stencil)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del result
+    assert max(peaks) <= 6.4e6
+    # the same bits as the solver's pass, scaled back out
+    root = grid.root_volumes[:, None]
+    ev = evaluate(params, psi * root, phi * root, stencil)
+    h_psi, h_phi = apply_hamiltonians(params, psi, phi, stencil)
+    np.testing.assert_array_equal(h_psi, ev.h_psi / root)
+    np.testing.assert_array_equal(h_phi, ev.h_phi / root)
+    assert energy_terms(params, psi, phi, stencil) == ev.terms
 
 
 @pytest.mark.parametrize("mode", ["full", "tf"])

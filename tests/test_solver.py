@@ -21,7 +21,7 @@ from mixsep.errors import (
     StepUnstable,
     ValidationError,
 )
-from mixsep.functional import KineticStencil, evaluate, functional_params
+from mixsep.functional import KineticStencil, evaluate, functional_params, local_scale_bound
 from mixsep.grid import dot, integrate_product
 from mixsep.physics import coupling_bb
 from mixsep.pipeline import sweep_ground_states
@@ -188,36 +188,55 @@ def test_tf_preconditioner_is_the_local_scale(full0):
     cases = ((ev.loc_b, ev.mu_b), (ev.loc_f, ev.mu_f), (ev.loc_f - 2.0 * ev.mu_f, -ev.mu_f))
     for loc, mu in cases:
         want = r / (np.maximum(loc, 0.0) + abs(mu))
-        got = solver._precondition(r.copy(), loc.copy(), mu, 0.0, stencil)
+        got = solver._precondition(r.copy(), loc.copy(), None, mu, 0.0, stencil)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_full_preconditioner_is_symmetric_positive(full0):
-    # s L~^-1 s is self-adjoint and positive under the plain sum of the
-    # weighted amplitudes (the grid's inner product of the unweighted ones),
-    # so minus the preconditioned gradient is a descent direction
+    # (coef K~_line + diag(D))^-1 is self-adjoint and positive under the
+    # plain sum of the weighted amplitudes (the grid's inner product of the
+    # unweighted ones), so minus the preconditioned gradient is a descent
+    # direction
     stencil, params, ev = _step_inputs(full0)
     rng = np.random.default_rng(6)
-    species = ((ev.loc_b, ev.mu_b, params.coef_kin_b), (ev.loc_f, ev.mu_f, params.coef_kin_f))
-    for loc, mu, coef in species:
+    species = (
+        (ev.loc_b, ev.curv_b, ev.mu_b, params.coef_kin_b),
+        (ev.loc_f, ev.curv_f, ev.mu_f, params.coef_kin_f),
+    )
+    for loc, curv, mu, coef in species:
         a, b = rng.standard_normal((2,) + loc.shape)
-        p_a = solver._precondition(a.copy(), loc.copy(), mu, coef, stencil)
-        p_b = solver._precondition(b.copy(), loc.copy(), mu, coef, stencil)
+        p_a = solver._precondition(a.copy(), loc.copy(), curv, mu, coef, stencil)
+        p_b = solver._precondition(b.copy(), loc.copy(), curv, mu, coef, stencil)
         assert dot(a, p_b) == pytest.approx(dot(p_a, b), rel=1e-12)
         assert dot(a, p_a) > 0.0
-        # the kinetic term only lowers the step below the local scale's
-        local = solver._precondition(a.copy(), loc.copy(), mu, 0.0, stencil)
-        assert dot(a, p_a) < dot(a, local)
+        # the kinetic term only lowers the step below diag(D)^-1's
+        diag = local_scale_bound(loc.copy(), curv, mu, solver._CURVATURE_FLOOR * abs(mu))
+        assert dot(a, p_a) < dot(a, a / diag)
 
 
-def test_iterations_do_not_grow_with_the_grid():
+@pytest.fixture(scope="module")
+def cold128():
+    """The cold full-mode solve at a_bf = 0 on the default 128x256 grid."""
+    return minimize(SC, grid_for_scenario(SC, 128, 256), SolverOptions(mode="full"))
+
+
+def test_iterations_do_not_grow_with_the_grid(cold128):
     # the radial line solve inverts the stiff part of the kinetic term, so
     # halving both spacings leaves the cold solve's iteration count flat
-    options = SolverOptions(mode="full")
-    coarse = minimize(SC, grid_for_scenario(SC, 64, 128), options)
-    fine = minimize(SC, grid_for_scenario(SC, 128, 256), options)
-    assert coarse.converged and fine.converged
-    assert fine.iterations <= 1.1 * coarse.iterations
+    coarse = minimize(SC, grid_for_scenario(SC, 64, 128), SolverOptions(mode="full"))
+    assert coarse.converged and cold128.converged
+    assert cold128.iterations <= 1.1 * coarse.iterations
+
+
+def test_curvature_preconditioner_halves_the_cold_solve(cold128):
+    # With D taken from the energy's curvature, the step is long where the
+    # cloud has to move, at the Thomas-Fermi edges. Cold 128x256 solves took
+    # 41 iterations at a_bf = 0 and 470 at 1480 a0 under the former scale
+    # s = sqrt(|mu| / (max(loc, 0) + |mu|)).
+    sc = SC.with_a_bf(1480.0 * A_BOHR)
+    separated = minimize(sc, grid_for_scenario(sc, 128, 256), SolverOptions(mode="full"))
+    assert cold128.converged and separated.converged
+    assert (cold128.iterations, separated.iterations) == (15, 264)
 
 
 def test_max_iter_cap(grid48):
@@ -255,7 +274,7 @@ def test_tf_solve_never_grows_the_condensate(grid48, a_bf_a0):
 
 def test_oversized_step_is_retracted(grid48, monkeypatch):
     # a first step of sixteen preconditioned unit steps overshoots and must be halved
-    monkeypatch.setattr(solver, "_DTAU_START", 16.0)
+    monkeypatch.setitem(solver._DTAU_START, "full", 16.0)
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     # history holds accepted steps + 1 energies, iterations counts steps + rejections
@@ -266,7 +285,7 @@ def test_oversized_step_is_retracted(grid48, monkeypatch):
 def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
     # A huge first step is rejected about twenty times over. Each retry
     # starts again from the accepted state, which is recorded once.
-    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
+    monkeypatch.setitem(solver._DTAU_START, "full", 1e6)
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     assert gs.energy < gs.energy_history[0]
@@ -277,7 +296,7 @@ def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
 
 def test_rejections_in_a_row_raise(grid48, monkeypatch):
     # each retry from the accepted state halves the step again
-    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
+    monkeypatch.setitem(solver._DTAU_START, "full", 1e6)
     monkeypatch.setattr(solver, "_MAX_HALVINGS", 5)
     with pytest.raises(StepUnstable, match="after 5 step halvings"):
         minimize(SC, grid48, SolverOptions(mode="full"))
@@ -365,10 +384,10 @@ def test_rejected_conjugate_step_costs_one_evaluation(grid48, monkeypatch):
 
 @pytest.fixture(scope="module")
 def floor_pair():
-    """Cold full-mode solves at 1480 a0 on 64x128: with the tail floor, and under
+    """Cold full-mode solves at 1480 a0 on 96x192: with the tail floor, and under
     the former rule that grew a band into any non-zero halo (a floor of 0)."""
     sc = SC.with_a_bf(1480.0 * A_BOHR)
-    grid = grid_for_scenario(sc, 64, 128)
+    grid = grid_for_scenario(sc, 96, 192)
     floored = minimize(sc, grid, SolverOptions(mode="full"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_TAIL_FLOOR", 0.0)
@@ -399,7 +418,7 @@ def _boson_band(gs) -> int:
 
 
 def test_boson_band_stops_short_of_the_box(floor_pair):
-    # 19 of the 64 half-box columns; the former rule reached 61
+    # 26 of the 96 half-box columns; the former rule reached 80
     floored, former = floor_pair
     assert _boson_band(floored) < 32 < 48 < _boson_band(former)
 
