@@ -94,9 +94,16 @@ def cmd_solve(args) -> int:
     if args.out:
         print(f"ground state written to {args.out}")
     if not gs.converged:
-        print("solver hit max_iter before converging", file=sys.stderr)
+        print(f"solver {_not_converged(gs.mode)}", file=sys.stderr)
         return 3
     return 0
+
+
+def _not_converged(mode: str) -> str:
+    """Why a state of this solver mode is not converged."""
+    if mode == "tf":
+        return "found no local minimum holding the target atom numbers"
+    return "hit max_iter before converging"
 
 
 def _progress(mode, idx, a_bf, gs) -> None:
@@ -105,7 +112,7 @@ def _progress(mode, idx, a_bf, gs) -> None:
     if gs is None:
         status = "FAILED"
     else:
-        status = f"{'converged' if gs.converged else 'max_iter'} in {gs.iterations} steps"
+        status = f"{'converged' if gs.converged else 'not converged'} in {gs.iterations} steps"
     print(f"[{mode}] point {idx + 1}: a_bf = {a_bf / A_BOHR:.6g} a0, {status}",
           file=sys.stderr)
 
@@ -123,7 +130,7 @@ def cmd_sweep(args) -> int:
     points = json.loads(manifest_path.read_text(encoding="utf-8"))["points"]
     failed = [p for p in points if p["error"] or not p["converged"]]
     for p in failed:
-        reason = p["error"] or "hit max_iter before converging"
+        reason = p["error"] or _not_converged(p["mode"])
         print(f"[{p['mode']}] a_bf = {p['a_bf_a0']:.6g} a0: {reason}", file=sys.stderr)
     return 3 if failed else 0
 

@@ -64,7 +64,8 @@ M3_TO_CM3 = 1.0e-6        # density m^-3 -> cm^-3
 M6_TO_CM6 = 1.0e-12       # overlap integral m^-6 -> cm^-6
 M6S_TO_CM6S = 1.0e12      # rate coefficient m^6/s -> cm^6/s
 CONFIG_SNAPSHOT = "config_snapshot.cfg"
-# Relative noise on each warm start of a sweep, seeded from the solver's seed.
+# Relative noise on each full-mode warm start of a sweep, seeded from the
+# solver's seed.
 _WARM_NOISE = 0.01
 
 
@@ -430,18 +431,20 @@ def sweep_ground_states(
     options: SolverOptions = SolverOptions(),
     progress=None,
 ) -> list[tuple[GroundState | None, str | None]]:
-    """Solve at each a_bf, warm-starting each point from the previous one.
+    """Solve at each a_bf, in full mode warm-starting each point from the previous one.
 
     Returns one (state, None) or (None, "ErrorType: message") per point: a
     point whose solve raises a MixsepError is recorded and the next point
-    starts cold. The warm start is perturbed with relative noise of
-    _WARM_NOISE, seeded from options.seed, before relaxing, which keeps a
-    point from inheriting the previous point's topology (a mixed state
-    carried past the separation threshold, or the reverse). The noise is
-    drawn on the full grid, and minimize folds it onto the z > 0 half with
-    the rest of the start, as the mean of each cell and its mirror partner;
-    every returned state is mirror-symmetric. progress(mode, idx, a_bf,
-    state or None) is called after each point.
+    starts cold. A full-mode warm start is perturbed with relative noise of
+    _WARM_NOISE, seeded from options.seed, before relaxing. The noise does
+    not choose the branch a point reaches: with it set to 0, the upward and
+    the downward 128x256 full-mode sweeps each end on the same branches as
+    with it, to 1e-11. It is drawn on the full grid, and minimize folds it onto the z > 0 half
+    with the rest of the start, as the mean of each cell and its mirror
+    partner; every returned state is mirror-symmetric. A tf-mode point is
+    the pointwise minimum, which reads no start, so it takes none and no
+    noise is drawn for it. progress(mode, idx, a_bf, state or None) is
+    called after each point.
     """
     out = []
     warm = None
@@ -457,7 +460,9 @@ def sweep_ground_states(
         except MixsepError as exc:
             gs, err, warm = None, f"{type(exc).__name__}: {exc}", None
         else:
-            err, warm = None, (np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values))
+            err = None
+            if options.mode == "full":
+                warm = (np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values))
         out.append((gs, err))
         if progress is not None:
             progress(options.mode, idx, float(a_bf), gs)

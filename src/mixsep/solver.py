@@ -1,11 +1,15 @@
-"""Imaginary-time minimization of the mixture energy functional.
+"""Ground states of the mixture energy functional, in full and in tf mode.
 
-Preconditioned nonlinear conjugate gradient on the constraint sphere of each
-species, as in Antoine, Levitt & Tang, J. Comput. Phys. 343, 92 (2017), here
-with the Fletcher-Reeves beta and a fixed step rather than a line search
-(Danaila & Kazemi, SIAM J. Sci. Comput. 32, 2447 (2010) give the
-Sobolev-gradient view). It acts on the square-root fields. Per species, at
-an accepted state u:
+Full mode relaxes in imaginary time; tf mode, which drops both kinetic
+terms, is solved directly as the pointwise minimum (the last part of this
+docstring).
+
+Full mode runs preconditioned nonlinear conjugate gradient on the
+constraint sphere of each species, as in Antoine, Levitt & Tang, J.
+Comput. Phys. 343, 92 (2017), here with the Fletcher-Reeves beta and a
+fixed step rather than a line search (Danaila & Kazemi, SIAM J. Sci.
+Comput. 32, 2447 (2010) give the Sobolev-gradient view). It acts on the
+square-root fields. Per species, at an accepted state u:
 
     g = H u - mu u,   p = P g,   gamma = <g, p>_w,
     P = (coef_kin (K_rho + 2/d_z^2) + diag(D))^-1,
@@ -38,18 +42,9 @@ coupling across a column's end, they form one tridiagonal system of
 n_rho x band unknowns, factored and solved by one LAPACK call per species
 and step (functional.KineticStencil.solve_cells).
 
-Tf mode keeps P = 1 / (max(loc, 0) + |mu|) per cell, the former
-preconditioner without its kinetic term, and its start step of 1.7, so that
-every tf-mode state, and the tf column of Figure 3, stays bit for bit what
-it was. A start step of 1.5 shared with full mode would cost tf mode 5% more
-iterations on the acceptance sweep (934 against 887) and 9% on the fig3
-sweep (113 against 104 at seed 1).
-
-The start step is _DTAU_START preconditioned unit steps: 1.7 in tf mode,
-the largest start that lowered all eight fig3 energies (64x128) when it
-was scanned, and 1.5 in full mode. eps and the full-mode start were
-scanned together, eps over 0.1-0.5 and the start over 1.0-2.0 in steps of
-0.25, on the 64x128 fig3 sweep at seeds 1-3, the cold 256x512 solve and the
+The start step is _DTAU_START = 1.5 preconditioned unit steps. eps and
+the start were scanned together, eps over 0.1-0.5 and the start over
+1.0-2.0 in steps of 0.25, on the 64x128 fig3 sweep at seeds 1-3, the cold 256x512 solve and the
 13-point 128x256 acceptance sweep. The iteration counts are erratic in
 both: at (0.3, 1.5) the fig3 sweeps take 106-119 full-mode iterations, at
 (0.3, 1.75) 128-135 and at (0.2, 1.5) 107-112. A small eps wins at
@@ -96,12 +91,10 @@ state's stored p, so no state is evaluated twice and every iteration costs
 one evaluation. A solve converges at the first accepted state where each
 species' relative residual ||g||_w / (|mu| ||u||_w) is at most
 _RESIDUAL_TOL, one weighted sum per species since ||u||_w^2 is the atom
-number u was renormalized to. In tf mode it also waits for _CONSECUTIVE
-steps in a row that lower the energy by at most _TOL_ENERGY relative. A
-start that meets the rule, such as a converged warm start or the TF
-profiles in tf mode at a_bf = 0, is returned after 0 iterations. The
-returned state is the last accepted one, with that evaluation's own terms,
-mu and residual.
+number u was renormalized to. A start that meets the rule, such as a
+converged warm start, is returned after 0 iterations. The returned state
+is the last accepted one, with that evaluation's own terms, mu and
+residual.
 
 The trap is mirror-symmetric in z, and so is its ground state, so the
 relaxation runs on the upper half of the grid only: the n_rho x n_z/2
@@ -129,10 +122,10 @@ the trial. So evaluate, the preconditioner, the direction and the trial
 all run on the band alone, one contiguous block. The band grows by one
 column when a trial's halo column holds an amplitude above _TAIL_FLOOR =
 eps^2 of the trial's peak amplitude (both weighted, u~ being what every sum
-squares), as a full-mode step does from a compact start (the TF condensate
-fills a tenth of the box's columns), and never in tf mode, where nothing couples neighbouring cells. A halo column
-below the floor is set to zero instead, and a start is cut at the floor
-the same way (_species), so a band stops at the floor: past the interface
+squares), as a step does from a compact start (the TF condensate fills a
+tenth of the box's columns). A halo column below the floor is set to zero
+instead, and a start is cut at the floor the same way (_species), so a
+band stops at the floor: past the interface
 the amplitudes decay exponentially, and a band that followed them would
 reach the box's edge through subnormal densities, whose arithmetic is
 slow. What a band skips is therefore zeros, or
@@ -142,6 +135,77 @@ solve it cannot move any amplitude above eps of the peak. A band never
 shrinks, so every buffer stays zero past it. It changes the weighted sums
 only by their order and by what lies below the floor, not the method, its
 constants or its stop rule.
+
+Tf mode: the pointwise minimum. Without the kinetic terms no cell is
+coupled to another, so the ground state is the pointwise minimum of the
+local grand-potential density, with the two chemical potentials fixed by
+the atom numbers (Viverit, Pethick & Smith, Phys. Rev. A 61, 053605
+(2000)). minimize solves that discrete problem on the z > 0 half box
+directly, with no relaxation step:
+
+- For given mu = (mu_b, mu_f), each cell (volume w) takes the lowest local
+  minimum over n >= 0 of omega = f - mu_b n_b - mu_f n_f, where
+  f = V_b n_b + g_bb n_b^2 / 2 + c_TF n_f^(5/3) + V_f n_f + g_bf n_b n_f.
+  With a_b = mu_b - V_b and a_f = mu_f - V_f its candidates are: empty; a
+  pure condensate, n_b = a_b / g_bb; the pure Fermi sea of
+  fermion_response; and the mixed state, whose x = n_f^(1/3) is the
+  local-minimum root x in (0, 2C/3B) of C x^2 - B x^3 = -A, with
+  A = (g_bf/g_bb) a_b - a_f, B = g_bf^2 / g_bb, C = (5/3) c_TF, and then
+  n_b = (a_b - g_bf n_f) / g_bb. The root has a closed form (_Cells.states)
+  with no cancellation as x -> 0. A candidate counts only where it is a
+  local minimum: a species held at zero must not want in. A cell has at
+  most two local minima, the sea and one on the boson side (condensate,
+  mixed or empty); a cell with both is bistable.
+- mu comes from a damped Newton ascent of the concave dual
+  L(mu) = sum w omega(mu) + mu . N, N the half box's atom numbers: its
+  gradient is N minus the cells' atoms and its Hessian minus the sum of
+  their closed-form dn/dmu. The ascent starts at the noninteracting
+  profiles' calibrated mu, where it stops at a_bf = 0.
+- The kink. In the separated regime a bistable cell's lowest minimum jumps
+  between its two sides as mu crosses the curve on which they are equal,
+  and its atoms jump with it. The dual's maximum then sits on such a kink,
+  where no mu gives N exactly, and backtracking stalls. When a full Newton
+  step crosses a kink without an ascent, the cell of smallest gap that it
+  flipped (the gap being w times the difference of the two omegas), with
+  the bistable cells whose two omegas differ by the same amount (on the
+  default grids, cells with the same potentials: its mirror images in the
+  grid's scaled coordinates), is split by the lever rule: together they
+  hold a share theta of their sea and 1 - theta of their boson side, and
+  Newton's method solves N(mu, theta) = N and omega_sea = omega_boson for
+  (mu, theta) (_ridge). That is the dual's maximum, in 3 or 4 steps.
+- The flip rule. The discrete problem splits no cell. From the maximum,
+  the assignment that puts each bistable cell on the side of its lowest
+  minimum there, and the same with any of the split cells on their other
+  side (at most _FLIP_CELLS; where no ridge solve succeeded, the
+  _FLIP_CELLS bistable cells of smallest gap), are each taken one Newton
+  step, which needs no evaluation to start (both sides of every bistable
+  cell are known), and ranked by their frozen dual there. The best is
+  finished by a frozen-phase Newton that meets both atom numbers exactly
+  with each bistable cell held on its side (_frozen). Every cell is then
+  at a local minimum of its f - mu . n (KKT), which _kkt checks. By the
+  Shapley-Folkman lemma the convexified problem has a solution with at
+  most two split cells, one per constraint, so these few assignments
+  differ from the dual's own in the cells that matter.
+- The duality gap. Any state that holds N has E >= 2 L(mu) at every mu
+  (weak duality; 2 for the half box). E - 2 L at the maximum is the
+  energy the split cells pay for taking one side: 4.7e-7 of E at the
+  64x128 separated points of the benchmark's fig3 sweep (E =
+  1.0035732780090e-24 J, 2 L = 1.0035728092768e-24 J), 1.2e-11 on the
+  default 128x256 grid, and 0 to rounding in the mixed regime, where the
+  maximum is smooth and the state is the exact minimum.
+
+A cell with a_b <= 0 holds no bosons unless g_bf < 0, so with repulsion
+only the few cells with a_b > 0 get the boson side's closed forms, and
+every other one is the sea. Only cells below _CAP times either mu are
+counted; the rest are empty. One evaluation of every cell takes about
+0.1 ms at 64x128. A solve takes 1 evaluation at a_bf = 0, 5 to 9 in the
+mixed regime and 15 (64x128) to 21 (128x256) past the interface, with
+the state's energy terms, Rayleigh-quotient mu and residuals from one
+functional evaluation, as a relaxed state's. The returned state has
+iterations = 0 and a one-entry energy_history, and is converged once the
+KKT check passes; its relative residuals are about 2e-16. It does not
+depend on any start: minimize reads neither a warm start nor max_iter in
+tf mode.
 """
 
 from __future__ import annotations
@@ -165,10 +229,10 @@ from .functional import apply_hamiltonians, energy_terms  # noqa: F401
 from .profiles import grid_for_scenario  # noqa: F401
 from .scenario import MixtureScenario
 
-# Starting step as a multiple of the preconditioned unit step, per mode (the
-# module docstring gives the scans).
-_DTAU_START = {"full": 1.5, "tf": 1.7}
-# Full mode: the floor of each cell's diagonal D, as a share of |mu|.
+# Starting step as a multiple of the preconditioned unit step (the module
+# docstring gives the scans).
+_DTAU_START = 1.5
+# The floor of each cell's diagonal D, as a share of |mu|.
 _CURVATURE_FLOOR = 0.3
 # Consecutive step halvings after which a rising energy raises StepUnstable.
 _MAX_HALVINGS = 60
@@ -177,17 +241,10 @@ _MAX_HALVINGS = 60
 # this, just under the 1.56e-6 at which the benchmark's 256x512 solve
 # stopped when an energy test was also required.
 _RESIDUAL_TOL = 1.5e-6
-# In tf mode the stop also waits for _CONSECUTIVE accepted steps in a row
-# that each lower the energy by at most _TOL_ENERGY relative. No cell is
-# coupled to another there, so a cell the flow has all but emptied refills
-# only from its own tiny amplitude, and the residual can pass while the
-# energy still falls: without the wait the downward 128x256 tf sweep at
-# seed 2 ends 226.4 a0 7.8e-4 higher. An algebraic tf solve would drop it.
-_TOL_ENERGY = 1.0e-10
-_CONSECUTIVE = 10
 # A band grows only into a halo column holding an amplitude above this share
 # of the trial's peak amplitude (the module docstring gives the reason).
-_TAIL_FLOOR = np.finfo(float).eps ** 2
+_EPS = np.finfo(float).eps
+_TAIL_FLOOR = _EPS**2
 
 
 @dataclass(frozen=True)
@@ -252,16 +309,10 @@ def _precondition(
 ) -> np.ndarray:
     """Overwrite r with P r and return it; loc is consumed.
 
-    With the kinetic term, P = (coef_kin K_line + diag(D))^-1 with
-    D = max(loc + curv - mu, 0) + _CURVATURE_FLOOR |mu|, built in loc's
-    buffer (functional.local_scale_bound). Without it (tf mode), P is
-    1 / (max(loc, 0) + |mu|) per cell.
+    P = (coef_kin K_line + diag(D))^-1 with D = max(loc + curv - mu, 0) +
+    _CURVATURE_FLOOR |mu|, built in loc's buffer
+    (functional.local_scale_bound).
     """
-    if coef_kin == 0.0:
-        np.maximum(loc, 0.0, out=loc)
-        loc += abs(mu)
-        r /= loc
-        return r
     diag = local_scale_bound(loc, curv, mu, _CURVATURE_FLOOR * abs(mu))
     return stencil.solve_cells(coef_kin, diag, r)
 
@@ -405,18 +456,26 @@ def minimize(
     options: SolverOptions = SolverOptions(),
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GroundState:
-    """Relax to the ground state of the functional at scenario.a_bf.
+    """The ground state of the functional at scenario.a_bf, in options.mode.
 
-    warm_start, when given, is (psi, phi) from a nearby solution on grid;
-    otherwise the flow starts from the noninteracting TF profiles. The
-    relaxation runs on the z > 0 half of grid, each species on the columns
-    its amplitude can reach (see the module docstring): the start is
-    folded onto it, and the returned state is mirrored back, with
-    full-grid fields and the full grid's energy, breakdown and history. A
-    state is always returned; check .converged. Raises GridMismatch for a
-    warm start of another shape and NonPositiveInput for one that is zero
-    everywhere for a species with atoms.
+    Full mode relaxes. warm_start, when given, is (psi, phi) from a nearby
+    solution on grid; otherwise the flow starts from the noninteracting TF
+    profiles. The relaxation runs on the z > 0 half of grid, each species
+    on the columns its amplitude can reach (see the module docstring): the
+    start is folded onto it, and the returned state is mirrored back, with
+    full-grid fields and the full grid's energy, breakdown and history.
+    Raises GridMismatch for a warm start of another shape and
+    NonPositiveInput for one that is zero everywhere for a species with
+    atoms.
+
+    Tf mode solves for the pointwise minimum directly (module docstring),
+    reading neither warm_start nor options.max_iter: its state has
+    iterations = 0 and a one-entry energy_history.
+
+    A state is always returned; check .converged.
     """
+    if options.mode == "tf":
+        return _tf_minimum(scenario, grid)
     params = half_box_params(scenario, grid, options.mode)
     stencil = KineticStencil(grid, mirror=True)
     species = tuple(
@@ -432,12 +491,11 @@ def minimize(
     targets = tuple(sp.target for sp in species)
     trial = [sp.u for sp in species]
 
-    dtau = _DTAU_START[options.mode]
+    dtau = _DTAU_START
     energy_hist: list[float] = []
     e_prev = math.inf
     halvings = 0
     iterations = 0
-    wait = 0  # tf mode: quiet steps still owed before the stop
     converged = False
     conjugate = False  # whether the trial state came from a conjugate step
 
@@ -464,9 +522,6 @@ def minimize(
             continue
 
         # Accepted: the trial's buffer holds u, and u's takes the next trial.
-        if options.mode == "tf":
-            falling = energy_hist and e_prev - e_now > _TOL_ENERGY * abs(e_now)
-            wait = _CONSECUTIVE if falling else max(wait - 1, 0)
         e_prev = e_now
         energy_hist.append(e_now)
         for sp, u in zip(species, trial):
@@ -482,7 +537,7 @@ def minimize(
             for sp, g, mu in zip(species, grads, mus)
         )
         accepted = (ev.terms, mus, residual)
-        if max(residual) <= _RESIDUAL_TOL and not wait:
+        if max(residual) <= _RESIDUAL_TOL:
             converged = True
             break
         halvings = 0
@@ -525,6 +580,520 @@ def _density(u: np.ndarray, grid: Grid2D) -> np.ndarray:
     n = u / grid.root_volumes[:, None]
     n *= n
     return n
+
+
+# ---------------------------------------------------------------------------
+# Tf mode: the pointwise minimum (module docstring)
+
+# The dual ascent's line search gives up after this many halvings in a row
+# without an ascent: the dual maximum then sits on a kink.
+_KINK_HALVINGS = 3
+# How many cells the kink search flips, in every combination.
+_FLIP_CELLS = 3
+# A Newton step on (mu_b, mu_f) of at most this share of each mu ends a
+# solve, as it ends profiles._calibrate_half's root.
+_MU_STEP = 1e-14
+# Newton steps after which the dual ascent, or one frozen assignment, stops.
+_MAX_NEWTON = 60
+# Newton steps after which a ridge solve gives up.
+_RIDGE_STEPS = 8
+# A cell is counted in the solve while V_b < _CAP mu_b or V_f < _CAP mu_f;
+# every cell past both is empty. A mu that passes its cap selects again.
+_CAP = 1.25
+# The exponents p of the noninteracting N ~ mu^p: condensate, Fermi sea.
+_EXPONENTS = (2.5, 3.0)
+
+
+def fermion_response(
+    mu_f: float, v_f: np.ndarray, n_b, g_bf: float, c_tf: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_f, dn_f/dmu_f): the Thomas-Fermi Fermi sea at a fixed boson density, per cell.
+
+    n_f = ((mu_f - V_f - g_bf n_b)_+ / C)^(3/2) with C = (5/3) c_TF: the
+    density whose local Fermi energy C n_f^(2/3) fills what mu_f leaves
+    after the trap and the bosons' mean field, zero where nothing is left.
+    It minimizes each cell's c_TF n_f^(5/3) + (V_f + g_bf n_b - mu_f) n_f
+    over n_f >= 0, whatever n_b is, so it is the fermions' half of a tf
+    state and the pure-fermion cell of the pointwise minimum (n_b = 0).
+    The slope is (3/2) n_f^(1/3) / C. n_b may be an array or a number.
+    """
+    fermi = (5.0 / 3.0) * c_tf
+    left = mu_f - v_f - g_bf * n_b
+    np.maximum(left, 0.0, out=left)
+    x = np.sqrt(left / fermi)  # n_f^(1/3)
+    return x * x * x, (1.5 / fermi) * x
+
+
+@dataclass
+class _Bistable:
+    """The bistable cells of one evaluation: both local minima of each.
+
+    cells holds their flat Fortran-order indices on the half box, w their
+    volumes and gap w times the difference of their two omegas. boson is
+    the boson side's (n_b, n_f, omega, d_bb, d_bf, d_ff) per cell, sea the
+    Fermi sea's (n_f, omega, d_ff), and on_sea flags the cells that took
+    the sea.
+    """
+
+    cells: np.ndarray
+    w: np.ndarray
+    gap: np.ndarray
+    boson: tuple
+    sea: tuple
+    on_sea: np.ndarray
+
+    def sides(self, at) -> tuple:
+        """(w, n on the sea, n on the boson side, dn/dmu on each, on_sea) of
+        the cells at positions at: each n a (2, cells) array and each
+        dn/dmu a (2, 2, cells) one."""
+        n_b, n_f, _, d_bb, d_bf, d_ff = (v[at] for v in self.boson)
+        sea_f, _, sea_ff = (v[at] for v in self.sea)
+        zero = np.zeros_like(n_b)
+        return (self.w[at], np.array([zero, sea_f]), np.array([n_b, n_f]),
+                np.array([[zero, zero], [zero, sea_ff]]), np.array([[d_bb, d_bf], [d_bf, d_ff]]),
+                self.on_sea[at])
+
+
+@dataclass
+class _CellStates:
+    """The counted cells' states at one (mu_b, mu_f): each cell's lowest local
+    minimum, or the one on its assigned side.
+
+    Every counted cell is the Fermi sea of fermion_response (n_b = 0),
+    with n_f, omega (the cell's f - mu_b n_b - mu_f n_f) and dn_f/dmu_f in
+    sea, except the cells at positions b, which take the boson side: their
+    n_b, n_f, omega and the entries d_bb, d_bf, d_ff of their dn/dmu are in
+    side. index holds the counted cells' flat Fortran-order indices on the
+    half box. A bistable cell has two local minima, on the fermion side
+    and on the boson side (a condensate, mixed or empty). sides flags every
+    half-box cell whose lowest minimum is the fermion one.
+    """
+
+    sea: tuple[np.ndarray, np.ndarray, np.ndarray]
+    b: np.ndarray
+    side: tuple[np.ndarray, ...]
+    index: np.ndarray
+    w: np.ndarray  # the counted cells' volumes
+    sides: np.ndarray
+    bistable: _Bistable
+
+    def sums(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(sum of w omega, the atoms N, dN/dmu) over the half box."""
+        w, wb = self.w, self.w[self.b]
+        (n_f, omega, d_ff), b = self.sea, self.b
+        side_b, side_f, side_omega, d_bb, d_bf, side_ff = self.side
+        atoms = np.array([wb @ side_b, w @ n_f + wb @ (side_f - n_f[b])])
+        h_bf = wb @ d_bf
+        slope = np.array([[wb @ d_bb, h_bf], [h_bf, w @ d_ff + wb @ (side_ff - d_ff[b])]])
+        return float(w @ omega + wb @ (side_omega - omega[b])), atoms, slope
+
+    def fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n_b, n_f) over the counted cells."""
+        n_b = np.zeros_like(self.sea[0])
+        n_f = self.sea[0].copy()
+        n_b[self.b], n_f[self.b] = self.side[0], self.side[1]
+        return n_b, n_f
+
+    def half_box(self, shape) -> list[np.ndarray]:
+        """[n_b, n_f] on the half box of this shape, in Fortran order."""
+        out = []
+        for n in self.fields():
+            half = np.zeros(shape, order="F")
+            half.reshape(-1, order="F")[self.index] = n
+            out.append(half)
+        return out
+
+
+class _Cells:
+    """The z > 0 cells a tf state can occupy: those below _CAP times either mu."""
+
+    def __init__(self, params, bosons: bool, mu: np.ndarray):
+        self.params = params
+        self.bosons = bosons
+        self.fermi = (5.0 / 3.0) * params.c_tf  # C
+        self.cubic = params.g_bf**2 / params.g_bb  # B
+        self.select(mu)
+
+    def select(self, mu: np.ndarray) -> None:
+        """Count the cells below _CAP times either mu."""
+        p = self.params
+        self.caps = (_CAP * abs(mu[0]), _CAP * abs(mu[1]))
+        v_b, v_f = (v.reshape(-1, order="F") for v in (p.v_b, p.v_f))
+        keep = v_f < self.caps[1]
+        if self.bosons:
+            keep |= v_b < self.caps[0]
+        self.index = np.flatnonzero(keep)
+        self.v_b, self.v_f = v_b[self.index], v_f[self.index]
+        self.w = p.grid.ring_volumes[self.index % p.grid.n_rho]
+
+    def states(self, mu: np.ndarray, side: np.ndarray | None = None) -> _CellStates:
+        """Each counted cell's lowest local minimum at mu.
+
+        side, when given, holds one flag per half-box cell (True: the
+        fermion side), and a bistable cell takes its minimum on that side.
+        """
+        mu_b, mu_f = mu
+        if abs(mu_b) > self.caps[0] or abs(mu_f) > self.caps[1]:
+            self.select(mu)
+        p = self.params
+        g_bb, g_bf, fermi, cubic = p.g_bb, p.g_bf, self.fermi, self.cubic
+        # Every cell's fermion side, the Fermi sea alone; at a_f = C n_f^(2/3)
+        # its omega = c_TF n_f^(5/3) - a_f n_f is -(2/5) a_f n_f.
+        n_f, d_ff = fermion_response(mu_f, self.v_f, 0.0, g_bf, p.c_tf)
+        a_f = mu_f - self.v_f
+        sea = (n_f, -0.4 * a_f * n_f, d_ff)
+        sides = np.ones(p.v_b.size, dtype=bool)
+        # The boson side, on the cells k that can hold bosons: with repulsion
+        # those with a_b > 0 (every other one is empty there, which is never
+        # below its sea), with attraction all, and none without a condensate.
+        a_b = mu_b - self.v_b
+        if not self.bosons:
+            k = np.zeros(0, dtype=int)
+        elif g_bf >= 0.0:
+            k = np.flatnonzero(a_b > 0.0)
+        else:
+            k = np.arange(a_b.size)
+        ak_b, ak_f = a_b[k], a_f[k]
+        # A condensate, valid where no fermion wants in, A = (g_bf/g_bb) a_b
+        # - a_f >= 0, or empty, valid where neither species wants in ...
+        big_a = (g_bf / g_bb) * ak_b - ak_f
+        nk_b = np.maximum(ak_b, 0.0) / g_bb
+        nk_f, dk_bf, dk_ff = np.zeros((3, k.size))
+        dk_bb = (ak_b > 0.0) / g_bb
+        side_ok = np.where(ak_b > 0.0, big_a >= 0.0, ak_f <= 0.0)
+        omega = -0.5 * g_bb * nk_b * nk_b
+        # ... or mixed, where A < 0. Eliminating n_b = (a_b - g_bf n_f) / g_bb
+        # leaves C x^2 - B x^3 = -A in x = n_f^(1/3). Its local minimum is the
+        # root in (0, 2C/3B), which exists for s = -A B^2 / C^3 < 4/27:
+        # x = (C/B) t with t^2 - t^3 = s, t = (4/3) sin(th) sin(2 pi/3 - th),
+        # th = arcsin(sqrt(27 s)/2) / 3, with no cancellation as s -> 0.
+        m = np.flatnonzero(big_a < 0.0)
+        if m.size and cubic > 0.0:
+            s = big_a[m] * (-cubic * cubic / fermi**3)
+            m, s = m[s < 4.0 / 27.0], s[s < 4.0 / 27.0]
+            th = np.arcsin(np.sqrt(27.0 * s) * 0.5) * (1.0 / 3.0)
+            x = (4.0 / 3.0) * (fermi / cubic) * np.sin(th) * np.sin(2.0 * math.pi / 3.0 - th)
+        else:
+            x = np.sqrt(big_a[m] * (-1.0 / fermi))
+        if m.size:
+            nm_f = x * x * x
+            nm_b = (ak_b[m] - g_bf * nm_f) / g_bb
+            on = nm_b > 0.0
+            m, x, nm_f, nm_b = m[on], x[on], nm_f[on], nm_b[on]
+            # dn/dmu = [[g_bb, g_bf], [g_bf, 2C/3x]]^-1
+            #        = [[2C, -3x g_bf], [-3x g_bf, 3x g_bb]] / (g_bb (2C - 3Bx))
+            den = 1.0 / (g_bb * (2.0 * fermi - 3.0 * cubic * x))
+            nk_b[m], nk_f[m] = nm_b, nm_f
+            dk_bb[m] = 2.0 * fermi * den
+            dk_bf[m] = -3.0 * g_bf * x * den
+            dk_ff[m] = 3.0 * g_bb * x * den
+            side_ok[m] = True
+            omega[m] = (0.6 * fermi * x * x - ak_f[m]) * nm_f - 0.5 * g_bb * nm_b * nm_b
+        # The fermion side is valid where no boson wants in. A cell that
+        # rounding leaves with neither side valid, at a continuous
+        # crossover, takes the sea, which the other side meets there.
+        omega_sea = sea[1][k]
+        both = side_ok & (ak_f > 0.0) & (g_bf * n_f[k] >= ak_b)
+        fermi_lower = np.where(both, omega_sea < omega, ~side_ok)
+        sides[self.index[k]] = fermi_lower
+        if side is not None:
+            fermi_lower = np.where(both, side[self.index[k]], fermi_lower)
+        on = ~fermi_lower
+        kb = k[both]
+        boson = (nk_b, nk_f, omega, dk_bb, dk_bf, dk_ff)
+        return _CellStates(
+            sea, k[on], tuple(v[on] for v in boson), self.index, self.w, sides,
+            _Bistable(
+                cells=self.index[kb], w=self.w[kb],
+                gap=self.w[kb] * np.abs(omega_sea - omega)[both],
+                boson=tuple(v[both] for v in boson),
+                sea=(n_f[kb], omega_sea[both], d_ff[kb]),
+                on_sea=fermi_lower[both],
+            ),
+        )
+
+
+def _newton_step(targets, atoms, slope, mu, scale) -> np.ndarray:
+    """The Newton step on mu toward N(mu) = targets, for the species that have atoms.
+
+    While a species holds under half its atoms, as it may at the start,
+    the local dN/dmu says little about where its mu lies, and its diagonal
+    entry is kept at least p N / mu, the slope of the noninteracting
+    N ~ mu^p (p = 5/2 for the condensate, 3 for the Fermi sea; mu at least
+    its start's size).
+    """
+    (h_bb, h_bf), (_, h_ff) = slope
+    r_b, r_f = targets - atoms
+    for k, p in enumerate(_EXPONENTS):
+        if atoms[k] < 0.5 * targets[k]:
+            floor = p * targets[k] / max(abs(mu[k]), scale[k])
+            if k == 0:
+                h_bb = max(h_bb, floor)
+            else:
+                h_ff = max(h_ff, floor)
+    if targets[0] == 0.0:
+        return np.array([0.0, r_f / h_ff])
+    return _solve2(((h_bb, h_bf), (h_bf, h_ff)), (r_b, r_f))
+
+
+def _frozen(cells: _Cells, mu, targets, side, scale, st):
+    """Newton on mu with each bistable cell held on its side: (energy, mu, states) or None.
+
+    st is the states at mu. The energy is the half box's, sum w f(n).
+    None once a step fails to halve the largest relative atom-number
+    error, as where a held side ceases to exist, or after _MAX_NEWTON
+    steps.
+    """
+    held = targets > 0.0
+    error = math.inf
+    for _ in range(_MAX_NEWTON):
+        omega, atoms, slope = st.sums()
+        previous, error = error, np.max(np.abs(atoms - targets)[held] / targets[held])
+        if error > 0.5 * previous:
+            return None
+        step = _newton_step(targets, atoms, slope, mu, scale)
+        if _settled(step, mu):
+            mu, st = _last_step(cells, mu, step, st, side)
+            omega, atoms, _ = st.sums()
+            return omega + mu @ atoms, mu, st
+        mu = mu + step
+        st = cells.states(mu, side)
+    return None
+
+
+def _settled(step, mu) -> bool:
+    """Whether a Newton step on mu is at most _MU_STEP of each mu."""
+    return abs(step[0]) <= _MU_STEP * abs(mu[0]) and abs(step[1]) <= _MU_STEP * abs(mu[1])
+
+
+def _last_step(cells: _Cells, mu, step, st, side):
+    """(mu, states) after a settled Newton step: the step taken, unless it is
+    within rounding (4 eps) of mu, and then nothing is evaluated again."""
+    if np.all(np.abs(step) <= 4.0 * _EPS * np.abs(mu)):
+        return mu, st
+    mu = mu + step
+    return mu, cells.states(mu, side)
+
+
+def _ridge(cells: _Cells, mu, targets, split):
+    """The dual maximum on a kink: mu at which the split cells are indifferent.
+
+    split lists bistable cells whose two omegas differ by one amount: one
+    cell, or it and its mirror images in the grid's scaled coordinates,
+    which share its potentials and so its kink. Together they
+    hold a share theta of their fermion-side state and 1 - theta of their
+    boson side (the lever rule), every other cell its lowest minimum, and
+    Newton's method solves N = targets and omega_F = omega_B for mu and
+    theta. There the dual's supergradients at the kink average to zero, so
+    this is its maximum. Returns mu, or None once theta leaves [0, 1], a
+    split cell stops being bistable, or _RIDGE_STEPS steps do not settle.
+    """
+    split_mask = np.zeros(cells.params.v_b.size, dtype=bool)
+    split_mask[split] = True
+    theta = 0.5
+    for _ in range(_RIDGE_STEPS):
+        st = cells.states(mu)
+        _, atoms, slope = st.sums()
+        pairs = st.bistable
+        at = np.flatnonzero(split_mask[pairs.cells])
+        if at.size != len(split):
+            return None
+        w, sea, boson, d_sea, d_boson, on_sea = pairs.sides(at)
+        # the cells' lowest minima replaced by the mixture
+        atoms += ((1.0 - theta) * boson + theta * sea - np.where(on_sea, sea, boson)) @ w
+        slope += ((1.0 - theta) * d_boson + theta * d_sea - np.where(on_sea, d_sea, d_boson)) @ w
+        # Newton on [[dN/dmu, W jump], [jump, 0]] (d mu, d theta) =
+        # (N - atoms, omega_F - omega_B), jump = n_F - n_B and W the cells'
+        # volume, since d(omega_F - omega_B)/dmu = -jump; by elimination:
+        jump = sea[:, 0] - boson[:, 0]
+        gap = pairs.sea[1][at[0]] - pairs.boson[2][at[0]]
+        y, z = _solve2(slope, targets - atoms), _solve2(slope, jump)
+        d_theta = (jump @ y - gap) / (w.sum() * (jump @ z))
+        step = y - (w.sum() * d_theta) * z
+        mu, theta = mu + step, theta + d_theta
+        if not 0.0 <= theta <= 1.0:
+            return None
+        if _settled(step, mu):
+            return mu
+    return None
+
+
+def _solve2(h, r) -> np.ndarray:
+    """h^-1 r for a 2x2 h, in closed form."""
+    (a, b), (c, d) = h
+    det = a * d - b * c
+    return np.array([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
+
+
+def _dual_ascent(cells: _Cells, mu, targets, scale):
+    """Damped Newton ascent of the concave dual L(mu) = sum w omega + mu . N.
+
+    Returns (mu, states, split): split is None where the ascent converged
+    on a smooth maximum, the cells _ridge split where a full step crossed a
+    kink and the ridge solve found the maximum, and empty where a line
+    search halved _KINK_HALVINGS times without an ascent; mu is then the
+    last point it accepted.
+    """
+    st = cells.states(mu)
+    omega, atoms, slope = st.sums()
+    dual = omega + mu @ targets
+    empty = np.zeros(0, dtype=int)
+    for _ in range(_MAX_NEWTON):
+        step = _newton_step(targets, atoms, slope, mu, scale)
+        if _settled(step, mu):
+            return (*_last_step(cells, mu, step, st, None), None)
+        rise = 1e-4 * (targets - atoms) @ step
+        for halving in range(_KINK_HALVINGS + 1):
+            trial = mu + step
+            st_t = cells.states(trial)
+            omega_t, atoms_t, slope_t = st_t.sums()
+            dual_t = omega_t + trial @ targets
+            # an ascent, or a step so short its rise is lost to rounding
+            if dual_t >= dual + rise - 1e-15 * abs(dual):
+                break
+            if halving == 0:
+                # The full step crossed a kink. Split the cell of smallest
+                # gap that it flipped, with the cells whose omegas differ
+                # by the same amount to 1e-9.
+                pairs = st.bistable
+                flipped = np.flatnonzero((st.sides != st_t.sides)[pairs.cells])
+                if flipped.size:
+                    c = flipped[np.argmin(pairs.gap[flipped])]
+                    per_volume = pairs.gap / pairs.w
+                    split = pairs.cells[np.abs(per_volume - per_volume[c]) <= 1e-9 * per_volume[c]]
+                    top = _ridge(cells, mu, targets, split)
+                    if top is not None:
+                        return top, cells.states(top), split
+            step *= 0.5
+            rise *= 0.5
+        else:
+            return mu, st, empty
+        mu, st, omega, atoms, slope, dual = trial, st_t, omega_t, atoms_t, slope_t, dual_t
+    return mu, st, empty
+
+
+def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
+    """The lowest-energy assignment near a kink: (energy, mu, states) or None.
+
+    The candidates are the assignment at mu and the same with any of the
+    flip cells on their other side: the split cells, or else the
+    _FLIP_CELLS bistable cells of smallest gap. Each takes one Newton step
+    from mu, whose start needs no evaluation (the flipped cells' other
+    sides are in st), and is ranked by its frozen dual there, which its
+    maximum, the assignment's energy, exceeds only to second order in the
+    step. The best-ranked one that converges wins.
+    """
+    pairs = st.bistable
+    order = np.argsort(pairs.gap)
+    if split.size:
+        in_split = np.zeros(cells.params.v_b.size, dtype=bool)
+        in_split[split] = True
+        order = order[in_split[pairs.cells[order]]]
+    at = order[:_FLIP_CELLS]
+    w, sea, boson, d_sea, d_boson, on_sea = pairs.sides(at)
+    _, atoms, slope = st.sums()
+    ranked = []
+    best = None  # (score, states) of the best candidate so far
+    for subset in range(1 << len(at)):
+        flip = [j for j in range(len(at)) if subset >> j & 1]
+        side = st.sides.copy()
+        side[pairs.cells[at[flip]]] ^= True
+        # each flipped cell's move to its other side
+        sign = np.where(on_sea[flip], -1.0, 1.0) * w[flip]
+        a = atoms + (sea[:, flip] - boson[:, flip]) @ sign
+        h = slope + (d_sea[:, :, flip] - d_boson[:, :, flip]) @ sign
+        trial = mu + _newton_step(targets, a, h, mu, scale)
+        st_t = cells.states(trial, side)
+        o, _, _ = st_t.sums()
+        score = o + trial @ targets
+        ranked.append((score, len(ranked), trial, side))
+        if best is None or score < best[0]:
+            best = (score, st_t)
+    for k, (_, _, trial, side) in enumerate(sorted(ranked, key=lambda c: c[:2])):
+        st_t = best[1] if k == 0 else cells.states(trial, side)
+        found = _frozen(cells, trial, targets, side, scale, st_t)
+        if found is not None:
+            return found
+    return None
+
+
+def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
+    """The tf-mode ground state: each cell at its pointwise minimum (module docstring)."""
+    params = half_box_params(scenario, grid, "tf")
+    targets = np.array([0.5 * scenario.condensate_number, 0.5 * scenario.n_fermions])
+    # The noninteracting profiles' calibrated mu: at a_bf = 0 the solve
+    # ends there, with their densities.
+    mu = np.array([bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)[1],
+                   fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)[1]])
+    scale = np.abs(mu)
+    cells = _Cells(params, targets[0] > 0.0, mu)
+    mu, st, split = _dual_ascent(cells, mu, targets, scale)
+    if split is not None:
+        found = _kink_search(cells, mu, st, split, targets, scale)
+        if found is not None:
+            _, mu, st = found
+    converged = _kkt(params, st, mu, targets)
+    fields = st.half_box(params.v_b.shape)
+    del cells, st  # not held through the final evaluation
+    return _tf_state(scenario, params, fields, targets, converged)
+
+
+def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether st holds the target atoms and every cell is a local minimum of f - mu . n.
+
+    Atoms to 1e-13; where a species is present, its local potential meets
+    its mu to 1e-12 of the largest |mu|, and where it is absent it lies no
+    lower than that; where both are, the second variation is positive
+    (x = n_f^(1/3) < 2C/3B). A species without atoms is not tested.
+    """
+    n_b, n_f = st.fields()
+    atoms = np.array([st.w @ n_b, st.w @ n_f])
+    if np.any(np.abs(atoms - targets) > 1e-13 * targets):
+        return False
+    v_b, v_f = (v.reshape(-1, order="F")[st.index] for v in (params.v_b, params.v_f))
+    tol = 1e-12 * np.max(np.abs(mu))
+    fermi = (5.0 / 3.0) * params.c_tf
+    x = np.cbrt(n_f)
+    grad_b = v_b + params.g_bb * n_b + params.g_bf * n_f - mu[0]
+    grad_f = v_f + fermi * x * x + params.g_bf * n_b - mu[1]
+    checks = [(n_f, grad_f)] + ([(n_b, grad_b)] if targets[0] > 0.0 else [])
+    for n, grad in checks:
+        if np.any(np.where(n > 0.0, np.abs(grad), -grad) > tol):
+            return False
+    both = (n_b > 0.0) & (n_f > 0.0)
+    return not np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb)
+
+
+def _tf_state(scenario, params, fields, targets, converged: bool) -> GroundState:
+    """The GroundState of a tf solution's half-box densities [n_b, n_f].
+
+    Its terms, mu and residuals come from one evaluation, as a relaxed
+    state's do.
+    """
+    grid = params.grid
+    root = grid.root_volumes[:, None]
+    amps = [root * np.sqrt(n) for n in fields]
+    ev = evaluate(params, *amps, KineticStencil(grid, mirror=True), tuple(targets))
+    # ||H u - mu u||_w / (|mu| ||u||_w), as a relaxation measures it
+    residual = []
+    for u, g, mu, t in zip(amps, (ev.h_psi, ev.h_phi), (ev.mu_b, ev.mu_f), targets):
+        g -= mu * u
+        residual.append(math.sqrt(dot(g, g) / t) / abs(mu) if t > 0.0 else 0.0)
+    energy = 2.0 * ev.energy
+    return GroundState(
+        scenario=scenario,
+        n_b=DensityField(grid, unfold(fields[0]), "bosons"),
+        n_f=DensityField(grid, unfold(fields[1]), "fermions"),
+        mu_b=ev.mu_b,
+        mu_f=ev.mu_f,
+        energy=energy,
+        energy_breakdown={name: 2.0 * val for name, val in ev.terms.items()},
+        energy_history=np.array([energy]),
+        iterations=0,
+        converged=converged,
+        mode="tf",
+        residual=tuple(residual),
+    )
 
 
 def interface_thickness(gs: GroundState) -> float:

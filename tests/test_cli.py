@@ -554,13 +554,15 @@ class TestSweepAndFig:
         assert "[tf] a_bf = 800 a0: StepUnstable: energy still rising" in err
         assert "a_bf = 100 a0" not in err
 
-        # a point that hits max_iter fails the run the same way
+        # a point that hits max_iter fails the run the same way; a tf-mode
+        # solve takes no iterations, so this one runs in full mode
         cfg.write_text(
             FAST_CFG + "max_iter = 3\n[sweep]\na_bf_list_a0 = 100\n", encoding="utf-8"
         )
+        argv[argv.index("tf")] = "full"
         code, _, err = run(capsys, *argv)
         assert code == 3
-        assert "[tf] a_bf = 100 a0: hit max_iter before converging" in err
+        assert "[full] a_bf = 100 a0: hit max_iter before converging" in err
 
     def test_overlap_report(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"

@@ -542,8 +542,9 @@ a_bf_list_a0 = 100, 800
 
         monkeypatch.setattr(pipeline, "minimize", flaky)
         seen = []
+        # full mode, whose points warm-start from the one before
         csv_path, man_path = run_overlap_sweep(
-            cfg, tmp_path, mode="tf", progress=lambda mode, i, a, gs: seen.append((i, gs))
+            cfg, tmp_path, mode="full", progress=lambda mode, i, a, gs: seen.append((i, gs))
         )
         _, _, data = read_table(csv_path)
         np.testing.assert_allclose(data[:, 0], [100.0, 400.0, 800.0])
@@ -557,3 +558,23 @@ a_bf_list_a0 = 100, 800
         assert starts[0] is None and starts[1] is not None and starts[2] is None
         assert [i for i, _ in seen] == [0, 1, 2]
         assert seen[1][1] is None and seen[2][1] is not None
+
+    def test_tf_points_take_no_start(self, tmp_path, monkeypatch):
+        # A tf-mode point is the pointwise minimum, which reads no start: the
+        # sweep hands it none and draws no noise, so the seed changes no byte.
+        cfg = parse_config(self.CFG_TEXT.replace("100, 800", "100, 400, 800"))
+        solve = pipeline.minimize
+        starts = []
+
+        def recording(scenario, grid, options, warm_start=None):
+            starts.append(warm_start)
+            return solve(scenario, grid, options, warm_start=warm_start)
+
+        monkeypatch.setattr(pipeline, "minimize", recording)
+        tables = []
+        for seed in (1, 2):
+            cfg = replace(cfg, solver=replace(cfg.solver, seed=seed))
+            csv_path, _ = run_overlap_sweep(cfg, tmp_path / str(seed), mode="tf")
+            tables.append(csv_path.read_bytes())
+        assert starts == [None] * len(starts) and len(starts) >= 6
+        assert tables[0] == tables[1]

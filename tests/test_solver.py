@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import json
+import math
 import os
 import re
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 from mixsep import solver
 from mixsep.config import default_scenario
-from mixsep.constants import A_BOHR
+from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import (
     GridMismatch,
     NonPositiveInput,
@@ -21,7 +23,14 @@ from mixsep.errors import (
     StepUnstable,
     ValidationError,
 )
-from mixsep.functional import KineticStencil, evaluate, functional_params, local_scale_bound
+from mixsep.functional import (
+    KineticStencil,
+    apply_hamiltonians,
+    evaluate,
+    functional_params,
+    half_box_params,
+    local_scale_bound,
+)
 from mixsep.grid import dot, integrate_product
 from mixsep.physics import coupling_bb
 from mixsep.pipeline import sweep_ground_states
@@ -180,18 +189,6 @@ def _step_inputs(gs):
     return stencil, params, ev
 
 
-def test_tf_preconditioner_is_the_local_scale(full0):
-    # without the kinetic term the line operator is |mu|: the step is the local scale
-    stencil, _, ev = _step_inputs(full0)
-    r = np.random.default_rng(5).standard_normal(ev.loc_b.shape)
-    # the last case has a negative mu and a local potential of both signs
-    cases = ((ev.loc_b, ev.mu_b), (ev.loc_f, ev.mu_f), (ev.loc_f - 2.0 * ev.mu_f, -ev.mu_f))
-    for loc, mu in cases:
-        want = r / (np.maximum(loc, 0.0) + abs(mu))
-        got = solver._precondition(r.copy(), loc.copy(), None, mu, 0.0, stencil)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-
-
 def test_full_preconditioner_is_symmetric_positive(full0):
     # (coef K~_line + diag(D))^-1 is self-adjoint and positive under the
     # plain sum of the weighted amplitudes (the grid's inner product of the
@@ -265,16 +262,21 @@ def test_capped_full_solve_spreads_one_column_per_step(grid48, k):
 
 @pytest.mark.parametrize("a_bf_a0", [0.0, 800.0])
 def test_tf_solve_never_grows_the_condensate(grid48, a_bf_a0):
-    # without the kinetic term nothing couples a cell to its neighbours
+    # Without the kinetic term nothing couples a cell to its neighbours, and
+    # the fermions only push the condensate in: it stays inside the
+    # noninteracting TF support, which it fills at a_bf = 0. Past the
+    # threshold the pointwise minimum empties the cells the sea wins.
     tf, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
     gs = minimize(SC.with_a_bf(a_bf_a0 * A_BOHR), grid48, SolverOptions(mode="tf"))
     assert gs.converged
-    np.testing.assert_array_equal(gs.n_b.values != 0.0, tf.values != 0.0)
+    assert not np.any((gs.n_b.values != 0.0) & (tf.values == 0.0))
+    if a_bf_a0 == 0.0:
+        np.testing.assert_array_equal(gs.n_b.values != 0.0, tf.values != 0.0)
 
 
 def test_oversized_step_is_retracted(grid48, monkeypatch):
     # a first step of sixteen preconditioned unit steps overshoots and must be halved
-    monkeypatch.setitem(solver._DTAU_START, "full", 16.0)
+    monkeypatch.setattr(solver, "_DTAU_START", 16.0)
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     # history holds accepted steps + 1 energies, iterations counts steps + rejections
@@ -285,7 +287,7 @@ def test_oversized_step_is_retracted(grid48, monkeypatch):
 def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
     # A huge first step is rejected about twenty times over. Each retry
     # starts again from the accepted state, which is recorded once.
-    monkeypatch.setitem(solver._DTAU_START, "full", 1e6)
+    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     assert gs.energy < gs.energy_history[0]
@@ -296,7 +298,7 @@ def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
 
 def test_rejections_in_a_row_raise(grid48, monkeypatch):
     # each retry from the accepted state halves the step again
-    monkeypatch.setitem(solver._DTAU_START, "full", 1e6)
+    monkeypatch.setattr(solver, "_DTAU_START", 1e6)
     monkeypatch.setattr(solver, "_MAX_HALVINGS", 5)
     with pytest.raises(StepUnstable, match="after 5 step halvings"):
         minimize(SC, grid48, SolverOptions(mode="full"))
@@ -558,21 +560,29 @@ def test_warm_start_noise_does_not_set_the_residual(grid48):
 
 
 @pytest.mark.parametrize("seed", [2, 3])
-def test_tf_stop_waits_while_the_energy_falls(seed):
-    # Coming down from the separated regime, the warm start at 226.4 a0 has
-    # all but emptied the fermions from the centre. At these seeds the
-    # residual test passes after 24 iterations, with the central n_f at
-    # 1e-3 to 1e-2 m^-3, while the energy still falls; the tf stop's wait
-    # for quiet steps carries the flow on to the mixed arrangement, 7.8e-4
-    # lower.
+def test_tf_state_does_not_depend_on_the_start(seed):
+    # Coming down from the separated regime, the tf-mode flow reached 226.4 a0
+    # with the fermions all but emptied from the centre, and at these seeds
+    # once stopped there on a separated arrangement 7.8e-4 above the mixed
+    # one. The pointwise minimum reads no start: the downward chain returns
+    # the cold solve's bytes, and so does a solve handed the separated state
+    # as a warm start.
     grid = grid_for_scenario(SC, 128, 256)
     a_values = np.geomspace(100.0, 2000.0, 12)[::-1][:9]
     a_values = np.insert(a_values, 2, 1480.0) * A_BOHR
-    results = sweep_ground_states(SC, a_values, grid, SolverOptions(mode="tf", seed=seed))
+    options = SolverOptions(mode="tf", seed=seed)
+    results = sweep_ground_states(SC, a_values, grid, options)
     gs, err = results[-1]
     assert err is None and gs.converged
     assert gs.scenario.a_bf == pytest.approx(226.3739 * A_BOHR, rel=1e-6)
     assert gs.n_f.center_value() > 0.1 * np.max(gs.n_f.values)
+    separated = results[1][0]
+    warm = (np.sqrt(separated.n_b.values), np.sqrt(separated.n_f.values))
+    for other in (minimize(gs.scenario, grid, options),
+                  minimize(gs.scenario, grid, options, warm_start=warm)):
+        for fa, fb in ((gs.n_b, other.n_b), (gs.n_f, other.n_f)):
+            assert fa.values.tobytes() == fb.values.tobytes()
+        assert (gs.energy, gs.iterations) == (other.energy, 0)
 
 
 def test_capped_solve_reports_best_state(grid48):
@@ -599,3 +609,209 @@ def test_capped_solve_reports_best_state(grid48):
     assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-12)
     assert (gs.mu_b, gs.mu_f) == pytest.approx((mu_b, mu_f), rel=1e-12)
     assert gs.residual == pytest.approx((res_b, res_f), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Tf mode: the pointwise minimum
+
+FLOW_ENERGIES = Path(__file__).parent / "data" / "tf_flow_energies.json"
+
+
+@pytest.fixture(scope="module")
+def grid32():
+    return grid_for_scenario(SC, 32, 64)
+
+
+def _local_minimum_violation(gs) -> float:
+    """The largest violation, as a share of max |mu|, of every cell being a
+    local minimum of its f - mu_b n_b - mu_f n_f over n >= 0.
+
+    A present species' local potential must meet its mu, an absent one's
+    lie no lower, and where both are present the second variation must be
+    positive: x = n_f^(1/3) < 2C / 3B, reported as a violation of 1.
+    """
+    params = functional_params(gs.scenario, gs.grid, "tf")
+    n_b, n_f = gs.n_b.values, gs.n_f.values
+    fermi = (5.0 / 3.0) * params.c_tf
+    x = np.cbrt(n_f)
+    worst = 0.0
+    species = [(n_f, params.v_f + fermi * x * x + params.g_bf * n_b - gs.mu_f)]
+    if gs.scenario.condensate_number > 0.0:
+        species.append((n_b, params.v_b + params.g_bb * n_b + params.g_bf * n_f - gs.mu_b))
+    for n, grad in species:
+        worst = max(worst, float(np.max(np.where(n > 0.0, np.abs(grad), -grad))))
+    both = (n_b > 0.0) & (n_f > 0.0)
+    if np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb):
+        return 1.0
+    return worst / max(abs(gs.mu_b), abs(gs.mu_f))
+
+
+def _relative_residuals(gs) -> list[float]:
+    """||H u - mu u||_w / (|mu| ||u||_w) per species, from the full-grid Hamiltonians."""
+    params = functional_params(gs.scenario, gs.grid, "tf")
+    w = gs.grid.weights
+    psi, phi = np.sqrt(gs.n_b.values), np.sqrt(gs.n_f.values)
+    out = []
+    for u, hu in zip((psi, phi), apply_hamiltonians(params, psi, phi, KineticStencil(gs.grid))):
+        norm2 = float(np.sum(w * u * u))
+        if norm2 > 0.0:
+            mu = float(np.sum(w * u * hu)) / norm2
+            out.append(math.sqrt(float(np.sum(w * (hu - mu * u) ** 2)) / norm2) / abs(mu))
+    return out
+
+
+def _assert_kkt_state(gs):
+    sc = gs.scenario
+    assert gs.converged and gs.mode == "tf"
+    assert gs.iterations == 0 and gs.energy_history.tolist() == [gs.energy]
+    assert max(_relative_residuals(gs)) <= 1e-12
+    assert _local_minimum_violation(gs) <= 1e-12
+    for field, target in ((gs.n_b, sc.condensate_number), (gs.n_f, sc.n_fermions)):
+        assert field.integrate() == pytest.approx(target, rel=1e-14, abs=0.0)
+
+
+def test_fermion_response_is_the_local_fermi_sea():
+    # n_f = k_F^3 / 6 pi^2 with hbar^2 k_F^2 / 2m the energy mu_f leaves
+    # after the trap and the bosons' mean field, zero where none is left
+    params = functional_params(SC.with_a_bf(300.0 * A_BOHR), grid_for_scenario(SC, 16, 32), "tf")
+    mass = SC.fermions.mass
+    v_f = np.linspace(0.0, 2.0e-29, 41)
+    n_b = np.linspace(3.0e19, 0.0, 41)
+    mu_f = 1.2e-29
+    n_f, slope = solver.fermion_response(mu_f, v_f, n_b, params.g_bf, params.c_tf)
+    left = mu_f - v_f - params.g_bf * n_b
+    k_f = np.sqrt(2.0 * mass * np.maximum(left, 0.0)) / HBAR
+    np.testing.assert_allclose(n_f, k_f**3 / (6.0 * math.pi**2), rtol=1e-14, atol=0.0)
+    assert np.all(n_f[left <= 0.0] == 0.0) and np.all(n_f[left > 0.0] > 0.0)
+    # where the sea is present its local Fermi energy fills what is left
+    fermi = (5.0 / 3.0) * params.c_tf
+    inside = left > 0.0
+    np.testing.assert_allclose(fermi * n_f[inside] ** (2.0 / 3.0), left[inside], rtol=1e-14)
+    # the slope is dn_f/dmu_f = (3/2) n_f / left
+    np.testing.assert_allclose(slope[inside], 1.5 * n_f[inside] / left[inside], rtol=1e-14)
+    assert np.all(slope[~inside] == 0.0)
+    # a boson density of 0 as a number is the pure sea
+    sea, _ = solver.fermion_response(mu_f, v_f, 0.0, params.g_bf, params.c_tf)
+    pure, _ = solver.fermion_response(mu_f, v_f, np.zeros_like(v_f), params.g_bf, params.c_tf)
+    np.testing.assert_array_equal(sea, pure)
+
+
+@pytest.mark.parametrize("a_bf_a0", [300.0, 1480.0])
+def test_tf_state_is_a_kkt_point_with_a_small_duality_gap(grid32, a_bf_a0, record_property):
+    # Every cell sits at a local minimum of its f - mu . n, the atom numbers
+    # are met, and the energy lies above the dual bound 2 L(mu) (half box,
+    # doubled) by no more than the two largest cell terms |w omega|: at most
+    # two cells are held in their higher minimum.
+    sc = SC.with_a_bf(a_bf_a0 * A_BOHR)
+    gs = minimize(sc, grid32, SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    params = half_box_params(sc, grid32, "tf")
+    mu = np.array([gs.mu_b, gs.mu_f])
+    cells = solver._Cells(params, True, mu)
+    st = cells.states(mu)
+    omega = st.sea[1].copy()
+    omega[st.b] = st.side[2]
+    w_omega = st.w * omega
+    targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
+    gap = gs.energy - 2.0 * (w_omega.sum() + mu @ targets)
+    record_property("duality_gap", gap / gs.energy)
+    assert -1e-15 * gs.energy <= gap <= 2.0 * np.sort(np.abs(w_omega))[-2:].sum()
+
+
+@pytest.mark.parametrize("n_rho, energy", [(64, 1.0035732780090e-24), (128, 1.0036084022206e-24)])
+def test_tf_state_past_the_kink(n_rho, energy):
+    # At 800 and 1480 a0 the dual's maximum sits on a kink. The best side
+    # assignment there is one fully separated state, the same at both
+    # points: 4.7e-7 above the dual bound on the benchmark's 64x128 grid,
+    # 1.2e-11 on 128x256.
+    grid = grid_for_scenario(SC, n_rho, 2 * n_rho)
+    states = [minimize(SC.with_a_bf(a * A_BOHR), grid, SolverOptions(mode="tf"))
+              for a in (800.0, 1480.0)]
+    for gs in states:
+        _assert_kkt_state(gs)
+        assert gs.energy == pytest.approx(energy, rel=1e-13)
+        assert not np.any((gs.n_b.values > 0.0) & (gs.n_f.values > 0.0))
+    assert states[0].n_b.values.tobytes() == states[1].n_b.values.tobytes()
+
+
+def test_ridge_solve_lands_on_the_dual_maximum():
+    # On 64x128 at 800 a0 a full Newton step of the dual ascent crosses the
+    # kink of one interface cell and its mirror image. The lever-rule solve
+    # puts mu where they are indifferent, the dual's maximum
+    # (2 L = 1.0035728092768e-24 J); the backtracking it replaces stalled
+    # short of it, and the search from there took twice the evaluations.
+    sc = SC.with_a_bf(800.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 64, 128)
+    params = half_box_params(sc, grid, "tf")
+    targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
+    mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
+                   fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
+    cells = solver._Cells(params, True, mu)
+    mu, st, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
+    assert split.size == 2
+    omega, _, _ = st.sums()
+    assert 2.0 * (omega + mu @ targets) == pytest.approx(1.0035728092768e-24, rel=1e-12)
+    pairs = st.bistable
+    at = np.flatnonzero(np.isin(pairs.cells, split))
+    # the split cells' two minima are equal there, to rounding
+    assert np.all(pairs.gap[at] <= 1e-12 * np.abs(pairs.w[at] * pairs.sea[1][at]))
+
+
+def test_collapsed_tf_state_is_not_converged(grid32):
+    # At -1000 a0 the Thomas-Fermi mixture collapses: some cells have no
+    # local minimum at all, and the state says so
+    gs = minimize(SC.with_a_bf(-1000.0 * A_BOHR), grid32, SolverOptions(mode="tf"))
+    assert not gs.converged
+    assert _local_minimum_violation(gs) > 1e-12
+
+
+def test_tf_state_at_zero_coupling_is_the_tf_profiles(grid32):
+    gs = minimize(SC, grid32, SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    bec, _ = bec_tf_profile(SC.bosons, SC.condensate_number, grid32)
+    sea, _ = fermi_tf_profile(SC.fermions, SC.n_fermions, grid32)
+    np.testing.assert_allclose(gs.n_b.values, bec.values, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(gs.n_f.values, sea.values, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a_bf_a0", [0.0, 300.0, -300.0])
+def test_tf_state_without_a_condensate(grid32, a_bf_a0):
+    sc = MixtureScenario(
+        bosons=SC.bosons,
+        fermions=SC.fermions,
+        n_bosons=SC.n_bosons,
+        n_fermions=SC.n_fermions,
+        condensate_fraction=0.0,
+        a_bf=a_bf_a0 * A_BOHR,
+    )
+    gs = minimize(sc, grid32, SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    assert gs.mu_b == 0.0 and not np.any(gs.n_b.values)
+    sea, _ = fermi_tf_profile(SC.fermions, SC.n_fermions, grid32)
+    np.testing.assert_allclose(gs.n_f.values, sea.values, rtol=1e-14, atol=0.0)
+
+
+def test_tf_state_with_attraction(grid32):
+    # at -300 a0 the two clouds pull together, and every cell is still a
+    # local minimum
+    gs = minimize(SC.with_a_bf(-300.0 * A_BOHR), grid32, SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    # the sea gathers at the condensate, which it overlaps everywhere
+    free = minimize(SC, grid32, SolverOptions(mode="tf"))
+    assert gs.n_f.center_value() > free.n_f.center_value()
+    assert np.all(gs.n_f.values[gs.n_b.values > 0.0] > 0.0)
+
+
+def test_tf_state_is_at_or_below_every_tf_flow():
+    # the former tf-mode flow's energies from three starts, at a_bf = 0 and
+    # the acceptance points on the default grid (tests/make_tf_flow_energies.py)
+    record = json.loads(FLOW_ENERGIES.read_text(encoding="utf-8"))
+    grid = grid_for_scenario(SC, *record["grid"])
+    for point in record["points"]:
+        gs = minimize(SC.with_a_bf(point["a_bf_a0"] * A_BOHR), grid, SolverOptions(mode="tf"))
+        assert gs.converged
+        lowest = min(point["upward_j"], point["downward_j"], point["cold_j"])
+        # At a_bf = 0 the cold flow returned its start, the same profiles
+        # renormalized to the atom numbers, which the calibrated profiles
+        # hold to 1.3e-15: the two energies agree to that.
+        assert gs.energy <= lowest * (1.0 + 4e-15), point["a_bf_a0"]
