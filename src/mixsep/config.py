@@ -68,7 +68,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "solver": {
         "mode": ("str", "full"),
         "max_iter": ("int", 60000),
-        "seed": ("int", 42),
+        # Read by nothing: sweeps no longer perturb their warm starts, and
+        # the key stays legal for configs written while they did.
+        "seed": ("int", None),
     },
     "sweep": {
         "a_bf_list_a0": ("floatlist", None),
@@ -225,7 +227,8 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     if grid["box_factor"] <= 1.0:
         raise ValidationError("box_factor must exceed 1")
 
-    solver = SolverOptions(**values["solver"])
+    sol = values["solver"]
+    solver = SolverOptions(mode=sol["mode"], max_iter=sol["max_iter"])
 
     swp = values["sweep"]
     a_list, b_list = swp["a_bf_list_a0"], swp["b_list_gauss"]

@@ -64,9 +64,6 @@ M3_TO_CM3 = 1.0e-6        # density m^-3 -> cm^-3
 M6_TO_CM6 = 1.0e-12       # overlap integral m^-6 -> cm^-6
 M6S_TO_CM6S = 1.0e12      # rate coefficient m^6/s -> cm^6/s
 CONFIG_SNAPSHOT = "config_snapshot.cfg"
-# Relative noise on each full-mode warm start of a sweep, seeded from the
-# solver's seed.
-_WARM_NOISE = 0.01
 
 
 def _f(v: float) -> str:
@@ -435,28 +432,19 @@ def sweep_ground_states(
 
     Returns one (state, None) or (None, "ErrorType: message") per point: a
     point whose solve raises a MixsepError is recorded and the next point
-    starts cold. A full-mode warm start is perturbed with relative noise of
-    _WARM_NOISE, seeded from options.seed, before relaxing. The noise does
-    not choose the branch a point reaches: with it set to 0, the upward and
-    the downward 128x256 full-mode sweeps each end on the same branches as
-    with it, to 1e-11. It is drawn on the full grid, and minimize folds it onto the z > 0 half
-    with the rest of the start, as the mean of each cell and its mirror
-    partner; every returned state is mirror-symmetric. A tf-mode point is
-    the pointwise minimum, which reads no start, so it takes none and no
-    noise is drawn for it. progress(mode, idx, a_bf, state or None) is
-    called after each point.
+    starts cold. A full-mode point starts from the previous state's
+    (sqrt(n_b), sqrt(n_f)) as it is, so a sweep is a plain warm chain and
+    every state is a function of its scenario, grid, mode, max_iter and
+    start. minimize folds the start onto the z > 0 half; every returned
+    state is mirror-symmetric. A tf-mode point is the pointwise minimum,
+    which reads no start, so it takes none. progress(mode, idx, a_bf,
+    state or None) is called after each point.
     """
     out = []
     warm = None
     for idx, a_bf in enumerate(a_bf_values):
-        start = warm
-        if warm is not None:
-            rng = np.random.default_rng(options.seed + 7919 * idx)
-            start = tuple(
-                np.abs(w * (1.0 + _WARM_NOISE * rng.standard_normal(w.shape))) for w in warm
-            )
         try:
-            gs = minimize(scenario.with_a_bf(float(a_bf)), grid, options, warm_start=start)
+            gs = minimize(scenario.with_a_bf(float(a_bf)), grid, options, warm_start=warm)
         except MixsepError as exc:
             gs, err, warm = None, f"{type(exc).__name__}: {exc}", None
         else:

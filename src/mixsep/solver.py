@@ -44,8 +44,9 @@ and step (functional.KineticStencil.solve_cells).
 
 The start step is _DTAU_START = 1.5 preconditioned unit steps. eps and
 the start were scanned together, eps over 0.1-0.5 and the start over
-1.0-2.0 in steps of 0.25, on the 64x128 fig3 sweep at seeds 1-3, the cold 256x512 solve and the
-13-point 128x256 acceptance sweep. The iteration counts are erratic in
+1.0-2.0 in steps of 0.25, on the 64x128 fig3 sweep at seeds 1-3 (sweeps
+then perturbed each warm start with seeded noise), the cold 256x512 solve
+and the 13-point 128x256 acceptance sweep. The iteration counts are erratic in
 both: at (0.3, 1.5) the fig3 sweeps take 106-119 full-mode iterations, at
 (0.3, 1.75) 128-135 and at (0.2, 1.5) 107-112. A small eps wins at
 a_bf = 0 and loses past the interface. At (0.1, 1.25) the fig3 sweeps take
@@ -251,15 +252,12 @@ _TAIL_FLOOR = _EPS**2
 class SolverOptions:
     mode: str = "full"
     max_iter: int = 60000
-    seed: int = 42
 
     def __post_init__(self):
         if self.mode not in ("full", "tf"):
             raise ValidationError(f"solver mode must be 'full' or 'tf', got {self.mode!r}")
         if self.max_iter < 1:
             raise ValidationError(f"solver max_iter must be at least 1, got {self.max_iter}")
-        if self.seed < 0:
-            raise ValidationError(f"solver seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -529,13 +527,7 @@ def minimize(
                 sp.u, sp.spare = u, sp.u
         mus = (ev.mu_b, ev.mu_f)
         grads = (ev.h_psi, ev.h_phi)
-        for u, g, mu in zip(bands, grads, mus):
-            g -= mu * u  # g = H u - mu u, in place of H u
-        # sum(u^2) is the target exactly, up to the renormalization's rounding.
-        residual = tuple(
-            math.sqrt(dot(g, g) / sp.target) / abs(mu) if sp.target > 0.0 else 0.0
-            for sp, g, mu in zip(species, grads, mus)
-        )
+        residual = _residuals(bands, grads, mus, targets)
         accepted = (ev.terms, mus, residual)
         if max(residual) <= _RESIDUAL_TOL:
             converged = True
@@ -550,27 +542,59 @@ def minimize(
             conjugate |= _direction(sp, grads[k], locs[k], curvs[k], mus[k], stencil)
             trial[k] = _trial(sp, dtau)
         # Free the step's work arrays so they are not held through the next
-        # evaluation, which sets the solver's peak memory.
-        del ev, grads, locs, curvs, bands
+        # evaluation, which sets the solver's peak memory. The gradients stay
+        # until the next accepted state replaces them: freed here, they let
+        # the allocator return the top of its heap, which the next evaluation
+        # faults back in (7.5 times the page faults, and 20% more time, of a
+        # cold 256x512 solve).
+        del ev, locs, curvs, bands
 
     # The last accepted state, which max_iter >= 1 guarantees: the first
-    # evaluation is of the start, and no energy exceeds e_prev = inf. mu and
-    # the residuals are ratios of half-box sums, the same on the full grid;
-    # the energy and its terms are sums, doubled.
-    terms, (mu_b, mu_f), residual = accepted
-    n_b, n_f = (_density(sp.u, grid) for sp in species)
+    # evaluation is of the start, and no energy exceeds e_prev = inf.
+    terms, mus, residual = accepted
+    return _ground_state(
+        scenario, grid, [_density(sp.u, grid) for sp in species], terms, mus, residual,
+        energy_hist, iterations, converged, options.mode,
+    )
+
+
+def _residuals(amps, grads, mus, targets) -> tuple[float, float]:
+    """Each species' relative residual ||H u - mu u||_w / (|mu| ||u||_w); 0 if it is empty.
+
+    grads holds each species' H u and is turned into g = H u - mu u in
+    place. ||u||_w^2 = sum(u^2) is the species' target atom number, up to
+    the renormalization's rounding, so it takes no sum.
+    """
+    residual = []
+    for u, g, mu, t in zip(amps, grads, mus, targets):
+        g -= mu * u
+        residual.append(math.sqrt(dot(g, g) / t) / abs(mu) if t > 0.0 else 0.0)
+    return tuple(residual)
+
+
+def _ground_state(
+    scenario, grid, densities, terms, mus, residual, history, iterations, converged, mode
+) -> GroundState:
+    """The GroundState of a half-box solution, in either mode.
+
+    densities [n_b, n_f] are on the z > 0 half and are mirrored onto the
+    full grid. history holds the half-box energy of each accepted state,
+    the last being the solution's, and terms that state's energy terms:
+    sums over the half box, doubled for the full grid. mu and the residuals
+    are ratios of half-box sums, the same on the full grid.
+    """
     return GroundState(
         scenario=scenario,
-        n_b=DensityField(grid, unfold(n_b), "bosons"),
-        n_f=DensityField(grid, unfold(n_f), "fermions"),
-        mu_b=mu_b,
-        mu_f=mu_f,
-        energy=2.0 * e_prev,
+        n_b=DensityField(grid, unfold(densities[0]), "bosons"),
+        n_f=DensityField(grid, unfold(densities[1]), "fermions"),
+        mu_b=mus[0],
+        mu_f=mus[1],
+        energy=2.0 * history[-1],
         energy_breakdown={name: 2.0 * val for name, val in terms.items()},
-        energy_history=2.0 * np.array(energy_hist),
+        energy_history=2.0 * np.array(history),
         iterations=iterations,
         converged=converged,
-        mode=options.mode,
+        mode=mode,
         residual=residual,
     )
 
@@ -1035,7 +1059,16 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
     converged = _kkt(params, st, mu, targets)
     fields = st.half_box(params.v_b.shape)
     del cells, st  # not held through the final evaluation
-    return _tf_state(scenario, params, fields, targets, converged)
+    # The state's terms, mu and residuals come from one evaluation, as a
+    # relaxed state's do.
+    root = grid.root_volumes[:, None]
+    amps = [root * np.sqrt(n) for n in fields]
+    ev = evaluate(params, *amps, KineticStencil(grid, mirror=True), tuple(targets))
+    mus = (ev.mu_b, ev.mu_f)
+    residual = _residuals(amps, (ev.h_psi, ev.h_phi), mus, targets)
+    return _ground_state(
+        scenario, grid, fields, ev.terms, mus, residual, [ev.energy], 0, converged, "tf"
+    )
 
 
 def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
@@ -1062,38 +1095,6 @@ def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
             return False
     both = (n_b > 0.0) & (n_f > 0.0)
     return not np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb)
-
-
-def _tf_state(scenario, params, fields, targets, converged: bool) -> GroundState:
-    """The GroundState of a tf solution's half-box densities [n_b, n_f].
-
-    Its terms, mu and residuals come from one evaluation, as a relaxed
-    state's do.
-    """
-    grid = params.grid
-    root = grid.root_volumes[:, None]
-    amps = [root * np.sqrt(n) for n in fields]
-    ev = evaluate(params, *amps, KineticStencil(grid, mirror=True), tuple(targets))
-    # ||H u - mu u||_w / (|mu| ||u||_w), as a relaxation measures it
-    residual = []
-    for u, g, mu, t in zip(amps, (ev.h_psi, ev.h_phi), (ev.mu_b, ev.mu_f), targets):
-        g -= mu * u
-        residual.append(math.sqrt(dot(g, g) / t) / abs(mu) if t > 0.0 else 0.0)
-    energy = 2.0 * ev.energy
-    return GroundState(
-        scenario=scenario,
-        n_b=DensityField(grid, unfold(fields[0]), "bosons"),
-        n_f=DensityField(grid, unfold(fields[1]), "fermions"),
-        mu_b=ev.mu_b,
-        mu_f=ev.mu_f,
-        energy=energy,
-        energy_breakdown={name: 2.0 * val for name, val in ev.terms.items()},
-        energy_history=np.array([energy]),
-        iterations=0,
-        converged=converged,
-        mode="tf",
-        residual=tuple(residual),
-    )
 
 
 def interface_thickness(gs: GroundState) -> float:

@@ -155,12 +155,10 @@ def test_grid_and_solver_validation():
         parse_config("[fits]\nspan = 1.5\n")
     with pytest.raises(ValidationError, match="l3"):
         parse_config("[fits]\nl3_cm6_per_s = 0\n")
-    with pytest.raises(ValidationError, match="seed"):
-        parse_config("[solver]\nseed = -100000\n")
     with pytest.raises(ValidationError, match="max_iter"):
         parse_config("[solver]\nmax_iter = -5\n")
-    # the stop rule and the sweep's warm-start noise are fixed in the code,
-    # not settings; the former energy test's keys stay unknown
+    # the stop rule is fixed in the code, not a setting; the former energy
+    # test's keys and the former warm-start noise's stay unknown
     for key, value in (("tol_energy", "1e-10"), ("consecutive", "10"), ("warm_noise", "0.01")):
         with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
             parse_config(f"[solver]\n{key} = {value}\n")
@@ -192,6 +190,15 @@ def test_packaged_default_file_matches_defaults():
     res = importlib.resources.files("mixsep") / "data" / "default.cfg"
     cfg = parse_config(res.read_text(encoding="utf-8"))
     assert cfg == default_config()
+
+
+def test_solver_seed_is_accepted_and_read_by_nothing():
+    # sweeps no longer perturb their warm starts, so [solver] seed sets
+    # nothing; it stays legal, and a snapshot carries it only when set
+    cfg = parse_config("[solver]\nseed = 7\n")
+    assert cfg == default_config()
+    assert "seed = 7\n" in serialize_config(cfg)
+    assert "seed" not in serialize_config(default_config())
 
 
 def test_load_config_reads_file(tmp_path):

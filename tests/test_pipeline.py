@@ -9,7 +9,7 @@ import pytest
 
 from mixsep.config import default_scenario, parse_config
 from mixsep.constants import A_BOHR
-from mixsep import pipeline
+from mixsep import pipeline, solver
 from mixsep.errors import (
     MissingInput,
     NonDecayingWarning,
@@ -560,8 +560,8 @@ a_bf_list_a0 = 100, 800
         assert seen[1][1] is None and seen[2][1] is not None
 
     def test_tf_points_take_no_start(self, tmp_path, monkeypatch):
-        # A tf-mode point is the pointwise minimum, which reads no start: the
-        # sweep hands it none and draws no noise, so the seed changes no byte.
+        # A tf-mode point is the pointwise minimum, which reads no start, so
+        # the sweep hands it none.
         cfg = parse_config(self.CFG_TEXT.replace("100, 800", "100, 400, 800"))
         solve = pipeline.minimize
         starts = []
@@ -571,10 +571,22 @@ a_bf_list_a0 = 100, 800
             return solve(scenario, grid, options, warm_start=warm_start)
 
         monkeypatch.setattr(pipeline, "minimize", recording)
+        run_overlap_sweep(cfg, tmp_path, mode="tf")
+        assert starts == [None] * len(starts) and len(starts) >= 3
+
+    def test_full_sweep_does_not_read_the_seed(self, tmp_path):
+        # A full-mode sweep is a plain warm chain: [solver] seed is accepted
+        # and read by nothing, so two configs that differ only there give the
+        # same bytes through the separated regime, every state converged.
+        text = self.CFG_TEXT.replace("100, 800", "100, 400, 800, 1480")
         tables = []
         for seed in (1, 2):
-            cfg = replace(cfg, solver=replace(cfg.solver, seed=seed))
-            csv_path, _ = run_overlap_sweep(cfg, tmp_path / str(seed), mode="tf")
+            cfg = parse_config(text + f"[solver]\nseed = {seed}\n")
+            csv_path, man_path = run_overlap_sweep(cfg, tmp_path / str(seed), mode="full")
             tables.append(csv_path.read_bytes())
-        assert starts == [None] * len(starts) and len(starts) >= 6
+            points = verify_manifest(man_path)["points"]
+            assert len(points) == 4
+            for p in points:
+                assert p["error"] is None and p["converged"]
+                assert max(p["residual_b"], p["residual_f"]) <= solver._RESIDUAL_TOL
         assert tables[0] == tables[1]
