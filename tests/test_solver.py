@@ -544,13 +544,14 @@ def test_sweep_warm_chain(grid48):
     assert centers[-1] < 0.05 * centers[0]
 
 
-def test_tf_state_does_not_depend_on_the_start():
+@pytest.mark.parametrize("start", [2, 3])
+def test_tf_state_does_not_depend_on_the_start(start):
     # Coming down from the separated regime, the tf-mode flow reached 226.4 a0
     # with the fermions all but emptied from the centre, and at some seeds of
     # the former warm-start noise once stopped there on a separated
     # arrangement 7.8e-4 above the mixed one. The pointwise minimum reads no start: the downward chain returns
-    # the cold solve's bytes, and so does a solve handed the separated state
-    # as a warm start.
+    # the cold solve's bytes, and so does a solve handed a separated state of
+    # the chain (1480 a0 at index 2, 1160 a0 at index 3) as a warm start.
     grid = grid_for_scenario(SC, 128, 256)
     a_values = np.geomspace(100.0, 2000.0, 12)[::-1][:9]
     a_values = np.insert(a_values, 2, 1480.0) * A_BOHR
@@ -560,7 +561,8 @@ def test_tf_state_does_not_depend_on_the_start():
     assert err is None and gs.converged
     assert gs.scenario.a_bf == pytest.approx(226.3739 * A_BOHR, rel=1e-6)
     assert gs.n_f.center_value() > 0.1 * np.max(gs.n_f.values)
-    separated = results[1][0]
+    separated = results[start][0]
+    assert separated.n_f.center_value() == 0.0
     warm = (np.sqrt(separated.n_b.values), np.sqrt(separated.n_f.values))
     for other in (minimize(gs.scenario, grid, options),
                   minimize(gs.scenario, grid, options, warm_start=warm)):
