@@ -15,6 +15,9 @@ import sys
 from dataclasses import replace
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Why a returned state is not converged: only a full-mode solve returns one
+# (a tf-mode solve that finds no state raises ThomasFermiCollapse).
+_NOT_CONVERGED = "hit max_iter before converging"
 
 
 def _apply_thread_cap() -> None:
@@ -94,16 +97,9 @@ def cmd_solve(args) -> int:
     if args.out:
         print(f"ground state written to {args.out}")
     if not gs.converged:
-        print(f"solver {_not_converged(gs.mode)}", file=sys.stderr)
+        print(f"solver {_NOT_CONVERGED}", file=sys.stderr)
         return 3
     return 0
-
-
-def _not_converged(mode: str) -> str:
-    """Why a state of this solver mode is not converged."""
-    if mode == "tf":
-        return "found no local minimum holding the target atom numbers"
-    return "hit max_iter before converging"
 
 
 def _progress(mode, idx, a_bf, gs) -> None:
@@ -130,7 +126,7 @@ def cmd_sweep(args) -> int:
     points = json.loads(manifest_path.read_text(encoding="utf-8"))["points"]
     failed = [p for p in points if p["error"] or not p["converged"]]
     for p in failed:
-        reason = p["error"] or _not_converged(p["mode"])
+        reason = p["error"] or _NOT_CONVERGED
         print(f"[{p['mode']}] a_bf = {p['a_bf_a0']:.6g} a0: {reason}", file=sys.stderr)
     return 3 if failed else 0
 

@@ -79,6 +79,12 @@ class CenterNotFound(NumericsError):
     pass
 
 
+class ThomasFermiCollapse(NumericsError):
+    """Tf mode found no pointwise state that holds the target atom numbers
+    with every cell at a local minimum: under strong boson-fermion
+    attraction the Thomas-Fermi mixture collapses."""
+
+
 class NotSeparated(NumericsError):
     """Requested an interface measure on a state with no density hole."""
 

@@ -39,16 +39,20 @@ sum depends on the BLAS thread count). The solver passes each species on
 its band of z columns only (evaluate).
 
 The module needs numpy alone until a full-mode solve preconditions with the
-radial line operator: KineticStencil.solve_cells imports LAPACK's dptsv from
-scipy at a stencil's first solve, so importing the package, a tf-mode solve
-and the analysis commands never load scipy.
+radial line operator: KineticStencil.solve_cells binds LAPACK's dptsv at the
+process's first line solve, so importing the package, a tf-mode solve and
+the analysis commands never load scipy. The binding loads only the top-level
+scipy package and its compiled LAPACK module (_lapack_dptsv): about 0.02 s
+and 3 MB, where importing scipy.linalg would take 0.2-0.3 s and 22 MB.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -197,7 +201,6 @@ class KineticStencil:
         self._diag_dz2 = self._line_diag * dz2
         self._below_dz2 = np.append(self._line_off * dz2, 0.0)
         self._above_dz2 = np.insert(self._line_off * dz2, 0, 0.0)
-        self._dptsv = None  # LAPACK's, bound at the first line solve
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """K~ u: sqrt(w) times minus the discrete (1/rho) d_rho(rho d_rho v) - d_z^2 v
@@ -240,21 +243,17 @@ class KineticStencil:
         it. It makes no BLAS call, so the result does not depend on the
         thread count. diag is overwritten with the factor. dptsv solves a
         Fortran-order b in place; b or diag in another layout is solved in
-        a Fortran-order copy, and b's is copied back. The stencil binds
-        dptsv from scipy.linalg.lapack at its first solve, which loads
-        scipy at the first one in the process (about 0.3 s and 24 MB).
+        a Fortran-order copy, and b's is copied back. dptsv is bound at the
+        first solve in the process (_lapack_dptsv), which loads scipy's
+        compiled LAPACK module but not scipy.linalg.
         Raises NumericalBlowup if the factorization fails.
         """
-        if self._dptsv is None:
-            from scipy.linalg.lapack import dptsv
-
-            self._dptsv = dptsv
         n_rho, n_cols = b.shape
         diag += coef * self._line_diag[:, None]
         off = np.zeros((n_cols, n_rho))
         off[:, :-1] = coef * self._line_off
         flat = b.reshape((-1, 1), order="F")
-        _, _, x, info = self._dptsv(
+        _, _, x, info = _lapack_dptsv()(
             diag.reshape(-1, order="F"), off.reshape(-1)[:-1], flat,
             overwrite_d=1, overwrite_e=1, overwrite_b=1,
         )
@@ -265,6 +264,42 @@ class KineticStencil:
         if x is not flat or not b.flags.f_contiguous:
             b[...] = x.reshape(b.shape, order="F")
         return b
+
+
+# scipy's compiled LAPACK module, which scipy.linalg.lapack re-exports.
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@cache
+def _lapack_dptsv():
+    """LAPACK's dptsv from scipy's compiled module, bound once per process.
+
+    Where scipy.linalg is loaded, its lapack.dptsv. Otherwise only the
+    top-level scipy package is imported (on Windows its __init__ puts the
+    bundled libraries on the DLL search path) and the _FLAPACK extension is
+    loaded from its file, which skips the about 320 modules of
+    scipy.linalg's import. The extension is taken out of sys.modules again:
+    left there without its package, a later import of scipy.linalg would
+    reuse it without setting the package's _flapack attribute. Where the
+    file is missing, scipy.linalg.lapack.dptsv. Every source is the same
+    compiled routine.
+    """
+    if "scipy.linalg" not in sys.modules:
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+        from importlib.util import module_from_spec
+
+        import scipy
+
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+        if spec is not None:
+            flapack = module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            sys.modules.pop(_FLAPACK, None)
+            return flapack.dptsv
+    from scipy.linalg.lapack import dptsv
+
+    return dptsv
 
 
 @dataclass(frozen=True)

@@ -203,10 +203,13 @@ counted; the rest are empty. One evaluation of every cell takes about
 mixed regime and 15 (64x128) to 21 (128x256) past the interface, with
 the state's energy terms, Rayleigh-quotient mu and residuals from one
 functional evaluation, as a relaxed state's. The returned state has
-iterations = 0 and a one-entry energy_history, and is converged once the
-KKT check passes; its relative residuals are about 2e-16. It does not
-depend on any start: minimize reads neither a warm start nor max_iter in
-tf mode.
+iterations = 0 and a one-entry energy_history, and is converged; its
+relative residuals are about 2e-16. Where the KKT check fails, minimize
+raises ThomasFermiCollapse instead of returning a state: under strong
+attraction (-600 a0 and beyond on 32x64) the best assignment misses the
+atom numbers by a factor of ten, or some cells have no local minimum at
+all. The solve does not depend on any start: minimize reads neither a
+warm start nor max_iter in tf mode.
 """
 
 from __future__ import annotations
@@ -216,7 +219,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveInput, NotSeparated, StepUnstable, ValidationError
+from .constants import A_BOHR
+from .errors import (
+    GridMismatch,
+    NonPositiveInput,
+    NotSeparated,
+    StepUnstable,
+    ThomasFermiCollapse,
+    ValidationError,
+)
 from .functional import (
     KineticStencil,
     evaluate,
@@ -468,9 +479,11 @@ def minimize(
 
     Tf mode solves for the pointwise minimum directly (module docstring),
     reading neither warm_start nor options.max_iter: its state has
-    iterations = 0 and a one-entry energy_history.
+    iterations = 0 and a one-entry energy_history, and is converged. It
+    raises ThomasFermiCollapse where no pointwise state holds the atoms
+    with every cell at a local minimum.
 
-    A state is always returned; check .converged.
+    A full-mode state is always returned; check .converged.
     """
     if options.mode == "tf":
         return _tf_minimum(scenario, grid)
@@ -1056,7 +1069,12 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
         found = _kink_search(cells, mu, st, split, targets, scale)
         if found is not None:
             _, mu, st = found
-    converged = _kkt(params, st, mu, targets)
+    failure = _kkt(params, st, mu, targets)
+    if failure is not None:
+        raise ThomasFermiCollapse(
+            f"at a_bf = {scenario.a_bf / A_BOHR:.6g} a0, the best pointwise state {failure}:"
+            " the Thomas-Fermi mixture collapses"
+        )
     fields = st.half_box(params.v_b.shape)
     del cells, st  # not held through the final evaluation
     # The state's terms, mu and residuals come from one evaluation, as a
@@ -1067,12 +1085,13 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
     mus = (ev.mu_b, ev.mu_f)
     residual = _residuals(amps, (ev.h_psi, ev.h_phi), mus, targets)
     return _ground_state(
-        scenario, grid, fields, ev.terms, mus, residual, [ev.energy], 0, converged, "tf"
+        scenario, grid, fields, ev.terms, mus, residual, [ev.energy], 0, True, "tf"
     )
 
 
-def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
-    """Whether st holds the target atoms and every cell is a local minimum of f - mu . n.
+def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> str | None:
+    """Why st is not a KKT point, or None where it holds the target atoms and
+    every cell is a local minimum of f - mu . n.
 
     Atoms to 1e-13; where a species is present, its local potential meets
     its mu to 1e-12 of the largest |mu|, and where it is absent it lies no
@@ -1081,8 +1100,11 @@ def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
     """
     n_b, n_f = st.fields()
     atoms = np.array([st.w @ n_b, st.w @ n_f])
-    if np.any(np.abs(atoms - targets) > 1e-13 * targets):
-        return False
+    missed = [f"{a / t:.3g} times the {name}'s atoms"
+              for a, t, name in zip(atoms, targets, ("condensate", "Fermi sea"))
+              if abs(a - t) > 1e-13 * t]
+    if missed:
+        return "holds " + " and ".join(missed)
     v_b, v_f = (v.reshape(-1, order="F")[st.index] for v in (params.v_b, params.v_f))
     tol = 1e-12 * np.max(np.abs(mu))
     fermi = (5.0 / 3.0) * params.c_tf
@@ -1090,11 +1112,11 @@ def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> bool:
     grad_b = v_b + params.g_bb * n_b + params.g_bf * n_f - mu[0]
     grad_f = v_f + fermi * x * x + params.g_bf * n_b - mu[1]
     checks = [(n_f, grad_f)] + ([(n_b, grad_b)] if targets[0] > 0.0 else [])
-    for n, grad in checks:
-        if np.any(np.where(n > 0.0, np.abs(grad), -grad) > tol):
-            return False
+    stuck = any(np.any(np.where(n > 0.0, np.abs(grad), -grad) > tol) for n, grad in checks)
     both = (n_b > 0.0) & (n_f > 0.0)
-    return not np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb)
+    if stuck or np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb):
+        return "has cells at no local minimum"
+    return None
 
 
 def interface_thickness(gs: GroundState) -> float:

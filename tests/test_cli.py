@@ -169,6 +169,9 @@ result = [
 
 
 def test_only_a_full_mode_solve_loads_lapack():
+    # The line solve binds dptsv from scipy's compiled LAPACK module alone:
+    # scipy.linalg's import would load about 320 modules, numpy.f2py and
+    # numpy.testing among them, and cost a full-mode solve 0.2-0.3 s
     code = """
 import warnings
 from mixsep.config import default_scenario
@@ -178,12 +181,56 @@ warnings.simplefilter("ignore")
 sc = default_scenario()
 grid = grid_for_scenario(sc, 16, 32)
 minimize(sc, grid, SolverOptions(mode="tf"))
-result = sorted(sys.modules)
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 minimize(sc, grid, SolverOptions(mode="full"))
+result = [before, sorted(m for m in sys.modules if m.startswith(("numpy.f2py", "numpy.testing")))]
 """
-    before_full, after_full = _scipy_modules_after(code)
-    assert not [m for m in before_full if m.split(".")[0] == "scipy"]
-    assert "scipy.linalg.lapack" in after_full
+    (before_full, numpy_tools), after_full = _scipy_modules_after(code)
+    assert before_full == []
+    assert "scipy" in after_full
+    linalg = [m for m in after_full if m.split(".")[:2] == ["scipy", "linalg"]]
+    assert set(linalg) <= {"scipy.linalg._flapack"}
+    assert numpy_tools == []
+
+
+def test_line_solve_gives_the_same_bytes_from_every_lapack_binding():
+    # dptsv is loaded from scipy's compiled module where scipy.linalg is not
+    # loaded yet, taken from scipy.linalg.lapack where it is, and from there
+    # too where the compiled module's file is missing. All three are the same
+    # routine: a full-mode solve and a line solve give the same bytes, and
+    # scipy.linalg imports and works after the solve.
+    code = """
+import hashlib, warnings
+import numpy as np
+from mixsep import functional
+from mixsep.config import default_scenario
+from mixsep.profiles import grid_for_scenario
+from mixsep.solver import SolverOptions, minimize
+{prefix}
+warnings.simplefilter("ignore")
+sc = default_scenario()
+grid = grid_for_scenario(sc, 16, 32)
+gs = minimize(sc, grid, SolverOptions(mode="full"))
+linalg = "scipy.linalg" in sys.modules
+rng = np.random.default_rng(3)
+b = np.asfortranarray(rng.standard_normal((grid.n_rho, grid.n_z)))
+diag = np.asfortranarray(rng.uniform(1.0, 2.0, b.shape) / grid.d_rho**2)
+x = functional.KineticStencil(grid).solve_cells(1.0, diag, b)
+digest = hashlib.sha256(b"".join(a.tobytes() for a in (gs.n_b.values, gs.n_f.values, x)))
+import scipy.linalg
+works = scipy.linalg.solve(np.diag([2.0, 4.0]), [1.0, 1.0]).tolist() == [0.5, 0.25]
+result = [linalg, digest.hexdigest(), works, scipy.linalg._flapack.dptsv is functional._lapack_dptsv()]
+"""
+    prefixes = {
+        "direct": "",
+        "public": "import scipy.linalg",
+        "fallback": "functional._FLAPACK = 'scipy.linalg._no_such_module'",
+    }
+    runs = {k: _scipy_modules_after(code.format(prefix=v))[0] for k, v in prefixes.items()}
+    # only the direct load leaves scipy.linalg unloaded through the solve
+    assert {k: r[0] for k, r in runs.items()} == {"direct": False, "public": True, "fallback": True}
+    assert len({r[1] for r in runs.values()}) == 1
+    assert all(r[2] and r[3] for r in runs.values())
 
 
 def test_thread_cap(monkeypatch):
@@ -232,6 +279,15 @@ class TestSolve:
         assert "max_iter" in err
         assert kv(out)["converged"] == "False"
         assert not load_ground_state(out_dir).converged
+
+    def test_collapsed_tf_mixture_exits_3_and_saves_nothing(self, capsys, tmp_path, fast_cfg):
+        out_dir = tmp_path / "gs"
+        code, out, err = run(
+            capsys, "solve", "--config", fast_cfg, "--abf", "-600", "--out", str(out_dir)
+        )
+        assert code == 3
+        assert "Thomas-Fermi mixture collapses" in err
+        assert out == "" and not out_dir.exists()
 
     def test_bad_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -553,6 +609,16 @@ class TestSweepAndFig:
         verify_manifest(kv(out)["manifest"])
         assert "[tf] a_bf = 800 a0: StepUnstable: energy still rising" in err
         assert "a_bf = 100 a0" not in err
+
+        # a collapsed tf mixture is recorded as the point's error
+        monkeypatch.setattr(pipeline, "minimize", solve)
+        cfg.write_text(FAST_CFG + "[sweep]\na_bf_list_a0 = -600, 100\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        points = verify_manifest(kv(out)["manifest"])["points"]
+        assert [p["error"] is None for p in points] == [False, True]
+        assert points[0]["error"].startswith("ThomasFermiCollapse: at a_bf = -600 a0")
+        assert "[tf] a_bf = -600 a0: ThomasFermiCollapse" in err
 
         # a point that hits max_iter fails the run the same way; a tf-mode
         # solve takes no iterations, so this one runs in full mode

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixsep import functional
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NumericalBlowup
@@ -365,15 +365,15 @@ def test_line_solve_makes_no_copy_of_fortran_order(small, monkeypatch):
     stencil = KineticStencil(grid)
     rng = np.random.default_rng(4)
     b = np.asfortranarray(rng.standard_normal((grid.n_rho, grid.n_z)))
-    # a stencil binds dptsv from scipy.linalg.lapack at its first solve
-    original = scipy.linalg.lapack.dptsv
+    # every stencil solves through the process's one dptsv binding
+    original = functional._lapack_dptsv()
     seen = []
 
     def recording(d, e, rhs, **overwrite):
         seen.append((d.ctypes.data, rhs.ctypes.data))
         return original(d, e, rhs, **overwrite)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dptsv", recording)
+    monkeypatch.setattr(functional, "_lapack_dptsv", lambda: recording)
     for shift in (1.0, 2.0):
         diag = np.asfortranarray(shift / grid.d_rho**2 * rng.uniform(0.5, 1.0, b.shape))
         stencil.solve_cells(1.0, diag, b)

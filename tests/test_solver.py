@@ -21,6 +21,7 @@ from mixsep.errors import (
     NonPositiveInput,
     NotSeparated,
     StepUnstable,
+    ThomasFermiCollapse,
     ValidationError,
 )
 from mixsep.functional import (
@@ -743,12 +744,16 @@ def test_ridge_solve_lands_on_the_dual_maximum():
     assert np.all(pairs.gap[at] <= 1e-12 * np.abs(pairs.w[at] * pairs.sea[1][at]))
 
 
-def test_collapsed_tf_state_is_not_converged(grid32):
-    # At -1000 a0 the Thomas-Fermi mixture collapses: some cells have no
-    # local minimum at all, and the state says so
-    gs = minimize(SC.with_a_bf(-1000.0 * A_BOHR), grid32, SolverOptions(mode="tf"))
-    assert not gs.converged
-    assert _local_minimum_violation(gs) > 1e-12
+def test_collapsed_tf_mixture_raises(grid32):
+    # -300 a0 still has a state with every cell at a local minimum. Past it
+    # the Thomas-Fermi mixture collapses, and the solve names that instead of
+    # returning a state: at -600 a0 the best assignment holds ten times the
+    # condensate's atoms, at -1000 a0 some cells have no local minimum at all.
+    _assert_kkt_state(minimize(SC.with_a_bf(-300.0 * A_BOHR), grid32, SolverOptions(mode="tf")))
+    for a_bf_a0, why in ((-600.0, "holds 9.99 times the condensate's atoms"),
+                         (-1000.0, "has cells at no local minimum")):
+        with pytest.raises(ThomasFermiCollapse, match=f"a_bf = {a_bf_a0:g} a0, .*{why}"):
+            minimize(SC.with_a_bf(a_bf_a0 * A_BOHR), grid32, SolverOptions(mode="tf"))
 
 
 def test_tf_state_at_zero_coupling_is_the_tf_profiles(grid32):
