@@ -405,8 +405,11 @@ def inverse_abel(
 
     Raises TooNoisy when reconstructed negative mass exceeds noise_reject
     of the total, which marks an unusable inversion rather than data that
-    merely wiggles below zero near the axis.
+    merely wiggles below zero near the axis. A negative noise_reject
+    raises ValidationError.
     """
+    if not noise_reject >= 0.0:
+        raise ValidationError(f"noise_reject must be at least 0, got {noise_reject}")
     _require_half_grid(slc)
     y, f = slc.y, slc.values
     peak = float(np.abs(f).max())

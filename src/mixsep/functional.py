@@ -304,27 +304,25 @@ def _lapack_dptsv():
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One pass over (psi~, phi~): energy terms, H~ psi~, H~ phi~, local potentials.
+    """One pass over (psi~, phi~): energy terms, H~ psi~, H~ phi~, local curvatures.
 
-    h_psi / h_phi are sqrt(w) (H_b psi) and sqrt(w) (H_f phi). loc_b /
-    loc_f are the local (non-kinetic) parts of H_b and H_f, the same in
-    either scaling. curv_b / curv_f are what the second variation of the
-    energy adds to them on its diagonal, 2 g_bb n_b and
-    (4/3) (5/3) c_TF n_f^(2/3), so that loc + curv - mu is the local part of
-    each species' diagonal block of that operator; they are None from the
-    pass energy_terms and apply_hamiltonians run. mu_b / mu_f
-    are the Rayleigh quotients
-    sum(psi~ H~ psi~) / sum(psi~^2) = <psi, H_b psi>_w / <psi, psi>_w of
-    each species, 0 for an empty one.
+    h_psi / h_phi are sqrt(w) (H_b psi) and sqrt(w) (H_f phi). hess_b /
+    hess_f are the local (non-kinetic) parts of the two diagonal blocks of
+    the energy's second variation, the same in either scaling: each
+    Hamiltonian's local part plus what the second variation adds to it,
+    2 g_bb n_b and (4/3) (5/3) c_TF n_f^(2/3), minus mu, so
+    V_b + 3 g_bb n_b + g_bf n_f - mu_b and
+    V_f + (35/9) c_TF n_f^(2/3) + g_bf n_b - mu_f. They are None from the
+    pass energy_terms and apply_hamiltonians run. mu_b / mu_f are the
+    Rayleigh quotients sum(psi~ H~ psi~) / sum(psi~^2) =
+    <psi, H_b psi>_w / <psi, psi>_w of each species, 0 for an empty one.
     """
 
     terms: dict
     h_psi: np.ndarray
     h_phi: np.ndarray
-    loc_b: np.ndarray
-    loc_f: np.ndarray
-    curv_b: np.ndarray | None
-    curv_f: np.ndarray | None
+    hess_b: np.ndarray | None
+    hess_f: np.ndarray | None
     mu_b: float
     mu_f: float
 
@@ -353,19 +351,21 @@ def evaluate(
     densities come from psi~^2 and phi~^2 through the per-row factors of
     params.row_factors, n_f^(2/3) is one cube root squared, and every term
     is one plain sum (grid.dot), the Fermi pressure (3/5) of
-    sum(phi~^2 (5/3) c_TF n_f^(2/3)), so no fractional power is taken. The
-    curvatures are g_bb n_b and the local Fermi energy, which the pass
-    forms for the terms, kept in their own buffers and scaled.
+    sum(phi~^2 (5/3) c_TF n_f^(2/3)), so no fractional power is taken.
+    hess_b and hess_f are built in the local potentials' buffers once each
+    H u is: the curvatures are g_bb n_b and the local Fermi energy, which
+    the pass forms for the terms, scaled and added there, and mu is
+    subtracted once the terms give it.
 
     psi and phi may each hold only the first z columns of the potentials'
     box, its band: the species is zero past the band's last column, and so
     is the band's last column itself unless it is the box's (a halo, so
-    that H u is zero past the band too). Each species' terms, H u, loc and
-    curv are then computed on its band alone, and take its shape; the
+    that H u is zero past the band too). Each species' terms, H u and hess
+    are then computed on its band alone, and take its shape; the
     interspecies terms run on the columns both bands cover. Each cell is
-    computed as on the whole box, so H u, loc and curv are the whole box's
-    on the band, bit for bit, and the terms can differ only by the order of
-    their sums.
+    computed as on the whole box, so H u and hess are the whole box's on
+    the band, bit for bit (given the same mu), and the terms can differ
+    only by the order of their sums.
 
     Since sum(psi~ H~ psi~) is a sum of the energy terms (the quadratic ones
     twice, the pressure times 5/3), mu_b and mu_f come from the terms and
@@ -380,12 +380,12 @@ def evaluate(
 def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
     """evaluate, or with in_place H~ psi~ and H~ phi~ built over psi and phi.
 
-    In place, the pass keeps no curvature (curv_b and curv_f are None) and
+    In place, the pass keeps no curvature (hess_b and hess_f are None) and
     holds at most four field-sized arrays besides psi and phi at any time,
     so that apply_hamiltonians and energy_terms, whose scaled copies of
     their inputs it overwrites, peak at six. The solver's pass keeps the
-    curvatures and peaks at seven arrays of a band's size. H u and loc are
-    the same bits either way.
+    curvatures until each is added to its local potential, and peaks at
+    seven arrays of a band's size. H u is the same bits either way.
     """
     g_bb_w, g_bf_w, fermi_w = params.row_factors
     n_zb, n_zf = psi.shape[1], phi.shape[1]
@@ -430,8 +430,14 @@ def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
         out_b, out_f = a_b, None
     loc_f[:, :both] += a_b[:, :both]
     del fermi, g_bb_n_b, a_b
+    # Each curvature joins its local potential as soon as that species' H u
+    # is built, which frees the curvature's buffer.
     bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, out_b)
+    hess_b = None if in_place else np.add(loc_b, curv_b, out=loc_b)
+    del curv_b
     fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, out_f)
+    hess_f = None if in_place else np.add(loc_f, curv_f, out=loc_f)
+    del curv_f
     terms = {
         "bec_kinetic": bec_kinetic,
         "fermi_gradient": fermi_gradient,
@@ -451,7 +457,10 @@ def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
     mu_f = _rayleigh_from_terms(
         fermi_gradient + fermi_trap + (5.0 / 3.0) * fermi_pressure + interspecies, norm_f
     )
-    return Evaluation(terms, h_psi, h_phi, loc_b, loc_f, curv_b, curv_f, mu_b, mu_f)
+    if not in_place:
+        hess_b -= mu_b
+        hess_f -= mu_f
+    return Evaluation(terms, h_psi, h_phi, hess_b, hess_f, mu_b, mu_f)
 
 
 def _rayleigh_from_terms(u_h_u: float, norm2: float) -> float:
@@ -504,21 +513,3 @@ def apply_hamiltonians(
     h_psi /= root
     h_phi /= root
     return h_psi, h_phi
-
-
-def local_scale_bound(loc: np.ndarray, curv: np.ndarray, mu: float, floor: float) -> np.ndarray:
-    """Per-cell diagonal D = max(loc + curv - mu, 0) + floor of one species.
-
-    loc and curv are a local potential and its curvature from one
-    Evaluation; loc is overwritten with D and returned. loc + curv - mu is
-    the local part of the second variation of the energy, so 1 / D bounds
-    each cell's step by the energy's own curvature there, and floor > 0
-    keeps it finite where that curvature vanishes, at a Thomas-Fermi edge.
-    The solver preconditions each species' gradient in full mode by
-    (coef_kin K_line + diag(D))^-1 (KineticStencil.solve_cells).
-    """
-    loc += curv
-    loc -= mu
-    np.maximum(loc, 0.0, out=loc)
-    loc += floor
-    return loc

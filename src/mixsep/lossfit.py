@@ -403,7 +403,8 @@ def smooth_l3(
 
     The regression runs in log-log space with tricube distance weights
     times inverse-variance measurement weights. The 95 percent band comes
-    from a residual bootstrap around the fitted curve.
+    from a residual bootstrap around the fitted curve. span, in (0, 1], is
+    the share of the points each local fit weights (at least 3).
     """
     a = np.asarray(a_bf_a0, dtype=float)
     v = np.asarray(l3, dtype=float)
@@ -413,6 +414,8 @@ def smooth_l3(
         raise TooFewPoints("smoothing needs at least 6 measurements")
     if n_boot < 1:
         raise ValidationError(f"n_boot must be at least 1, got {n_boot}")
+    if not 0.0 < span <= 1.0:
+        raise ValidationError(f"span must lie in (0, 1], got {span}")
     if np.any(v <= 0.0):
         raise NonPositiveInput("L3 values must be positive")
     lo, hi = SMOOTH_DOMAIN_A0

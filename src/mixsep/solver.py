@@ -13,26 +13,20 @@ square-root fields. Per species, at an accepted state u:
 
     g = H u - mu u,   p = P g,   gamma = <g, p>_w,
     P = (coef_kin (K_rho + 2/d_z^2) + diag(D))^-1,
-    D = max(loc + curv - mu, 0) + eps |mu|,
+    D = max(hess, 0) + eps |mu|,
     d = -p + beta d_prev, beta = gamma / gamma_prev, then projected onto
         the tangent space: d -= (<d, u>_w / <u, u>_w) u,
     u <- |renormalize(u + dtau d)|,
 
-with mu the Rayleigh quotient, loc the local (non-kinetic) potential,
-K_rho + 2/d_z^2 the kinetic stencil's radial tridiagonal with its axial
-diagonal, and curv what the second variation of the energy adds to loc on
-its diagonal: 2 g_bb n_b for the bosons, (4/3) (5/3) c_TF n_f^(2/3) for the
-fermions (functional.Evaluation). loc + curv - mu is the local part of that
-second variation, so D is the energy's own curvature in each cell: about
-2 g_bb n_b inside the condensate, and near zero at a Thomas-Fermi edge,
-where the cloud has to move. The former preconditioner,
-s (coef_kin (K_rho + 2/d_z^2) + |mu|)^-1 s with
-s = sqrt(|mu| / (max(loc, 0) + |mu|)), gave a cell the step
-1 / (max(loc, 0) + |mu|), about 1 / (2 mu) at such an edge, so its steps
-were far too short exactly there; it took 41 and 470 iterations for the
-cold 128x256 solves at a_bf = 0 and 1480 a0 that now take 15 and 264.
-(Antoine, Levitt & Tang build their preconditioners from the kinetic and
-the potential part; here the potential part is the local curvature.)
+with mu the Rayleigh quotient, K_rho + 2/d_z^2 the kinetic stencil's radial
+tridiagonal with its axial diagonal, and hess the local part of the
+species' diagonal block of the energy's second variation
+(functional.Evaluation): V_b + 3 g_bb n_b + g_bf n_f - mu_b for the bosons,
+V_f + (35/9) c_TF n_f^(2/3) + g_bf n_b - mu_f for the fermions. So D is the
+energy's own curvature in each cell: about 2 g_bb n_b inside the
+condensate, and near zero at a Thomas-Fermi edge, where the cloud has to
+move. (Antoine, Levitt & Tang build their preconditioners from the kinetic
+and the potential part; here the potential part is the local curvature.)
 eps = _CURVATURE_FLOOR keeps D positive where the curvature vanishes. On
 the grids grid_for_scenario builds, d_z = 7 d_rho, so nearly all of the
 kinetic stiffness is radial: inverting it exactly on each z column keeps
@@ -40,20 +34,8 @@ grid refinement from multiplying the iteration count. D varies from cell
 to cell, so the columns share no factorization: laid end to end, with no
 coupling across a column's end, they form one tridiagonal system of
 n_rho x band unknowns, factored and solved by one LAPACK call per species
-and step (functional.KineticStencil.solve_cells).
-
-The start step is _DTAU_START = 1.5 preconditioned unit steps. eps and
-the start were scanned together, eps over 0.1-0.5 and the start over
-1.0-2.0 in steps of 0.25, on the 64x128 fig3 sweep at seeds 1-3 (sweeps
-then perturbed each warm start with seeded noise), the cold 256x512 solve
-and the 13-point 128x256 acceptance sweep. The iteration counts are erratic in
-both: at (0.3, 1.5) the fig3 sweeps take 106-119 full-mode iterations, at
-(0.3, 1.75) 128-135 and at (0.2, 1.5) 107-112. A small eps wins at
-a_bf = 0 and loses past the interface. At (0.1, 1.25) the fig3 sweeps take
-the fewest iterations (97-102), the acceptance sweep 666 and the 256x512
-solve 18, but the cold 128x256 solve at 1480 a0 takes 439; at (0.3, 1.5)
-those take 701, 18 and 264. Every point scanned kept every full-mode
-energy within 3e-11 of the former solver's.
+and step (functional.KineticStencil.solve_cells). The start step is
+_DTAU_START = 1.5 preconditioned unit steps.
 
 The solver stores each amplitude weighted by the cell volume, as
 u~ = sqrt(w) u row by row (w is constant along z; Grid2D.root_volumes), so
@@ -228,12 +210,7 @@ from .errors import (
     ThomasFermiCollapse,
     ValidationError,
 )
-from .functional import (
-    KineticStencil,
-    evaluate,
-    half_box_params,
-    local_scale_bound,
-)
+from .functional import KineticStencil, evaluate, half_box_params
 from .grid import DensityField, Grid2D, dot, unfold
 from .profiles import bec_tf_profile, fermi_tf_profile
 # Bound here, though unused, so that perfbench/spans.py can trace them.
@@ -241,8 +218,8 @@ from .functional import apply_hamiltonians, energy_terms  # noqa: F401
 from .profiles import grid_for_scenario  # noqa: F401
 from .scenario import MixtureScenario
 
-# Starting step as a multiple of the preconditioned unit step (the module
-# docstring gives the scans).
+# Starting step as a multiple of the preconditioned unit step (scanned with
+# _CURVATURE_FLOOR; CHANGES.md has the scan).
 _DTAU_START = 1.5
 # The floor of each cell's diagonal D, as a share of |mu|.
 _CURVATURE_FLOOR = 0.3
@@ -308,22 +285,17 @@ def _renormalize(u: np.ndarray, target: float) -> np.ndarray:
     return u
 
 
-def _precondition(
-    r: np.ndarray,
-    loc: np.ndarray,
-    curv: np.ndarray,
-    mu: float,
-    coef_kin: float,
-    stencil: KineticStencil,
-) -> np.ndarray:
-    """Overwrite r with P r and return it; loc is consumed.
+def local_scale_bound(hess: np.ndarray, floor: float) -> np.ndarray:
+    """Per-cell diagonal D = max(hess, 0) + floor of one species, built in hess.
 
-    P = (coef_kin K_line + diag(D))^-1 with D = max(loc + curv - mu, 0) +
-    _CURVATURE_FLOOR |mu|, built in loc's buffer
-    (functional.local_scale_bound).
+    hess is the local part of the species' diagonal block of the second
+    variation from one Evaluation, so 1 / D bounds each cell's step by the
+    energy's own curvature there, and floor > 0 keeps it finite where that
+    curvature vanishes, at a Thomas-Fermi edge.
     """
-    diag = local_scale_bound(loc, curv, mu, _CURVATURE_FLOOR * abs(mu))
-    return stencil.solve_cells(coef_kin, diag, r)
+    np.maximum(hess, 0.0, out=hess)
+    hess += floor
+    return hess
 
 
 @dataclass
@@ -370,25 +342,21 @@ def _species(target: float, coef_kin: float, u: np.ndarray, grid: Grid2D) -> _Sp
 
 
 def _direction(
-    sp: _Species,
-    g: np.ndarray,
-    loc: np.ndarray,
-    curv: np.ndarray,
-    mu: float,
-    stencil: KineticStencil,
+    sp: _Species, g: np.ndarray, hess: np.ndarray, mu: float, stencil: KineticStencil
 ) -> bool:
     """Set sp.p, sp.gamma and sp.d for the step from sp.u; True if d is conjugate.
 
-    g = H u - mu u, loc and curv cover sp's band; g is left as it was and
-    loc is consumed. The conjugate direction is -p + beta d_prev projected
-    onto the tangent space of the sphere at u, with the Fletcher-Reeves
-    beta = gamma / gamma_prev. It is taken only when 0 < beta <= 1 and it
-    descends; otherwise d = -p.
+    g = H u - mu u and hess cover sp's band; g is left as it was and hess
+    is consumed. p = P g, with P = (coef_kin K_line + diag(D))^-1 and
+    D = local_scale_bound(hess, _CURVATURE_FLOOR |mu|). The conjugate
+    direction is -p + beta d_prev projected onto the tangent space of the
+    sphere at u, with the Fletcher-Reeves beta = gamma / gamma_prev. It is
+    taken only when 0 < beta <= 1 and it descends; otherwise d = -p.
     """
     band = sp.band
     u, p, d = sp.u[:, :band], sp.p[:, :band], sp.d[:, :band]
     np.copyto(p, g)
-    _precondition(p, loc, curv, mu, sp.coef_kin, stencil)
+    stencil.solve_cells(sp.coef_kin, local_scale_bound(hess, _CURVATURE_FLOOR * abs(mu)), p)
     gamma = dot(g, p)
     conjugate = 0.0 < gamma <= sp.gamma
     if conjugate:
@@ -548,11 +516,11 @@ def minimize(
         halvings = 0
         iterations += 1
 
-        locs, curvs = (ev.loc_b, ev.loc_f), (ev.curv_b, ev.curv_f)
+        hess = (ev.hess_b, ev.hess_f)
         conjugate = False
         for k in moving:
             sp = species[k]
-            conjugate |= _direction(sp, grads[k], locs[k], curvs[k], mus[k], stencil)
+            conjugate |= _direction(sp, grads[k], hess[k], mus[k], stencil)
             trial[k] = _trial(sp, dtau)
         # Free the step's work arrays so they are not held through the next
         # evaluation, which sets the solver's peak memory. The gradients stay
@@ -560,7 +528,7 @@ def minimize(
         # the allocator return the top of its heap, which the next evaluation
         # faults back in (7.5 times the page faults, and 20% more time, of a
         # cold 256x512 solve).
-        del ev, locs, curvs, bands
+        del ev, hess, bands
 
     # The last accepted state, which max_iter >= 1 guarantees: the first
     # evaluation is of the start, and no energy exceeds e_prev = inf.

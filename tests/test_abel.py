@@ -264,6 +264,13 @@ class TestInverseGuards:
         with pytest.raises(ValidationError, match="method"):
             inverse_abel(ColumnSlice(y, np.exp(-(y**2))), method="hansenlaw")
 
+    @pytest.mark.parametrize("noise_reject", [-1.0, -1e-12, math.nan])
+    def test_negative_noise_reject_raises(self, noise_reject):
+        # a negative bound rejected every inversion as TooNoisy
+        y = (np.arange(60) + 0.5) * (SIG / 10)
+        with pytest.raises(ValidationError, match="noise_reject"):
+            inverse_abel(ColumnSlice(y, gaussian_slice_exact(y)), noise_reject=noise_reject)
+
     def test_pure_noise_rejected(self):
         rng = np.random.default_rng(0)
         y = (np.arange(60) + 0.5) * (SIG / 10)

@@ -409,6 +409,20 @@ class TestAbel:
         assert "values must be finite" in err
         assert not out_csv.exists()
 
+    def test_negative_noise_reject_exits_2(self, capsys, tmp_path):
+        # bad input, not a numerical failure (exit 3)
+        y = (np.arange(80) - 39.5) * 0.5e-6
+        src = tmp_path / "slice.csv"
+        write_profile_csv(src, y, np.exp(-(y**2) / (4e-6) ** 2), "y[um]")
+        out_csv = tmp_path / "rec.csv"
+        code, _, err = run(
+            capsys, "abel", "inverse", "--in", str(src), "--out", str(out_csv),
+            "--noise-reject", "-1",
+        )
+        assert code == 2
+        assert "noise_reject" in err
+        assert not out_csv.exists()
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -510,6 +524,21 @@ class TestFits:
         )
         assert code == 2
         assert "n_boot" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("span", ["5", "0", "-1"])
+    def test_smooth_l3_span_out_of_range_exits_2(self, capsys, tmp_path, span):
+        a = np.geomspace(100.0, 2000.0, 7)
+        src = tmp_path / "points.csv"
+        write_table(
+            src, ["a_bf[a0]", "L3[cm^6/s]"], np.column_stack([a, 1e-25 * a / 1000.0]).tolist()
+        )
+        code, _, err = run(
+            capsys, "smooth-l3", "--in", str(src), "--out", str(tmp_path / "c.csv"),
+            "--span", span,
+        )
+        assert code == 2
+        assert "span" in err
         assert not (tmp_path / "c.csv").exists()
 
     def test_output_failure_exits_4(self, capsys, tmp_path):

@@ -22,12 +22,11 @@ from mixsep.functional import (
     evaluate,
     functional_params,
     half_box_params,
-    local_scale_bound,
     tf_pressure_coefficient,
 )
 from mixsep.grid import Grid2D, dot, grid_for_box
 from mixsep.profiles import bec_tf_profile, fermi_tf_profile, grid_for_scenario
-from mixsep.solver import SolverOptions, minimize
+from mixsep.solver import SolverOptions, local_scale_bound, minimize
 
 SC = default_scenario(a_bf=300.0 * A_BOHR)
 
@@ -119,10 +118,12 @@ FORMULA_RTOL = 1e-13
 
 
 def explicit_functional(params, psi, phi):
-    """(terms, loc_b, loc_f, H_b psi, H_f phi) of unweighted fields, by the plain formulas.
+    """(terms, hess_b + mu_b, hess_f + mu_f, H_b psi, H_f phi) of unweighted
+    fields, by the plain formulas.
 
-    Every quadrature is np.sum(w * ...), and the kinetic operator is the
-    5-point formula on the full grid.
+    hess + mu is each Hamiltonian's local part plus what the second
+    variation adds to it. Every quadrature is np.sum(w * ...), and the
+    kinetic operator is the 5-point formula on the full grid.
     """
     grid = params.grid
     w = grid.weights[:, : psi.shape[1]]
@@ -147,7 +148,9 @@ def explicit_functional(params, psi, phi):
         "fermi_trap": float(np.sum(w * params.v_f * n_f)),
         "interspecies": params.g_bf * float(np.sum(w * n_b * n_f)),
     }
-    return terms, loc_b, loc_f, h_psi, h_phi
+    second_b = loc_b + 2.0 * params.g_bb * n_b
+    second_f = loc_f + (4.0 / 3.0) * (5.0 / 3.0) * params.c_tf * n_f ** (2.0 / 3.0)
+    return terms, second_b, second_f, h_psi, h_phi
 
 
 @pytest.mark.parametrize("mode", ["full", "tf"])
@@ -205,12 +208,12 @@ def test_weighted_evaluate_matches_explicit_weights(small, mode, order, seed):
         u[:, rng.integers(1, grid.n_z + 1):] = 0.0
         fields.append(u)
     ev = evaluate(params, *weighted(grid, *fields), KineticStencil(grid))
-    want_terms, loc_b, loc_f, h_psi, h_phi = explicit_functional(params, *fields)
+    want_terms, second_b, second_f, h_psi, h_phi = explicit_functional(params, *fields)
     for name, want in want_terms.items():
         assert ev.terms[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
     root = grid.root_volumes[:, None]
-    pairs = ((ev.h_psi, root * h_psi), (ev.h_phi, root * h_phi), (ev.loc_b, loc_b),
-             (ev.loc_f, loc_f))
+    pairs = ((ev.h_psi, root * h_psi), (ev.h_phi, root * h_phi),
+             (ev.hess_b + ev.mu_b, second_b), (ev.hess_f + ev.mu_f, second_f))
     for got, want in pairs:
         np.testing.assert_allclose(got, want, rtol=FORMULA_RTOL, atol=0.0)
 
@@ -430,10 +433,8 @@ def test_banded_evaluation_equals_the_whole_box(small, mode, reach):
         assert got.shape[1] == band
         np.testing.assert_array_equal(got, want[:, :band])
         assert np.all(want[:, band:] == 0.0)
-    np.testing.assert_array_equal(banded.loc_b, whole.loc_b[:, : bands[0]])
-    np.testing.assert_array_equal(banded.loc_f, whole.loc_f[:, : bands[1]])
-    np.testing.assert_array_equal(banded.curv_b, whole.curv_b[:, : bands[0]])
-    np.testing.assert_array_equal(banded.curv_f, whole.curv_f[:, : bands[1]])
+    np.testing.assert_array_equal(banded.hess_b, whole.hess_b[:, : bands[0]])
+    np.testing.assert_array_equal(banded.hess_f, whole.hess_f[:, : bands[1]])
 
 
 def test_line_operator_is_apply_without_axial_neighbours(small):
@@ -636,24 +637,24 @@ class TestAdjointness:
 
 
 def test_local_scale_bound_orders(small):
-    # D = max(loc + curv - mu, 0) + floor, built in the evaluation's local
-    # potential: never below the floor, and larger where the local curvature is
+    # D = max(hess, 0) + floor, built in the evaluation's hess: never below
+    # the floor, and larger where the local curvature is
     grid, psi, phi = small
     params = functional_params(SC, grid, "full")
     ev = evaluate(params, *weighted(grid, psi, phi), KineticStencil(grid))
-    for loc, curv, mu in ((ev.loc_b, ev.curv_b, ev.mu_b), (ev.loc_f, ev.curv_f, ev.mu_f)):
-        local = loc + curv - mu
+    for hess, mu in ((ev.hess_b, ev.mu_b), (ev.hess_f, ev.mu_f)):
+        local = hess.copy()
         floor = 0.3 * abs(mu)
-        d = local_scale_bound(loc, curv, mu, floor)
-        # built in place in the evaluation's local potential
-        assert d is loc
+        d = local_scale_bound(hess, floor)
+        # built in place in the evaluation's hess
+        assert d is hess
         np.testing.assert_array_equal(d, np.maximum(local, 0.0) + floor)
         assert np.all(d >= floor) and np.any(d > floor)
         order = np.argsort(local, axis=None, kind="stable")
         assert np.all(np.diff(d.ravel()[order]) >= 0.0)
     # where the curvature does not exceed mu, D is the floor
-    loc, curv = np.array([[-3.0, 0.0, 1.0]]), np.array([[1.0, 1.0, 2.0]])
-    np.testing.assert_array_equal(local_scale_bound(loc, curv, 2.0, 0.5), [[0.5, 0.5, 1.5]])
+    np.testing.assert_array_equal(local_scale_bound(np.array([[-4.0, -1.0, 1.0]]), 0.5),
+                                  [[0.5, 0.5, 1.5]])
 
 
 @pytest.fixture(scope="module")
@@ -675,7 +676,7 @@ def test_curvature_is_the_local_part_of_the_second_variation(mixed_and_separated
     # cell i of H~ u~ by u~_i, the local part of the second variation plus
     # mu, is a central difference under a perturbation of cell i alone, and
     # perturbing every cell at once takes all those one-cell differences in
-    # one evaluation. It must be loc + curv, for both species.
+    # one evaluation. It must be hess + mu, for both species.
     gs = mixed_and_separated[["mixed", "separated"].index(which)]
     grid = gs.grid
     params = functional_params(gs.scenario, grid, "tf")
@@ -687,8 +688,8 @@ def test_curvature_is_the_local_part_of_the_second_variation(mixed_and_separated
         assert gs.n_f.center_value() < 1e-6 * gs.n_f.peak()
     ev = evaluate(params, psi, phi, stencil)
     step = 1e-5
-    for k, (u, h, loc, curv) in enumerate(
-        ((psi, "h_psi", ev.loc_b, ev.curv_b), (phi, "h_phi", ev.loc_f, ev.curv_f))
+    for k, (u, h, hess, mu) in enumerate(
+        ((psi, "h_psi", ev.hess_b, ev.mu_b), (phi, "h_phi", ev.hess_f, ev.mu_f))
     ):
         shifted = []
         for sign in (1.0, -1.0):
@@ -697,9 +698,13 @@ def test_curvature_is_the_local_part_of_the_second_variation(mixed_and_separated
             shifted.append(getattr(evaluate(params, *fields, stencil), h))
         held = u != 0.0
         fd = (shifted[0][held] - shifted[1][held]) / (2.0 * step * u[held])
-        np.testing.assert_allclose(fd, (loc + curv)[held], rtol=1e-8, atol=0.0)
-        # the curvature is what the second variation adds: 2 g_bb n_b and
-        # (4/3) (5/3) c_TF n_f^(2/3)
+        np.testing.assert_allclose(fd, (hess + mu)[held], rtol=1e-8, atol=0.0)
+        # hess + mu is the local potential H u / u plus what the second
+        # variation adds: 2 g_bb n_b and (4/3) (5/3) c_TF n_f^(2/3)
+        n = (u / root) ** 2
+        curv = 2.0 * params.g_bb * n if k == 0 else (20.0 / 9.0) * params.c_tf * np.cbrt(n) ** 2
+        local = getattr(ev, h)[held] / u[held]
+        np.testing.assert_allclose((hess + mu)[held], local + curv[held], rtol=1e-12, atol=0.0)
         assert np.all(curv >= 0.0) and np.any(curv > 0.0)
 
 
@@ -730,6 +735,36 @@ def test_unweighted_calls_peak_at_six_fields():
     np.testing.assert_array_equal(h_psi, ev.h_psi / root)
     np.testing.assert_array_equal(h_phi, ev.h_phi / root)
     assert energy_terms(params, psi, phi, stencil) == ev.terms
+
+
+def test_solver_pass_peak_memory():
+    # the solver's pass adds each curvature to its local potential as soon as
+    # that species' H u is built, which frees the curvature's buffer before
+    # the next stencil apply: on the 256x512 half box it peaks at 7.14
+    # band-sized arrays with both bands full, and at 5.38 with a quarter-width
+    # boson band, where keeping both curvatures to the end would take 5.63
+    grid = grid_for_scenario(SC, 256, 512)
+    params = half_box_params(SC, grid, "full")
+    stencil = KineticStencil(grid, mirror=True)
+    half, root = grid.n_z // 2, grid.root_volumes[:, None]
+    psi, phi = (
+        np.asfortranarray(root * np.sqrt(f[0].values[:, half:]))
+        for f in (bec_tf_profile(SC.bosons, SC.condensate_number, grid),
+                  fermi_tf_profile(SC.fermions, SC.n_fermions, grid))
+    )
+    evaluate(params, psi, phi, stencil)  # builds params.row_factors
+    peaks = []
+    for n_zb in (half, half // 4):
+        assert not psi[:, n_zb - 1:].any()
+        tracemalloc.start()
+        try:
+            ev = evaluate(params, psi[:, :n_zb], phi, stencil)
+            peaks.append(tracemalloc.get_traced_memory()[1] / phi.nbytes)
+        finally:
+            tracemalloc.stop()
+        del ev
+    assert peaks[0] <= 7.2
+    assert peaks[1] <= 5.45
 
 
 @pytest.mark.parametrize("mode", ["full", "tf"])

@@ -440,6 +440,11 @@ class TestSmoothL3:
         for n_boot in (0, -3):
             with pytest.raises(ValidationError, match="n_boot"):
                 smooth_l3(a, l3, n_boot=n_boot)
+        # span is a share of the points: past 1 it asked for more neighbours
+        # than there are, and at or below 0 it silently smoothed over 3
+        for span in (0.0, -1.0, 1.5, 5.0, math.nan):
+            with pytest.raises(ValidationError, match="span"):
+                smooth_l3(a, l3, span=span, n_boot=10)
 
     def test_domain_constant(self):
         assert SMOOTH_DOMAIN_A0 == (80.0, 2100.0)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from mixsep.functional import (
     evaluate,
     functional_params,
     half_box_params,
-    local_scale_bound,
 )
 from mixsep.grid import dot, integrate_product
 from mixsep.physics import coupling_bb
@@ -46,6 +46,7 @@ from mixsep.solver import (
     GroundState,
     SolverOptions,
     interface_thickness,
+    local_scale_bound,
     minimize,
 )
 
@@ -198,17 +199,18 @@ def test_full_preconditioner_is_symmetric_positive(full0):
     stencil, params, ev = _step_inputs(full0)
     rng = np.random.default_rng(6)
     species = (
-        (ev.loc_b, ev.curv_b, ev.mu_b, params.coef_kin_b),
-        (ev.loc_f, ev.curv_f, ev.mu_f, params.coef_kin_f),
+        (ev.hess_b, ev.mu_b, params.coef_kin_b),
+        (ev.hess_f, ev.mu_f, params.coef_kin_f),
     )
-    for loc, curv, mu, coef in species:
-        a, b = rng.standard_normal((2,) + loc.shape)
-        p_a = solver._precondition(a.copy(), loc.copy(), curv, mu, coef, stencil)
-        p_b = solver._precondition(b.copy(), loc.copy(), curv, mu, coef, stencil)
+    for hess, mu, coef in species:
+        floor = solver._CURVATURE_FLOOR * abs(mu)
+        a, b = rng.standard_normal((2,) + hess.shape)
+        p_a = stencil.solve_cells(coef, local_scale_bound(hess.copy(), floor), a.copy())
+        p_b = stencil.solve_cells(coef, local_scale_bound(hess.copy(), floor), b.copy())
         assert dot(a, p_b) == pytest.approx(dot(p_a, b), rel=1e-12)
         assert dot(a, p_a) > 0.0
         # the kinetic term only lowers the step below diag(D)^-1's
-        diag = local_scale_bound(loc.copy(), curv, mu, solver._CURVATURE_FLOOR * abs(mu))
+        diag = local_scale_bound(hess.copy(), floor)
         assert dot(a, p_a) < dot(a, a / diag)
 
 
@@ -235,6 +237,23 @@ def test_curvature_preconditioner_halves_the_cold_solve(cold128):
     separated = minimize(sc, grid_for_scenario(sc, 128, 256), SolverOptions(mode="full"))
     assert cold128.converged and separated.converged
     assert (cold128.iterations, separated.iterations) == (15, 264)
+
+
+def test_full_solve_without_condensate():
+    # a species with no atoms starts and stays exactly zero (its target is 0,
+    # so every renormalization returns zeros), with mu and residual 0; a_bf
+    # then enters nothing, so the Fermi sea has the same bytes at any a_bf
+    sc0 = replace(SC, condensate_fraction=0.0)
+    grid = grid_for_scenario(sc0, 32, 64)
+    seas = []
+    for a_bf_a0 in (0.0, 1480.0):
+        gs = minimize(sc0.with_a_bf(a_bf_a0 * A_BOHR), grid, SolverOptions(mode="full"))
+        assert gs.converged
+        assert not gs.n_b.values.any()
+        assert gs.mu_b == 0.0 and gs.residual[0] == 0.0
+        assert gs.n_f.integrate() == pytest.approx(SC.n_fermions, rel=1e-12)
+        seas.append(gs.n_f.values.tobytes())
+    assert seas[0] == seas[1]
 
 
 def test_max_iter_cap(grid48):
