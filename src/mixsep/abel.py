@@ -340,6 +340,8 @@ def center_and_symmetrize(slc: ColumnSlice, center: float | None = None) -> Colu
     baseline-subtracted signal (centroid fallback for flat tops). Output is
     the half-slice on y_k = (k + 1/2) step, linearly resampled and averaged.
     """
+    if center is not None and not math.isfinite(center):
+        raise ValidationError(f"center must be finite, got {center!r}")
     y, v = slc.y, slc.values
     step = slc.step
     n_edge = max(2, len(v) // 10)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # Why a returned state is not converged: only a full-mode solve returns one
-# (a tf-mode solve that finds no state raises ThomasFermiCollapse).
+# (a tf-mode solve that finds no state raises a NumericsError).
 _NOT_CONVERGED = "hit max_iter before converging"
 
 
@@ -36,6 +36,14 @@ def _finite(raw: str) -> float:
         return finite(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{exc}: {raw!r}") from None
+
+
+def _seed(raw: str) -> int:
+    """argparse type of every --seed option: a non-negative integer, else exit 2."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {raw!r}")
+    return value
 
 
 def _print_kv(pairs) -> None:
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV a_bf[a0],L3[cm^6/s][,sigma]")
     p.add_argument("--span", type=_finite, default=0.5)
     p.add_argument("--boot", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", required=True, help="output curve CSV")
     p.set_defaults(func=cmd_smooth_l3)
 
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="input CSV (fig2a, fig2b, fig3)")
     p.add_argument("--ground-state", help="ground-state directory (fig1b)")
     p.add_argument("--noise", type=_finite, default=0.02, help="fig1b noise level")
-    p.add_argument("--seed", type=int, default=0, help="fig1b noise seed")
+    p.add_argument("--seed", type=_seed, default=0, help="fig1b noise seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fig)
 

@@ -250,10 +250,12 @@ def fit_l3(
     (J^T W J)^-1 at the solution: as it stands with sigma (taken as
     absolute), scaled by cost / (M - 2) without.
     """
-    if temperature <= 0.0:
-        raise NonPositiveInput("temperature must be positive")
-    if n_f_peak <= 0.0:
-        raise NonPositiveInput("fermion peak density must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise NonPositiveInput(f"temperature must be positive and finite, got {temperature!r}")
+    if not 0.0 < n_f_peak < math.inf:
+        raise NonPositiveInput(
+            f"fermion peak density n_f_peak must be positive and finite, got {n_f_peak!r}"
+        )
     if not 0.0 < overlap_factor <= 1.0:
         raise ValidationError("overlap_factor must lie in (0, 1]")
     t, n = series.times, series.numbers
@@ -416,6 +418,12 @@ def smooth_l3(
         raise ValidationError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < span <= 1.0:
         raise ValidationError(f"span must lie in (0, 1], got {span}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("a_bf_a0 values must be finite")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("L3 values must be finite")
     if np.any(v <= 0.0):
         raise NonPositiveInput("L3 values must be positive")
     lo, hi = SMOOTH_DOMAIN_A0
@@ -427,8 +435,8 @@ def smooth_l3(
         raise ValidationError("duplicate scattering lengths in input")
     if sigma is not None:
         s = np.asarray(sigma, dtype=float)[order]
-        if np.any(s <= 0.0):
-            raise NonPositiveInput("sigma values must be positive")
+        if not np.all((s > 0.0) & (s < math.inf)):
+            raise NonPositiveInput("sigma values must be positive and finite")
         s_log = s / v
     else:
         s_log = np.ones_like(v)

@@ -160,11 +160,13 @@ directly, with no relaxation step:
   the assignment that puts each bistable cell on the side of its lowest
   minimum there, and the same with any of the split cells on their other
   side (at most _FLIP_CELLS; where no ridge solve succeeded, the
-  _FLIP_CELLS bistable cells of smallest gap), are each taken one Newton
-  step, which needs no evaluation to start (both sides of every bistable
-  cell are known), and ranked by their frozen dual there. The best is
-  finished by a frozen-phase Newton that meets both atom numbers exactly
-  with each bistable cell held on its side (_frozen). Every cell is then
+  _FLIP_CELLS bistable cells of smallest gap), are each ranked by the
+  maximum of the quadratic model of their frozen dual at the maximum:
+  the dual there plus half the Newton step times the atom-number error.
+  Both sides of every bistable cell are known there, so the ranking
+  evaluates no cell. The best is finished by a frozen-phase Newton that
+  meets both atom numbers exactly with each bistable cell held on its
+  side (_frozen), and where it fails, the next. Every cell is then
   at a local minimum of its f - mu . n (KKT), which _kkt checks. By the
   Shapley-Folkman lemma the convexified problem has a solution with at
   most two split cells, one per constraint, so these few assignments
@@ -182,7 +184,7 @@ only the few cells with a_b > 0 get the boson side's closed forms, and
 every other one is the sea. Only cells below _CAP times either mu are
 counted; the rest are empty. One evaluation of every cell takes about
 0.1 ms at 64x128. A solve takes 1 evaluation at a_bf = 0, 5 to 9 in the
-mixed regime and 15 (64x128) to 21 (128x256) past the interface, with
+mixed regime and 10 (64x128) to 13 (128x256) past the interface, with
 the state's energy terms, Rayleigh-quotient mu and residuals from one
 functional evaluation, as a relaxed state's. The returned state has
 iterations = 0 and a one-entry energy_history, and is converged; its
@@ -190,8 +192,11 @@ relative residuals are about 2e-16. Where the KKT check fails, minimize
 raises ThomasFermiCollapse instead of returning a state: under strong
 attraction (-600 a0 and beyond on 32x64) the best assignment misses the
 atom numbers by a factor of ten, or some cells have no local minimum at
-all. The solve does not depend on any start: minimize reads neither a
-warm start nor max_iter in tf mode.
+all. With repulsion, where no assignment the kink search tries meets the
+atom numbers (on coarse grids with many bosons, such as four times the
+default's on 20x40 at 500 a0), it raises a NumericsError that says so.
+The solve does not depend on any start: minimize reads neither a warm
+start nor max_iter in tf mode.
 """
 
 from __future__ import annotations
@@ -206,6 +211,7 @@ from .errors import (
     GridMismatch,
     NonPositiveInput,
     NotSeparated,
+    NumericsError,
     StepUnstable,
     ThomasFermiCollapse,
     ValidationError,
@@ -449,7 +455,8 @@ def minimize(
     reading neither warm_start nor options.max_iter: its state has
     iterations = 0 and a one-entry energy_history, and is converged. It
     raises ThomasFermiCollapse where no pointwise state holds the atoms
-    with every cell at a local minimum.
+    with every cell at a local minimum, and with repulsion a NumericsError
+    where the kink search finds none on this grid.
 
     A full-mode state is always returned; check .converged.
     """
@@ -842,25 +849,22 @@ def _newton_step(targets, atoms, slope, mu, scale) -> np.ndarray:
 
 
 def _frozen(cells: _Cells, mu, targets, side, scale, st):
-    """Newton on mu with each bistable cell held on its side: (energy, mu, states) or None.
+    """Newton on mu with each bistable cell held on its side: (mu, states) or None.
 
-    st is the states at mu. The energy is the half box's, sum w f(n).
-    None once a step fails to halve the largest relative atom-number
-    error, as where a held side ceases to exist, or after _MAX_NEWTON
-    steps.
+    st is the states at mu. None once a step fails to halve the largest
+    relative atom-number error, as where a held side ceases to exist, or
+    after _MAX_NEWTON steps.
     """
     held = targets > 0.0
     error = math.inf
     for _ in range(_MAX_NEWTON):
-        omega, atoms, slope = st.sums()
+        _, atoms, slope = st.sums()
         previous, error = error, np.max(np.abs(atoms - targets)[held] / targets[held])
         if error > 0.5 * previous:
             return None
         step = _newton_step(targets, atoms, slope, mu, scale)
         if _settled(step, mu):
-            mu, st = _last_step(cells, mu, step, st, side)
-            omega, atoms, _ = st.sums()
-            return omega + mu @ atoms, mu, st
+            return _last_step(cells, mu, step, st, side)
         mu = mu + step
         st = cells.states(mu, side)
     return None
@@ -978,15 +982,19 @@ def _dual_ascent(cells: _Cells, mu, targets, scale):
 
 
 def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
-    """The lowest-energy assignment near a kink: (energy, mu, states) or None.
+    """The lowest-energy assignment near a kink: (mu, states) or None.
 
     The candidates are the assignment at mu and the same with any of the
     flip cells on their other side: the split cells, or else the
-    _FLIP_CELLS bistable cells of smallest gap. Each takes one Newton step
-    from mu, whose start needs no evaluation (the flipped cells' other
-    sides are in st), and is ranked by its frozen dual there, which its
-    maximum, the assignment's energy, exceeds only to second order in the
-    step. The best-ranked one that converges wins.
+    _FLIP_CELLS bistable cells of smallest gap. Each is ranked by the
+    maximum of the quadratic model of its frozen dual at mu that its Newton
+    step uses: the dual at mu plus (N - atoms) . step / 2, where the
+    flipped cells' omegas move the dual at mu off the one all candidates
+    share. That needs no evaluation, since the flipped cells' other sides
+    are in st, and the frozen dual's own maximum, the assignment's energy,
+    differs from it only to third order in the step. Ties go to the
+    candidate listed first. The best-ranked one that converges wins, and
+    only the candidates tried are evaluated.
     """
     pairs = st.bistable
     order = np.argsort(pairs.gap)
@@ -996,9 +1004,9 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
         order = order[in_split[pairs.cells[order]]]
     at = order[:_FLIP_CELLS]
     w, sea, boson, d_sea, d_boson, on_sea = pairs.sides(at)
+    jump = pairs.sea[1][at] - pairs.boson[2][at]  # omega_F - omega_B
     _, atoms, slope = st.sums()
     ranked = []
-    best = None  # (score, states) of the best candidate so far
     for subset in range(1 << len(at)):
         flip = [j for j in range(len(at)) if subset >> j & 1]
         side = st.sides.copy()
@@ -1007,16 +1015,11 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
         sign = np.where(on_sea[flip], -1.0, 1.0) * w[flip]
         a = atoms + (sea[:, flip] - boson[:, flip]) @ sign
         h = slope + (d_sea[:, :, flip] - d_boson[:, :, flip]) @ sign
-        trial = mu + _newton_step(targets, a, h, mu, scale)
-        st_t = cells.states(trial, side)
-        o, _, _ = st_t.sums()
-        score = o + trial @ targets
-        ranked.append((score, len(ranked), trial, side))
-        if best is None or score < best[0]:
-            best = (score, st_t)
-    for k, (_, _, trial, side) in enumerate(sorted(ranked, key=lambda c: c[:2])):
-        st_t = best[1] if k == 0 else cells.states(trial, side)
-        found = _frozen(cells, trial, targets, side, scale, st_t)
+        step = _newton_step(targets, a, h, mu, scale)
+        score = jump[flip] @ sign + 0.5 * (targets - a) @ step
+        ranked.append((score, subset, mu + step, side))
+    for _, _, trial, side in sorted(ranked, key=lambda c: c[:2]):
+        found = _frozen(cells, trial, targets, side, scale, cells.states(trial, side))
         if found is not None:
             return found
     return None
@@ -1036,7 +1039,12 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
     if split is not None:
         found = _kink_search(cells, mu, st, split, targets, scale)
         if found is not None:
-            _, mu, st = found
+            mu, st = found
+        elif params.g_bf >= 0.0:
+            raise NumericsError(
+                f"at a_bf = {scenario.a_bf / A_BOHR:.6g} a0, no side assignment near the kink"
+                f" meets the atom numbers on this {grid.n_rho}x{grid.n_z} grid"
+            )
     failure = _kkt(params, st, mu, targets)
     if failure is not None:
         raise ThomasFermiCollapse(

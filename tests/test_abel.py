@@ -242,6 +242,14 @@ class TestCentering:
         with pytest.raises(CenterNotFound):
             center_and_symmetrize(ColumnSlice(y, v))
 
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center_raises(self, center):
+        # nan and inf once reached int(math.floor(...)) and raised ValueError
+        # and OverflowError from there
+        y = np.arange(-10.0, 10.0) + 0.5
+        with pytest.raises(ValidationError, match="center must be finite"):
+            center_and_symmetrize(ColumnSlice(y, np.exp(-(y**2))), center=center)
+
 
 class TestInverseGuards:
     def test_uncentered_slice_rejected(self):

@@ -541,6 +541,18 @@ class TestFits:
         assert "span" in err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_smooth_l3_nan_cell_exits_2(self, capsys, tmp_path):
+        # a CSV cell reading nan once ended in "data too sparse"
+        a = np.geomspace(100.0, 2000.0, 7)
+        l3 = 1e-25 * a / 1000.0
+        l3[2] = math.nan
+        src = tmp_path / "points.csv"
+        write_table(src, ["a_bf[a0]", "L3[cm^6/s]"], np.column_stack([a, l3]).tolist())
+        code, _, err = run(capsys, "smooth-l3", "--in", str(src), "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "L3 values must be finite" in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_output_failure_exits_4(self, capsys, tmp_path):
         p = self.write_decay(tmp_path)
         blocker = tmp_path / "blocker"
@@ -579,6 +591,24 @@ def test_non_finite_float_option_exits_2(capsys, tmp_path, fast_cfg, argv, optio
         main(argv)
     assert exc.value.code == 2
     assert f"argument {option}: not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth-l3", "--in", "{tmp}/points.csv", "--out", "{tmp}/out", "--seed", "-1"],
+    ["fig", "fig1b", "--ground-state", "{tmp}/gs", "--out", "{tmp}/out", "--seed", "-1"],
+], ids=["smooth-l3", "fig1b"])
+def test_negative_seed_exits_2(capsys, tmp_path, fast_cfg, argv):
+    # on valid inputs, numpy's generator once raised its own ValueError: exit 1
+    a = np.geomspace(100.0, 2000.0, 7)
+    write_table(tmp_path / "points.csv", ["a_bf[a0]", "L3[cm^6/s]"],
+                np.column_stack([a, 1e-25 * a / 1000.0]).tolist())
+    if argv[0] == "fig":
+        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(tmp_path / "gs"))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert "argument --seed: not a non-negative integer: '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSweepAndFig:

@@ -163,6 +163,18 @@ class TestFitL3:
         with pytest.raises(ValidationError):
             fit_l3(series, SPECIES, self.T, self.NF, overlap_factor=1.5)
 
+    @pytest.mark.parametrize(
+        "temperature, n_f_peak, name",
+        [(math.nan, NF, "temperature"), (math.inf, NF, "temperature"),
+         (T, math.inf, "n_f_peak"), (T, math.nan, "n_f_peak")],
+    )
+    def test_non_finite_inputs_raise(self, temperature, n_f_peak, name):
+        # nan and inf once passed the <= 0 checks: l3 = nan at temperature
+        # nan, 0.0 at n_f_peak inf, ZeroDivisionError at temperature inf
+        series, _ = self.series_for(1.0e-37)
+        with pytest.raises(NonPositiveInput, match=name):
+            fit_l3(series, SPECIES, temperature, n_f_peak)
+
     def test_too_few_points(self):
         short = DecaySeries(np.array([0.0, 1.0, 2.0]), np.array([9.0, 8.0, 7.0]))
         with pytest.raises(TooFewPoints):
@@ -445,6 +457,22 @@ class TestSmoothL3:
         for span in (0.0, -1.0, 1.5, 5.0, math.nan):
             with pytest.raises(ValidationError, match="span"):
                 smooth_l3(a, l3, span=span, n_boot=10)
+        # numpy's generator raised its own ValueError on a negative seed
+        with pytest.raises(ValidationError, match="seed"):
+            smooth_l3(a, l3, n_boot=10, seed=-1)
+
+    @pytest.mark.parametrize("column", ["a_bf_a0", "l3", "sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_raise(self, column, bad):
+        # a nan once passed every check and ended in InsufficientData
+        # ("data too sparse") after a RuntimeWarning
+        a, l3 = self.power_law()
+        data = {"a_bf_a0": a.copy(), "l3": l3.copy(), "sigma": 0.1 * l3}
+        data[column][3] = bad
+        error = NonPositiveInput if column == "sigma" else ValidationError
+        name = "L3" if column == "l3" else column
+        with pytest.raises(error, match=f"{name} values must be .*finite"):
+            smooth_l3(**data, n_boot=10)
 
     def test_domain_constant(self):
         assert SMOOTH_DOMAIN_A0 == (80.0, 2100.0)

@@ -21,6 +21,7 @@ from mixsep.errors import (
     GridMismatch,
     NonPositiveInput,
     NotSeparated,
+    NumericsError,
     StepUnstable,
     ThomasFermiCollapse,
     ValidationError,
@@ -738,6 +739,36 @@ def test_tf_state_past_the_kink(n_rho, energy):
         assert gs.energy == pytest.approx(energy, rel=1e-13)
         assert not np.any((gs.n_b.values > 0.0) & (gs.n_f.values > 0.0))
     assert states[0].n_b.values.tobytes() == states[1].n_b.values.tobytes()
+
+
+@pytest.mark.parametrize("n_rho, a_bf_a0, evaluations", [(64, 800.0, 10), (64, 1480.0, 10), (128, 1480.0, 13)])
+def test_tf_solve_past_the_kink_evaluations(monkeypatch, n_rho, a_bf_a0, evaluations):
+    # The kink search ranks its side assignments by their Newton models,
+    # which need no evaluation, and evaluates only those it finishes: one
+    # pass per candidate tried. Evaluating each to rank them took 13 on
+    # 64x128 and 20 on 128x256.
+    calls = []
+    states = solver._Cells.states
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return states(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Cells, "states", counted)
+    grid = grid_for_scenario(SC, n_rho, 2 * n_rho)
+    minimize(SC.with_a_bf(a_bf_a0 * A_BOHR), grid, SolverOptions(mode="tf"))
+    assert len(calls) == evaluations
+
+
+def test_unfinished_kink_search_is_not_a_collapse():
+    # With four times the bosons on 20x40 at 500 a0 no side assignment near
+    # the kink meets the atom numbers. With repulsion that is the coarse
+    # grid's failure, not a collapse of the mixture, and the solve says so.
+    sc = replace(SC, n_bosons=4.0 * SC.n_bosons).with_a_bf(500.0 * A_BOHR)
+    with pytest.raises(NumericsError, match="a_bf = 500 a0, no side assignment near the kink"
+                                            " meets the atom numbers on this 20x40 grid") as exc:
+        minimize(sc, grid_for_scenario(sc, 20, 40), SolverOptions(mode="tf"))
+    assert not isinstance(exc.value, ThomasFermiCollapse)
 
 
 def test_ridge_solve_lands_on_the_dual_maximum():
