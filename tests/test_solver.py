@@ -741,12 +741,13 @@ def test_tf_state_past_the_kink(n_rho, energy):
     assert states[0].n_b.values.tobytes() == states[1].n_b.values.tobytes()
 
 
-@pytest.mark.parametrize("n_rho, a_bf_a0, evaluations", [(64, 800.0, 10), (64, 1480.0, 10), (128, 1480.0, 13)])
+@pytest.mark.parametrize(
+    "n_rho, a_bf_a0, evaluations", [(64, 800.0, 10), (64, 1480.0, 10), (128, 1480.0, 13)]
+)
 def test_tf_solve_past_the_kink_evaluations(monkeypatch, n_rho, a_bf_a0, evaluations):
     # The kink search ranks its side assignments by their Newton models,
     # which need no evaluation, and evaluates only those it finishes: one
-    # pass per candidate tried. Evaluating each to rank them took 13 on
-    # 64x128 and 20 on 128x256.
+    # pass per candidate tried.
     calls = []
     states = solver._Cells.states
 
