@@ -25,8 +25,9 @@ evaluate returns H~ psi~ = sqrt(w) (H_b psi), likewise for phi. The local
 potentials need the densities n = psi~^2 / w, and each 1/w rides in the
 per-row factor of a product the pass forms anyway
 (EnergyFunctionalParams.row_factors), so the weights cost no pass.
-energy_terms and apply_hamiltonians take unweighted fields: they scale
-them in and H psi, H phi back out.
+evaluate is the only pass. energy_terms and apply_hamiltonians take
+unweighted fields: they scale them into new arrays, run evaluate on them,
+and apply_hamiltonians scales H psi, H phi back out.
 
 The solver calls evaluate once per iteration, so it is written to pass over
 each field-sized array as few times as it can: the stencil is three radial
@@ -312,8 +313,7 @@ class Evaluation:
     Hamiltonian's local part plus what the second variation adds to it,
     2 g_bb n_b and (4/3) (5/3) c_TF n_f^(2/3), minus mu, so
     V_b + 3 g_bb n_b + g_bf n_f - mu_b and
-    V_f + (35/9) c_TF n_f^(2/3) + g_bf n_b - mu_f. They are None from the
-    pass energy_terms and apply_hamiltonians run. mu_b / mu_f are the
+    V_f + (35/9) c_TF n_f^(2/3) + g_bf n_b - mu_f. mu_b / mu_f are the
     Rayleigh quotients sum(psi~ H~ psi~) / sum(psi~^2) =
     <psi, H_b psi>_w / <psi, psi>_w of each species, 0 for an empty one.
     """
@@ -321,8 +321,8 @@ class Evaluation:
     terms: dict
     h_psi: np.ndarray
     h_phi: np.ndarray
-    hess_b: np.ndarray | None
-    hess_f: np.ndarray | None
+    hess_b: np.ndarray
+    hess_f: np.ndarray
     mu_b: float
     mu_f: float
 
@@ -355,7 +355,8 @@ def evaluate(
     hess_b and hess_f are built in the local potentials' buffers once each
     H u is: the curvatures are g_bb n_b and the local Fermi energy, which
     the pass forms for the terms, scaled and added there, and mu is
-    subtracted once the terms give it.
+    subtracted once the terms give it. Besides psi and phi the pass holds
+    at most six arrays of a band's size at any time (with both bands full).
 
     psi and phi may each hold only the first z columns of the potentials'
     box, its band: the species is zero past the band's last column, and so
@@ -373,19 +374,6 @@ def evaluate(
     Hamiltonians. norms, when given, are those two: the solver passes the
     atom numbers it renormalized each field to, so it makes no sum for them.
     Otherwise they are summed here.
-    """
-    return _evaluate(params, psi, phi, stencil, norms, in_place=False)
-
-
-def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
-    """evaluate, or with in_place H~ psi~ and H~ phi~ built over psi and phi.
-
-    In place, the pass keeps no curvature (hess_b and hess_f are None) and
-    holds at most four field-sized arrays besides psi and phi at any time,
-    so that apply_hamiltonians and energy_terms, whose scaled copies of
-    their inputs it overwrites, peak at six. The solver's pass keeps the
-    curvatures until each is added to its local potential, and peaks at
-    seven arrays of a band's size. H u is the same bits either way.
     """
     g_bb_w, g_bf_w, fermi_w = params.row_factors
     n_zb, n_zf = psi.shape[1], phi.shape[1]
@@ -405,11 +393,9 @@ def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
     g_bb_n_b = a_b * g_bb_w
     bec_interaction = 0.5 * dot(a_b, g_bb_n_b)
 
-    # loc_b takes a_f's buffer (unless the bosons reach further), and a_b
-    # ends as g_bf n_b. In place, loc_f is built in the Fermi energy's
-    # buffer and the Hamiltonians over psi and phi; otherwise the Fermi
-    # energy and g_bb n_b are kept for the curvatures and a_b's buffer
-    # takes H~ psi~.
+    # loc_b takes a_f's buffer (unless the bosons reach further), and a_b,
+    # as g_bf n_b, is freed once it has joined loc_f. The Fermi energy and
+    # g_bb n_b are kept for the curvatures.
     loc_b = a_f[:, :n_zb] if n_zb <= n_zf else np.zeros_like(a_b)
     np.multiply(a_f[:, :both], g_bf_w, out=loc_b[:, :both])
     interspecies = dot(a_b[:, :both], loc_b[:, :both])
@@ -417,26 +403,19 @@ def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
     loc_b += v_b
     loc_b += g_bb_n_b
     a_b *= g_bf_w
-    if in_place:
-        loc_f = fermi
-        loc_f += v_f
-        curv_b = curv_f = None
-        out_b, out_f = psi, phi
-    else:
-        loc_f = np.add(fermi, v_f)
-        curv_b, curv_f = g_bb_n_b, fermi
-        curv_b *= 2.0
-        curv_f *= 4.0 / 3.0
-        out_b, out_f = a_b, None
+    loc_f = np.add(fermi, v_f)
     loc_f[:, :both] += a_b[:, :both]
+    curv_b, curv_f = g_bb_n_b, fermi
+    curv_b *= 2.0
+    curv_f *= 4.0 / 3.0
     del fermi, g_bb_n_b, a_b
     # Each curvature joins its local potential as soon as that species' H u
     # is built, which frees the curvature's buffer.
-    bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil, out_b)
-    hess_b = None if in_place else np.add(loc_b, curv_b, out=loc_b)
+    bec_kinetic, h_psi = _hamiltonian(loc_b, psi, params.coef_kin_b, stencil)
+    hess_b = np.add(loc_b, curv_b, out=loc_b)
     del curv_b
-    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil, out_f)
-    hess_f = None if in_place else np.add(loc_f, curv_f, out=loc_f)
+    fermi_gradient, h_phi = _hamiltonian(loc_f, phi, params.coef_kin_f, stencil)
+    hess_f = np.add(loc_f, curv_f, out=loc_f)
     del curv_f
     terms = {
         "bec_kinetic": bec_kinetic,
@@ -457,9 +436,8 @@ def _evaluate(params, psi, phi, stencil, norms, in_place: bool) -> Evaluation:
     mu_f = _rayleigh_from_terms(
         fermi_gradient + fermi_trap + (5.0 / 3.0) * fermi_pressure + interspecies, norm_f
     )
-    if not in_place:
-        hess_b -= mu_b
-        hess_f -= mu_f
+    hess_b -= mu_b
+    hess_f -= mu_f
     return Evaluation(terms, h_psi, h_phi, hess_b, hess_f, mu_b, mu_f)
 
 
@@ -467,18 +445,18 @@ def _rayleigh_from_terms(u_h_u: float, norm2: float) -> float:
     return u_h_u / norm2 if norm2 > 0.0 else 0.0
 
 
-def _hamiltonian(loc, u, coef_kin, stencil, out):
-    """(coef_kin sum(u K~ u), loc u + coef_kin K~ u), the latter in out.
+def _hamiltonian(loc, u, coef_kin, stencil):
+    """(coef_kin sum(u K~ u), loc u + coef_kin K~ u).
 
-    out may be u itself, or None for a new array, which is made only once
-    the stencil's own temporary is freed.
+    The new array for H u is made only once the stencil's own temporary is
+    freed.
     """
     if coef_kin == 0.0:
-        return 0.0, np.multiply(loc, u, out=out)
+        return 0.0, loc * u
     k_u = stencil.apply(u)
     kinetic = coef_kin * dot(u, k_u)
     k_u *= coef_kin
-    h_u = np.multiply(loc, u, out=out)
+    h_u = loc * u
     h_u += k_u
     return kinetic, h_u
 
@@ -491,10 +469,11 @@ def energy_terms(
 ) -> dict:
     """Breakdown of the total energy, J, of unweighted fields psi and phi.
 
+    The fields are scaled by sqrt(w) into two new arrays for evaluate.
     Raises on non-finite terms.
     """
     root = params.grid.root_volumes[:, None]
-    return _evaluate(params, psi * root, phi * root, stencil, None, in_place=True).terms
+    return evaluate(params, psi * root, phi * root, stencil).terms
 
 
 def apply_hamiltonians(
@@ -505,10 +484,11 @@ def apply_hamiltonians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(H_b psi, H_f phi) of unweighted fields; dE/dpsi = 2 w (H_b psi), likewise for phi.
 
-    They are built in the scaled copies of psi and phi the pass works on.
+    The fields are scaled by sqrt(w) into two new arrays for evaluate, and
+    its H~ psi~ and H~ phi~ are scaled back out in place.
     """
     root = params.grid.root_volumes[:, None]
-    ev = _evaluate(params, psi * root, phi * root, stencil, None, in_place=True)
+    ev = evaluate(params, psi * root, phi * root, stencil)
     h_psi, h_phi = ev.h_psi, ev.h_phi
     h_psi /= root
     h_phi /= root

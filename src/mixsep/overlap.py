@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import A_BOHR
-from .errors import ZeroDenominator, ZeroReference
+from .errors import NonPositiveInput, ZeroDenominator, ZeroReference
 from .grid import DensityField, Grid2D, integrate_product
 from .physics import coupling_bb, coupling_bf
 from .profiles import (
@@ -167,6 +167,15 @@ def thermal_field_for(gs: GroundState, cloud: ThermalCloudParams) -> DensityFiel
     return field
 
 
+def require_bosons(scenario: MixtureScenario) -> None:
+    """Raise NonPositiveInput unless scenario has bosons, whose loss rate
+    gamma = -Ndot / N_b the overlap report forms."""
+    if scenario.n_bosons <= 0.0:
+        raise NonPositiveInput(
+            f"n_bosons must be positive for a loss rate, got {scenario.n_bosons!r}"
+        )
+
+
 def omega_eff_from_ground_state(
     gs: GroundState,
     l3: float = DEFAULT_L3,
@@ -174,8 +183,12 @@ def omega_eff_from_ground_state(
     reference: tuple[DensityField, DensityField] | None = None,
     peaks: PeakQuantities | None = None,
 ) -> OverlapReport:
-    """Full overlap report for one converged ground state."""
+    """Full overlap report for one converged ground state.
+
+    Raises NonPositiveInput for a mixture with no bosons (require_bosons).
+    """
     sc = gs.scenario
+    require_bosons(sc)
     if alpha is None:
         alpha = sc.alpha
     beta = sc.condensate_fraction

@@ -36,7 +36,12 @@ from .errors import (
 )
 from .grid import DensityField, Grid2D
 from .lossfit import DecaySeries, SmoothedCurve
-from .overlap import OverlapReport, omega_eff_from_ground_state, reference_fields
+from .overlap import (
+    OverlapReport,
+    omega_eff_from_ground_state,
+    reference_fields,
+    require_bosons,
+)
 from .physics import SpeciesParams, critical_scattering_length
 from .profiles import PeakQuantities, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
@@ -466,7 +471,12 @@ def _point_record(mode: str, a_bf: float, gs: GroundState | None, err: str | Non
 
 def _start_sweep(config: RunConfig,
                  out_dir) -> tuple[Path, Grid2D, PeakQuantities, RunManifest]:
-    """Output directory, grid, peak densities and manifest; writes the config snapshot."""
+    """Output directory, grid, peak densities and manifest; writes the config snapshot.
+
+    A mixture with no bosons has no loss rate to report, so it raises
+    NonPositiveInput here, before anything is solved or written.
+    """
+    require_bosons(config.scenario)
     out = _ensure_dir(out_dir)
     grid = grid_for_scenario(config.scenario, config.n_rho, config.n_z, config.box_factor)
     config_text = serialize_config(config)
@@ -711,6 +721,8 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
 
 
 def _emit_fig1b(out: Path, ground_state: GroundState, noise: float = 0.0, seed: int = 0):
+    if not 0.0 <= noise < math.inf:
+        raise ValidationError(f"fig1b noise must be finite and non-negative, got {noise!r}")
     gs = ground_state
     grid = gs.grid
     true_radial = RadialProfile(grid.rho.copy(), gs.n_f.axial_slice().copy())

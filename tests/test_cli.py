@@ -689,6 +689,49 @@ class TestSweepAndFig:
         assert code == 3
         assert "[full] a_bf = 100 a0: hit max_iter before converging" in err
 
+    @pytest.mark.parametrize("mode", ["both", "full", "tf"])
+    def test_boson_free_sweep_exits_2_before_solving(self, capsys, tmp_path, monkeypatch, mode):
+        # a mixture with no bosons has no loss rate to report: every sweep
+        # product stops on it before its first solve, where it once ended in
+        # a ZeroDivisionError traceback (exit 1)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            FAST_CFG + "[mixture]\nn_bosons = 0\n[sweep]\na_bf_list_a0 = 100, 800\n",
+            encoding="utf-8",
+        )
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the sweep solved a point")
+
+        monkeypatch.setattr(pipeline, "minimize", no_solve)
+        out_dir = tmp_path / "run"
+        code, _, err = run(
+            capsys, "sweep", "--config", str(cfg), "--mode", mode, "--out", str(out_dir), "--quiet"
+        )
+        assert code == 2
+        assert "n_bosons" in err
+        assert not out_dir.exists()
+
+    def test_boson_free_overlap_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "nob.cfg"
+        cfg.write_text(FAST_CFG + "[mixture]\nn_bosons = 0\n", encoding="utf-8")
+        gs_dir = tmp_path / "gs"
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(gs_dir))[0] == 0
+        code, _, err = run(capsys, "overlap", "--ground-state", str(gs_dir))
+        assert code == 2
+        assert "n_bosons" in err
+
+    def test_fig1b_negative_noise_exits_2(self, capsys, tmp_path, fast_cfg):
+        gs_dir = tmp_path / "gs"
+        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(gs_dir))[0] == 0
+        code, _, err = run(
+            capsys, "fig", "fig1b", "--ground-state", str(gs_dir),
+            "--out", str(tmp_path / "f1b"), "--noise", "-0.5",
+        )
+        assert code == 2
+        assert "noise" in err
+        assert not list((tmp_path / "f1b").glob("*.csv"))
+
     def test_overlap_report(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
         run(capsys, "solve", "--config", fast_cfg, "--abf", "300", "--out", str(gs_dir))

@@ -708,11 +708,10 @@ def test_curvature_is_the_local_part_of_the_second_variation(mixed_and_separated
         assert np.all(curv >= 0.0) and np.any(curv > 0.0)
 
 
-def test_unweighted_calls_peak_at_six_fields():
-    # apply_hamiltonians and energy_terms build H u in their scaled copies of
-    # the fields and keep no curvature: on the full 256x512 grid each peaks
-    # at six field-sized arrays of 1 MiB, no more than the 6.4 MB the call
-    # took while evaluate worked on unweighted fields
+def test_unweighted_calls_scale_the_single_pass():
+    # apply_hamiltonians and energy_terms scale the fields into two new
+    # arrays and run evaluate on them: on the full 256x512 grid each peaks
+    # at 8.07 field-sized arrays of 1 MiB, the pass's six and the two copies
     grid = grid_for_scenario(SC, 256, 512)
     params = functional_params(SC, grid, "full")
     psi = np.sqrt(bec_tf_profile(SC.bosons, SC.condensate_number, grid)[0].values)
@@ -723,11 +722,11 @@ def test_unweighted_calls_peak_at_six_fields():
         tracemalloc.start()
         try:
             result = fn(params, psi, phi, stencil)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] / phi.nbytes)
         finally:
             tracemalloc.stop()
         del result
-    assert max(peaks) <= 6.4e6
+    assert max(peaks) <= 8.2
     # the same bits as the solver's pass, scaled back out
     root = grid.root_volumes[:, None]
     ev = evaluate(params, psi * root, phi * root, stencil)
@@ -740,9 +739,10 @@ def test_unweighted_calls_peak_at_six_fields():
 def test_solver_pass_peak_memory():
     # the solver's pass adds each curvature to its local potential as soon as
     # that species' H u is built, which frees the curvature's buffer before
-    # the next stencil apply: on the 256x512 half box it peaks at 7.14
-    # band-sized arrays with both bands full, and at 5.38 with a quarter-width
-    # boson band, where keeping both curvatures to the end would take 5.63
+    # the next stencil apply, and frees a_b once it has joined the fermions'
+    # local potential: on the 256x512 half box it peaks at 6.13 band-sized
+    # arrays with both bands full, and at 5.38 with a quarter-width boson
+    # band, where keeping both curvatures to the end would take 5.63
     grid = grid_for_scenario(SC, 256, 512)
     params = half_box_params(SC, grid, "full")
     stencil = KineticStencil(grid, mirror=True)
@@ -763,7 +763,7 @@ def test_solver_pass_peak_memory():
         finally:
             tracemalloc.stop()
         del ev
-    assert peaks[0] <= 7.2
+    assert peaks[0] <= 6.2
     assert peaks[1] <= 5.45
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
-from mixsep.errors import ZeroDenominator, ZeroReference
+from mixsep.errors import NonPositiveInput, ZeroDenominator, ZeroReference
 from mixsep.grid import DensityField, grid_for_box, integrate_product
 from mixsep.overlap import (
     DEFAULT_L3,
@@ -245,3 +245,12 @@ def test_thermal_field_number(tf0):
     cloud = ThermalCloudParams(SC.bosons, SC.n_bosons, SC.condensate_fraction)
     t = thermal_field_for(tf0, cloud)
     assert t.integrate() == pytest.approx(cloud.n_thermal, rel=1e-12)
+
+
+def test_boson_free_state_has_no_loss_rate():
+    # gamma = -Ndot / N_b needs bosons: a boson-free mixture solves, and its
+    # overlap report is bad input naming n_bosons, not a division by zero
+    sc = replace(SC, n_bosons=0.0)
+    gs = minimize(sc, grid_for_scenario(sc, 32, 64), SolverOptions(mode="tf"))
+    with pytest.raises(NonPositiveInput, match="n_bosons"):
+        omega_eff_from_ground_state(gs)

@@ -371,6 +371,13 @@ class TestPlotData:
         with pytest.raises(TypeError, match="nosie"):
             emit_plot_data("fig1b", tmp_path, ground_state=gs_sep, nosie=0.1)
 
+    @pytest.mark.parametrize("noise", [-0.5, -1e-12, float("nan"), float("inf")])
+    def test_fig1b_rejects_a_noise_it_would_not_apply(self, tmp_path, gs_sep, noise):
+        # a negative noise once wrote "# noise = -0.5" over noiseless data
+        with pytest.raises(ValidationError, match="noise"):
+            emit_plot_data("fig1b", tmp_path, ground_state=gs_sep, noise=noise)
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_fig1b_warns_on_a_profile_that_has_not_decayed(self, tmp_path, gs_sep):
         # a Fermi sea that fills the box to its edge has not decayed there,
         # with noise or without
