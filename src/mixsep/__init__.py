@@ -2,6 +2,10 @@
 repulsive Bose-Fermi mixture: imaginary-time mean-field solver, overlap
 factors, three-body loss fitting, and Abel reconstruction."""
 
+# The one place the version is written: pyproject.toml reads it at build
+# time, and every meta.json and manifest records it.
+__version__ = "0.1.0"
+
 from .abel import (
     ColumnSlice,
     RadialProfile,
@@ -56,15 +60,6 @@ from .profiles import (
 )
 from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, interface_thickness, minimize
-
-
-def __getattr__(name: str):
-    # __version__, looked up on first use (pipeline.tool_version)
-    if name == "__version__":
-        from .pipeline import tool_version
-
-        return tool_version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

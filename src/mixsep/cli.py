@@ -1,39 +1,59 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad input, 3 numerical failure, 4 output failure.
-MIXSEP_THREADS caps BLAS/OpenMP parallelism; it must take effect before
-numpy loads, so this module imports only the standard library at the top
-and pulls in the heavy modules inside the command handlers.
+Importing the package already loads numpy and every module used here; scipy
+loads only at a full-mode solve's first radial line solve. BLAS threads are
+set by the usual OPENBLAS_NUM_THREADS/OMP_NUM_THREADS before Python starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+from . import config
+from .abel import ColumnSlice, RadialProfile, center_and_symmetrize, forward_abel, inverse_abel
+from .constants import A_BOHR, Constants
+from .errors import InputError, MissingInput, MixsepError, NumericsError, OutputError
+from .lossfit import fit_gamma, fit_l3, smooth_l3
+from .overlap import omega_eff_from_ground_state
+from .physics import (
+    critical_scattering_length,
+    fermi_wavenumber,
+    is_phase_separated,
+    scattering_length,
+)
+from .pipeline import (
+    M3_TO_CM3,
+    M6S_TO_CM6S,
+    PLOT_KINDS,
+    _convergence,
+    emit_plot_data,
+    load_ground_state,
+    read_decay_csv,
+    read_l3_points_csv,
+    read_profile_csv,
+    run_figure3_pipeline,
+    run_overlap_sweep,
+    save_ground_state,
+    write_json,
+    write_profile_csv,
+    write_smoothed_csv,
+)
+from .profiles import fra_peak_quantities, grid_for_scenario
+from .solver import minimize
+
 # Why a returned state is not converged: only a full-mode solve returns one
 # (a tf-mode solve that finds no state raises a NumericsError).
 _NOT_CONVERGED = "hit max_iter before converging"
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MIXSEP_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
-
-
 def _finite(raw: str) -> float:
     """argparse type of every float option: config's finite float, else exit 2."""
-    from .config import _finite as finite
-
     try:
-        return finite(raw)
+        return config._finite(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{exc}: {raw!r}") from None
 
@@ -55,11 +75,9 @@ def _print_kv(pairs) -> None:
 
 
 def _load_config(args):
-    from .config import default_config, load_config
-
     if getattr(args, "config", None):
-        return load_config(args.config)
-    return default_config()
+        return config.load_config(args.config)
+    return config.default_config()
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +85,12 @@ def _load_config(args):
 
 
 def cmd_constants(args) -> int:
-    from .constants import Constants
-
     payload = Constants().as_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_solve(args) -> int:
-    from .constants import A_BOHR
-    from .physics import scattering_length
-    from .pipeline import M3_TO_CM3, _convergence, save_ground_state
-    from .solver import minimize
-    from .profiles import grid_for_scenario
-
     cfg = _load_config(args)
     scenario = cfg.scenario
     if args.abf is not None:
@@ -111,8 +121,6 @@ def cmd_solve(args) -> int:
 
 
 def _progress(mode, idx, a_bf, gs) -> None:
-    from .constants import A_BOHR
-
     if gs is None:
         status = "FAILED"
     else:
@@ -122,8 +130,6 @@ def _progress(mode, idx, a_bf, gs) -> None:
 
 
 def cmd_sweep(args) -> int:
-    from .pipeline import run_figure3_pipeline, run_overlap_sweep
-
     cfg = _load_config(args)
     progress = None if args.quiet else _progress
     if args.mode == "both":
@@ -140,9 +146,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    from .overlap import omega_eff_from_ground_state
-    from .pipeline import load_ground_state, write_json
-
     gs = load_ground_state(args.ground_state)
     kwargs = {} if args.l3 is None else {"l3": args.l3 * 1.0e-12}
     report = omega_eff_from_ground_state(gs, alpha=args.alpha, **kwargs)
@@ -161,14 +164,6 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_criterion(args) -> int:
-    from .constants import A_BOHR
-    from .physics import (
-        critical_scattering_length,
-        fermi_wavenumber,
-        is_phase_separated,
-    )
-    from .profiles import fra_peak_quantities
-
     cfg = _load_config(args)
     scenario = cfg.scenario
     if args.nf_peak is not None:
@@ -191,15 +186,6 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_abel(args) -> int:
-    from .abel import (
-        ColumnSlice,
-        RadialProfile,
-        center_and_symmetrize,
-        forward_abel,
-        inverse_abel,
-    )
-    from .pipeline import read_profile_csv, write_profile_csv
-
     x_m, values = read_profile_csv(args.infile)
     if args.direction == "forward":
         slc = forward_abel(RadialProfile(x_m, values))
@@ -216,9 +202,6 @@ def cmd_abel(args) -> int:
 
 
 def cmd_fit_gamma(args) -> int:
-    from .lossfit import fit_gamma
-    from .pipeline import read_decay_csv, write_json
-
     series = read_decay_csv(args.infile)
     fit = fit_gamma(series, window_fraction=args.window)
     payload = {
@@ -235,9 +218,6 @@ def cmd_fit_gamma(args) -> int:
 
 
 def cmd_fit_l3(args) -> int:
-    from .lossfit import fit_l3
-    from .pipeline import M6S_TO_CM6S, read_decay_csv, write_json
-
     cfg = _load_config(args)
     series = read_decay_csv(args.infile)
     fit = fit_l3(
@@ -262,9 +242,6 @@ def cmd_fit_l3(args) -> int:
 
 
 def cmd_smooth_l3(args) -> int:
-    from .lossfit import smooth_l3
-    from .pipeline import read_l3_points_csv, write_smoothed_csv
-
     a0, l3, sigma = read_l3_points_csv(args.infile)
     curve = smooth_l3(
         a0, l3, sigma, span=args.span, n_boot=args.boot, seed=args.seed
@@ -281,9 +258,6 @@ def cmd_smooth_l3(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    from .errors import MissingInput
-    from .pipeline import PLOT_KINDS, emit_plot_data
-
     _, name, read, what = PLOT_KINDS[args.kind]
     if args.kind == "fig1b":
         path, extra = args.ground_state, {"noise": args.noise, "seed": args.seed}
@@ -397,10 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    from .errors import InputError, NumericsError, OutputError, MixsepError
-
     try:
         return args.func(args)
     except InputError as exc:

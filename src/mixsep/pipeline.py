@@ -10,7 +10,6 @@ hash and a sha256 for every emitted file.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .abel import ColumnSlice, RadialProfile, center_and_symmetrize, forward_abel, inverse_abel
 from .config import RunConfig, serialize_config
 from .constants import A_BOHR, ATOMIC_MASS, joule_to_nk, nk_to_joule
@@ -46,22 +46,6 @@ from .physics import SpeciesParams, critical_scattering_length
 from .profiles import PeakQuantities, fra_peak_quantities, grid_for_scenario
 from .scenario import MixtureScenario
 from .solver import GroundState, SolverOptions, minimize
-
-
-@functools.cache
-def tool_version() -> str:
-    """The installed package's version, "0.1.0" when running from a source tree.
-
-    It is looked up on first use, when a meta.json or a manifest is
-    written: importing importlib.metadata costs about 20 ms, which no
-    command that writes neither should pay.
-    """
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version("mixsep")
-    except PackageNotFoundError:
-        return "0.1.0"
 
 
 FLOAT_FMT = ".12g"
@@ -267,7 +251,7 @@ def save_ground_state(gs: GroundState, dirpath) -> Path:
     sc = gs.scenario
     meta = {
         "tool": "mixsep",
-        "version": tool_version(),
+        "version": __version__,
         "bosons": _species_meta(sc.bosons),
         "fermions": _species_meta(sc.fermions),
         "scenario": {
@@ -354,7 +338,7 @@ def load_ground_state(dirpath) -> GroundState:
 class RunManifest:
     config_sha256: str
     created_utc: str = ""
-    version: str = ""  # the package's, filled in by write()
+    version: str = __version__
     files: list = field(default_factory=list)    # {"path", "sha256", "kind"}
     points: list = field(default_factory=list)   # per-point convergence records
     notes: list = field(default_factory=list)
@@ -372,8 +356,6 @@ class RunManifest:
     def write(self, path) -> Path:
         if not self.created_utc:
             self.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        if not self.version:
-            self.version = tool_version()
         payload = {
             "tool": "mixsep",
             "version": self.version,
@@ -645,17 +627,21 @@ def read_gamma_csv(path) -> list[dict]:
     ]
 
 
-def write_smoothed_csv(curve: SmoothedCurve, path) -> Path:
+def _smoothed_table(curve: SmoothedCurve):
+    """(header, rows, meta) of a smoothed curve's CSV."""
     rows = [
         [a, l * M6S_TO_CM6S, lo * M6S_TO_CM6S, hi * M6S_TO_CM6S]
         for a, l, lo, hi in zip(curve.a_bf_a0, curve.l3, curve.band_lo, curve.band_hi)
     ]
-    return write_table(
-        path,
+    return (
         ["a_bf[a0]", "L3[cm^6/s]", "band_lo[cm^6/s]", "band_hi[cm^6/s]"],
         rows,
-        meta={"span": curve.span, "n_boot": curve.n_boot, "seed": curve.seed},
+        {"span": curve.span, "n_boot": curve.n_boot, "seed": curve.seed},
     )
+
+
+def write_smoothed_csv(curve: SmoothedCurve, path) -> Path:
+    return write_table(path, *_smoothed_table(curve))
 
 
 def _meta_number(meta: dict[str, str], key: str, default: str, path, integer: bool = False):
@@ -709,18 +695,23 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
     fig3: pipeline_csv -> overlap curves reordered for plotting.
 
     The first input named for a kind is required: an absent or empty one
-    raises MissingInput before anything is written. An input the kind's
-    writer does not take raises TypeError.
+    raises MissingInput. An input the kind's tables do not take raises
+    TypeError. Every table is made before out_dir is created, so a rejected
+    input leaves no directory behind.
     """
     if kind not in PLOT_KINDS:
         raise ValidationError(f"unknown plot kind {kind!r}")
-    emit, required, _, _ = PLOT_KINDS[kind]
+    tables, required, _, _ = PLOT_KINDS[kind]
     if not inputs.get(required):
         raise MissingInput(f"{kind} needs {required}")
-    return emit(_ensure_dir(out_dir), **inputs)
+    made = tables(**inputs)
+    out = _ensure_dir(out_dir)
+    return [write_table(out / name, header, rows, meta) for name, header, rows, meta in made]
 
 
-def _emit_fig1b(out: Path, ground_state: GroundState, noise: float = 0.0, seed: int = 0):
+# Each kind's tables, [(file name, header, rows, meta)]: made in full before
+# emit_plot_data creates the directory and writes them.
+def _fig1b_tables(ground_state: GroundState, noise: float = 0.0, seed: int = 0):
     if not 0.0 <= noise < math.inf:
         raise ValidationError(f"fig1b noise must be finite and non-negative, got {noise!r}")
     gs = ground_state
@@ -749,53 +740,38 @@ def _emit_fig1b(out: Path, ground_state: GroundState, noise: float = 0.0, seed: 
         [y * 1e6, t / peak_col, v / peak_col]
         for y, t, v in zip(slc.y, slc.values, noisy.values)
     ]
-    p1 = write_table(
-        out / "fig1b_column.csv",
-        ["y[um]", "coldens_true_norm", "coldens_noisy_norm"],
-        col_rows,
-        meta={"noise": noise, "seed": seed, "species": gs.n_f.species},
-    )
+    meta = {"noise": noise, "seed": seed, "species": gs.n_f.species}
     true_on_recon = np.interp(recon.rho, true_radial.rho, true_radial.values)
     rad_rows = [
         [r * 1e6, t / peak_rad, v / peak_rad]
         for r, t, v in zip(recon.rho, true_on_recon, recon.values)
     ]
-    p2 = write_table(
-        out / "fig1b_radial.csv",
-        ["rho[um]", "n_f_true_norm", "n_f_recon_norm"],
-        rad_rows,
-        meta={"noise": noise, "seed": seed, "species": gs.n_f.species},
-    )
-    return [p1, p2]
+    return [
+        ("fig1b_column.csv", ["y[um]", "coldens_true_norm", "coldens_noisy_norm"],
+         col_rows, meta),
+        ("fig1b_radial.csv", ["rho[um]", "n_f_true_norm", "n_f_recon_norm"], rad_rows, meta),
+    ]
 
 
-def _emit_fig2a(out: Path, smoothed: SmoothedCurve, points=None):
-    paths = [write_smoothed_csv(smoothed, out / "fig2a_curve.csv")]
+def _fig2a_tables(smoothed: SmoothedCurve, points=None):
+    tables = [("fig2a_curve.csv", *_smoothed_table(smoothed))]
     pts = points if points is not None else smoothed.points
     if pts:
         rows = [[a, l * M6S_TO_CM6S] for a, l in pts]
-        paths.append(
-            write_table(out / "fig2a_points.csv", ["a_bf[a0]", "L3[cm^6/s]"], rows)
-        )
-    return paths
+        tables.append(("fig2a_points.csv", ["a_bf[a0]", "L3[cm^6/s]"], rows, None))
+    return tables
 
 
-def _emit_fig2b(out: Path, gamma_records: list[dict]):
+def _fig2b_tables(gamma_records: list[dict]):
     rows = [
         [rec["a_bf_a0"], rec["gamma"], rec.get("gamma_stderr", 0.0)]
         for rec in gamma_records
     ]
     rows.sort(key=lambda r: r[0])
-    return [
-        write_table(
-            out / "fig2b_gamma.csv",
-            ["a_bf[a0]", "gamma[1/s]", "gamma_err[1/s]"],
-            rows,
-        )
-    ]
+    return [("fig2b_gamma.csv", ["a_bf[a0]", "gamma[1/s]", "gamma_err[1/s]"], rows, None)]
 
 
-def _emit_fig3(out: Path, pipeline_csv):
+def _fig3_tables(pipeline_csv):
     meta, header, data = read_table(pipeline_csv)
     a = _column(header, data, "a_bf", pipeline_csv)
     order = np.argsort(a)
@@ -805,21 +781,15 @@ def _emit_fig3(out: Path, pipeline_csv):
     ]
     rows = [list(r) for r in zip(*cols)]
     keep = {k: v for k, v in meta.items() if k == "critical_a_bf_a0"}
-    return [
-        write_table(
-            out / "fig3_overlap.csv",
-            ["a_bf[a0]", "omega_zero_T", "omega_eff_tf", "omega_eff_full"],
-            rows,
-            meta=keep,
-        )
-    ]
+    out_header = ["a_bf[a0]", "omega_zero_T", "omega_eff_tf", "omega_eff_full"]
+    return [("fig3_overlap.csv", out_header, rows, keep)]
 
 
-# kind -> (writer, its required input, the reader that makes that input from
-# the path the CLI is given, what that path names)
+# kind -> (its tables, its required input, the reader that makes that input
+# from the path the CLI is given, what that path names)
 PLOT_KINDS = {
-    "fig1b": (_emit_fig1b, "ground_state", load_ground_state, "ground-state directory"),
-    "fig2a": (_emit_fig2a, "smoothed", read_smoothed_csv, "smoothed curve CSV"),
-    "fig2b": (_emit_fig2b, "gamma_records", read_gamma_csv, "gamma CSV"),
-    "fig3": (_emit_fig3, "pipeline_csv", str, "pipeline sweep CSV"),
+    "fig1b": (_fig1b_tables, "ground_state", load_ground_state, "ground-state directory"),
+    "fig2a": (_fig2a_tables, "smoothed", read_smoothed_csv, "smoothed curve CSV"),
+    "fig2b": (_fig2b_tables, "gamma_records", read_gamma_csv, "gamma CSV"),
+    "fig3": (_fig3_tables, "pipeline_csv", str, "pipeline sweep CSV"),
 }

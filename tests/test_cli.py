@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mixsep import pipeline
-from mixsep.cli import _apply_thread_cap, build_parser, main
+from mixsep.cli import build_parser, main
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import StepUnstable
@@ -131,22 +131,36 @@ def test_import_loads_no_scipy():
     assert _scipy_modules_after(code) == [False, []]
 
 
-def test_version_is_looked_up_on_first_use(tmp_path):
+def test_version_is_one_constant(tmp_path):
+    # mixsep.__version__ is the one place the version is written: an install
+    # reports it (pyproject.toml reads it), and every manifest and meta.json
+    # records it without a metadata lookup
     import importlib.metadata
 
     import mixsep
 
     try:
-        want = importlib.metadata.version("mixsep")
+        assert mixsep.__version__ == importlib.metadata.version("mixsep")
     except importlib.metadata.PackageNotFoundError:
-        want = "0.1.0"
-    assert mixsep.__version__ == pipeline.tool_version() == want
+        pass  # run from a source tree, not installed
     with pytest.raises(AttributeError):
         mixsep.no_such_name
-    # a manifest takes it when written
-    manifest = pipeline.RunManifest(config_sha256="0" * 64)
-    manifest.write(tmp_path / "manifest.json")
-    assert json.loads((tmp_path / "manifest.json").read_text())["version"] == want
+    code = f"""
+import json, warnings
+from pathlib import Path
+from mixsep import pipeline
+from mixsep.config import default_scenario
+from mixsep.profiles import grid_for_scenario
+from mixsep.solver import SolverOptions, minimize
+warnings.simplefilter("ignore")
+d = Path({str(tmp_path)!r})
+pipeline.RunManifest(config_sha256="0" * 64).write(d / "manifest.json")
+sc = default_scenario()
+pipeline.save_ground_state(minimize(sc, grid_for_scenario(sc, 16, 32), SolverOptions(mode="tf")), d / "gs")
+written = [json.loads(p.read_text())["version"] for p in (d / "manifest.json", d / "gs" / "meta.json")]
+result = [written, "importlib.metadata" in sys.modules]
+"""
+    assert _scipy_modules_after(code)[0] == [[mixsep.__version__] * 2, False]
 
 
 def test_analysis_commands_load_no_scipy(tmp_path):
@@ -231,15 +245,6 @@ result = [linalg, digest.hexdigest(), works, scipy.linalg._flapack.dptsv is func
     assert {k: r[0] for k, r in runs.items()} == {"direct": False, "public": True, "fallback": True}
     assert len({r[1] for r in runs.values()}) == 1
     assert all(r[2] and r[3] for r in runs.values())
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("MIXSEP_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    _apply_thread_cap()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
 class TestSolve:
@@ -730,7 +735,7 @@ class TestSweepAndFig:
         )
         assert code == 2
         assert "noise" in err
-        assert not list((tmp_path / "f1b").glob("*.csv"))
+        assert not (tmp_path / "f1b").exists()
 
     def test_overlap_report(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
@@ -810,6 +815,14 @@ class TestSweepAndFig:
         code, _, err = run(capsys, "fig", "fig3", "--out", str(tmp_path))
         assert code == 2
         assert "--in" in err
+
+    def test_fig3_unreadable_table_leaves_no_directory(self, capsys, tmp_path):
+        src = tmp_path / "sweep.csv"
+        src.write_text("# critical_a_bf_a0 = 600\n", encoding="utf-8")
+        out_dir = tmp_path / "f3"
+        code, _, err = run(capsys, "fig", "fig3", "--in", str(src), "--out", str(out_dir))
+        assert code == 2 and "no header row" in err
+        assert not out_dir.exists()
 
     def test_fig_kinds_are_the_plot_table(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
