@@ -341,7 +341,6 @@ class RunManifest:
     version: str = __version__
     files: list = field(default_factory=list)    # {"path", "sha256", "kind"}
     points: list = field(default_factory=list)   # per-point convergence records
-    notes: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)  # config key -> file/default/derived
 
     def add_file(self, base: Path, path: Path, kind: str) -> None:
@@ -363,7 +362,6 @@ class RunManifest:
             "config_sha256": self.config_sha256,
             "files": self.files,
             "points": self.points,
-            "notes": self.notes,
             "provenance": self.provenance,
         }
         return write_json(path, payload)

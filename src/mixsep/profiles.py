@@ -144,15 +144,15 @@ def _check_box(grid: Grid2D, r_rho: float, r_z: float, label: str) -> None:
 def _calibrate_half(number, target: float, e: float, species: SpeciesParams, grid: Grid2D):
     """(e, v): the energy at which number(e, v, w)[0] is target, and the trap potential v.
 
-    Both on the z > 0 half of grid; v has trap_potential's bits, in a fresh
-    array. number gives the cells' atom number at e and its slope, a sum of
+    Both on the z > 0 half of grid; v is half_trap_potential's fresh array.
+    number gives the cells' atom number at e and its slope, a sum of
     w (e - v)_+^p with p >= 1: convex and increasing, so Newton from the
     closed-form e falls on the root from above after its first step. Only
     that step can leave the cells below 1.6 e, selected once; it, or a start
     where no cell holds atoms, raises GridTooSmall. Convergence is quadratic:
     a step of at most 1e-14 e leaves e at the root to rounding, and ends it.
     """
-    v = _harmonic(species, grid.rho[:, None], grid.z[None, grid.n_z // 2:])
+    v = half_trap_potential(species, grid)
     top = 1.6 * e
     inside = v < top
     vi, w = v[inside], grid.weights[:, grid.n_z // 2:][inside]

@@ -164,13 +164,14 @@ directly, with no relaxation step:
   maximum of the quadratic model of their frozen dual at the maximum:
   the dual there plus half the Newton step times the atom-number error.
   Both sides of every bistable cell are known there, so the ranking
-  evaluates no cell. The best is finished by a frozen-phase Newton that
-  meets both atom numbers exactly with each bistable cell held on its
-  side (_frozen), and where it fails, the next. Every cell is then
-  at a local minimum of its f - mu . n (KKT), which _kkt checks. By the
-  Shapley-Folkman lemma the convexified problem has a solution with at
-  most two split cells, one per constraint, so these few assignments
-  differ from the dual's own in the cells that matter.
+  evaluates no cell. The best is finished by the same damped ascent with
+  each bistable cell held on its side (its dual is smooth while every held
+  side exists), which meets both atom numbers exactly, and where that
+  ascent stalls, the next. Every cell is then at a local minimum of its
+  f - mu . n (KKT), which _kkt checks. By the Shapley-Folkman lemma the
+  convexified problem has a solution with at most two split cells, one per
+  constraint, so these few assignments differ from the dual's own in the
+  cells that matter.
 - The duality gap. Any state that holds N has E >= 2 L(mu) at every mu
   (weak duality; 2 for the half box). E - 2 L at the maximum is the
   energy the split cells pay for taking one side: 4.7e-7 of E at the
@@ -193,8 +194,8 @@ raises ThomasFermiCollapse instead of returning a state: under strong
 attraction (-600 a0 and beyond on 32x64) the best assignment misses the
 atom numbers by a factor of ten, or some cells have no local minimum at
 all. With repulsion, where no assignment the kink search tries meets the
-atom numbers (on coarse grids with many bosons, such as four times the
-default's on 20x40 at 500 a0), it raises a NumericsError that says so.
+atom numbers (on coarse grids, such as twice the default's fermions on
+24x48 at 500 a0), it raises a NumericsError that says so.
 The solve does not depend on any start: minimize reads neither a warm
 start nor max_iter in tf mode.
 """
@@ -605,7 +606,7 @@ _FLIP_CELLS = 3
 # A Newton step on (mu_b, mu_f) of at most this share of each mu ends a
 # solve, as it ends profiles._calibrate_half's root.
 _MU_STEP = 1e-14
-# Newton steps after which the dual ascent, or one frozen assignment, stops.
+# Newton steps after which the dual ascent stops, with or without held sides.
 _MAX_NEWTON = 60
 # Newton steps after which a ridge solve gives up.
 _RIDGE_STEPS = 8
@@ -848,28 +849,6 @@ def _newton_step(targets, atoms, slope, mu, scale) -> np.ndarray:
     return _solve2(((h_bb, h_bf), (h_bf, h_ff)), (r_b, r_f))
 
 
-def _frozen(cells: _Cells, mu, targets, side, scale, st):
-    """Newton on mu with each bistable cell held on its side: (mu, states) or None.
-
-    st is the states at mu. None once a step fails to halve the largest
-    relative atom-number error, as where a held side ceases to exist, or
-    after _MAX_NEWTON steps.
-    """
-    held = targets > 0.0
-    error = math.inf
-    for _ in range(_MAX_NEWTON):
-        _, atoms, slope = st.sums()
-        previous, error = error, np.max(np.abs(atoms - targets)[held] / targets[held])
-        if error > 0.5 * previous:
-            return None
-        step = _newton_step(targets, atoms, slope, mu, scale)
-        if _settled(step, mu):
-            return _last_step(cells, mu, step, st, side)
-        mu = mu + step
-        st = cells.states(mu, side)
-    return None
-
-
 def _settled(step, mu) -> bool:
     """Whether a Newton step on mu is at most _MU_STEP of each mu."""
     return abs(step[0]) <= _MU_STEP * abs(mu[0]) and abs(step[1]) <= _MU_STEP * abs(mu[1])
@@ -934,33 +913,35 @@ def _solve2(h, r) -> np.ndarray:
     return np.array([(d * r[0] - b * r[1]) / det, (a * r[1] - c * r[0]) / det])
 
 
-def _dual_ascent(cells: _Cells, mu, targets, scale):
+def _dual_ascent(cells: _Cells, mu, targets, scale, side=None):
     """Damped Newton ascent of the concave dual L(mu) = sum w omega + mu . N.
 
-    Returns (mu, states, split): split is None where the ascent converged
-    on a smooth maximum, the cells _ridge split where a full step crossed a
-    kink and the ridge solve found the maximum, and empty where a line
-    search halved _KINK_HALVINGS times without an ascent; mu is then the
-    last point it accepted.
+    side, when given, holds each bistable cell on one side (_Cells.states),
+    and no kink is split. Returns (mu, states, split): split is None where
+    the ascent converged on a smooth maximum, the cells _ridge split where
+    a full step crossed a kink and the ridge solve found the maximum, and
+    empty where a line search halved _KINK_HALVINGS times without an ascent
+    or _MAX_NEWTON steps did not converge; mu is then the last point it
+    accepted.
     """
-    st = cells.states(mu)
+    st = cells.states(mu, side)
     omega, atoms, slope = st.sums()
     dual = omega + mu @ targets
     empty = np.zeros(0, dtype=int)
     for _ in range(_MAX_NEWTON):
         step = _newton_step(targets, atoms, slope, mu, scale)
         if _settled(step, mu):
-            return (*_last_step(cells, mu, step, st, None), None)
+            return (*_last_step(cells, mu, step, st, side), None)
         rise = 1e-4 * (targets - atoms) @ step
         for halving in range(_KINK_HALVINGS + 1):
             trial = mu + step
-            st_t = cells.states(trial)
+            st_t = cells.states(trial, side)
             omega_t, atoms_t, slope_t = st_t.sums()
             dual_t = omega_t + trial @ targets
             # an ascent, or a step so short its rise is lost to rounding
             if dual_t >= dual + rise - 1e-15 * abs(dual):
                 break
-            if halving == 0:
+            if halving == 0 and side is None:
                 # The full step crossed a kink. Split the cell of smallest
                 # gap that it flipped, with the cells whose omegas differ
                 # by the same amount to 1e-9.
@@ -993,8 +974,9 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
     share. That needs no evaluation, since the flipped cells' other sides
     are in st, and the frozen dual's own maximum, the assignment's energy,
     differs from it only to third order in the step. Ties go to the
-    candidate listed first. The best-ranked one that converges wins, and
-    only the candidates tried are evaluated.
+    candidate listed first. Each is finished, best-ranked first, by the
+    dual ascent from its model's maximum with its sides held, and the first
+    whose ascent settles wins; only the candidates tried are evaluated.
     """
     pairs = st.bistable
     order = np.argsort(pairs.gap)
@@ -1019,9 +1001,9 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
         score = jump[flip] @ sign + 0.5 * (targets - a) @ step
         ranked.append((score, subset, mu + step, side))
     for _, _, trial, side in sorted(ranked, key=lambda c: c[:2]):
-        found = _frozen(cells, trial, targets, side, scale, cells.states(trial, side))
-        if found is not None:
-            return found
+        mu_t, st_t, stalled = _dual_ascent(cells, trial, targets, scale, side)
+        if stalled is None:
+            return mu_t, st_t
     return None
 
 

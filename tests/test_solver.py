@@ -762,14 +762,37 @@ def test_tf_solve_past_the_kink_evaluations(monkeypatch, n_rho, a_bf_a0, evaluat
 
 
 def test_unfinished_kink_search_is_not_a_collapse():
-    # With four times the bosons on 20x40 at 500 a0 no side assignment near
+    # With twice the fermions on 24x48 at 500 a0 no side assignment near
     # the kink meets the atom numbers. With repulsion that is the coarse
     # grid's failure, not a collapse of the mixture, and the solve says so.
-    sc = replace(SC, n_bosons=4.0 * SC.n_bosons).with_a_bf(500.0 * A_BOHR)
+    sc = replace(SC, n_fermions=2.0 * SC.n_fermions).with_a_bf(500.0 * A_BOHR)
     with pytest.raises(NumericsError, match="a_bf = 500 a0, no side assignment near the kink"
-                                            " meets the atom numbers on this 20x40 grid") as exc:
-        minimize(sc, grid_for_scenario(sc, 20, 40), SolverOptions(mode="tf"))
+                                            " meets the atom numbers on this 24x48 grid") as exc:
+        minimize(sc, grid_for_scenario(sc, 24, 48), SolverOptions(mode="tf"))
     assert not isinstance(exc.value, ThomasFermiCollapse)
+
+
+@pytest.mark.parametrize(
+    "n_rho, a_bf_a0", [(20, 500.0), (32, 500.0), (24, 550.0), (24, 600.0), (48, -300.0)]
+)
+def test_kink_search_finishes_many_bosons_on_coarse_grids(n_rho, a_bf_a0):
+    # With four times the bosons on these grids a Newton step of the best
+    # held assignment can fail to halve the atom-number error; the damped
+    # ascent with its sides held still meets the atom numbers. At -300 a0
+    # the mixture does not collapse (64x128 solves there too).
+    sc = replace(SC, n_bosons=4.0 * SC.n_bosons).with_a_bf(a_bf_a0 * A_BOHR)
+    grid = grid_for_scenario(sc, n_rho, 2 * n_rho)
+    _assert_kkt_state(minimize(sc, grid, SolverOptions(mode="tf")))
+
+
+def test_kink_search_finishes_the_best_ranked_assignment():
+    # With four times the bosons on 24x48 at 650 a0 the best-ranked
+    # assignment settles under the damped ascent; a later-ranked one is
+    # 1.5e-4 higher (1.0241485e-24 J).
+    sc = replace(SC, n_bosons=4.0 * SC.n_bosons).with_a_bf(650.0 * A_BOHR)
+    gs = minimize(sc, grid_for_scenario(sc, 24, 48), SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    assert gs.energy < 1.0240e-24
 
 
 def test_ridge_solve_lands_on_the_dual_maximum():
