@@ -15,8 +15,8 @@ from dataclasses import replace
 
 from . import config
 from .abel import ColumnSlice, RadialProfile, center_and_symmetrize, forward_abel, inverse_abel
-from .constants import A_BOHR, Constants
-from .errors import InputError, MissingInput, MixsepError, NumericsError, OutputError
+from .constants import A_BOHR, ATOMIC_MASS, HBAR, K_B
+from .errors import InputError, MixsepError, NumericsError, OutputError
 from .lossfit import fit_gamma, fit_l3, smooth_l3
 from .overlap import omega_eff_from_ground_state
 from .physics import (
@@ -85,7 +85,8 @@ def _load_config(args):
 
 
 def cmd_constants(args) -> int:
-    payload = Constants().as_dict()
+    payload = {"hbar[J*s]": HBAR, "k_B[J/K]": K_B, "a_bohr[m]": A_BOHR,
+               "atomic_mass[kg]": ATOMIC_MASS}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -185,19 +186,19 @@ def cmd_criterion(args) -> int:
     return 0
 
 
-def cmd_abel(args) -> int:
-    x_m, values = read_profile_csv(args.infile)
-    if args.direction == "forward":
-        slc = forward_abel(RadialProfile(x_m, values))
-        path = write_profile_csv(args.out, slc.y, slc.values, "y[um]")
-    else:
-        slc = ColumnSlice(x_m, values)
-        if x_m[0] < 0.0 or args.center is not None:
-            center = args.center * 1e-6 if args.center is not None else None
-            slc = center_and_symmetrize(slc, center)
-        prof = inverse_abel(slc, method=args.method, noise_reject=args.noise_reject)
-        path = write_profile_csv(args.out, prof.rho, prof.values, "rho[um]")
-    print(f"written {path}")
+def cmd_abel_forward(args) -> int:
+    slc = forward_abel(RadialProfile(*read_profile_csv(args.infile)))
+    print(f"written {write_profile_csv(args.out, slc.y, slc.values, 'y[um]')}")
+    return 0
+
+
+def cmd_abel_inverse(args) -> int:
+    slc = ColumnSlice(*read_profile_csv(args.infile))
+    if slc.y[0] < 0.0 or args.center is not None:
+        center = args.center * 1e-6 if args.center is not None else None
+        slc = center_and_symmetrize(slc, center)
+    prof = inverse_abel(slc, method=args.method, noise_reject=args.noise_reject)
+    print(f"written {write_profile_csv(args.out, prof.rho, prof.values, 'rho[um]')}")
     return 0
 
 
@@ -258,17 +259,9 @@ def cmd_smooth_l3(args) -> int:
 
 
 def cmd_fig(args) -> int:
-    _, name, read, what = PLOT_KINDS[args.kind]
-    if args.kind == "fig1b":
-        path, extra = args.ground_state, {"noise": args.noise, "seed": args.seed}
-        missing = "--ground-state is required for fig1b"
-    else:
-        path, extra = args.infile, {}
-        missing = f"--in is required for {args.kind} ({what})"
-    if not path:
-        raise MissingInput(missing)
-    inputs = {name: read(path), **extra}
-    for p in emit_plot_data(args.kind, args.out, **inputs):
+    _, name, read, _ = PLOT_KINDS[args.kind]
+    extra = {"noise": args.noise, "seed": args.seed} if args.kind == "fig1b" else {}
+    for p in emit_plot_data(args.kind, args.out, **{name: read(args.source)}, **extra):
         print(f"written {p}")
     return 0
 
@@ -290,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="relax one ground state and save it")
     p.add_argument("--config", help="INI config file (defaults if omitted)")
-    p.add_argument("--abf", type=_finite, help="interspecies scattering length, a0")
-    p.add_argument("--b", type=_finite, help="magnetic field in G (alternative to --abf)")
+    a_bf = p.add_mutually_exclusive_group()
+    a_bf.add_argument("--abf", type=_finite, help="interspecies scattering length, a0")
+    a_bf.add_argument("--b", type=_finite, help="magnetic field in G, mapped through [resonance]")
     p.add_argument("--mode", choices=("full", "tf"), help="solver mode")
     p.add_argument("--out", help="output directory for the ground state")
     p.set_defaults(func=cmd_solve)
@@ -322,15 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_criterion)
 
     p = sub.add_parser("abel", help="project or reconstruct a radial profile")
-    p.add_argument("direction", choices=("forward", "inverse"))
-    p.add_argument("--in", dest="infile", required=True, help="two-column CSV")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--method", choices=("dasch3", "onion"), default="dasch3")
-    p.add_argument("--center", type=_finite, default=None,
-                   help="slice center in um (auto-detected if omitted)")
-    p.add_argument("--noise-reject", type=_finite, default=0.2,
-                   help="negative-mass fraction treated as failure")
-    p.set_defaults(func=cmd_abel)
+    directions = p.add_subparsers(dest="direction", required=True)
+    forward = directions.add_parser("forward", help="radial profile to its column slice")
+    inverse = directions.add_parser("inverse", help="column slice to its radial profile")
+    for d, func in ((forward, cmd_abel_forward), (inverse, cmd_abel_inverse)):
+        d.add_argument("--in", dest="infile", required=True, help="two-column CSV")
+        d.add_argument("--out", required=True, help="output CSV")
+        d.set_defaults(func=func)
+    inverse.add_argument("--method", choices=("dasch3", "onion"), default="dasch3")
+    inverse.add_argument("--center", type=_finite, default=None,
+                         help="slice center in um (auto-detected if omitted)")
+    inverse.add_argument("--noise-reject", type=_finite, default=0.2,
+                         help="negative-mass fraction treated as failure")
 
     p = sub.add_parser("fit-gamma", help="initial loss rate from a decay series")
     p.add_argument("--in", dest="infile", required=True, help="CSV t[s],N[,sigma_N]")
@@ -359,12 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smooth_l3)
 
     p = sub.add_parser("fig", help="emit plot-ready CSVs")
-    p.add_argument("kind", choices=("fig1b", "fig2a", "fig2b", "fig3"))
-    p.add_argument("--in", dest="infile", help="input CSV (fig2a, fig2b, fig3)")
-    p.add_argument("--ground-state", help="ground-state directory (fig1b)")
-    p.add_argument("--noise", type=_finite, default=0.02, help="fig1b noise level")
-    p.add_argument("--seed", type=_seed, default=0, help="fig1b noise seed")
-    p.add_argument("--out", required=True, help="output directory")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, (_, _, _, what) in PLOT_KINDS.items():
+        k = kinds.add_parser(kind, help=f"plot data from a {what}")
+        if kind == "fig1b":
+            k.add_argument("--ground-state", dest="source", metavar="DIR", required=True,
+                           help=what)
+            k.add_argument("--noise", type=_finite, default=0.02,
+                           help="noise on every sample, a share of the column peak")
+            k.add_argument("--seed", type=_seed, default=0, help="noise seed")
+        else:
+            k.add_argument("--in", dest="source", metavar="CSV", required=True, help=what)
+        k.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fig)
 
     return parser

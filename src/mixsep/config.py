@@ -245,8 +245,6 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         if a_list is None:
             a_list = swp["a_bf_list_a0"] = tuple(float(v) for v in default_sweep_a0())
         sweep_a = tuple(v * A_BOHR for v in a_list)
-    if len(sweep_a) < 1:
-        raise ValidationError("sweep needs at least one point")
 
     fits = values["fits"]
     if fits["l3_cm6_per_s"] <= 0.0:

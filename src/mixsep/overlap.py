@@ -185,12 +185,17 @@ def omega_eff_from_ground_state(
 ) -> OverlapReport:
     """Full overlap report for one converged ground state.
 
-    Raises NonPositiveInput for a mixture with no bosons (require_bosons).
+    Raises NonPositiveInput for a mixture with no bosons (require_bosons),
+    for an l3 or alpha outside (0, inf), and for a predicted loss rate that
+    overflows.
     """
     sc = gs.scenario
     require_bosons(sc)
     if alpha is None:
         alpha = sc.alpha
+    for name, value in (("l3", l3), ("alpha", alpha)):
+        if not 0.0 < value < math.inf:
+            raise NonPositiveInput(f"{name} must be positive and finite, got {value!r}")
     beta = sc.condensate_fraction
     cloud = ThermalCloudParams(sc.bosons, sc.n_bosons, beta)
     thermal = thermal_field_for(gs, cloud)
@@ -206,6 +211,9 @@ def omega_eff_from_ground_state(
 
     n_total = sc.n_bosons
     gamma_pred = l3 * (0.5 * alpha * i_bb + alpha * i_bt + i_tt_fra) / n_total
+    if not math.isfinite(gamma_pred):
+        raise NonPositiveInput(f"predicted loss rate {gamma_pred!r} is not finite "
+                               f"(l3 = {l3!r}, alpha = {alpha!r})")
     return OverlapReport(
         a_bf=sc.a_bf,
         alpha=alpha,

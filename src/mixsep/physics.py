@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import A_BOHR, HBAR, TWO_PI
+from .constants import HBAR, TWO_PI
 from .errors import NonPositiveInput, PoleAtResonance
 
 
@@ -42,32 +42,33 @@ class SpeciesParams:
         return (self.omega_rho * self.omega_rho * self.omega_z) ** (1.0 / 3.0)
 
 
+# Guard half-width (G) around a resonance's b0 inside which the dispersive
+# formula is meaningless.
+POLE_EPS = 1.0e-6
+
+
 @dataclass(frozen=True)
 class FeshbachResonance:
     """Interspecies resonance: a(B) = a_bg * (1 - delta / (B - b0)).
 
-    b0 and delta in Gauss, a_bg in meters. pole_eps is the guard half-width
-    around b0 inside which the dispersive formula is meaningless.
+    b0 and delta in Gauss, a_bg in meters; the shipped one is the config's.
     """
 
-    b0: float = 335.057
-    delta: float = 0.949
-    a_bg: float = 60.9 * A_BOHR
-    pole_eps: float = 1.0e-6
+    b0: float
+    delta: float
+    a_bg: float
 
     def __post_init__(self):
         if self.delta == 0.0:
             raise NonPositiveInput("resonance width delta must be nonzero")
-        if self.pole_eps <= 0.0:
-            raise NonPositiveInput("pole_eps must be positive")
 
 
 def scattering_length(res: FeshbachResonance, b_field: float) -> float:
     """Interspecies a_bf at magnetic field b_field (Gauss), in meters."""
     detuning = b_field - res.b0
-    if abs(detuning) < res.pole_eps:
+    if abs(detuning) < POLE_EPS:
         raise PoleAtResonance(
-            f"B = {b_field} G is within {res.pole_eps} G of the pole at {res.b0} G"
+            f"B = {b_field} G is within {POLE_EPS} G of the pole at {res.b0} G"
         )
     return res.a_bg * (1.0 - res.delta / detuning)
 

@@ -1,7 +1,10 @@
 """Run orchestration and on-disk formats: CSV tables, manifests, plot data.
 
-All files use experiment units (a0, G, nK, Hz, cm^-3, cm^6/s, s) with the
-unit in every column header. Floats are written with %.12g so identical
+The CSVs, meta.json, manifests and fit records use experiment units (a0,
+G, nK, Hz, cm^-3, cm^6/s, s), with the unit in every CSV column header.
+The overlap report's JSON (OverlapReport.as_dict, which mixsep overlap
+--out writes) is the exception: its four overlap integrals are in m^-6,
+as their keys say. Floats are written with %.12g so identical
 runs produce byte-identical files; nothing time-dependent goes into a CSV.
 Writes are atomic (temp file + rename). The manifest records the config
 hash and a sha256 for every emitted file.
@@ -209,6 +212,11 @@ def read_density_field(path) -> DensityField:
         raise ParseError(
             f"{path}: value block is {arr.shape}, header says {(n_rho, n_z)}"
         )
+    bad = np.flatnonzero(~np.all(np.isfinite(arr) & (arr >= 0.0), axis=1))
+    if bad.size:
+        lineno = lines[bad[0]][0]
+        raise ParseError(f"{path}, line {lineno}: densities must be finite and "
+                         "non-negative", line=lineno)
     return DensityField(Grid2D(n_rho, n_z, d_rho, d_z), arr, species)
 
 
@@ -337,8 +345,6 @@ def load_ground_state(dirpath) -> GroundState:
 @dataclass
 class RunManifest:
     config_sha256: str
-    created_utc: str = ""
-    version: str = __version__
     files: list = field(default_factory=list)    # {"path", "sha256", "kind"}
     points: list = field(default_factory=list)   # per-point convergence records
     provenance: dict = field(default_factory=dict)  # config key -> file/default/derived
@@ -353,12 +359,10 @@ class RunManifest:
         )
 
     def write(self, path) -> Path:
-        if not self.created_utc:
-            self.created_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
         payload = {
             "tool": "mixsep",
-            "version": self.version,
-            "created_utc": self.created_utc,
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "config_sha256": self.config_sha256,
             "files": self.files,
             "points": self.points,
@@ -674,9 +678,9 @@ def read_profile_csv(path):
     return data[:, 0] * 1e-6, data[:, 1]
 
 
-def write_profile_csv(path, x_m, values, x_name: str, value_name: str = "value") -> Path:
+def write_profile_csv(path, x_m, values, x_name: str) -> Path:
     rows = [[x * 1e6, v] for x, v in zip(x_m, values)]
-    return write_table(path, [x_name, value_name], rows)
+    return write_table(path, [x_name, "value"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -751,11 +755,10 @@ def _fig1b_tables(ground_state: GroundState, noise: float = 0.0, seed: int = 0):
     ]
 
 
-def _fig2a_tables(smoothed: SmoothedCurve, points=None):
+def _fig2a_tables(smoothed: SmoothedCurve):
     tables = [("fig2a_curve.csv", *_smoothed_table(smoothed))]
-    pts = points if points is not None else smoothed.points
-    if pts:
-        rows = [[a, l * M6S_TO_CM6S] for a, l in pts]
+    if smoothed.points:
+        rows = [[a, l * M6S_TO_CM6S] for a, l in smoothed.points]
         tables.append(("fig2a_points.csv", ["a_bf[a0]", "L3[cm^6/s]"], rows, None))
     return tables
 

@@ -242,6 +242,27 @@ class TestCentering:
         with pytest.raises(CenterNotFound):
             center_and_symmetrize(ColumnSlice(y, v))
 
+    def test_flat_extremum_takes_the_top_half_centroid(self):
+        # On a plateau the second difference at its first sample is the step
+        # up to it, which counts as flat only below 1e-30: here, a plateau
+        # of 8e-36. The center is then the intensity-weighted centroid of
+        # the samples at least half as far from the baseline as the extremum.
+        y = np.arange(40.0) - 19.5
+        v = 1e-35 * np.minimum(np.sqrt(np.clip(1.0 - np.abs(y - 2.3) / 12.0, 0.0, None)), 0.8)
+        dev = np.abs(v - 0.5 * (np.mean(v[:4]) + np.mean(v[-4:])))
+        top = dev >= 0.5 * dev.max()
+        centroid = float(np.sum(y[top] * dev[top]) / np.sum(dev[top]))
+        detected = center_and_symmetrize(ColumnSlice(y, v))
+        explicit = center_and_symmetrize(ColumnSlice(y, v), center=centroid)
+        np.testing.assert_array_equal(detected.y, explicit.y)
+        np.testing.assert_array_equal(detected.values, explicit.values)
+
+    @pytest.mark.parametrize("peak", [0.0, 19.0])
+    def test_extremum_on_an_edge_sample_has_no_center(self, peak):
+        y = np.arange(20.0)
+        with pytest.raises(CenterNotFound, match="fewer than 4 usable samples"):
+            center_and_symmetrize(ColumnSlice(y, np.exp(-((y - peak) ** 2) / 50.0)))
+
     @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
     def test_non_finite_center_raises(self, center):
         # nan and inf once reached int(math.floor(...)) and raised ValueError

@@ -79,7 +79,8 @@ def _damage(gs_dir, kind: str) -> str:
     else:
         k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 2
         cells = lines[k].split(",")
-        cells[-1:] = ["n/a"] if kind == "non_numeric_cell" else []
+        cells[-1:] = {"non_numeric_cell": ["n/a"], "nan_cell": ["nan"],
+                      "negative_cell": ["-1"]}.get(kind, [])
         lines[k] = ",".join(cells)
         message = f"n_f.csv, line {k + 1}: "
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -480,6 +481,7 @@ class TestFits:
         n = 2.0e5 / (1.0 + k * 2.0e5 * t)
         p = tmp_path / "decay.csv"
         write_table(p, ["t[s]", "N"], np.column_stack([t, n]).tolist())
+        out_json = tmp_path / "fit.json"
         code, out, _ = run(
             capsys,
             "fit-l3",
@@ -489,9 +491,15 @@ class TestFits:
             str(temp_nk),
             "--nf-peak",
             str(nf_cm3),
+            "--out",
+            str(out_json),
         )
         assert code == 0
         assert float(kv(out)["L3[cm^6/s]"]) == pytest.approx(1.0e-25, rel=1e-4)
+        payload = json.loads(out_json.read_text(encoding="utf-8"))
+        assert payload["L3[cm^6/s]"] == pytest.approx(float(kv(out)["L3[cm^6/s]"]), rel=1e-11)
+        assert (payload["temperature_nk"], payload["n_f_peak[cm^-3]"]) == (temp_nk, nf_cm3)
+        assert payload["overlap_factor"] == 1.0
 
     def test_smooth_l3(self, capsys, tmp_path):
         a = np.geomspace(100.0, 2000.0, 10)
@@ -760,8 +768,8 @@ class TestSweepAndFig:
 
     @pytest.mark.parametrize(
         "damage",
-        ["non_numeric_cell", "short_row", "bad_header", "missing_key", "truncated_meta",
-         "text_for_number", "breakdown_list", "top_level_list"],
+        ["non_numeric_cell", "nan_cell", "negative_cell", "short_row", "bad_header",
+         "missing_key", "truncated_meta", "text_for_number", "breakdown_list", "top_level_list"],
     )
     def test_damaged_ground_state_exits_2(self, capsys, tmp_path, fast_cfg, damage):
         gs_dir = tmp_path / "gs"
@@ -812,9 +820,10 @@ class TestSweepAndFig:
         np.testing.assert_array_equal(data, [[100.0, 0.1, 0.0], [300.0, 0.2, 0.0]])
 
     def test_fig_requires_input_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "fig", "fig3", "--out", str(tmp_path))
-        assert code == 2
-        assert "--in" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["fig", "fig3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--in" in capsys.readouterr().err
 
     def test_fig3_unreadable_table_leaves_no_directory(self, capsys, tmp_path):
         src = tmp_path / "sweep.csv"
@@ -880,3 +889,85 @@ class TestSweepAndFig:
         assert code == 0
         assert (tmp_path / "f1b" / "fig1b_column.csv").exists()
         assert (tmp_path / "f1b" / "fig1b_radial.csv").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("--alpha", "0"), ("--alpha", "-1"), ("--alpha", "1e308"), ("--l3", "0"), ("--l3", "-1"),
+    ])
+    def test_overlap_loss_parameter_out_of_range_exits_2(self, capsys, tmp_path, fast_cfg,
+                                                         option, value):
+        # --alpha 0 once reported Omega_eff = 1 and --alpha 1e308 a nan; the
+        # negative values and --l3 0 exited 3, a numerical failure
+        gs_dir = tmp_path / "gs"
+        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(gs_dir))[0] == 0
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "overlap", "--ground-state", str(gs_dir), option, value, "--out", str(report)
+        )
+        assert code == 2
+        assert "must be positive and finite" in err or "is not finite" in err
+        assert out == "" and not report.exists()
+
+    def test_sweep_names_a_failed_point_in_its_progress(self, capsys, tmp_path):
+        # twice the fermions on 24x48: 300 a0 solves, and at 500 a0 no side
+        # assignment of the kink search settles
+        cfg = tmp_path / "nf2.cfg"
+        cfg.write_text(
+            "[grid]\nn_rho = 24\nn_z = 48\n[mixture]\nn_fermions = 280000\n"
+            "[sweep]\na_bf_list_a0 = 300, 500\n",
+            encoding="utf-8",
+        )
+        code, _, err = run(
+            capsys, "sweep", "--config", str(cfg), "--mode", "tf", "--out", str(tmp_path / "run")
+        )
+        assert code == 3
+        assert "[tf] point 1: a_bf = 300 a0, converged in 0 steps\n" in err
+        assert "[tf] point 2: a_bf = 500 a0, FAILED\n" in err
+        assert "[tf] a_bf = 500 a0: NumericsError: " in err
+
+
+# Options that a command parsed and then dropped: fig1b reads no --in, the
+# table kinds no --ground-state, --noise or --seed, and abel forward none of
+# the inverse's options. Each exited 0 having ignored it, as did solve with
+# both --abf and --b, where --b was dropped.
+IGNORED_OPTIONS = [
+    ["abel", "forward", "--in", "{radial}", "--out", "{out}", "--method", "onion"],
+    ["abel", "forward", "--in", "{radial}", "--out", "{out}", "--center", "0"],
+    ["abel", "forward", "--in", "{radial}", "--out", "{out}", "--noise-reject", "-5"],
+    ["fig", "fig1b", "--ground-state", "{gs}", "--out", "{out}", "--in", "{radial}"],
+    *(
+        ["fig", kind, "--in", f"{{{kind}}}", "--out", "{out}", option, value]
+        for kind in ("fig2a", "fig2b", "fig3")
+        for option, value in (("--ground-state", "{tmp}/absent"), ("--noise", "5"),
+                              ("--seed", "3"))
+    ),
+    ["solve", "--config", "{cfg}", "--out", "{out}", "--abf", "300", "--b", "335.5"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", IGNORED_OPTIONS,
+    ids=lambda argv: " ".join([a for a in argv[:2] if not a.startswith("-")] + argv[-2:-1]),
+)
+def test_option_the_command_does_not_read_exits_2(capsys, tmp_path, fast_cfg, argv):
+    rho = (np.arange(40) + 0.5) * 0.25e-6
+    paths = {"tmp": tmp_path, "cfg": fast_cfg, "out": tmp_path / "out",
+             "radial": tmp_path / "radial.csv", "gs": tmp_path / "gs",
+             "fig2a": tmp_path / "curve.csv", "fig2b": tmp_path / "gamma.csv",
+             "fig3": tmp_path / "sweep.csv"}
+    write_profile_csv(paths["radial"], rho, np.exp(-((rho / 4.0e-6) ** 2)), "rho[um]")
+    a = np.geomspace(100.0, 2000.0, 7)
+    write_table(tmp_path / "points.csv", ["a_bf[a0]", "L3[cm^6/s]"],
+                np.column_stack([a, 1e-25 * a / 1000.0]).tolist())
+    assert run(capsys, "smooth-l3", "--in", str(tmp_path / "points.csv"),
+               "--out", str(paths["fig2a"]), "--boot", "20")[0] == 0
+    write_table(paths["fig2b"], ["a_bf[a0]", "gamma[1/s]"], [[300.0, 0.2], [100.0, 0.1]])
+    write_table(paths["fig3"], ["a_bf[a0]", "omega_eff_full", "omega_eff_tf", "omega_zero_T"],
+                [[100.0, 0.9, 0.8, 0.85]])
+    if argv[1] == "fig1b":
+        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(paths["gs"]))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "not allowed with argument --abf" in err
+    assert not paths["out"].exists()

@@ -39,7 +39,7 @@ def test_defaults_match_shipped_scenario():
     )
     # the library's default mixture is the one the CLI and config files solve
     assert default_scenario() == sc
-    assert cfg.resonance == FeshbachResonance()
+    assert cfg.resonance == FeshbachResonance(335.057, 0.949, 60.9 * A_BOHR)
 
 
 def test_default_sweep_is_geometric():

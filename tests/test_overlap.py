@@ -1,5 +1,6 @@
 """Overlap factors, loss-rate predictions, and the measurement-form identity."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -233,6 +234,34 @@ class TestGroundStateReport:
         )
         # the saturated profile is peakier, so the field quadrature grows
         assert rep.i_tt_fields > 1.2 * base.i_tt_fields
+
+    @pytest.mark.parametrize("model", ["gaussian", "semiclassical"])
+    def test_pure_condensate_has_no_thermal_channels(self, grid48, model):
+        # condensate_fraction = 1 leaves no thermal atoms, so both thermal
+        # models give the zero field and the loss rate is the condensate's
+        sc = replace(SC, condensate_fraction=1.0, thermal_model=model)
+        rep = omega_eff_from_ground_state(minimize(sc, grid48, SolverOptions(mode="tf")))
+        assert (rep.n_t_peak, rep.i_bt, rep.i_tt_fields, rep.i_tt_fra) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.gamma_pred == rep.l3 * (0.5 * rep.alpha * rep.i_bb) / sc.n_bosons
+        assert rep.omega_eff == pytest.approx(
+            omega_from_measurement(rep.gamma_pred, rep.l3, rep.n_f_peak, rep.n_b_peak)
+            / rep.alpha,
+            rel=1e-14,
+        )
+
+    @pytest.mark.parametrize("name", ["l3", "alpha"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_loss_parameter_outside_the_positive_reals_rejected(self, tf0, name, value):
+        # alpha = 0 once reported Omega_eff = 1, and a negative value or
+        # l3 = 0 ended in ZeroDenominator, a numerical failure
+        with pytest.raises(NonPositiveInput, match=f"{name} must be positive and finite"):
+            omega_eff_from_ground_state(tf0, **{name: value})
+
+    def test_overflowing_loss_rate_rejected(self, tf0):
+        # alpha = 1e308 is finite, but alpha * I_bb is not: gamma_pred was
+        # inf and Omega_eff nan
+        with pytest.raises(NonPositiveInput, match="predicted loss rate inf is not finite"):
+            omega_eff_from_ground_state(tf0, alpha=1e308)
 
 
 def test_reference_fields_are_calibrated(tf0):

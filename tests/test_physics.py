@@ -1,13 +1,15 @@
 """Scattering-length map, Fermi-gas relations, and the separation threshold."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from mixsep.config import default_config
 from mixsep.constants import A_BOHR, HBAR
 from mixsep.errors import NonPositiveInput, PoleAtResonance
 from mixsep.physics import (
-    FeshbachResonance,
+    POLE_EPS,
     SpeciesParams,
     coupling_bb,
     coupling_bf,
@@ -18,7 +20,7 @@ from mixsep.physics import (
     scattering_length,
 )
 
-RES = FeshbachResonance()
+RES = default_config().resonance
 
 
 class TestFeshbachMap:
@@ -41,11 +43,11 @@ class TestFeshbachMap:
 
     def test_pole_guard(self):
         with pytest.raises(PoleAtResonance):
-            scattering_length(RES, RES.b0 + 0.5 * RES.pole_eps)
+            scattering_length(RES, RES.b0 + 0.5 * POLE_EPS)
 
     def test_zero_width_rejected(self):
         with pytest.raises(NonPositiveInput):
-            FeshbachResonance(delta=0.0)
+            replace(RES, delta=0.0)
 
 
 class TestFermiGas:

@@ -179,6 +179,18 @@ class TestDensityFieldIO:
         with pytest.raises(ParseError):
             read_density_field(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e12"])
+    def test_non_physical_density_names_its_line(self, tmp_path, gs_tf, cell):
+        # a nan once passed through to an overlap report of Omega = nan
+        p = tmp_path / "n_b.csv"
+        write_density_field(gs_tf.n_b, p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 3
+        lines[k] = ",".join(lines[k].split(",")[:-1] + [cell])
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"n_b.csv, line {k + 1}: densities must be finite"):
+            read_density_field(p)
+
 
 class TestGroundStateIO:
     def test_round_trip(self, tmp_path, gs_tf):

@@ -218,6 +218,16 @@ class TestGridCalibration:
         assert field.integrate() == pytest.approx(tp.n_thermal, rel=1e-12)
         assert field.peak() <= peak
 
+    @pytest.mark.parametrize(
+        "profile", [thermal_bose_profile, thermal_bose_profile_semiclassical]
+    )
+    def test_pure_condensate_has_the_zero_thermal_field(self, grid64, profile):
+        # condensate_fraction = 1: no thermal atoms and T = 0, so the
+        # Boltzmann shape exp(-V / kT) is never formed
+        field, peak = profile(ThermalCloudParams(SC.bosons, SC.n_bosons, 1.0), grid64)
+        assert peak == 0.0
+        assert field.species == "thermal" and not field.values.any()
+
     def test_thermal_square_integral_identity(self, grid64):
         # Richardson pair (d, d/2) eliminates the O(d^2) axis term
         tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.5)
