@@ -354,8 +354,11 @@ def center_and_symmetrize(slc: ColumnSlice, center: float | None = None) -> Colu
     if center is None:
         k = int(np.argmax(dev))
         if 0 < k < len(v) - 1:
-            d2 = dev[k - 1] - 2.0 * dev[k] + dev[k + 1]
-            if d2 < -1e-30 * max(1.0, dev[k]):
+            # A parabola through an extremum above both neighbours by more
+            # than rounding; np.argmax returns a plateau's first sample,
+            # whose second difference is only the step up to it.
+            if dev[k] - max(dev[k - 1], dev[k + 1]) > 1e-12 * dev[k]:
+                d2 = dev[k - 1] - 2.0 * dev[k] + dev[k + 1]
                 center = float(y[k] + 0.5 * step * (dev[k - 1] - dev[k + 1]) / d2)
             else:
                 # flat extremum: intensity-weighted centroid of the top half

@@ -643,7 +643,13 @@ def _smoothed_table(curve: SmoothedCurve):
 
 
 def write_smoothed_csv(curve: SmoothedCurve, path) -> Path:
-    return write_table(path, *_smoothed_table(curve))
+    """The curve's table, with its measured points in the points_* metadata."""
+    header, rows, meta = _smoothed_table(curve)
+    if curve.points:
+        a, l3 = zip(*curve.points)
+        meta["points_a_bf_a0"] = " ".join(map(_f, a))
+        meta["points_l3_cm6_per_s"] = " ".join(_f(v * M6S_TO_CM6S) for v in l3)
+    return write_table(path, header, rows, meta)
 
 
 def _meta_number(meta: dict[str, str], key: str, default: str, path, integer: bool = False):
@@ -657,8 +663,23 @@ def _meta_number(meta: dict[str, str], key: str, default: str, path, integer: bo
         raise ParseError(f"{path}: metadata {key} = {text!r} is not {kind}") from exc
 
 
+def _meta_numbers(meta: dict[str, str], key: str, path) -> list[float]:
+    """The space-separated numbers of "# key = ...", none if absent."""
+    text = meta.get(key, "")
+    try:
+        return [float(v) for v in text.split()]
+    except ValueError as exc:
+        raise ParseError(f"{path}: metadata {key} = {text!r} is not a list of numbers") from exc
+
+
 def read_smoothed_csv(path) -> SmoothedCurve:
     meta, header, data = read_table(path)
+    a = _meta_numbers(meta, "points_a_bf_a0", path)
+    l3 = _meta_numbers(meta, "points_l3_cm6_per_s", path)
+    if len(a) != len(l3):
+        raise ParseError(
+            f"{path}: {len(a)} points_a_bf_a0 values but {len(l3)} points_l3_cm6_per_s"
+        )
     return SmoothedCurve(
         a_bf_a0=_column(header, data, "a_bf", path),
         l3=_column(header, data, "L3", path) / M6S_TO_CM6S,
@@ -667,6 +688,7 @@ def read_smoothed_csv(path) -> SmoothedCurve:
         span=_meta_number(meta, "span", "nan", path),
         n_boot=_meta_number(meta, "n_boot", "0", path, integer=True),
         seed=_meta_number(meta, "seed", "0", path, integer=True),
+        points=tuple((x, v / M6S_TO_CM6S) for x, v in zip(a, l3)),
     )
 
 
@@ -692,7 +714,8 @@ def emit_plot_data(kind: str, out_dir, **inputs) -> list[Path]:
 
     fig1b: ground_state + noise/seed -> projected column slice and its
     Abel reconstruction next to the true radial profile.
-    fig2a: smoothed -> curve with confidence band.
+    fig2a: smoothed -> curve with confidence band, and the measured points
+    it was smoothed from.
     fig2b: gamma_records -> measured loss rates per set.
     fig3: pipeline_csv -> overlap curves reordered for plotting.
 

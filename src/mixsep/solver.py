@@ -130,15 +130,16 @@ directly, with no relaxation step:
   minimum over n >= 0 of omega = f - mu_b n_b - mu_f n_f, where
   f = V_b n_b + g_bb n_b^2 / 2 + c_TF n_f^(5/3) + V_f n_f + g_bf n_b n_f.
   With a_b = mu_b - V_b and a_f = mu_f - V_f its candidates are: empty; a
-  pure condensate, n_b = a_b / g_bb; the pure Fermi sea of
-  fermion_response; and the mixed state, whose x = n_f^(1/3) is the
+  pure condensate, n_b = a_b / g_bb; the pure Fermi sea,
+  n_f = (a_f / C)^(3/2); and the mixed state, whose x = n_f^(1/3) is the
   local-minimum root x in (0, 2C/3B) of C x^2 - B x^3 = -A, with
   A = (g_bf/g_bb) a_b - a_f, B = g_bf^2 / g_bb, C = (5/3) c_TF, and then
-  n_b = (a_b - g_bf n_f) / g_bb. The root has a closed form (_Cells.states)
-  with no cancellation as x -> 0. A candidate counts only where it is a
-  local minimum: a species held at zero must not want in. A cell has at
-  most two local minima, the sea and one on the boson side (condensate,
-  mixed or empty); a cell with both is bistable.
+  n_b = (a_b - g_bf n_f) / g_bb. The root has a closed form with no
+  cancellation as x -> 0. A candidate counts only where it is a local
+  minimum: a species held at zero must not want in. A cell has at most
+  two local minima, the sea and one on the boson side (condensate, mixed
+  or empty); a cell with both is bistable. pointwise_minima evaluates
+  them all from the local potentials alone.
 - mu comes from a damped Newton ascent of the concave dual
   L(mu) = sum w omega(mu) + mu . N, N the half box's atom numbers: its
   gradient is N minus the cells' atoms and its Hessian minus the sum of
@@ -617,54 +618,82 @@ _CAP = 1.25
 _EXPONENTS = (2.5, 3.0)
 
 
-def fermion_response(
-    mu_f: float, v_f: np.ndarray, n_b, g_bf: float, c_tf: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n_f, dn_f/dmu_f): the Thomas-Fermi Fermi sea at a fixed boson density, per cell.
+def pointwise_minima(a_b, a_f, g_bb: float, g_bf: float, c_tf: float, bosons: bool):
+    """Each cell's local minima of omega = f - mu_b n_b - mu_f n_f over n >= 0.
 
-    n_f = ((mu_f - V_f - g_bf n_b)_+ / C)^(3/2) with C = (5/3) c_TF: the
-    density whose local Fermi energy C n_f^(2/3) fills what mu_f leaves
-    after the trap and the bosons' mean field, zero where nothing is left.
-    It minimizes each cell's c_TF n_f^(5/3) + (V_f + g_bf n_b - mu_f) n_f
-    over n_f >= 0, whatever n_b is, so it is the fermions' half of a tf
-    state and the pure-fermion cell of the pointwise minimum (n_b = 0).
-    The slope is (3/2) n_f^(1/3) / C. n_b may be an array or a number.
+    a_b = mu_b - V_b and a_f = mu_f - V_f are the cells' local potentials
+    (module docstring). Returns (sea, k, boson, bistable, sea_lower):
+
+    - sea = (n_f, omega, dn_f/dmu_f), every cell's Fermi sea alone,
+      n_f = ((a_f)_+ / C)^(3/2) with C = (5/3) c_TF: the density whose local
+      Fermi energy C n_f^(2/3) fills a_f, and so k_F^3 / 6 pi^2. At a fixed
+      boson density n_b the fermions' half of a state is the sea at
+      a_f - g_bf n_b.
+    - k, the cells that can hold bosons (none unless bosons), and boson =
+      (n_b, n_f, omega, d_bb, d_bf, d_ff) of their boson side: a condensate,
+      the mixed root or empty, with d the entries of its dn/dmu.
+    - bistable flags the cells k with both a valid sea and a valid boson
+      side, and sea_lower the cells k that take the sea when free to
+      choose: it is the lower of the two, or their boson side is invalid.
     """
-    fermi = (5.0 / 3.0) * c_tf
-    left = mu_f - v_f - g_bf * n_b
-    np.maximum(left, 0.0, out=left)
-    x = np.sqrt(left / fermi)  # n_f^(1/3)
-    return x * x * x, (1.5 / fermi) * x
-
-
-@dataclass
-class _Bistable:
-    """The bistable cells of one evaluation: both local minima of each.
-
-    cells holds their flat Fortran-order indices on the half box, w their
-    volumes and gap w times the difference of their two omegas. boson is
-    the boson side's (n_b, n_f, omega, d_bb, d_bf, d_ff) per cell, sea the
-    Fermi sea's (n_f, omega, d_ff), and on_sea flags the cells that took
-    the sea.
-    """
-
-    cells: np.ndarray
-    w: np.ndarray
-    gap: np.ndarray
-    boson: tuple
-    sea: tuple
-    on_sea: np.ndarray
-
-    def sides(self, at) -> tuple:
-        """(w, n on the sea, n on the boson side, dn/dmu on each, on_sea) of
-        the cells at positions at: each n a (2, cells) array and each
-        dn/dmu a (2, 2, cells) one."""
-        n_b, n_f, _, d_bb, d_bf, d_ff = (v[at] for v in self.boson)
-        sea_f, _, sea_ff = (v[at] for v in self.sea)
-        zero = np.zeros_like(n_b)
-        return (self.w[at], np.array([zero, sea_f]), np.array([n_b, n_f]),
-                np.array([[zero, zero], [zero, sea_ff]]), np.array([[d_bb, d_bf], [d_bf, d_ff]]),
-                self.on_sea[at])
+    fermi = (5.0 / 3.0) * c_tf  # C
+    cubic = g_bf**2 / g_bb  # B
+    # Every cell's fermion side, the Fermi sea alone; at a_f = C n_f^(2/3)
+    # its omega = c_TF n_f^(5/3) - a_f n_f is -(2/5) a_f n_f.
+    x = np.sqrt(np.maximum(a_f, 0.0) / fermi)  # n_f^(1/3)
+    n_f = x * x * x
+    sea = (n_f, -0.4 * a_f * n_f, (1.5 / fermi) * x)
+    # The boson side, on the cells k that can hold bosons: with repulsion
+    # those with a_b > 0 (every other one is empty there, which is never
+    # below its sea), with attraction all, and none without a condensate.
+    if not bosons:
+        k = np.zeros(0, dtype=int)
+    elif g_bf >= 0.0:
+        k = np.flatnonzero(a_b > 0.0)
+    else:
+        k = np.arange(a_b.size)
+    ak_b, ak_f = a_b[k], a_f[k]
+    # A condensate, valid where no fermion wants in, A = (g_bf/g_bb) a_b
+    # - a_f >= 0, or empty, valid where neither species wants in ...
+    big_a = (g_bf / g_bb) * ak_b - ak_f
+    nk_b = np.maximum(ak_b, 0.0) / g_bb
+    nk_f, dk_bf, dk_ff = np.zeros((3, k.size))
+    dk_bb = (ak_b > 0.0) / g_bb
+    side_ok = np.where(ak_b > 0.0, big_a >= 0.0, ak_f <= 0.0)
+    omega = -0.5 * g_bb * nk_b * nk_b
+    # ... or mixed, where A < 0. Eliminating n_b = (a_b - g_bf n_f) / g_bb
+    # leaves C x^2 - B x^3 = -A in x = n_f^(1/3). Its local minimum is the
+    # root in (0, 2C/3B), which exists for s = -A B^2 / C^3 < 4/27:
+    # x = (C/B) t with t^2 - t^3 = s, t = (4/3) sin(th) sin(2 pi/3 - th),
+    # th = arcsin(sqrt(27 s)/2) / 3, with no cancellation as s -> 0.
+    m = np.flatnonzero(big_a < 0.0)
+    if m.size and cubic > 0.0:
+        s = big_a[m] * (-cubic * cubic / fermi**3)
+        m, s = m[s < 4.0 / 27.0], s[s < 4.0 / 27.0]
+        th = np.arcsin(np.sqrt(27.0 * s) * 0.5) * (1.0 / 3.0)
+        x = (4.0 / 3.0) * (fermi / cubic) * np.sin(th) * np.sin(2.0 * math.pi / 3.0 - th)
+    else:
+        x = np.sqrt(big_a[m] * (-1.0 / fermi))
+    if m.size:
+        nm_f = x * x * x
+        nm_b = (ak_b[m] - g_bf * nm_f) / g_bb
+        on = nm_b > 0.0
+        m, x, nm_f, nm_b = m[on], x[on], nm_f[on], nm_b[on]
+        # dn/dmu = [[g_bb, g_bf], [g_bf, 2C/3x]]^-1
+        #        = [[2C, -3x g_bf], [-3x g_bf, 3x g_bb]] / (g_bb (2C - 3Bx))
+        den = 1.0 / (g_bb * (2.0 * fermi - 3.0 * cubic * x))
+        nk_b[m], nk_f[m] = nm_b, nm_f
+        dk_bb[m] = 2.0 * fermi * den
+        dk_bf[m] = -3.0 * g_bf * x * den
+        dk_ff[m] = 3.0 * g_bb * x * den
+        side_ok[m] = True
+        omega[m] = (0.6 * fermi * x * x - ak_f[m]) * nm_f - 0.5 * g_bb * nm_b * nm_b
+    # The fermion side is valid where no boson wants in. A cell that
+    # rounding leaves with neither side valid, at a continuous
+    # crossover, takes the sea, which the other side meets there.
+    bistable = side_ok & (ak_f > 0.0) & (g_bf * n_f[k] >= ak_b)
+    sea_lower = np.where(bistable, sea[1][k] < omega, ~side_ok)
+    return sea, k, (nk_b, nk_f, omega, dk_bb, dk_bf, dk_ff), bistable, sea_lower
 
 
 @dataclass
@@ -672,28 +701,40 @@ class _CellStates:
     """The counted cells' states at one (mu_b, mu_f): each cell's lowest local
     minimum, or the one on its assigned side.
 
-    Every counted cell is the Fermi sea of fermion_response (n_b = 0),
-    with n_f, omega (the cell's f - mu_b n_b - mu_f n_f) and dn_f/dmu_f in
-    sea, except the cells at positions b, which take the boson side: their
-    n_b, n_f, omega and the entries d_bb, d_bf, d_ff of their dn/dmu are in
-    side. index holds the counted cells' flat Fortran-order indices on the
-    half box. A bistable cell has two local minima, on the fermion side
-    and on the boson side (a condensate, mixed or empty). sides flags every
-    half-box cell whose lowest minimum is the fermion one.
+    sea, k and boson are pointwise_minima's, over the counted cells. Every
+    counted cell takes its sea but the cells k that on_sea does not flag,
+    which take their boson side. pairs lists the bistable cells, those
+    with both a sea and a boson side, as positions in k. index holds the
+    counted cells' flat Fortran-order indices on the half box, and w their
+    volumes. sides flags every half-box cell whose lowest minimum is the
+    sea.
     """
 
     sea: tuple[np.ndarray, np.ndarray, np.ndarray]
-    b: np.ndarray
-    side: tuple[np.ndarray, ...]
+    k: np.ndarray
+    boson: tuple[np.ndarray, ...]
+    on_sea: np.ndarray
+    pairs: np.ndarray
     index: np.ndarray
-    w: np.ndarray  # the counted cells' volumes
+    w: np.ndarray
     sides: np.ndarray
-    bistable: _Bistable
+
+    @property
+    def b(self) -> np.ndarray:
+        """The counted cells that take their boson side."""
+        return self.k[~self.on_sea]
+
+    @property
+    def side(self) -> tuple[np.ndarray, ...]:
+        """pointwise_minima's boson side of the cells b."""
+        on = ~self.on_sea
+        return tuple(v[on] for v in self.boson)
 
     def sums(self) -> tuple[float, np.ndarray, np.ndarray]:
         """(sum of w omega, the atoms N, dN/dmu) over the half box."""
-        w, wb = self.w, self.w[self.b]
-        (n_f, omega, d_ff), b = self.sea, self.b
+        b = self.b
+        w, wb = self.w, self.w[b]
+        n_f, omega, d_ff = self.sea
         side_b, side_f, side_omega, d_bb, d_bf, side_ff = self.side
         atoms = np.array([wb @ side_b, w @ n_f + wb @ (side_f - n_f[b])])
         h_bf = wb @ d_bf
@@ -702,9 +743,10 @@ class _CellStates:
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """(n_b, n_f) over the counted cells."""
+        b, side = self.b, self.side
         n_b = np.zeros_like(self.sea[0])
         n_f = self.sea[0].copy()
-        n_b[self.b], n_f[self.b] = self.side[0], self.side[1]
+        n_b[b], n_f[b] = side[0], side[1]
         return n_b, n_f
 
     def half_box(self, shape) -> list[np.ndarray]:
@@ -716,6 +758,30 @@ class _CellStates:
             out.append(half)
         return out
 
+    @property
+    def cells(self) -> np.ndarray:
+        """The bistable cells' flat Fortran-order indices on the half box."""
+        return self.index[self.k[self.pairs]]
+
+    def gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, w |omega_F - omega_B|) of the bistable cells."""
+        c = self.k[self.pairs]
+        w = self.w[c]
+        return w, w * np.abs(self.sea[1][c] - self.boson[2][self.pairs])
+
+    def both_sides(self, at) -> tuple:
+        """(w, omega_F - omega_B, n on the sea, n on the boson side, dn/dmu
+        on each, on_sea) of the bistable cells at positions at: each n a
+        (2, cells) array and each dn/dmu a (2, 2, cells) one."""
+        j = self.pairs[at]
+        c = self.k[j]
+        n_b, n_f, omega, d_bb, d_bf, d_ff = (v[j] for v in self.boson)
+        sea_f, sea_omega, sea_ff = (v[c] for v in self.sea)
+        zero = np.zeros_like(n_b)
+        return (self.w[c], sea_omega - omega, np.array([zero, sea_f]), np.array([n_b, n_f]),
+                np.array([[zero, zero], [zero, sea_ff]]), np.array([[d_bb, d_bf], [d_bf, d_ff]]),
+                self.on_sea[j])
+
 
 class _Cells:
     """The z > 0 cells a tf state can occupy: those below _CAP times either mu."""
@@ -723,8 +789,6 @@ class _Cells:
     def __init__(self, params, bosons: bool, mu: np.ndarray):
         self.params = params
         self.bosons = bosons
-        self.fermi = (5.0 / 3.0) * params.c_tf  # C
-        self.cubic = params.g_bf**2 / params.g_bb  # B
         self.select(mu)
 
     def select(self, mu: np.ndarray) -> None:
@@ -749,81 +813,15 @@ class _Cells:
         if abs(mu_b) > self.caps[0] or abs(mu_f) > self.caps[1]:
             self.select(mu)
         p = self.params
-        g_bb, g_bf, fermi, cubic = p.g_bb, p.g_bf, self.fermi, self.cubic
-        # Every cell's fermion side, the Fermi sea alone; at a_f = C n_f^(2/3)
-        # its omega = c_TF n_f^(5/3) - a_f n_f is -(2/5) a_f n_f.
-        n_f, d_ff = fermion_response(mu_f, self.v_f, 0.0, g_bf, p.c_tf)
-        a_f = mu_f - self.v_f
-        sea = (n_f, -0.4 * a_f * n_f, d_ff)
-        sides = np.ones(p.v_b.size, dtype=bool)
-        # The boson side, on the cells k that can hold bosons: with repulsion
-        # those with a_b > 0 (every other one is empty there, which is never
-        # below its sea), with attraction all, and none without a condensate.
-        a_b = mu_b - self.v_b
-        if not self.bosons:
-            k = np.zeros(0, dtype=int)
-        elif g_bf >= 0.0:
-            k = np.flatnonzero(a_b > 0.0)
-        else:
-            k = np.arange(a_b.size)
-        ak_b, ak_f = a_b[k], a_f[k]
-        # A condensate, valid where no fermion wants in, A = (g_bf/g_bb) a_b
-        # - a_f >= 0, or empty, valid where neither species wants in ...
-        big_a = (g_bf / g_bb) * ak_b - ak_f
-        nk_b = np.maximum(ak_b, 0.0) / g_bb
-        nk_f, dk_bf, dk_ff = np.zeros((3, k.size))
-        dk_bb = (ak_b > 0.0) / g_bb
-        side_ok = np.where(ak_b > 0.0, big_a >= 0.0, ak_f <= 0.0)
-        omega = -0.5 * g_bb * nk_b * nk_b
-        # ... or mixed, where A < 0. Eliminating n_b = (a_b - g_bf n_f) / g_bb
-        # leaves C x^2 - B x^3 = -A in x = n_f^(1/3). Its local minimum is the
-        # root in (0, 2C/3B), which exists for s = -A B^2 / C^3 < 4/27:
-        # x = (C/B) t with t^2 - t^3 = s, t = (4/3) sin(th) sin(2 pi/3 - th),
-        # th = arcsin(sqrt(27 s)/2) / 3, with no cancellation as s -> 0.
-        m = np.flatnonzero(big_a < 0.0)
-        if m.size and cubic > 0.0:
-            s = big_a[m] * (-cubic * cubic / fermi**3)
-            m, s = m[s < 4.0 / 27.0], s[s < 4.0 / 27.0]
-            th = np.arcsin(np.sqrt(27.0 * s) * 0.5) * (1.0 / 3.0)
-            x = (4.0 / 3.0) * (fermi / cubic) * np.sin(th) * np.sin(2.0 * math.pi / 3.0 - th)
-        else:
-            x = np.sqrt(big_a[m] * (-1.0 / fermi))
-        if m.size:
-            nm_f = x * x * x
-            nm_b = (ak_b[m] - g_bf * nm_f) / g_bb
-            on = nm_b > 0.0
-            m, x, nm_f, nm_b = m[on], x[on], nm_f[on], nm_b[on]
-            # dn/dmu = [[g_bb, g_bf], [g_bf, 2C/3x]]^-1
-            #        = [[2C, -3x g_bf], [-3x g_bf, 3x g_bb]] / (g_bb (2C - 3Bx))
-            den = 1.0 / (g_bb * (2.0 * fermi - 3.0 * cubic * x))
-            nk_b[m], nk_f[m] = nm_b, nm_f
-            dk_bb[m] = 2.0 * fermi * den
-            dk_bf[m] = -3.0 * g_bf * x * den
-            dk_ff[m] = 3.0 * g_bb * x * den
-            side_ok[m] = True
-            omega[m] = (0.6 * fermi * x * x - ak_f[m]) * nm_f - 0.5 * g_bb * nm_b * nm_b
-        # The fermion side is valid where no boson wants in. A cell that
-        # rounding leaves with neither side valid, at a continuous
-        # crossover, takes the sea, which the other side meets there.
-        omega_sea = sea[1][k]
-        both = side_ok & (ak_f > 0.0) & (g_bf * n_f[k] >= ak_b)
-        fermi_lower = np.where(both, omega_sea < omega, ~side_ok)
-        sides[self.index[k]] = fermi_lower
-        if side is not None:
-            fermi_lower = np.where(both, side[self.index[k]], fermi_lower)
-        on = ~fermi_lower
-        kb = k[both]
-        boson = (nk_b, nk_f, omega, dk_bb, dk_bf, dk_ff)
-        return _CellStates(
-            sea, k[on], tuple(v[on] for v in boson), self.index, self.w, sides,
-            _Bistable(
-                cells=self.index[kb], w=self.w[kb],
-                gap=self.w[kb] * np.abs(omega_sea - omega)[both],
-                boson=tuple(v[both] for v in boson),
-                sea=(n_f[kb], omega_sea[both], d_ff[kb]),
-                on_sea=fermi_lower[both],
-            ),
+        sea, k, boson, bistable, on_sea = pointwise_minima(
+            mu_b - self.v_b, mu_f - self.v_f, p.g_bb, p.g_bf, p.c_tf, self.bosons
         )
+        sides = np.ones(p.v_b.size, dtype=bool)
+        sides[self.index[k]] = on_sea
+        if side is not None:
+            on_sea = np.where(bistable, side[self.index[k]], on_sea)
+        return _CellStates(sea, k, boson, on_sea, np.flatnonzero(bistable), self.index,
+                           self.w, sides)
 
 
 def _newton_step(targets, atoms, slope, mu, scale) -> np.ndarray:
@@ -882,11 +880,10 @@ def _ridge(cells: _Cells, mu, targets, split):
     for _ in range(_RIDGE_STEPS):
         st = cells.states(mu)
         _, atoms, slope = st.sums()
-        pairs = st.bistable
-        at = np.flatnonzero(split_mask[pairs.cells])
+        at = np.flatnonzero(split_mask[st.cells])
         if at.size != len(split):
             return None
-        w, sea, boson, d_sea, d_boson, on_sea = pairs.sides(at)
+        w, gap, sea, boson, d_sea, d_boson, on_sea = st.both_sides(at)
         # the cells' lowest minima replaced by the mixture
         atoms += ((1.0 - theta) * boson + theta * sea - np.where(on_sea, sea, boson)) @ w
         slope += ((1.0 - theta) * d_boson + theta * d_sea - np.where(on_sea, d_sea, d_boson)) @ w
@@ -894,9 +891,8 @@ def _ridge(cells: _Cells, mu, targets, split):
         # (N - atoms, omega_F - omega_B), jump = n_F - n_B and W the cells'
         # volume, since d(omega_F - omega_B)/dmu = -jump; by elimination:
         jump = sea[:, 0] - boson[:, 0]
-        gap = pairs.sea[1][at[0]] - pairs.boson[2][at[0]]
         y, z = _solve2(slope, targets - atoms), _solve2(slope, jump)
-        d_theta = (jump @ y - gap) / (w.sum() * (jump @ z))
+        d_theta = (jump @ y - gap[0]) / (w.sum() * (jump @ z))
         step = y - (w.sum() * d_theta) * z
         mu, theta = mu + step, theta + d_theta
         if not 0.0 <= theta <= 1.0:
@@ -945,12 +941,13 @@ def _dual_ascent(cells: _Cells, mu, targets, scale, side=None):
                 # The full step crossed a kink. Split the cell of smallest
                 # gap that it flipped, with the cells whose omegas differ
                 # by the same amount to 1e-9.
-                pairs = st.bistable
-                flipped = np.flatnonzero((st.sides != st_t.sides)[pairs.cells])
+                bistable = st.cells
+                flipped = np.flatnonzero((st.sides != st_t.sides)[bistable])
                 if flipped.size:
-                    c = flipped[np.argmin(pairs.gap[flipped])]
-                    per_volume = pairs.gap / pairs.w
-                    split = pairs.cells[np.abs(per_volume - per_volume[c]) <= 1e-9 * per_volume[c]]
+                    w, gap = st.gaps()
+                    c = flipped[np.argmin(gap[flipped])]
+                    per_volume = gap / w
+                    split = bistable[np.abs(per_volume - per_volume[c]) <= 1e-9 * per_volume[c]]
                     top = _ridge(cells, mu, targets, split)
                     if top is not None:
                         return top, cells.states(top), split
@@ -978,21 +975,20 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
     dual ascent from its model's maximum with its sides held, and the first
     whose ascent settles wins; only the candidates tried are evaluated.
     """
-    pairs = st.bistable
-    order = np.argsort(pairs.gap)
+    bistable = st.cells
+    order = np.argsort(st.gaps()[1])
     if split.size:
         in_split = np.zeros(cells.params.v_b.size, dtype=bool)
         in_split[split] = True
-        order = order[in_split[pairs.cells[order]]]
+        order = order[in_split[bistable[order]]]
     at = order[:_FLIP_CELLS]
-    w, sea, boson, d_sea, d_boson, on_sea = pairs.sides(at)
-    jump = pairs.sea[1][at] - pairs.boson[2][at]  # omega_F - omega_B
+    w, jump, sea, boson, d_sea, d_boson, on_sea = st.both_sides(at)
     _, atoms, slope = st.sums()
     ranked = []
     for subset in range(1 << len(at)):
         flip = [j for j in range(len(at)) if subset >> j & 1]
         side = st.sides.copy()
-        side[pairs.cells[at[flip]]] ^= True
+        side[bistable[at[flip]]] ^= True
         # each flipped cell's move to its other side
         sign = np.where(on_sea[flip], -1.0, 1.0) * w[flip]
         a = atoms + (sea[:, flip] - boson[:, flip]) @ sign

@@ -242,13 +242,13 @@ class TestCentering:
         with pytest.raises(CenterNotFound):
             center_and_symmetrize(ColumnSlice(y, v))
 
-    def test_flat_extremum_takes_the_top_half_centroid(self):
-        # On a plateau the second difference at its first sample is the step
-        # up to it, which counts as flat only below 1e-30: here, a plateau
-        # of 8e-36. The center is then the intensity-weighted centroid of
-        # the samples at least half as far from the baseline as the extremum.
+    @pytest.mark.parametrize("scale", [1e-35, 1.0])
+    def test_flat_extremum_takes_the_top_half_centroid(self, scale):
+        # A plateau, at any scale, is centered at the intensity-weighted
+        # centroid of the samples at least half as far from the baseline as
+        # the extremum, not by a parabola through its first sample.
         y = np.arange(40.0) - 19.5
-        v = 1e-35 * np.minimum(np.sqrt(np.clip(1.0 - np.abs(y - 2.3) / 12.0, 0.0, None)), 0.8)
+        v = scale * np.minimum(np.sqrt(np.clip(1.0 - np.abs(y - 2.3) / 12.0, 0.0, None)), 0.8)
         dev = np.abs(v - 0.5 * (np.mean(v[:4]) + np.mean(v[-4:])))
         top = dev >= 0.5 * dev.max()
         centroid = float(np.sum(y[top] * dev[top]) / np.sum(dev[top]))

@@ -16,6 +16,7 @@ from mixsep.cli import build_parser, main
 from mixsep.config import default_scenario
 from mixsep.constants import A_BOHR
 from mixsep.errors import StepUnstable
+from mixsep.lossfit import smooth_l3
 from mixsep.pipeline import (
     load_ground_state,
     read_profile_csv,
@@ -857,6 +858,26 @@ class TestSweepAndFig:
         )
         assert code == 2
         assert "curve.csv" in err and "n_boot" in err
+
+    def test_fig2a_writes_the_measured_points(self, capsys, tmp_path):
+        # The curve CSV carries the points it was smoothed from, so fig2a from
+        # the CLI writes the tables the library writes from the curve itself.
+        a = np.geomspace(100.0, 2000.0, 7)
+        l3_cm6 = 1e-25 * a / 1000.0
+        src = tmp_path / "points.csv"
+        write_table(src, ["a_bf[a0]", "L3[cm^6/s]"], np.column_stack([a, l3_cm6]).tolist())
+        curve = tmp_path / "curve.csv"
+        assert run(capsys, "smooth-l3", "--in", str(src), "--out", str(curve),
+                   "--boot", "20")[0] == 0
+        assert run(capsys, "fig", "fig2a", "--in", str(curve),
+                   "--out", str(tmp_path / "cli"))[0] == 0
+        a0, l3, _ = pipeline.read_l3_points_csv(src)
+        pipeline.emit_plot_data("fig2a", tmp_path / "lib",
+                                smoothed=smooth_l3(a0, l3, n_boot=20, seed=42))
+        for name in ("fig2a_curve.csv", "fig2a_points.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        _, _, points = read_table(tmp_path / "cli" / "fig2a_points.csv")
+        np.testing.assert_allclose(points, np.column_stack([a, l3_cm6]), rtol=1e-11)
 
     @pytest.mark.filterwarnings("error::mixsep.errors.NonDecayingWarning")
     def test_fig1b_default_noise_does_not_warn_on_the_shipped_tf_state(self, capsys, tmp_path):

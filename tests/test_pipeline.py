@@ -328,9 +328,12 @@ class TestPointFiles:
         assert back.span == curve.span
         assert back.n_boot == curve.n_boot
         assert back.seed == curve.seed
+        assert len(back.points) == len(curve.points) == 9
+        np.testing.assert_allclose(back.points, curve.points, rtol=1e-11)
 
     @pytest.mark.parametrize(
-        "key, text", [("n_boot", "many"), ("seed", "nan"), ("span", "wide"), ("n_boot", "inf")]
+        "key, text", [("n_boot", "many"), ("seed", "nan"), ("span", "wide"), ("n_boot", "inf"),
+                      ("points_l3_cm6_per_s", "1e-25 many")]
     )
     def test_smoothed_bad_metadata_names_key(self, tmp_path, key, text):
         a = np.geomspace(100.0, 2000.0, 9)
@@ -342,6 +345,16 @@ class TestPointFiles:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=f"smooth.csv: metadata {key} = '{text}'"):
+            read_smoothed_csv(p)
+
+    def test_smoothed_points_need_one_l3_per_scattering_length(self, tmp_path):
+        a = np.geomspace(100.0, 2000.0, 9)
+        curve = smooth_l3(a, 1e-25 * (a / 1000.0) ** 2, n_boot=30, seed=4)
+        p = write_smoothed_csv(curve, tmp_path / "smooth.csv")
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        p.write_text("".join(ln.rsplit(" ", 1)[0] + "\n" if ln.startswith("# points_a_bf_a0")
+                             else ln for ln in lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="smooth.csv: 8 points_a_bf_a0 values but 9"):
             read_smoothed_csv(p)
 
     def test_profile_round_trip(self, tmp_path):

@@ -677,7 +677,7 @@ def _assert_kkt_state(gs):
         assert field.integrate() == pytest.approx(target, rel=1e-14, abs=0.0)
 
 
-def test_fermion_response_is_the_local_fermi_sea():
+def test_pointwise_sea_is_the_local_fermi_sea():
     # n_f = k_F^3 / 6 pi^2 with hbar^2 k_F^2 / 2m the energy mu_f leaves
     # after the trap and the bosons' mean field, zero where none is left
     params = functional_params(SC.with_a_bf(300.0 * A_BOHR), grid_for_scenario(SC, 16, 32), "tf")
@@ -685,8 +685,11 @@ def test_fermion_response_is_the_local_fermi_sea():
     v_f = np.linspace(0.0, 2.0e-29, 41)
     n_b = np.linspace(3.0e19, 0.0, 41)
     mu_f = 1.2e-29
-    n_f, slope = solver.fermion_response(mu_f, v_f, n_b, params.g_bf, params.c_tf)
     left = mu_f - v_f - params.g_bf * n_b
+    (n_f, omega, slope), k, boson, _, _ = solver.pointwise_minima(
+        np.zeros_like(left), left, params.g_bb, params.g_bf, params.c_tf, False
+    )
+    assert k.size == 0 and all(v.size == 0 for v in boson)
     k_f = np.sqrt(2.0 * mass * np.maximum(left, 0.0)) / HBAR
     np.testing.assert_allclose(n_f, k_f**3 / (6.0 * math.pi**2), rtol=1e-14, atol=0.0)
     assert np.all(n_f[left <= 0.0] == 0.0) and np.all(n_f[left > 0.0] > 0.0)
@@ -694,13 +697,105 @@ def test_fermion_response_is_the_local_fermi_sea():
     fermi = (5.0 / 3.0) * params.c_tf
     inside = left > 0.0
     np.testing.assert_allclose(fermi * n_f[inside] ** (2.0 / 3.0), left[inside], rtol=1e-14)
-    # the slope is dn_f/dmu_f = (3/2) n_f / left
+    # the slope is dn_f/dmu_f = (3/2) n_f / left, and omega = c_TF n_f^(5/3) - left n_f
     np.testing.assert_allclose(slope[inside], 1.5 * n_f[inside] / left[inside], rtol=1e-14)
     assert np.all(slope[~inside] == 0.0)
-    # a boson density of 0 as a number is the pure sea
-    sea, _ = solver.fermion_response(mu_f, v_f, 0.0, params.g_bf, params.c_tf)
-    pure, _ = solver.fermion_response(mu_f, v_f, np.zeros_like(v_f), params.g_bf, params.c_tf)
-    np.testing.assert_array_equal(sea, pure)
+    np.testing.assert_allclose(omega, params.c_tf * n_f ** (5.0 / 3.0) - left * n_f,
+                               rtol=1e-13, atol=0.0)
+
+
+def _local_potentials(a_bf_a0: float):
+    """(params, a_b, a_f): a = mu - V on the 32x64 half box at the tf state's mu."""
+    sc = SC.with_a_bf(a_bf_a0 * A_BOHR)
+    grid = grid_for_scenario(sc, 32, 64)
+    gs = minimize(sc, grid, SolverOptions(mode="tf"))
+    params = half_box_params(sc, grid, "tf")
+    return params, gs.mu_b - params.v_b.ravel(), gs.mu_f - params.v_f.ravel()
+
+
+def _pointwise_sides(params, a_b, a_f):
+    """pointwise_minima's sides as full-length (n_b, n_f, omega) per side, with
+    its raw output; the boson side is nan off the cells k."""
+    sea, k, boson, bistable, sea_lower = solver.pointwise_minima(
+        a_b, a_f, params.g_bb, params.g_bf, params.c_tf, True
+    )
+    sides = [(np.zeros_like(a_b), sea[0], sea[1])]
+    full = []
+    for v in boson[:3]:
+        out = np.full_like(a_b, np.nan)
+        out[k] = v
+        full.append(out)
+    sides.append(tuple(full))
+    return sides, (sea, k, boson, bistable, sea_lower)
+
+
+@pytest.mark.parametrize("a_bf_a0", [-300.0, 300.0, 1480.0])
+def test_pointwise_minima_meet_the_kkt_conditions(a_bf_a0):
+    # The side each cell takes, and both sides of a bistable cell, meet
+    # _kkt's per-cell conditions: where a species is present its local
+    # potential meets its mu, where it is absent it lies no lower, and a
+    # mixed cell's second variation is positive. omega is f - mu . n there,
+    # and the side taken is the lower one.
+    params, a_b, a_f = _local_potentials(a_bf_a0)
+    (sea, boson), (_, k, _, bistable, sea_lower) = _pointwise_sides(params, a_b, a_f)
+    takes_sea = np.ones(a_b.size, dtype=bool)
+    takes_sea[k] = sea_lower
+    is_pair = np.zeros(a_b.size, dtype=bool)
+    is_pair[k[bistable]] = True
+    fermi = (5.0 / 3.0) * params.c_tf
+    tol = 1e-12 * max(np.max(np.abs(a_b)), np.max(np.abs(a_f)))
+    for (n_b, n_f, omega), valid in ((sea, takes_sea | is_pair), (boson, ~takes_sea | is_pair)):
+        n_b, n_f, omega = n_b[valid], n_f[valid], omega[valid]
+        x = np.cbrt(n_f)
+        grad_b = params.g_bb * n_b + params.g_bf * n_f - a_b[valid]
+        grad_f = fermi * x * x + params.g_bf * n_b - a_f[valid]
+        for n, grad in ((n_b, grad_b), (n_f, grad_f)):
+            assert np.all(np.where(n > 0.0, np.abs(grad), -grad) <= tol)
+        both = (n_b > 0.0) & (n_f > 0.0)
+        assert np.all(3.0 * params.g_bf**2 * x[both] < 2.0 * fermi * params.g_bb)
+        f = (params.c_tf * n_f ** (5.0 / 3.0) + 0.5 * params.g_bb * n_b**2
+             + params.g_bf * n_b * n_f - a_b[valid] * n_b - a_f[valid] * n_f)
+        np.testing.assert_allclose(omega, f, rtol=1e-9, atol=1e-12 * np.max(np.abs(f)))
+    assert np.all((sea[2] < boson[2])[is_pair] == takes_sea[is_pair])
+    # mixed cells below the interface, bistable ones past it
+    mixed = (boson[0] > 0.0) & (boson[1] > 0.0) & ~takes_sea
+    assert np.any(mixed) == (a_bf_a0 < 1000.0)
+    assert np.any(is_pair) == (a_bf_a0 > 1000.0)
+
+
+@pytest.mark.parametrize("a_bf_a0", [-300.0, 300.0, 1480.0])
+def test_pointwise_minima_slopes_are_central_differences(a_bf_a0):
+    # dn/dmu of both sides is the derivative of their densities in a = mu - V,
+    # on every cell whose side keeps its form (which species are present)
+    # across the differences
+    params, a_b, a_f = _local_potentials(a_bf_a0)
+    centre, (sea, k, boson, _, _) = _pointwise_sides(params, a_b, a_f)
+    slopes = [{(1, 1): sea[2]}, {}]
+    for ij, v in zip(((0, 0), (0, 1), (1, 1)), boson[3:]):
+        slopes[1][ij] = np.full_like(a_b, np.nan)
+        slopes[1][ij][k] = v
+    h = 1e-6 * np.array([np.max(np.abs(a_b)), np.max(np.abs(a_f))])
+    checked = 0
+    for j in (0, 1):
+        shift = h * (np.arange(2) == j)
+        up, _ = _pointwise_sides(params, a_b + shift[0], a_f + shift[1])
+        down, _ = _pointwise_sides(params, a_b - shift[0], a_f - shift[1])
+        for side in (0, 1):
+            same = np.ones(a_b.size, dtype=bool)
+            for probe in (up[side], down[side]):
+                for i in (0, 1):
+                    same &= (probe[i] > 0.0) == (centre[side][i] > 0.0)
+            for i in (0, 1):
+                diff = (up[side][i] - down[side][i]) / (2.0 * h[j])
+                want = slopes[side].get((min(i, j), max(i, j)))
+                if want is None:  # the sea's n_b, and its n_f in a_b
+                    assert np.all(diff[same] == 0.0)
+                    continue
+                keep = same & np.isfinite(want)
+                np.testing.assert_allclose(diff[keep], want[keep], rtol=1e-6,
+                                           atol=1e-9 * np.max(np.abs(want[keep])))
+                checked += np.count_nonzero(keep & (want != 0.0))
+    assert checked > 400
 
 
 @pytest.mark.parametrize("a_bf_a0", [300.0, 1480.0])
@@ -812,10 +907,85 @@ def test_ridge_solve_lands_on_the_dual_maximum():
     assert split.size == 2
     omega, _, _ = st.sums()
     assert 2.0 * (omega + mu @ targets) == pytest.approx(1.0035728092768e-24, rel=1e-12)
-    pairs = st.bistable
-    at = np.flatnonzero(np.isin(pairs.cells, split))
+    at = np.flatnonzero(np.isin(st.cells, split))
     # the split cells' two minima are equal there, to rounding
-    assert np.all(pairs.gap[at] <= 1e-12 * np.abs(pairs.w[at] * pairs.sea[1][at]))
+    w, gap = st.gaps()
+    sea_omega = st.sea[1][st.k[st.pairs[at]]]
+    assert np.all(gap[at] <= 1e-12 * np.abs(w[at] * sea_omega))
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """A list that gains one entry per evaluation of every tf cell."""
+    calls = []
+    states = solver._Cells.states
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return states(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Cells, "states", counted)
+    return calls
+
+
+def test_unsettled_ridge_solve_leaves_the_kink_to_the_search(monkeypatch):
+    # With one ridge step allowed the lever-rule solve on 64x128 at 800 a0
+    # does not settle and gives up. The ascent then backtracks to the kink,
+    # and the kink search still finds the fully separated state, after 26
+    # cell evaluations instead of 10.
+    monkeypatch.setattr(solver, "_RIDGE_STEPS", 1)
+    calls = _count_evaluations(monkeypatch)
+    gs = minimize(SC.with_a_bf(800.0 * A_BOHR), grid_for_scenario(SC, 64, 128),
+                  SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    assert gs.energy == pytest.approx(1.0035732780090e-24, rel=1e-13)
+    assert len(calls) == 26
+
+
+def test_ridge_solve_gives_up_on_a_cell_that_is_not_bistable():
+    # A split cell must stay bistable through the lever-rule solve: the
+    # ridge on 64x128 at 800 a0 with a cell past the condensate added to
+    # its split is None.
+    sc = SC.with_a_bf(800.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 64, 128)
+    params = half_box_params(sc, grid, "tf")
+    targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
+    mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
+                   fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
+    cells = solver._Cells(params, True, mu)
+    top, _, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
+    outer = cells.index[-1]
+    assert outer not in cells.states(top).cells
+    assert solver._ridge(cells, top, targets, np.append(split, outer)) is None
+
+
+def test_fermion_floor_of_the_newton_step():
+    # With 64 times the bosons and 1/64 of the fermions on 32x64 at 1000 a0
+    # the condensate pushes the sea out of the start's cells, which hold
+    # under half the fermions, so the Newton step floors dN_f/dmu_f by the
+    # noninteracting slope 3 N_f / mu_f. The solve still ends at a KKT state.
+    sc = replace(SC, n_bosons=64.0 * SC.n_bosons,
+                 n_fermions=SC.n_fermions / 64.0).with_a_bf(1000.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 32, 64)
+    targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
+    mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
+                   fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
+    _, atoms, _ = solver._Cells(half_box_params(sc, grid, "tf"), True, mu).states(mu).sums()
+    assert atoms[1] < 0.5 * targets[1]
+    gs = minimize(sc, grid, SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    assert gs.energy == pytest.approx(9.566805088210786e-25, rel=1e-13)
+
+
+def test_dual_ascent_out_of_newton_steps(monkeypatch):
+    # On 16x32 at -800 a0 the ascent climbs for all _MAX_NEWTON steps without
+    # settling, and the best assignment it leaves holds no condensate: the
+    # mixture collapses, after 122 cell evaluations.
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(ThomasFermiCollapse, match="a_bf = -800 a0, the best pointwise state"
+                                                  " holds 0 times the condensate's atoms"):
+        minimize(SC.with_a_bf(-800.0 * A_BOHR), grid_for_scenario(SC, 16, 32),
+                 SolverOptions(mode="tf"))
+    assert len(calls) == 122
 
 
 def test_collapsed_tf_mixture_raises(grid32):
