@@ -335,7 +335,7 @@ def evaluate(
     params: EnergyFunctionalParams,
     psi: np.ndarray,
     phi: np.ndarray,
-    stencil: KineticStencil,
+    stencil: KineticStencil | None,
     norms: tuple[float, float] | None = None,
 ) -> Evaluation:
     """Energy breakdown (J) and both Hamiltonians applied, in one pass.
@@ -347,7 +347,9 @@ def evaluate(
     H_f phi = (-coef_f lap + V_f + (5/3) c_TF n_f^(2/3) + g_bf n_b) phi
     where (5/3) c_TF n^(2/3) is the local Fermi energy of the sea, and
     dE/dpsi = 2 w (H_b psi), likewise for phi. Raises NumericalBlowup on a
-    non-finite energy term. The stencil is applied once per field, the
+    non-finite energy term. The stencil is applied once per field whose
+    kinetic coefficient is not zero, and may be None where both are (tf
+    mode); the
     densities come from psi~^2 and phi~^2 through the per-row factors of
     params.row_factors, n_f^(2/3) is one cube root squared, and every term
     is one plain sum (grid.dot), the Fermi pressure (3/5) of

@@ -160,10 +160,15 @@ directly, with no relaxation step:
 - The flip rule. The discrete problem splits no cell. From the maximum,
   the assignment that puts each bistable cell on the side of its lowest
   minimum there, and the same with any of the split cells on their other
-  side (at most _FLIP_CELLS; where no ridge solve succeeded, the
-  _FLIP_CELLS bistable cells of smallest gap), are each ranked by the
-  maximum of the quadratic model of their frozen dual at the maximum:
-  the dual there plus half the Newton step times the atom-number error.
+  side (where no ridge solve succeeded, the _FLIP_CELLS bistable cells of
+  smallest gap), are each ranked by the maximum of the quadratic model of
+  their frozen dual at the maximum: the dual there plus half the Newton
+  step times the atom-number error. On the shipped grids a split group is
+  the cells on one radius of a square lattice (d_z omega_z = d_rho
+  omega_rho): four on 160x320 at 1480 a0, up to 16 on a 128-row half box.
+  At most _SPLIT_CELLS of them, those of smallest gap, are flipped (2^8
+  assignments); the rest are held on their boson side, not on the side
+  rounding picks at the ridge.
   Both sides of every bistable cell are known there, so the ranking
   evaluates no cell. The best is finished by the same damped ascent with
   each bistable cell held on its side (its dual is smooth while every held
@@ -183,20 +188,21 @@ directly, with no relaxation step:
 
 A cell with a_b <= 0 holds no bosons unless g_bf < 0, so with repulsion
 only the few cells with a_b > 0 get the boson side's closed forms, and
-every other one is the sea. Only cells below _CAP times either mu are
-counted; the rest are empty. One evaluation of every cell takes about
-0.1 ms at 64x128. A solve takes 1 evaluation at a_bf = 0, 5 to 9 in the
-mixed regime and 10 (64x128) to 13 (128x256) past the interface, with
-the state's energy terms, Rayleigh-quotient mu and residuals from one
-functional evaluation, as a relaxed state's. The returned state has
-iterations = 0 and a one-entry energy_history, and is converged; its
-relative residuals are about 2e-16. Where the KKT check fails, minimize
-raises ThomasFermiCollapse instead of returning a state: under strong
-attraction (-600 a0 and beyond on 32x64) the best assignment misses the
-atom numbers by a factor of ten, or some cells have no local minimum at
-all. With repulsion, where no assignment the kink search tries meets the
-atom numbers (on coarse grids, such as twice the default's fermions on
-24x48 at 500 a0), it raises a NumericsError that says so.
+every other one is the sea. Every z > 0 cell is evaluated, the empty ones
+far out in the trap too, so no sum depends on a selection that mu moves.
+One evaluation of every cell with its sums takes about 0.1 ms at 64x128
+and 0.2 ms at 128x256 (one core of a Xeon VM). A solve takes 1 evaluation
+at a_bf = 0, 5 to 9 in the mixed regime and 10 (64x128) to 13 (128x256)
+past the interface, with the state's energy terms, Rayleigh-quotient mu
+and residuals from one functional evaluation, as a relaxed state's. The
+returned state has iterations = 0 and a one-entry energy_history, and is
+converged; its relative residuals are about 2e-16. Where the KKT check
+fails, minimize raises ThomasFermiCollapse instead of returning a state:
+under strong attraction (-600 a0 and beyond on 32x64) the best assignment
+misses the atom numbers by a factor of ten, or some cells have no local
+minimum at all. With repulsion, where no assignment the kink search tries
+meets the atom numbers (on coarse grids, such as twice the default's
+fermions on 24x48 at 500 a0), it raises a NumericsError that says so.
 The solve does not depend on any start: minimize reads neither a warm
 start nor max_iter in tf mode.
 """
@@ -602,8 +608,10 @@ def _density(u: np.ndarray, grid: Grid2D) -> np.ndarray:
 # The dual ascent's line search gives up after this many halvings in a row
 # without an ascent: the dual maximum then sits on a kink.
 _KINK_HALVINGS = 3
-# How many cells the kink search flips, in every combination.
+# How many cells of smallest gap the kink search flips with no ridge solve.
 _FLIP_CELLS = 3
+# The most split cells it flips; it holds any others on their boson side.
+_SPLIT_CELLS = 8
 # A Newton step on (mu_b, mu_f) of at most this share of each mu ends a
 # solve, as it ends profiles._calibrate_half's root.
 _MU_STEP = 1e-14
@@ -611,9 +619,6 @@ _MU_STEP = 1e-14
 _MAX_NEWTON = 60
 # Newton steps after which a ridge solve gives up.
 _RIDGE_STEPS = 8
-# A cell is counted in the solve while V_b < _CAP mu_b or V_f < _CAP mu_f;
-# every cell past both is empty. A mu that passes its cap selects again.
-_CAP = 1.25
 # The exponents p of the noninteracting N ~ mu^p: condensate, Fermi sea.
 _EXPONENTS = (2.5, 3.0)
 
@@ -698,16 +703,15 @@ def pointwise_minima(a_b, a_f, g_bb: float, g_bf: float, c_tf: float, bosons: bo
 
 @dataclass
 class _CellStates:
-    """The counted cells' states at one (mu_b, mu_f): each cell's lowest local
-    minimum, or the one on its assigned side.
+    """The half box's cell states at one (mu_b, mu_f): each cell's lowest
+    local minimum, or the one on its assigned side.
 
-    sea, k and boson are pointwise_minima's, over the counted cells. Every
-    counted cell takes its sea but the cells k that on_sea does not flag,
-    which take their boson side. pairs lists the bistable cells, those
-    with both a sea and a boson side, as positions in k. index holds the
-    counted cells' flat Fortran-order indices on the half box, and w their
-    volumes. sides flags every half-box cell whose lowest minimum is the
-    sea.
+    sea, k and boson are pointwise_minima's, over every z > 0 cell in flat
+    Fortran order. Every cell takes its sea but the cells k that on_sea
+    does not flag, which take their boson side. pairs lists the bistable
+    cells, those with both a sea and a boson side, as positions in k. w
+    holds the cells' volumes, and sides flags every cell whose lowest
+    minimum is the sea.
     """
 
     sea: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -715,13 +719,12 @@ class _CellStates:
     boson: tuple[np.ndarray, ...]
     on_sea: np.ndarray
     pairs: np.ndarray
-    index: np.ndarray
     w: np.ndarray
     sides: np.ndarray
 
     @property
     def b(self) -> np.ndarray:
-        """The counted cells that take their boson side."""
+        """The cells that take their boson side."""
         return self.k[~self.on_sea]
 
     @property
@@ -742,26 +745,17 @@ class _CellStates:
         return float(w @ omega + wb @ (side_omega - omega[b])), atoms, slope
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_b, n_f) over the counted cells."""
+        """(n_b, n_f) over the half box, flat in Fortran order."""
         b, side = self.b, self.side
         n_b = np.zeros_like(self.sea[0])
         n_f = self.sea[0].copy()
         n_b[b], n_f[b] = side[0], side[1]
         return n_b, n_f
 
-    def half_box(self, shape) -> list[np.ndarray]:
-        """[n_b, n_f] on the half box of this shape, in Fortran order."""
-        out = []
-        for n in self.fields():
-            half = np.zeros(shape, order="F")
-            half.reshape(-1, order="F")[self.index] = n
-            out.append(half)
-        return out
-
     @property
     def cells(self) -> np.ndarray:
         """The bistable cells' flat Fortran-order indices on the half box."""
-        return self.index[self.k[self.pairs]]
+        return self.k[self.pairs]
 
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, w |omega_F - omega_B|) of the bistable cells."""
@@ -784,44 +778,31 @@ class _CellStates:
 
 
 class _Cells:
-    """The z > 0 cells a tf state can occupy: those below _CAP times either mu."""
+    """The z > 0 cells a tf state occupies: their potentials and volumes,
+    flat in Fortran order."""
 
-    def __init__(self, params, bosons: bool, mu: np.ndarray):
+    def __init__(self, params, bosons: bool):
         self.params = params
         self.bosons = bosons
-        self.select(mu)
-
-    def select(self, mu: np.ndarray) -> None:
-        """Count the cells below _CAP times either mu."""
-        p = self.params
-        self.caps = (_CAP * abs(mu[0]), _CAP * abs(mu[1]))
-        v_b, v_f = (v.reshape(-1, order="F") for v in (p.v_b, p.v_f))
-        keep = v_f < self.caps[1]
-        if self.bosons:
-            keep |= v_b < self.caps[0]
-        self.index = np.flatnonzero(keep)
-        self.v_b, self.v_f = v_b[self.index], v_f[self.index]
-        self.w = p.grid.ring_volumes[self.index % p.grid.n_rho]
+        self.v_b, self.v_f = (v.reshape(-1, order="F") for v in (params.v_b, params.v_f))
+        self.w = np.tile(params.grid.ring_volumes, params.v_b.shape[1])
 
     def states(self, mu: np.ndarray, side: np.ndarray | None = None) -> _CellStates:
-        """Each counted cell's lowest local minimum at mu.
+        """Each cell's lowest local minimum at mu.
 
-        side, when given, holds one flag per half-box cell (True: the
-        fermion side), and a bistable cell takes its minimum on that side.
+        side, when given, holds one flag per cell (True: the fermion side),
+        and a bistable cell takes its minimum on that side.
         """
         mu_b, mu_f = mu
-        if abs(mu_b) > self.caps[0] or abs(mu_f) > self.caps[1]:
-            self.select(mu)
         p = self.params
         sea, k, boson, bistable, on_sea = pointwise_minima(
             mu_b - self.v_b, mu_f - self.v_f, p.g_bb, p.g_bf, p.c_tf, self.bosons
         )
-        sides = np.ones(p.v_b.size, dtype=bool)
-        sides[self.index[k]] = on_sea
+        sides = np.ones(self.w.size, dtype=bool)
+        sides[k] = on_sea
         if side is not None:
-            on_sea = np.where(bistable, side[self.index[k]], on_sea)
-        return _CellStates(sea, k, boson, on_sea, np.flatnonzero(bistable), self.index,
-                           self.w, sides)
+            on_sea = np.where(bistable, side[k], on_sea)
+        return _CellStates(sea, k, boson, on_sea, np.flatnonzero(bistable), self.w, sides)
 
 
 def _newton_step(targets, atoms, slope, mu, scale) -> np.ndarray:
@@ -874,7 +855,7 @@ def _ridge(cells: _Cells, mu, targets, split):
     this is its maximum. Returns mu, or None once theta leaves [0, 1], a
     split cell stops being bistable, or _RIDGE_STEPS steps do not settle.
     """
-    split_mask = np.zeros(cells.params.v_b.size, dtype=bool)
+    split_mask = np.zeros(cells.w.size, dtype=bool)
     split_mask[split] = True
     theta = 0.5
     for _ in range(_RIDGE_STEPS):
@@ -964,29 +945,35 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
 
     The candidates are the assignment at mu and the same with any of the
     flip cells on their other side: the split cells, or else the
-    _FLIP_CELLS bistable cells of smallest gap. Each is ranked by the
-    maximum of the quadratic model of its frozen dual at mu that its Newton
-    step uses: the dual at mu plus (N - atoms) . step / 2, where the
-    flipped cells' omegas move the dual at mu off the one all candidates
-    share. That needs no evaluation, since the flipped cells' other sides
-    are in st, and the frozen dual's own maximum, the assignment's energy,
-    differs from it only to third order in the step. Ties go to the
-    candidate listed first. Each is finished, best-ranked first, by the
-    dual ascent from its model's maximum with its sides held, and the first
-    whose ascent settles wins; only the candidates tried are evaluated.
+    _FLIP_CELLS bistable cells of smallest gap. Of a split group larger
+    than _SPLIT_CELLS, only the _SPLIT_CELLS cells of smallest gap are
+    flipped, and the rest are held on their boson side in every candidate.
+    Each is ranked by the maximum of the quadratic model of its frozen dual
+    at mu that its Newton step uses: the dual at mu plus
+    (N - atoms) . step / 2, where the flipped cells' omegas move the dual
+    at mu off the one all candidates share. That needs no evaluation, since
+    the flipped cells' other sides are in st, and the frozen dual's own
+    maximum, the assignment's energy, differs from it only to third order
+    in the step. Ties go to the candidate listed first. Each is finished,
+    best-ranked first, by the dual ascent from its model's maximum with its
+    sides held, and the first whose ascent settles wins; only the
+    candidates tried are evaluated.
     """
     bistable = st.cells
     order = np.argsort(st.gaps()[1])
     if split.size:
-        in_split = np.zeros(cells.params.v_b.size, dtype=bool)
+        in_split = np.zeros(cells.w.size, dtype=bool)
         in_split[split] = True
-        order = order[in_split[bistable[order]]]
-    at = order[:_FLIP_CELLS]
+        at = order[in_split[bistable[order]]]
+    else:
+        at = order[:_FLIP_CELLS]
     w, jump, sea, boson, d_sea, d_boson, on_sea = st.both_sides(at)
     _, atoms, slope = st.sums()
     ranked = []
-    for subset in range(1 << len(at)):
-        flip = [j for j in range(len(at)) if subset >> j & 1]
+    free = min(len(at), _SPLIT_CELLS)
+    held = [j for j in range(free, len(at)) if on_sea[j]]
+    for subset in range(1 << free):
+        flip = [j for j in range(free) if subset >> j & 1] + held
         side = st.sides.copy()
         side[bistable[at[flip]]] ^= True
         # each flipped cell's move to its other side
@@ -1012,7 +999,7 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
     mu = np.array([bec_tf_profile(scenario.bosons, scenario.condensate_number, grid)[1],
                    fermi_tf_profile(scenario.fermions, scenario.n_fermions, grid)[1]])
     scale = np.abs(mu)
-    cells = _Cells(params, targets[0] > 0.0, mu)
+    cells = _Cells(params, targets[0] > 0.0)
     mu, st, split = _dual_ascent(cells, mu, targets, scale)
     if split is not None:
         found = _kink_search(cells, mu, st, split, targets, scale)
@@ -1029,13 +1016,13 @@ def _tf_minimum(scenario: MixtureScenario, grid: Grid2D) -> GroundState:
             f"at a_bf = {scenario.a_bf / A_BOHR:.6g} a0, the best pointwise state {failure}:"
             " the Thomas-Fermi mixture collapses"
         )
-    fields = st.half_box(params.v_b.shape)
+    fields = [n.reshape(params.v_b.shape, order="F") for n in st.fields()]
     del cells, st  # not held through the final evaluation
     # The state's terms, mu and residuals come from one evaluation, as a
-    # relaxed state's do.
+    # relaxed state's do; with no kinetic term it needs no stencil.
     root = grid.root_volumes[:, None]
     amps = [root * np.sqrt(n) for n in fields]
-    ev = evaluate(params, *amps, KineticStencil(grid, mirror=True), tuple(targets))
+    ev = evaluate(params, *amps, None, tuple(targets))
     mus = (ev.mu_b, ev.mu_f)
     residual = _residuals(amps, (ev.h_psi, ev.h_phi), mus, targets)
     return _ground_state(
@@ -1059,7 +1046,7 @@ def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> str | 
               if abs(a - t) > 1e-13 * t]
     if missed:
         return "holds " + " and ".join(missed)
-    v_b, v_f = (v.reshape(-1, order="F")[st.index] for v in (params.v_b, params.v_f))
+    v_b, v_f = (v.reshape(-1, order="F") for v in (params.v_b, params.v_f))
     tol = 1e-12 * np.max(np.abs(mu))
     fermi = (5.0 / 3.0) * params.c_tf
     x = np.cbrt(n_f)

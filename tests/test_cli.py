@@ -302,6 +302,17 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "n_atoms" in err
+        # values the config parses but the scenario or its TF profile rejects
+        for text, why in (
+            ("[mixture]\nn_bosons = -1\n", "need n_bosons >= 0 and n_fermions >= 1"),
+            ("[mixture]\nalpha = 0\n", "alpha must be positive"),
+            ("[bosons]\na_bb_a0 = 0\n", "TF condensate needs a repulsive a_intra"),
+        ):
+            cfg.write_text(text, encoding="utf-8")
+            for command in (["solve", "--mode", "tf"], ["criterion"]):
+                code, out, err = run(capsys, *command, "--config", str(cfg))
+                assert (code, out) == (2, "")
+                assert why in err
 
     def test_non_finite_config_number_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"

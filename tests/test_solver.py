@@ -809,7 +809,7 @@ def test_tf_state_is_a_kkt_point_with_a_small_duality_gap(grid32, a_bf_a0, recor
     _assert_kkt_state(gs)
     params = half_box_params(sc, grid32, "tf")
     mu = np.array([gs.mu_b, gs.mu_f])
-    cells = solver._Cells(params, True, mu)
+    cells = solver._Cells(params, True)
     st = cells.states(mu)
     omega = st.sea[1].copy()
     omega[st.b] = st.side[2]
@@ -890,6 +890,46 @@ def test_kink_search_finishes_the_best_ranked_assignment():
     assert gs.energy < 1.0240e-24
 
 
+@pytest.mark.parametrize("split_cells, ranked", [(8, 16), (2, 4)])
+def test_kink_search_ranks_every_side_of_the_split_group(monkeypatch, split_cells, ranked):
+    # On 160x320 at 1480 a0 four interface cells lie on one radius of the
+    # grid's scaled coordinates, so the ridge splits all four, and each of
+    # the 16 ways to put them on their sides is ranked and finished. With
+    # _SPLIT_CELLS = 2 only the two of smallest gap are flipped, and the
+    # other two stay on their boson side in all 4 candidates.
+    monkeypatch.setattr(solver, "_SPLIT_CELLS", split_cells)
+    sc = SC.with_a_bf(1480.0 * A_BOHR)
+    grid = grid_for_scenario(sc, 160, 320)
+    targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
+    mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
+                   fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
+    cells = solver._Cells(half_box_params(sc, grid, "tf"), True)
+    top, st, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
+    assert split.tolist() == [11, 969, 1446, 1760]
+    sides = []
+
+    def stalled(cells, trial, targets, scale, side):
+        sides.append(side[split])
+        return trial, None, np.zeros(0, dtype=int)
+
+    monkeypatch.setattr(solver, "_dual_ascent", stalled)
+    assert solver._kink_search(cells, top, st, split, targets, np.abs(mu)) is None
+    assert len({s.tobytes() for s in sides}) == len(sides) == ranked
+    _, gap = st.gaps()
+    by_gap = np.argsort(gap[np.isin(st.cells, split)])
+    held = split[by_gap[split_cells:]]
+    assert not any(np.any(s[np.isin(split, held)]) for s in sides)
+
+
+def test_kink_search_finds_the_lowest_side_past_three_split_cells():
+    # With half the fermions on 112x224 at 1000 a0 the best assignment puts
+    # a split cell beyond the three of smallest gap on its other side.
+    sc = replace(SC, n_fermions=70000.0).with_a_bf(1000.0 * A_BOHR)
+    gs = minimize(sc, grid_for_scenario(sc, 112, 224), SolverOptions(mode="tf"))
+    _assert_kkt_state(gs)
+    assert gs.energy <= 4.0046637e-25
+
+
 def test_ridge_solve_lands_on_the_dual_maximum():
     # On 64x128 at 800 a0 a full Newton step of the dual ascent crosses the
     # kink of one interface cell and its mirror image. The lever-rule solve
@@ -902,7 +942,7 @@ def test_ridge_solve_lands_on_the_dual_maximum():
     targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
     mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
                    fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
-    cells = solver._Cells(params, True, mu)
+    cells = solver._Cells(params, True)
     mu, st, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
     assert split.size == 2
     omega, _, _ = st.sums()
@@ -951,9 +991,9 @@ def test_ridge_solve_gives_up_on_a_cell_that_is_not_bistable():
     targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
     mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
                    fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
-    cells = solver._Cells(params, True, mu)
+    cells = solver._Cells(params, True)
     top, _, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
-    outer = cells.index[-1]
+    outer = cells.w.size - 1
     assert outer not in cells.states(top).cells
     assert solver._ridge(cells, top, targets, np.append(split, outer)) is None
 
@@ -969,7 +1009,7 @@ def test_fermion_floor_of_the_newton_step():
     targets = np.array([sc.condensate_number, sc.n_fermions]) / 2.0
     mu = np.array([bec_tf_profile(sc.bosons, sc.condensate_number, grid)[1],
                    fermi_tf_profile(sc.fermions, sc.n_fermions, grid)[1]])
-    _, atoms, _ = solver._Cells(half_box_params(sc, grid, "tf"), True, mu).states(mu).sums()
+    _, atoms, _ = solver._Cells(half_box_params(sc, grid, "tf"), True).states(mu).sums()
     assert atoms[1] < 0.5 * targets[1]
     gs = minimize(sc, grid, SolverOptions(mode="tf"))
     _assert_kkt_state(gs)
