@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +110,7 @@ def _line_of(text: str, section: str, key: str) -> int | None:
         s = line.strip()
         if s.startswith("[") and s.endswith("]"):
             in_section = s[1:-1].strip() == section
-        elif in_section and (s.startswith(key + " ") or s.startswith(key + "=")
-                             or s == key or s.startswith(key + "\t")):
+        elif in_section and re.split("[=:]", s, maxsplit=1)[0].strip().lower() == key:
             return i
     return None
 

@@ -160,12 +160,13 @@ directly, with no relaxation step:
 - The flip rule. The discrete problem splits no cell. From the maximum,
   the assignment that puts each bistable cell on the side of its lowest
   minimum there, and the same with any of the split cells on their other
-  side (where no ridge solve succeeded, the _FLIP_CELLS bistable cells of
-  smallest gap), are each ranked by the maximum of the quadratic model of
-  their frozen dual at the maximum: the dual there plus half the Newton
-  step times the atom-number error. On the shipped grids a split group is
-  the cells on one radius of a square lattice (d_z omega_z = d_rho
-  omega_rho): four on 160x320 at 1480 a0, up to 16 on a 128-row half box.
+  side, are each ranked by the maximum of the quadratic model of their
+  frozen dual at the maximum: the dual there plus half the Newton step
+  times the atom-number error. Where the ridge solve fails, they are
+  ranked from the last point the ascent accepted, with the group it tried
+  to split. On the shipped grids a split group is the cells on one radius
+  of a square lattice (d_z omega_z = d_rho omega_rho): four on 160x320 at
+  1480 a0, up to 16 on a 128-row half box.
   At most _SPLIT_CELLS of them, those of smallest gap, are flipped (2^8
   assignments); the rest are held on their boson side, not on the side
   rounding picks at the ridge.
@@ -608,8 +609,6 @@ def _density(u: np.ndarray, grid: Grid2D) -> np.ndarray:
 # The dual ascent's line search gives up after this many halvings in a row
 # without an ascent: the dual maximum then sits on a kink.
 _KINK_HALVINGS = 3
-# How many cells of smallest gap the kink search flips with no ridge solve.
-_FLIP_CELLS = 3
 # The most split cells it flips; it holds any others on their boson side.
 _SPLIT_CELLS = 8
 # A Newton step on (mu_b, mu_f) of at most this share of each mu ends a
@@ -764,17 +763,15 @@ class _CellStates:
         return w, w * np.abs(self.sea[1][c] - self.boson[2][self.pairs])
 
     def both_sides(self, at) -> tuple:
-        """(w, omega_F - omega_B, n on the sea, n on the boson side, dn/dmu
-        on each, on_sea) of the bistable cells at positions at: each n a
-        (2, cells) array and each dn/dmu a (2, 2, cells) one."""
+        """(w, omega_F - omega_B, n_F - n_B, dn/dmu_F - dn/dmu_B, on_sea) of
+        the bistable cells at positions at, F their sea and B their boson
+        side: n a (2, cells) array and dn/dmu a (2, 2, cells) one."""
         j = self.pairs[at]
         c = self.k[j]
         n_b, n_f, omega, d_bb, d_bf, d_ff = (v[j] for v in self.boson)
         sea_f, sea_omega, sea_ff = (v[c] for v in self.sea)
-        zero = np.zeros_like(n_b)
-        return (self.w[c], sea_omega - omega, np.array([zero, sea_f]), np.array([n_b, n_f]),
-                np.array([[zero, zero], [zero, sea_ff]]), np.array([[d_bb, d_bf], [d_bf, d_ff]]),
-                self.on_sea[j])
+        return (self.w[c], sea_omega - omega, np.array([-n_b, sea_f - n_f]),
+                np.array([[-d_bb, -d_bf], [-d_bf, sea_ff - d_ff]]), self.on_sea[j])
 
 
 class _Cells:
@@ -864,14 +861,15 @@ def _ridge(cells: _Cells, mu, targets, split):
         at = np.flatnonzero(split_mask[st.cells])
         if at.size != len(split):
             return None
-        w, gap, sea, boson, d_sea, d_boson, on_sea = st.both_sides(at)
+        w, gap, jumps, d_jumps, on_sea = st.both_sides(at)
         # the cells' lowest minima replaced by the mixture
-        atoms += ((1.0 - theta) * boson + theta * sea - np.where(on_sea, sea, boson)) @ w
-        slope += ((1.0 - theta) * d_boson + theta * d_sea - np.where(on_sea, d_sea, d_boson)) @ w
+        move = (theta - on_sea) * w
+        atoms += jumps @ move
+        slope += d_jumps @ move
         # Newton on [[dN/dmu, W jump], [jump, 0]] (d mu, d theta) =
         # (N - atoms, omega_F - omega_B), jump = n_F - n_B and W the cells'
         # volume, since d(omega_F - omega_B)/dmu = -jump; by elimination:
-        jump = sea[:, 0] - boson[:, 0]
+        jump = jumps[:, 0]
         y, z = _solve2(slope, targets - atoms), _solve2(slope, jump)
         d_theta = (jump @ y - gap[0]) / (w.sum() * (jump @ z))
         step = y - (w.sum() * d_theta) * z
@@ -895,16 +893,16 @@ def _dual_ascent(cells: _Cells, mu, targets, scale, side=None):
 
     side, when given, holds each bistable cell on one side (_Cells.states),
     and no kink is split. Returns (mu, states, split): split is None where
-    the ascent converged on a smooth maximum, the cells _ridge split where
-    a full step crossed a kink and the ridge solve found the maximum, and
-    empty where a line search halved _KINK_HALVINGS times without an ascent
-    or _MAX_NEWTON steps did not converge; mu is then the last point it
-    accepted.
+    the ascent settled, and otherwise the last group of cells it tried to
+    split, empty if no full step flipped a bistable cell. mu is the ridge's
+    where _ridge settled on that group, and else the last point the ascent
+    accepted before a line search halved _KINK_HALVINGS times without an
+    ascent or _MAX_NEWTON steps did not settle.
     """
     st = cells.states(mu, side)
     omega, atoms, slope = st.sums()
     dual = omega + mu @ targets
-    empty = np.zeros(0, dtype=int)
+    split = np.zeros(0, dtype=int)
     for _ in range(_MAX_NEWTON):
         step = _newton_step(targets, atoms, slope, mu, scale)
         if _settled(step, mu):
@@ -935,39 +933,37 @@ def _dual_ascent(cells: _Cells, mu, targets, scale, side=None):
             step *= 0.5
             rise *= 0.5
         else:
-            return mu, st, empty
+            return mu, st, split
         mu, st, omega, atoms, slope, dual = trial, st_t, omega_t, atoms_t, slope_t, dual_t
-    return mu, st, empty
+    return mu, st, split
 
 
 def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
     """The lowest-energy assignment near a kink: (mu, states) or None.
 
-    The candidates are the assignment at mu and the same with any of the
-    flip cells on their other side: the split cells, or else the
-    _FLIP_CELLS bistable cells of smallest gap. Of a split group larger
-    than _SPLIT_CELLS, only the _SPLIT_CELLS cells of smallest gap are
-    flipped, and the rest are held on their boson side in every candidate.
-    Each is ranked by the maximum of the quadratic model of its frozen dual
-    at mu that its Newton step uses: the dual at mu plus
-    (N - atoms) . step / 2, where the flipped cells' omegas move the dual
-    at mu off the one all candidates share. That needs no evaluation, since
-    the flipped cells' other sides are in st, and the frozen dual's own
-    maximum, the assignment's energy, differs from it only to third order
-    in the step. Ties go to the candidate listed first. Each is finished,
-    best-ranked first, by the dual ascent from its model's maximum with its
-    sides held, and the first whose ascent settles wins; only the
-    candidates tried are evaluated.
+    mu, st and split are what _dual_ascent returned: the last group it
+    tried to split, at the ridge's mu or the last point it accepted. The
+    candidates are the assignment at mu and the same with any of the split
+    cells still bistable there on their other side; with none, the
+    assignment at mu alone. Of a split group larger than _SPLIT_CELLS, only
+    the _SPLIT_CELLS cells of smallest gap are flipped, and the rest are
+    held on their boson side in every candidate. Each is ranked by the
+    maximum of the quadratic model of its frozen dual at mu that its Newton
+    step uses: the dual at mu plus (N - atoms) . step / 2, where the
+    flipped cells' omegas move the dual at mu off the one all candidates
+    share. That needs no evaluation, since the flipped cells' other sides
+    are in st, and the frozen dual's own maximum, the assignment's energy,
+    differs from it only to third order in the step. Ties go to the
+    candidate listed first. Each is finished, best-ranked first, by the
+    dual ascent from its model's maximum with its sides held, and the first
+    whose ascent settles wins; only the candidates tried are evaluated.
     """
     bistable = st.cells
     order = np.argsort(st.gaps()[1])
-    if split.size:
-        in_split = np.zeros(cells.w.size, dtype=bool)
-        in_split[split] = True
-        at = order[in_split[bistable[order]]]
-    else:
-        at = order[:_FLIP_CELLS]
-    w, jump, sea, boson, d_sea, d_boson, on_sea = st.both_sides(at)
+    in_split = np.zeros(cells.w.size, dtype=bool)
+    in_split[split] = True
+    at = order[in_split[bistable[order]]]
+    w, gap, jumps, d_jumps, on_sea = st.both_sides(at)
     _, atoms, slope = st.sums()
     ranked = []
     free = min(len(at), _SPLIT_CELLS)
@@ -976,12 +972,13 @@ def _kink_search(cells: _Cells, mu, st: _CellStates, split, targets, scale):
         flip = [j for j in range(free) if subset >> j & 1] + held
         side = st.sides.copy()
         side[bistable[at[flip]]] ^= True
-        # each flipped cell's move to its other side
-        sign = np.where(on_sea[flip], -1.0, 1.0) * w[flip]
-        a = atoms + (sea[:, flip] - boson[:, flip]) @ sign
-        h = slope + (d_sea[:, :, flip] - d_boson[:, :, flip]) @ sign
+        # each flipped cell's move to its other side: a share theta =
+        # 1 - on_sea of its sea, as in _ridge
+        move = (1.0 - 2.0 * on_sea[flip]) * w[flip]
+        a = atoms + jumps[:, flip] @ move
+        h = slope + d_jumps[:, :, flip] @ move
         step = _newton_step(targets, a, h, mu, scale)
-        score = jump[flip] @ sign + 0.5 * (targets - a) @ step
+        score = gap[flip] @ move + 0.5 * (targets - a) @ step
         ranked.append((score, subset, mu + step, side))
     for _, _, trial, side in sorted(ranked, key=lambda c: c[:2]):
         mu_t, st_t, stalled = _dual_ascent(cells, trial, targets, scale, side)

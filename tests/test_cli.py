@@ -307,12 +307,19 @@ class TestSolve:
             ("[mixture]\nn_bosons = -1\n", "need n_bosons >= 0 and n_fermions >= 1"),
             ("[mixture]\nalpha = 0\n", "alpha must be positive"),
             ("[bosons]\na_bb_a0 = 0\n", "TF condensate needs a repulsive a_intra"),
+            ("[grid]\nn_rho = 32\nn_rho = 48\n",
+             "option 'n_rho' in section 'grid' already exists"),
         ):
             cfg.write_text(text, encoding="utf-8")
             for command in (["solve", "--mode", "tf"], ["criterion"]):
                 code, out, err = run(capsys, *command, "--config", str(cfg))
                 assert (code, out) == (2, "")
                 assert why in err
+        # with the density given, the criterion needs no TF profile
+        cfg.write_text("[bosons]\na_bb_a0 = 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "criterion", "--config", str(cfg), "--nf-peak", "1e12")
+        assert (code, out) == (2, "")
+        assert "a_bb must be positive" in err
 
     def test_non_finite_config_number_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"
@@ -323,13 +330,16 @@ class TestSolve:
         assert not (tmp_path / "run").exists()
 
     def test_odd_n_z_exits_2(self, capsys, tmp_path):
-        # rejected by the config, not later by the grid, so the line is named
+        # rejected by the config, not later by the grid, so the line is named,
+        # in any case the key is written in
         cfg = tmp_path / "odd.cfg"
-        cfg.write_text("[grid]\nn_rho = 32\nn_z = 63\n", encoding="utf-8")
-        code, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "gs"))
-        assert code == 2
-        assert "[grid] n_z on line 3 must be even" in err
-        assert not (tmp_path / "gs").exists()
+        for key in ("n_z", "N_Z"):
+            cfg.write_text(f"[grid]\nn_rho = 32\n{key} = 63\n", encoding="utf-8")
+            code, _, err = run(capsys, "solve", "--config", str(cfg),
+                               "--out", str(tmp_path / "gs"))
+            assert code == 2
+            assert "[grid] n_z on line 3 must be even" in err
+            assert not (tmp_path / "gs").exists()
 
     @pytest.mark.parametrize("key,value", [("span", 0.5), ("n_boot", 200), ("seed", 3)])
     def test_removed_fits_key_exits_2(self, capsys, tmp_path, key, value):
@@ -453,6 +463,14 @@ class TestAbel:
         )
         assert code == 2
         assert "absent.csv" in err
+        # a profile needs its values beside its positions
+        src = tmp_path / "one.csv"
+        write_table(src, ["rho[um]"], [[0.5], [1.0], [1.5]])
+        code, _, err = run(capsys, "abel", "forward", "--in", str(src),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "need two columns (x[um], value)" in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestFits:
@@ -474,6 +492,13 @@ class TestFits:
         assert payload["gamma[1/s]"] == pytest.approx(0.08, rel=1e-10)
         assert payload["decaying"] is True
         assert "gamma[1/s]" in kv(out)
+
+    def test_fit_gamma_missing_column_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "decay.csv"
+        write_table(p, ["t[s]", "X"], [[0.0, 1.0e5], [1.0, 0.9e5], [2.0, 0.8e5]])
+        code, out, err = run(capsys, "fit-gamma", "--in", str(p))
+        assert (code, out) == (2, "")
+        assert "missing column 'N'" in err
 
     def test_fit_gamma_diverged_exits_3(self, capsys, tmp_path):
         p = tmp_path / "rise.csv"

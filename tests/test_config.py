@@ -125,10 +125,12 @@ def test_unknown_key_rejected():
 
 
 def test_bad_value_reports_line():
-    with pytest.raises(ParseError) as exc:
-        parse_config("[grid]\nn_rho = hello\n")
-    assert exc.value.line == 2
-    assert "n_rho" in str(exc.value)
+    # in every key spelling configparser accepts: any case, "=" or ":"
+    for line in ("n_rho = hello", "N_RHO = hello", "n_rho: hello"):
+        with pytest.raises(ParseError) as exc:
+            parse_config(f"[grid]\n{line}\n")
+        assert exc.value.line == 2
+        assert "n_rho on line 2" in str(exc.value)
 
 
 def test_malformed_ini():

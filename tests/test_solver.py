@@ -981,6 +981,28 @@ def test_unsettled_ridge_solve_leaves_the_kink_to_the_search(monkeypatch):
     assert len(calls) == 26
 
 
+def test_failed_ridge_solves_leave_their_group_to_the_search(monkeypatch):
+    # With twice the fermions on 64x128 at 800 a0 every lever-rule solve
+    # gives up: once on two cells, then three times on a group of three.
+    # The kink search ranks that group's sides from the last point the
+    # ascent accepted, and finds a KKT state.
+    groups = []
+    ridge = solver._ridge
+
+    def recorded(cells, mu, targets, split):
+        top = ridge(cells, mu, targets, split)
+        groups.append((split.tolist(), top))
+        return top
+
+    monkeypatch.setattr(solver, "_ridge", recorded)
+    sc = replace(SC, n_fermions=2.0 * SC.n_fermions).with_a_bf(800.0 * A_BOHR)
+    gs = minimize(sc, grid_for_scenario(sc, 64, 128), SolverOptions(mode="tf"))
+    assert [split for split, _ in groups] == [[131, 194]] + 3 * [[3, 130, 192]]
+    assert all(top is None for _, top in groups)
+    _assert_kkt_state(gs)
+    assert gs.energy == pytest.approx(2.522597794279156e-24, rel=1e-13, abs=0.0)
+
+
 def test_ridge_solve_gives_up_on_a_cell_that_is_not_bistable():
     # A split cell must stay bistable through the lever-rule solve: the
     # ridge on 64x128 at 800 a0 with a cell past the condensate added to
