@@ -98,9 +98,8 @@ def cmd_solve(args) -> int:
         scenario = scenario.with_a_bf(args.abf * A_BOHR)
     elif args.b is not None:
         scenario = scenario.with_a_bf(scattering_length(cfg.resonance, args.b))
-    mode = args.mode or cfg.solver.mode
     grid = grid_for_scenario(scenario, cfg.n_rho, cfg.n_z, cfg.box_factor)
-    gs = minimize(scenario, grid, replace(cfg.solver, mode=mode))
+    gs = minimize(scenario, grid, replace(cfg.solver, mode=args.mode))
     if args.out:
         save_ground_state(gs, args.out)
     _print_kv(
@@ -286,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     a_bf = p.add_mutually_exclusive_group()
     a_bf.add_argument("--abf", type=_finite, help="interspecies scattering length, a0")
     a_bf.add_argument("--b", type=_finite, help="magnetic field in G, mapped through [resonance]")
-    p.add_argument("--mode", choices=("full", "tf"), help="solver mode")
+    p.add_argument("--mode", choices=("full", "tf"), default="full",
+                   help="solver mode (default full)")
     p.add_argument("--out", help="output directory for the ground state")
     p.set_defaults(func=cmd_solve)
 

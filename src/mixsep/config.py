@@ -67,7 +67,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "box_factor": ("float", 1.3),
     },
     "solver": {
-        "mode": ("str", "full"),
         "max_iter": ("int", 60000),
         # Read by nothing: sweeps no longer perturb their warm starts, and
         # the key stays legal for configs written while they did.
@@ -227,8 +226,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
     if grid["box_factor"] <= 1.0:
         raise ValidationError("box_factor must exceed 1")
 
-    sol = values["solver"]
-    solver = SolverOptions(mode=sol["mode"], max_iter=sol["max_iter"])
+    solver = SolverOptions(max_iter=values["solver"]["max_iter"])
 
     swp = values["sweep"]
     a_list, b_list = swp["a_bf_list_a0"], swp["b_list_gauss"]

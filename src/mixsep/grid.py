@@ -31,6 +31,12 @@ class Grid2D:
             raise NonPositiveInput("n_z must be even so the grid is z-symmetric")
         if self.d_rho <= 0.0 or self.d_z <= 0.0:
             raise NonPositiveInput("grid spacings must be positive")
+        for name in ("d_rho", "d_z"):
+            d = getattr(self, name)
+            if not 0.0 < d * d < np.inf:
+                raise NonPositiveInput(
+                    f"grid spacing {name} = {d:.4g} m has no positive finite square"
+                )
 
     @property
     def rho_max(self) -> float:

@@ -35,6 +35,15 @@ class SpeciesParams:
             raise NonPositiveInput(f"mass must be positive, got {self.mass}")
         if self.omega_rho <= 0.0 or self.omega_z <= 0.0:
             raise NonPositiveInput("trap frequencies must be positive")
+        if not 0.0 < self.omega_bar < math.inf:
+            raise NonPositiveInput(
+                f"{self.name} trap frequencies {self.omega_rho:.4g} and {self.omega_z:.4g} "
+                "rad/s have no positive finite mean"
+            )
+        if self.a_intra > 0.0 and coupling_bb(self.a_intra, self.mass) <= 0.0:
+            raise NonPositiveInput(
+                f"{self.name} scattering length {self.a_intra:.4g} m gives no positive coupling"
+            )
 
     @property
     def omega_bar(self) -> float:

@@ -557,9 +557,7 @@ _OVERLAP_COLUMNS = (
 )
 
 
-def run_overlap_sweep(
-    config: RunConfig, out_dir, mode: str | None = None, progress=None
-) -> tuple[Path, Path]:
+def run_overlap_sweep(config: RunConfig, out_dir, mode: str, progress=None) -> tuple[Path, Path]:
     """One-mode sweep emitting the per-point overlap report columns.
 
     The columns are _OVERLAP_COLUMNS against the default reference fields;
@@ -567,7 +565,6 @@ def run_overlap_sweep(
     """
     out, grid, peaks, manifest = _start_sweep(config, out_dir)
     scenario = config.scenario
-    mode = mode or config.solver.mode
     reference = reference_fields(scenario, grid)
     reports = _sweep_reports(
         config, grid, peaks, replace(config.solver, mode=mode), reference, manifest, progress

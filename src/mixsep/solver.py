@@ -641,7 +641,7 @@ def pointwise_minima(a_b, a_f, g_bb: float, g_bf: float, c_tf: float, bosons: bo
       choose: it is the lower of the two, or their boson side is invalid.
     """
     fermi = (5.0 / 3.0) * c_tf  # C
-    cubic = g_bf**2 / g_bb  # B
+    cubic = g_bf * g_bf / g_bb  # B
     # Every cell's fermion side, the Fermi sea alone; at a_f = C n_f^(2/3)
     # its omega = c_TF n_f^(5/3) - a_f n_f is -(2/5) a_f n_f.
     x = np.sqrt(np.maximum(a_f, 0.0) / fermi)  # n_f^(1/3)
@@ -1052,7 +1052,9 @@ def _kkt(params, st: _CellStates, mu: np.ndarray, targets: np.ndarray) -> str | 
     checks = [(n_f, grad_f)] + ([(n_b, grad_b)] if targets[0] > 0.0 else [])
     stuck = any(np.any(np.where(n > 0.0, np.abs(grad), -grad) > tol) for n, grad in checks)
     both = (n_b > 0.0) & (n_f > 0.0)
-    if stuck or np.any(3.0 * params.g_bf**2 * x[both] >= 2.0 * fermi * params.g_bb):
+    if stuck or np.any(
+        3.0 * (params.g_bf * params.g_bf) * x[both] >= 2.0 * fermi * params.g_bb
+    ):
         return "has cells at no local minimum"
     return None
 

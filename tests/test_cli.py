@@ -31,8 +31,6 @@ FAST_CFG = """\
 [grid]
 n_rho = 32
 n_z = 64
-[solver]
-mode = tf
 """
 
 
@@ -41,6 +39,29 @@ def fast_cfg(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text(FAST_CFG, encoding="utf-8")
     return str(p)
+
+
+# Finite inputs far outside the physical range: (config text, argv, exit
+# code, what the output names). Python's float ** raised OverflowError on
+# g_bf^2 at --abf 1e300, which now solves to the separated state as 1e200
+# does; trap frequencies whose mean, a coupling or a grid spacing whose
+# square overflows or underflows are bad input.
+EXTREME_INPUTS = [
+    ("", ["solve", "--mode", "tf", "--abf", "1e300"], 0, "a_bf_a0 = 1e+300"),
+    *(
+        (text, argv, 2, names)
+        for text, names in (
+            ("[fermions]\nnu_rho_hz = 1e300\n", "Li6 trap frequencies"),
+            ("[bosons]\nnu_rho_hz = 1e-300\n", "K41 trap frequencies"),
+            ("[bosons]\npolarizability_factor = 1e-300\n", "K41 trap frequencies"),
+            ("[bosons]\npolarizability_factor = 1e300\n", "K41 trap frequencies"),
+            ("[bosons]\na_bb_a0 = 1e-300\n", "K41 scattering length"),
+        )
+        for argv in (["solve", "--mode", "full"], ["solve", "--mode", "tf"], ["criterion"])
+    ),
+    ("[fermions]\nnu_z_hz = 1e-300\n", ["solve", "--mode", "full"], 2, "grid spacing d_z"),
+    ("[fermions]\nnu_z_hz = 1e300\n", ["solve", "--mode", "full"], 2, "grid spacing d_z"),
+]
 
 
 def run(capsys, *argv):
@@ -102,7 +123,7 @@ def test_constants_prints_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["hbar[J*s]"] == 1.054571817e-34
-    assert payload["a_bohr[m]"] == pytest.approx(5.29177210903e-11)
+    assert payload["a_bohr[m]"] == pytest.approx(5.29177210903e-11, abs=0.0)
 
 
 def _scipy_modules_after(code: str) -> list:
@@ -253,7 +274,8 @@ class TestSolve:
     def test_solve_and_save(self, capsys, tmp_path, fast_cfg):
         out_dir = tmp_path / "gs"
         code, out, _ = run(
-            capsys, "solve", "--config", fast_cfg, "--abf", "0", "--out", str(out_dir)
+            capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+            "--abf", "0", "--out", str(out_dir)
         )
         assert code == 0
         vals = kv(out)
@@ -267,7 +289,7 @@ class TestSolve:
 
     def test_field_flag_maps_through_resonance(self, capsys, fast_cfg):
         b = 335.057 - 0.1
-        code, out, _ = run(capsys, "solve", "--config", fast_cfg, "--b", str(b))
+        code, out, _ = run(capsys, "solve", "--mode", "tf", "--config", fast_cfg, "--b", str(b))
         assert code == 0
         a_bf = float(kv(out)["a_bf_a0"])
         assert a_bf == pytest.approx(638.84, rel=1e-3)
@@ -275,7 +297,7 @@ class TestSolve:
     def test_unconverged_exits_3_but_saves(self, capsys, tmp_path):
         cfg = tmp_path / "slow.cfg"
         cfg.write_text(
-            "[grid]\nn_rho = 32\nn_z = 64\n[solver]\nmode = full\nmax_iter = 3\n",
+            "[grid]\nn_rho = 32\nn_z = 64\n[solver]\nmax_iter = 3\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "gs"
@@ -290,7 +312,8 @@ class TestSolve:
     def test_collapsed_tf_mixture_exits_3_and_saves_nothing(self, capsys, tmp_path, fast_cfg):
         out_dir = tmp_path / "gs"
         code, out, err = run(
-            capsys, "solve", "--config", fast_cfg, "--abf", "-600", "--out", str(out_dir)
+            capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+            "--abf", "-600", "--out", str(out_dir)
         )
         assert code == 3
         assert "Thomas-Fermi mixture collapses" in err
@@ -320,6 +343,18 @@ class TestSolve:
         code, out, err = run(capsys, "criterion", "--config", str(cfg), "--nf-peak", "1e12")
         assert (code, out) == (2, "")
         assert "a_bb must be positive" in err
+
+    @pytest.mark.parametrize("text, argv, code, names", EXTREME_INPUTS,
+                             ids=[" ".join([*argv, text.replace("\n", " ")]).strip()
+                                  for text, argv, _, _ in EXTREME_INPUTS])
+    def test_extreme_finite_input(self, capsys, tmp_path, text, argv, code, names):
+        # each of these once ended in a traceback (exit 1)
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("[grid]\nn_rho = 16\nn_z = 32\n" + text, encoding="utf-8")
+        got, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert got == code
+        assert names in (out if code == 0 else err)
+        assert "Traceback" not in err
 
     def test_non_finite_config_number_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "nan.cfg"
@@ -532,9 +567,10 @@ class TestFits:
             str(out_json),
         )
         assert code == 0
-        assert float(kv(out)["L3[cm^6/s]"]) == pytest.approx(1.0e-25, rel=1e-4)
+        assert float(kv(out)["L3[cm^6/s]"]) == pytest.approx(1.0e-25, rel=1e-4, abs=0.0)
         payload = json.loads(out_json.read_text(encoding="utf-8"))
-        assert payload["L3[cm^6/s]"] == pytest.approx(float(kv(out)["L3[cm^6/s]"]), rel=1e-11)
+        assert payload["L3[cm^6/s]"] == pytest.approx(float(kv(out)["L3[cm^6/s]"]),
+                                                      rel=1e-11, abs=0.0)
         assert (payload["temperature_nk"], payload["n_f_peak[cm^-3]"]) == (temp_nk, nf_cm3)
         assert payload["overlap_factor"] == 1.0
 
@@ -561,7 +597,7 @@ class TestFits:
         assert header == ["a_bf[a0]", "L3[cm^6/s]", "band_lo[cm^6/s]", "band_hi[cm^6/s]"]
         mid = len(data) // 2
         expect = 1e-25 * (data[mid, 0] / 1000.0) ** 2
-        assert data[mid, 1] == pytest.approx(expect, rel=1e-6)
+        assert data[mid, 1] == pytest.approx(expect, rel=1e-6, abs=0.0)
 
     def test_smooth_l3_zero_boot_exits_2(self, capsys, tmp_path):
         a = np.geomspace(100.0, 2000.0, 7)
@@ -653,7 +689,8 @@ def test_negative_seed_exits_2(capsys, tmp_path, fast_cfg, argv):
     write_table(tmp_path / "points.csv", ["a_bf[a0]", "L3[cm^6/s]"],
                 np.column_stack([a, 1e-25 * a / 1000.0]).tolist())
     if argv[0] == "fig":
-        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(tmp_path / "gs"))[0] == 0
+        assert run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+                   "--out", str(tmp_path / "gs"))[0] == 0
     with pytest.raises(SystemExit) as exc:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2
@@ -732,7 +769,7 @@ class TestSweepAndFig:
         # a point that hits max_iter fails the run the same way; a tf-mode
         # solve takes no iterations, so this one runs in full mode
         cfg.write_text(
-            FAST_CFG + "max_iter = 3\n[sweep]\na_bf_list_a0 = 100\n", encoding="utf-8"
+            FAST_CFG + "[solver]\nmax_iter = 3\n[sweep]\na_bf_list_a0 = 100\n", encoding="utf-8"
         )
         argv[argv.index("tf")] = "full"
         code, _, err = run(capsys, *argv)
@@ -766,14 +803,16 @@ class TestSweepAndFig:
         cfg = tmp_path / "nob.cfg"
         cfg.write_text(FAST_CFG + "[mixture]\nn_bosons = 0\n", encoding="utf-8")
         gs_dir = tmp_path / "gs"
-        assert run(capsys, "solve", "--config", str(cfg), "--out", str(gs_dir))[0] == 0
+        assert run(capsys, "solve", "--mode", "tf", "--config", str(cfg),
+                   "--out", str(gs_dir))[0] == 0
         code, _, err = run(capsys, "overlap", "--ground-state", str(gs_dir))
         assert code == 2
         assert "n_bosons" in err
 
     def test_fig1b_negative_noise_exits_2(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
-        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(gs_dir))[0] == 0
+        assert run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+                   "--out", str(gs_dir))[0] == 0
         code, _, err = run(
             capsys, "fig", "fig1b", "--ground-state", str(gs_dir),
             "--out", str(tmp_path / "f1b"), "--noise", "-0.5",
@@ -784,7 +823,8 @@ class TestSweepAndFig:
 
     def test_overlap_report(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
-        run(capsys, "solve", "--config", fast_cfg, "--abf", "300", "--out", str(gs_dir))
+        run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+            "--abf", "300", "--out", str(gs_dir))
         report = tmp_path / "report.json"
         code, out, _ = run(
             capsys,
@@ -801,7 +841,7 @@ class TestSweepAndFig:
         assert 0.0 < float(vals["Omega_eff"]) <= 1.0
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["Omega_eff"] == pytest.approx(float(vals["Omega_eff"]), rel=1e-9)
-        assert payload["L3[cm^6/s]"] == pytest.approx(1e-25, rel=1e-12)
+        assert payload["L3[cm^6/s]"] == pytest.approx(1e-25, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "damage",
@@ -810,7 +850,8 @@ class TestSweepAndFig:
     )
     def test_damaged_ground_state_exits_2(self, capsys, tmp_path, fast_cfg, damage):
         gs_dir = tmp_path / "gs"
-        run(capsys, "solve", "--config", fast_cfg, "--abf", "300", "--out", str(gs_dir))
+        run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+            "--abf", "300", "--out", str(gs_dir))
         expected = _damage(gs_dir, damage)
         code, _, err = run(
             capsys, "overlap", "--ground-state", str(gs_dir), "--l3", "1e-25"
@@ -931,7 +972,8 @@ class TestSweepAndFig:
 
     def test_fig1b_from_saved_state(self, capsys, tmp_path, fast_cfg):
         gs_dir = tmp_path / "gs"
-        run(capsys, "solve", "--config", fast_cfg, "--abf", "800", "--out", str(gs_dir))
+        run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+            "--abf", "800", "--out", str(gs_dir))
         code, out, _ = run(
             capsys,
             "fig",
@@ -955,7 +997,8 @@ class TestSweepAndFig:
         # --alpha 0 once reported Omega_eff = 1 and --alpha 1e308 a nan; the
         # negative values and --l3 0 exited 3, a numerical failure
         gs_dir = tmp_path / "gs"
-        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(gs_dir))[0] == 0
+        assert run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+                   "--out", str(gs_dir))[0] == 0
         report = tmp_path / "report.json"
         code, out, err = run(
             capsys, "overlap", "--ground-state", str(gs_dir), option, value, "--out", str(report)
@@ -1021,7 +1064,8 @@ def test_option_the_command_does_not_read_exits_2(capsys, tmp_path, fast_cfg, ar
     write_table(paths["fig3"], ["a_bf[a0]", "omega_eff_full", "omega_eff_tf", "omega_zero_T"],
                 [[100.0, 0.9, 0.8, 0.85]])
     if argv[1] == "fig1b":
-        assert run(capsys, "solve", "--config", fast_cfg, "--out", str(paths["gs"]))[0] == 0
+        assert run(capsys, "solve", "--mode", "tf", "--config", fast_cfg,
+                   "--out", str(paths["gs"]))[0] == 0
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
     assert exc.value.code == 2

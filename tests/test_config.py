@@ -33,7 +33,7 @@ def test_defaults_match_shipped_scenario():
     assert cfg.n_rho == 128 and cfg.n_z == 256
     assert cfg.solver.mode == "full"
     assert cfg.sweep_b_gauss is None
-    assert cfg.l3 == pytest.approx(1.0e-25 * 1.0e-12, rel=1e-15)
+    assert cfg.l3 == pytest.approx(1.0e-25 * 1.0e-12, rel=1e-15, abs=0.0)
     np.testing.assert_allclose(
         np.array(cfg.sweep_a_bf) / A_BOHR, default_sweep_a0(), rtol=1e-12
     )
@@ -151,8 +151,6 @@ def test_grid_and_solver_validation():
         parse_config("# run\n[grid]\nn_z = 9\n")
     with pytest.raises(ValidationError, match="box_factor"):
         parse_config("[grid]\nbox_factor = 0.9\n")
-    with pytest.raises(ValidationError, match="mode"):
-        parse_config("[solver]\nmode = exact\n")
     with pytest.raises(ValidationError, match="unknown key 'span'"):
         parse_config("[fits]\nspan = 1.5\n")
     with pytest.raises(ValidationError, match="l3"):
@@ -160,9 +158,11 @@ def test_grid_and_solver_validation():
     with pytest.raises(ValidationError, match="max_iter"):
         parse_config("[solver]\nmax_iter = -5\n")
     # the stop rule is fixed in the code, not a setting; the former energy
-    # test's keys and the former warm-start noise's stay unknown
-    for key, value in (("tol_energy", "1e-10"), ("consecutive", "10"), ("warm_noise", "0.01")):
-        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+    # test's keys and the former warm-start noise's stay unknown, and the
+    # solver mode is each command's --mode
+    for key, value in (("tol_energy", "1e-10"), ("consecutive", "10"), ("warm_noise", "0.01"),
+                       ("mode", "tf")):
+        with pytest.raises(ValidationError, match=rf"unknown key '{key}' in section \[solver\]"):
             parse_config(f"[solver]\n{key} = {value}\n")
 
 
@@ -207,7 +207,7 @@ def test_load_config_reads_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("[mixture]\na_bf_a0 = 444\n", encoding="utf-8")
     cfg = load_config(p)
-    assert cfg.scenario.a_bf == pytest.approx(444 * A_BOHR)
+    assert cfg.scenario.a_bf == pytest.approx(444 * A_BOHR, abs=0.0)
 
 
 def test_serialize_requires_raw_values():
@@ -268,7 +268,6 @@ def _config_text(draw):
             "box_factor": draw(_maybe(_positive(1.01, 5.0))),
         },
         "solver": {
-            "mode": draw(_maybe(st.sampled_from(["full", "tf"]))),
             "max_iter": draw(_maybe(st.integers(1, 10**6))),
             "seed": draw(_maybe(st.integers(0, 2**32 - 1))),
         },

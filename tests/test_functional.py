@@ -57,7 +57,7 @@ def test_term_names_fixed():
 def test_tf_pressure_coefficient():
     m = 6.0 * 1.66053906660e-27
     expect = 0.6 * HBAR**2 / (2.0 * m) * (6.0 * math.pi**2) ** (2.0 / 3.0)
-    assert tf_pressure_coefficient(m) == pytest.approx(expect, rel=1e-14)
+    assert tf_pressure_coefficient(m) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 def test_mode_validation(small):
@@ -538,7 +538,7 @@ class TestKineticStencil:
         k_u, k_v = st.apply(root * u) / root, st.apply(root * v) / root
         lhs = float(np.sum(grid.weights * u * k_v))
         rhs = float(np.sum(grid.weights * v * k_u))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
         # and so is its dense matrix, on each layout and with the mirror face
         for mirror in (False, True):
             st_m = KineticStencil(grid, mirror=mirror)
@@ -615,7 +615,7 @@ class TestAdjointness:
         eps = 1e-5 * float(np.max(psi))
         num = self.directional(energy, psi, d, eps)
         ana = float(np.sum(grad * d))
-        assert num == pytest.approx(ana, rel=1e-6)
+        assert num == pytest.approx(ana, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("mode", ["full", "tf"])
     def test_fermi_field(self, small, mode):
@@ -633,7 +633,7 @@ class TestAdjointness:
         eps = 1e-5 * float(np.max(phi))
         num = self.directional(energy, phi, d, eps)
         ana = float(np.sum(grad * d))
-        assert num == pytest.approx(ana, rel=1e-6)
+        assert num == pytest.approx(ana, rel=1e-6, abs=0.0)
 
 
 def test_local_scale_bound_orders(small):

@@ -23,7 +23,7 @@ def small_grid():
 def test_weights_sum_to_cylinder_volume(small_grid):
     g = small_grid
     vol = np.pi * g.rho_max**2 * (2.0 * g.z_half)
-    assert np.sum(g.weights) == pytest.approx(vol, rel=1e-12)
+    assert np.sum(g.weights) == pytest.approx(vol, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("columns", [32, 16, 5])
@@ -36,7 +36,7 @@ def test_inner_is_the_weighted_sum(small_grid, columns, order):
     expect = np.sum(small_grid.weights[:, :columns] * a * b)
     root = small_grid.root_volumes[:, None]
     got = dot(root * a, root * b)
-    assert got == pytest.approx(expect, rel=1e-12)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
     assert isinstance(got, float)
 
 
@@ -56,7 +56,7 @@ def test_dot_past_one_ddot_sums_each_radial_line(order):
 
 def test_rho_cells_are_centered(small_grid):
     g = small_grid
-    assert g.rho[0] == pytest.approx(0.5 * g.d_rho)
+    assert g.rho[0] == pytest.approx(0.5 * g.d_rho, abs=0.0)
     assert g.rho[-1] == pytest.approx(g.rho_max - 0.5 * g.d_rho)
 
 
@@ -68,7 +68,7 @@ def test_z_axis_symmetric(small_grid):
 def test_constant_field_integrates_to_volume(small_grid):
     f = DensityField(small_grid, np.full((16, 32), 3.0))
     vol = np.pi * small_grid.rho_max**2 * 2.0 * small_grid.z_half
-    assert f.integrate() == pytest.approx(3.0 * vol, rel=1e-12)
+    assert f.integrate() == pytest.approx(3.0 * vol, rel=1e-12, abs=0.0)
 
 
 def test_quadrature_second_order(small_grid):
@@ -101,7 +101,7 @@ def test_refined_preserves_box(small_grid):
     assert fine.rho_max == pytest.approx(small_grid.rho_max)
     assert fine.z_half == pytest.approx(small_grid.z_half)
     vol = np.sum(small_grid.weights)
-    assert np.sum(fine.weights) == pytest.approx(vol, rel=1e-12)
+    assert np.sum(fine.weights) == pytest.approx(vol, rel=1e-12, abs=0.0)
 
 
 def test_arrays_read_only(small_grid):
@@ -144,7 +144,7 @@ def test_integrate_product_matches_manual(small_grid):
     a = DensityField(small_grid, va)
     b = DensityField(small_grid, vb)
     manual = float(np.sum(va * vb * small_grid.weights))
-    assert integrate_product(a, b) == pytest.approx(manual, rel=1e-14)
+    assert integrate_product(a, b) == pytest.approx(manual, rel=1e-14, abs=0.0)
 
 
 def test_integrate_product_powers(small_grid):
@@ -155,7 +155,7 @@ def test_integrate_product_powers(small_grid):
     b = DensityField(small_grid, vb)
     manual = float(np.sum(va**2 * vb ** (5.0 / 3.0) * small_grid.weights))
     got = integrate_product(a, b, powers=[2, 5.0 / 3.0])
-    assert got == pytest.approx(manual, rel=1e-14)
+    assert got == pytest.approx(manual, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

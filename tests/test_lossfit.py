@@ -61,7 +61,7 @@ class TestFitGamma:
         n0, gamma = 1.0e5, 0.08
         series = DecaySeries(t, n0 * (1.0 - gamma * t))
         fit = fit_gamma(series)
-        assert fit.gamma == pytest.approx(gamma, rel=1e-12)
+        assert fit.gamma == pytest.approx(gamma, rel=1e-12, abs=0.0)
         assert fit.n0 == pytest.approx(n0, rel=1e-12)
         assert fit.decaying
         assert fit.gamma_stderr < 1e-10 * gamma
@@ -132,7 +132,7 @@ class TestFitL3:
         l3_true = 1.0e-37  # m^6/s
         series, k = self.series_for(l3_true)
         fit = fit_l3(series, SPECIES, self.T, self.NF)
-        assert fit.l3 == pytest.approx(l3_true, rel=1e-6)
+        assert fit.l3 == pytest.approx(l3_true, rel=1e-6, abs=0.0)
         assert fit.rate_constant == pytest.approx(k, rel=1e-6)
         assert fit.n0 == pytest.approx(2.0e5, rel=1e-6)
 
@@ -140,7 +140,7 @@ class TestFitL3:
         series, _ = self.series_for(1.0e-37)
         full = fit_l3(series, SPECIES, self.T, self.NF, overlap_factor=1.0)
         half = fit_l3(series, SPECIES, self.T, self.NF, overlap_factor=0.5)
-        assert half.l3 == pytest.approx(2.0 * full.l3, rel=1e-12)
+        assert half.l3 == pytest.approx(2.0 * full.l3, rel=1e-12, abs=0.0)
 
     def test_noisy_recovery_within_errors(self):
         l3_true = 1.0e-37
@@ -225,9 +225,9 @@ def test_fit_l3_is_the_least_squares_solution(seed, with_sigma):
         _hyperbola, t, n, p0=(n[0], k_true), sigma=sigma,
         absolute_sigma=with_sigma, ftol=1e-14, xtol=1e-14,
     )
-    assert fit.l3 == pytest.approx(popt[1] * scale, rel=1e-6)
+    assert fit.l3 == pytest.approx(popt[1] * scale, rel=1e-6, abs=0.0)
     assert fit.n0 == pytest.approx(popt[0], rel=1e-6)
-    assert fit.l3_stderr == pytest.approx(math.sqrt(pcov[1, 1]) * scale, rel=1e-4)
+    assert fit.l3_stderr == pytest.approx(math.sqrt(pcov[1, 1]) * scale, rel=1e-4, abs=0.0)
     assert fit.n0_stderr == pytest.approx(math.sqrt(pcov[0, 0]), rel=1e-4)
 
     inv_sigma = 1.0 / sigma if with_sigma else np.ones(m)
@@ -340,7 +340,7 @@ def test_hard_decays_fit_to_the_least_squares_solution(name):
     # curve_fit's finite-difference Jacobian gives the covariance only to about
     # 1% on the second series; the analytic one is the reference
     cov = np.linalg.inv(jac @ jac.T)
-    assert fit.rate_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-6)
+    assert fit.rate_stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-6, abs=0.0)
     assert fit.n0_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-6)
 
 
@@ -419,7 +419,7 @@ class TestSmoothL3:
         a, l3 = self.power_law()
         curve = smooth_l3(a, l3, n_boot=20)
         assert curve.lookup(700.0) == pytest.approx(
-            1.0e-25 * 0.7**2, rel=1e-9
+            1.0e-25 * 0.7**2, rel=1e-9, abs=0.0
         )
         with pytest.raises(OutOfDomain):
             curve.lookup(50.0)

@@ -69,7 +69,7 @@ def test_denominator_formula():
         (2.0 / 7.0) * alpha * nb * beta + alpha * nt * beta + nt * (1 - beta) / SQRT8
     )
     assert eq6_denominator_rate(l3, nf, nb, nt, beta, alpha) == pytest.approx(
-        manual, rel=1e-15
+        manual, rel=1e-15, abs=0.0
     )
 
 
@@ -87,7 +87,7 @@ def test_measurement_form_analytic():
     gamma, l3, nf, nb = 0.3, 1e-37, 1.2e18, 4e19
     expect = 7.0 * gamma / (2.0 * nf * nb * l3)
     assert omega_from_measurement(gamma, l3, nf, nb) == pytest.approx(
-        expect, rel=1e-12
+        expect, rel=1e-12, abs=0.0
     )
 
 
@@ -107,17 +107,17 @@ def test_measurement_form_is_pure_bec_reduction():
 class TestOmegaZeroT:
     def test_self_reference_is_one(self, synth):
         _, n_f, n_b, _ = synth
-        assert omega(n_f, n_b, n_f, n_b) == pytest.approx(1.0, rel=1e-14)
+        assert omega(n_f, n_b, n_f, n_b) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_quadratic_in_condensate(self, synth):
         grid, n_f, n_b, _ = synth
         half = DensityField(grid, 0.5 * n_b.values)
-        assert omega(n_f, half, n_f, n_b) == pytest.approx(0.25, rel=1e-13)
+        assert omega(n_f, half, n_f, n_b) == pytest.approx(0.25, rel=1e-13, abs=0.0)
 
     def test_linear_in_sea(self, synth):
         grid, n_f, n_b, _ = synth
         dbl = DensityField(grid, 2.0 * n_f.values)
-        assert omega(dbl, n_b, n_f, n_b) == pytest.approx(2.0, rel=1e-13)
+        assert omega(dbl, n_b, n_f, n_b) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
     def test_zero_reference_raises(self, synth):
         grid, n_f, n_b, _ = synth
@@ -143,7 +143,7 @@ class TestPredictedLossRate:
         l3, alpha = 1e-37, 1.5
         expect = l3 * (0.5 * alpha * i_bb + alpha * i_bt + i_tt) / SC.n_bosons
         rep = omega_eff_from_ground_state(tf0, l3=l3, alpha=alpha)
-        assert rep.gamma_pred == pytest.approx(expect, rel=1e-13)
+        assert rep.gamma_pred == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestGroundStateReport:
@@ -162,7 +162,7 @@ class TestGroundStateReport:
             * (0.5 * rep.alpha * rep.i_bb + rep.alpha * rep.i_bt + rep.i_tt_fra)
             / SC.n_bosons
         )
-        assert rep.gamma_pred == pytest.approx(expect, rel=1e-13)
+        assert rep.gamma_pred == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     def test_reservoir_thermal_channel(self, tf0):
         rep = omega_eff_from_ground_state(tf0)
@@ -193,7 +193,7 @@ class TestGroundStateReport:
                 rep.beta,
                 rep.alpha,
             ),
-            rel=1e-14,
+            rel=1e-14, abs=0.0
         )
 
     def test_separated_limit_hits_thermal_plateau(self, tf2000):
@@ -204,9 +204,9 @@ class TestGroundStateReport:
     def test_gamma_pred_linear_in_l3(self, tf0):
         r1 = omega_eff_from_ground_state(tf0, l3=1e-37)
         r3 = omega_eff_from_ground_state(tf0, l3=3e-37)
-        assert r3.gamma_pred == pytest.approx(3.0 * r1.gamma_pred, rel=1e-13)
+        assert r3.gamma_pred == pytest.approx(3.0 * r1.gamma_pred, rel=1e-13, abs=0.0)
         # L3 cancels between the rate and its denominator
-        assert r3.omega_eff == pytest.approx(r1.omega_eff, rel=1e-13)
+        assert r3.omega_eff == pytest.approx(r1.omega_eff, rel=1e-13, abs=0.0)
 
     def test_alpha_override(self, tf0):
         r15 = omega_eff_from_ground_state(tf0, alpha=1.5)
@@ -215,11 +215,11 @@ class TestGroundStateReport:
 
     def test_explicit_reference_sets_omega_scale(self, tf0):
         rep = omega_eff_from_ground_state(tf0, reference=(tf0.n_f, tf0.n_b))
-        assert rep.omega == pytest.approx(1.0, rel=1e-14)
+        assert rep.omega == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_as_dict_units(self, tf0):
         d = omega_eff_from_ground_state(tf0).as_dict()
-        assert d["L3[cm^6/s]"] == pytest.approx(DEFAULT_L3 * 1e12)
+        assert d["L3[cm^6/s]"] == pytest.approx(DEFAULT_L3 * 1e12, abs=0.0)
         assert d["n_f_peak[cm^-3]"] == pytest.approx(PEAKS.n_f_peak * 1e-6, rel=1e-12)
         assert d["a_bf[a0]"] == pytest.approx(0.0, abs=1e-12)
         assert d["thermal_model"] == "gaussian"
@@ -246,7 +246,7 @@ class TestGroundStateReport:
         assert rep.omega_eff == pytest.approx(
             omega_from_measurement(rep.gamma_pred, rep.l3, rep.n_f_peak, rep.n_b_peak)
             / rep.alpha,
-            rel=1e-14,
+            rel=1e-14, abs=0.0
         )
 
     @pytest.mark.parametrize("name", ["l3", "alpha"])

@@ -70,7 +70,7 @@ class TestCouplings:
         m = 41.0 * 1.66053906660e-27
         a = 60.9 * A_BOHR
         assert coupling_bb(a, m) == pytest.approx(
-            4.0 * math.pi * HBAR**2 * a / m, rel=1e-14
+            4.0 * math.pi * HBAR**2 * a / m, rel=1e-14, abs=0.0
         )
 
     def test_interspecies_uses_reduced_mass(self):
@@ -79,7 +79,7 @@ class TestCouplings:
         a = 1000.0 * A_BOHR
         g = coupling_bf(a, mb, mf)
         # 2 pi hbar^2 a / m_r with m_r = mb mf / (mb + mf)
-        assert g == pytest.approx(4.25448479912978e-49, rel=1e-10)
+        assert g == pytest.approx(4.25448479912978e-49, rel=1e-10, abs=0.0)
 
     def test_interspecies_sign_follows_a(self):
         mb = 41.0 * 1.66053906660e-27
@@ -90,7 +90,7 @@ class TestCouplings:
 def test_healing_length_value():
     # (8 pi n a)^(-1/2) at n = 4.8e19 m^-3, a = 60.9 a0 -> 0.5072 um
     xi = healing_length(4.8e19, 60.9 * A_BOHR)
-    assert xi == pytest.approx(5.071661256255272e-07, rel=1e-12)
+    assert xi == pytest.approx(5.071661256255272e-07, rel=1e-12, abs=0.0)
 
 
 def test_healing_length_rejects_vacuum():
@@ -107,13 +107,13 @@ class TestSeparationThreshold:
     def test_scaling_with_a_bb(self):
         c1 = critical_scattering_length(60.9 * A_BOHR, 1.2e18)
         c2 = critical_scattering_length(4.0 * 60.9 * A_BOHR, 1.2e18)
-        assert c2 == pytest.approx(2.0 * c1, rel=1e-12)
+        assert c2 == pytest.approx(2.0 * c1, rel=1e-12, abs=0.0)
 
     def test_scaling_with_density(self):
         # k_F ~ n^(1/3), so crit ~ n^(-1/6)
         c1 = critical_scattering_length(60.9 * A_BOHR, 1.2e18)
         c2 = critical_scattering_length(60.9 * A_BOHR, 64.0 * 1.2e18)
-        assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
+        assert c2 == pytest.approx(c1 / 2.0, rel=1e-12, abs=0.0)
 
     def test_is_phase_separated_consistent(self):
         a_bb = 60.9 * A_BOHR

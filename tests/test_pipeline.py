@@ -103,12 +103,15 @@ class TestTableIO:
             read_table(p)
         assert exc.value.line == next(i for i, ln in enumerate(lines, 1) if "oops" in ln)
 
-    def test_full_precision(self, tmp_path):
+    def test_twelve_significant_digits(self, tmp_path):
+        # FLOAT_FMT keeps 12 significant digits, not a double's 17: each
+        # value reads back as its 12-digit rounding, exactly
         p = tmp_path / "t.csv"
-        val = 0.1234567890123
-        write_table(p, ["v"], [[val]])
+        values = [0.1234567890123, 0.1234567890126, 1.2345678901289e-25]
+        write_table(p, ["v"], [[v] for v in values])
         _, _, data = read_table(p)
-        assert data[0, 0] == pytest.approx(val, rel=1e-12)
+        assert list(data[:, 0]) == [float(format(v, ".12g")) for v in values]
+        assert data[1, 0] == 0.123456789013
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInput):
@@ -147,8 +150,8 @@ class TestDensityFieldIO:
         back = read_density_field(p)
         # spacings survive the 12-significant-digit file format
         assert back.grid.n_rho == grid32.n_rho and back.grid.n_z == grid32.n_z
-        assert back.grid.d_rho == pytest.approx(grid32.d_rho, rel=1e-11)
-        assert back.grid.d_z == pytest.approx(grid32.d_z, rel=1e-11)
+        assert back.grid.d_rho == pytest.approx(grid32.d_rho, rel=1e-11, abs=0.0)
+        assert back.grid.d_z == pytest.approx(grid32.d_z, rel=1e-11, abs=0.0)
         assert back.species == gs_tf.n_b.species
         np.testing.assert_allclose(back.values, gs_tf.n_b.values, rtol=1e-11, atol=1e-3)
 
@@ -202,8 +205,8 @@ class TestGroundStateIO:
         assert back.iterations == gs_tf.iterations
         assert back.scenario.n_bosons == gs_tf.scenario.n_bosons
         assert back.scenario.a_bf == pytest.approx(gs_tf.scenario.a_bf, abs=1e-15)
-        assert back.mu_b == pytest.approx(gs_tf.mu_b, rel=1e-9)
-        assert back.energy == pytest.approx(gs_tf.energy, rel=1e-9)
+        assert back.mu_b == pytest.approx(gs_tf.mu_b, rel=1e-9, abs=0.0)
+        assert back.energy == pytest.approx(gs_tf.energy, rel=1e-9, abs=0.0)
         np.testing.assert_allclose(back.n_f.values, gs_tf.n_f.values, rtol=1e-11, atol=1e-3)
         assert back.residual == gs_tf.residual
         # iteration history is not persisted
@@ -514,6 +517,24 @@ a_bf_list_a0 = 100, 800
         assert provenance["mixture.n_bosons"] == "file"
         assert provenance["mixture.n_fermions"] == "default"
         assert provenance["bosons.nu_rho_hz"] == "derived"
+
+    @pytest.mark.parametrize("product", ["overlap_tf", "figure3"])
+    def test_snapshot_records_no_solver_mode(self, tmp_path, product):
+        # The mode is each sweep's argument, not a config setting: the
+        # snapshot and the provenance name none, and each point record names
+        # the mode that ran.
+        cfg = parse_config(self.CFG_TEXT)
+        if product == "overlap_tf":
+            _, man_path = run_overlap_sweep(cfg, tmp_path, mode="tf")
+            modes = ["tf"] * 2
+        else:
+            _, man_path = run_figure3_pipeline(cfg, tmp_path)
+            modes = ["full"] * 3 + ["tf"] * 3
+        snapshot = (tmp_path / "config_snapshot.cfg").read_text(encoding="utf-8")
+        assert [ln for ln in snapshot.splitlines() if ln.split("=")[0].strip() == "mode"] == []
+        payload = verify_manifest(man_path)
+        assert "solver.mode" not in payload["provenance"]
+        assert [p["mode"] for p in payload["points"]] == modes
 
     def test_overlap_sweep_single_mode(self, tmp_path):
         cfg = parse_config(self.CFG_TEXT)

@@ -90,7 +90,7 @@ class TestScenarioDefaults:
 
     def test_with_a_bf(self):
         sc2 = SC.with_a_bf(500.0 * A_BOHR)
-        assert sc2.a_bf == pytest.approx(500.0 * A_BOHR)
+        assert sc2.a_bf == pytest.approx(500.0 * A_BOHR, abs=0.0)
         assert sc2.n_bosons == SC.n_bosons
         assert SC.a_bf == 0.0
 
@@ -98,10 +98,10 @@ class TestScenarioDefaults:
 class TestClosedForms:
     def test_fermi_energy(self):
         e_f = fermi_energy_trap(SC.n_fermions, SC.fermions)
-        assert e_f == pytest.approx(9.51281156423558e-30, rel=1e-12)
+        assert e_f == pytest.approx(9.51281156423558e-30, rel=1e-12, abs=0.0)
         # hbar * wbar * (6N)^(1/3)
         manual = HBAR * SC.fermions.omega_bar * (6.0 * SC.n_fermions) ** (1.0 / 3.0)
-        assert e_f == pytest.approx(manual, rel=1e-14)
+        assert e_f == pytest.approx(manual, rel=1e-14, abs=0.0)
 
     def test_fermi_peak_density(self):
         e_f = fermi_energy_trap(SC.n_fermions, SC.fermions)
@@ -110,19 +110,19 @@ class TestClosedForms:
 
     def test_chemical_potential(self):
         mu = tf_chemical_potential(SC.condensate_number, SC.bosons)
-        assert mu == pytest.approx(2.7216271145862373e-31, rel=1e-12)
+        assert mu == pytest.approx(2.7216271145862373e-31, rel=1e-12, abs=0.0)
 
     def test_tf_radii(self):
         mu = tf_chemical_potential(SC.condensate_number, SC.bosons)
         r_rho, r_z = tf_radii(mu, SC.bosons)
-        assert r_rho == pytest.approx(3.109660132246389e-06, rel=1e-12)
-        assert r_z == pytest.approx(2.1752670636627382e-05, rel=1e-12)
+        assert r_rho == pytest.approx(3.109660132246389e-06, rel=1e-12, abs=0.0)
+        assert r_z == pytest.approx(2.1752670636627382e-05, rel=1e-12, abs=0.0)
         # aspect ratio equals trap frequency ratio
         assert r_z / r_rho == pytest.approx(SC.bosons.omega_rho / SC.bosons.omega_z)
 
     def test_condensation_temperature(self):
         t_c = condensation_temperature(SC.n_bosons, SC.bosons)
-        assert t_c == pytest.approx(104.93424017945803e-9, rel=1e-12)
+        assert t_c == pytest.approx(104.93424017945803e-9, rel=1e-12, abs=0.0)
 
     def test_thermal_peak_coefficient_formula(self):
         t = 440e-9
@@ -139,9 +139,9 @@ class TestPeakQuantities:
         assert p.n_b_peak == pytest.approx(4.114157996686671e19, rel=1e-12)
         assert p.n_t_peak == pytest.approx(1.4254826397399693e18, rel=1e-12)
         assert p.k_fermi == pytest.approx(4128511.1131939143, rel=1e-12)
-        assert p.e_fermi == pytest.approx(9.51281156423558e-30, rel=1e-12)
-        assert p.temperature == pytest.approx(83.2863616241777e-9, rel=1e-12)
-        assert p.t_crit == pytest.approx(104.93424017945803e-9, rel=1e-12)
+        assert p.e_fermi == pytest.approx(9.51281156423558e-30, rel=1e-12, abs=0.0)
+        assert p.temperature == pytest.approx(83.2863616241777e-9, rel=1e-12, abs=0.0)
+        assert p.t_crit == pytest.approx(104.93424017945803e-9, rel=1e-12, abs=0.0)
 
     def test_pure_thermal_cloud_has_no_condensate_peak(self):
         sc = MixtureScenario(
@@ -159,8 +159,8 @@ class TestPeakQuantities:
 class TestThermalCloudParams:
     def test_temperature_from_condensate_fraction(self):
         tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.5)
-        assert tp.t == pytest.approx(tp.t_crit * 0.5 ** (1.0 / 3.0), rel=1e-14)
-        assert tp.t == pytest.approx(83.2863616241777e-9, rel=1e-12)
+        assert tp.t == pytest.approx(tp.t_crit * 0.5 ** (1.0 / 3.0), rel=1e-14, abs=0.0)
+        assert tp.t == pytest.approx(83.2863616241777e-9, rel=1e-12, abs=0.0)
 
     def test_second_moment_closed_form(self):
         tp = ThermalCloudParams(SC.bosons, SC.n_bosons, 0.5)
@@ -325,7 +325,7 @@ def test_calibration_matches_brentq(n_rho, half_n_z, scale):
         sc.n_fermions, fermi_energy_trap(sc.n_fermions, sc.fermions),
     )
     assert sea.integrate() == pytest.approx(sc.n_fermions, rel=1e-12)
-    assert e_f == pytest.approx(e_ref, rel=1e-14)
+    assert e_f == pytest.approx(e_ref, rel=1e-14, abs=0.0)
 
     bec, mu = bec_tf_profile(sc.bosons, sc.condensate_number, grid)
     mu_ref = _brentq_energy(
@@ -333,7 +333,7 @@ def test_calibration_matches_brentq(n_rho, half_n_z, scale):
         sc.condensate_number, tf_chemical_potential(sc.condensate_number, sc.bosons),
     )
     assert bec.integrate() == pytest.approx(sc.condensate_number, rel=1e-12)
-    assert mu == pytest.approx(mu_ref, rel=1e-14)
+    assert mu == pytest.approx(mu_ref, rel=1e-14, abs=0.0)
     # built on the z > 0 half and mirrored
     for field in (sea, bec):
         assert np.array_equal(field.values, field.values[:, ::-1])
@@ -395,5 +395,5 @@ def test_grid_for_scenario_covers_fermi_cloud():
     g = grid_for_scenario(SC, 64, 128)
     e_f = fermi_energy_trap(SC.n_fermions, SC.fermions)
     r_rho, r_z = tf_radii(e_f, SC.fermions)
-    assert g.rho_max == pytest.approx(1.3 * r_rho, rel=1e-12)
-    assert g.z_half == pytest.approx(1.3 * r_z, rel=1e-12)
+    assert g.rho_max == pytest.approx(1.3 * r_rho, rel=1e-12, abs=0.0)
+    assert g.z_half == pytest.approx(1.3 * r_z, rel=1e-12, abs=0.0)

@@ -101,8 +101,8 @@ class TestNonInteracting:
         # clouds, so the Rayleigh quotients equal the calibrated mu and E_F
         _, mu_cal = bec_tf_profile(SC.bosons, SC.condensate_number, grid48)
         _, ef_cal = fermi_tf_profile(SC.fermions, SC.n_fermions, grid48)
-        assert tf0.mu_b == pytest.approx(mu_cal, rel=1e-4)
-        assert tf0.mu_f == pytest.approx(ef_cal, rel=1e-4)
+        assert tf0.mu_b == pytest.approx(mu_cal, rel=1e-4, abs=0.0)
+        assert tf0.mu_f == pytest.approx(ef_cal, rel=1e-4, abs=0.0)
 
     def test_peaks_near_closed_forms(self, tf0, full0):
         for gs in (tf0, full0):
@@ -125,7 +125,7 @@ class TestNonInteracting:
 
     def test_energy_matches_breakdown(self, full0):
         assert full0.energy == pytest.approx(
-            sum(full0.energy_breakdown.values()), rel=1e-14
+            sum(full0.energy_breakdown.values()), rel=1e-14, abs=0.0
         )
         assert full0.energy_breakdown["bec_kinetic"] > 0.0
 
@@ -143,8 +143,8 @@ def test_returned_state_is_mirror_symmetric(tf0, full0, sep800):
             np.testing.assert_array_equal(fld.values, fld.values[:, ::-1])
         params = functional_params(gs.scenario, gs.grid, gs.mode)
         ev = evaluate(params, *_weighted_amplitudes(gs), KineticStencil(gs.grid))
-        assert gs.energy == pytest.approx(ev.energy, rel=1e-13)
-        assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-13)
+        assert gs.energy == pytest.approx(ev.energy, rel=1e-13, abs=0.0)
+        assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-13, abs=0.0)
         assert gs.energy_history[-1] == gs.energy
 
 
@@ -312,7 +312,7 @@ def test_rejections_do_not_fake_convergence(grid48, full0, monkeypatch):
     gs = minimize(SC, grid48, SolverOptions(mode="full"))
     assert gs.converged
     assert gs.energy < gs.energy_history[0]
-    assert gs.energy == pytest.approx(full0.energy, rel=1e-6)
+    assert gs.energy == pytest.approx(full0.energy, rel=1e-6, abs=0.0)
     # the starting state is in the history once, not once per rejection
     assert np.count_nonzero(gs.energy_history == gs.energy_history[0]) == 1
 
@@ -347,7 +347,7 @@ def test_warm_start_restarts_cheaply(full0, grid48):
     gs = minimize(SC, grid48, SolverOptions(mode="full"), warm_start=warm)
     assert gs.converged
     assert gs.iterations == 0
-    assert gs.energy == pytest.approx(full0.energy, rel=1e-14)
+    assert gs.energy == pytest.approx(full0.energy, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -557,7 +557,7 @@ def test_sweep_warm_chain(grid48):
     assert all(err is None for _, err in results)
     states = [gs for gs, _ in results]
     for gs, a in zip(states, a_values):
-        assert gs.scenario.a_bf == pytest.approx(a)
+        assert gs.scenario.a_bf == pytest.approx(a, abs=0.0)
         assert gs.converged
     centers = [gs.n_f.center_value() for gs in states]
     assert centers == sorted(centers, reverse=True)
@@ -580,7 +580,7 @@ def test_tf_state_does_not_depend_on_the_start(start):
     results = sweep_ground_states(SC, a_values, grid, options)
     gs, err = results[-1]
     assert err is None and gs.converged
-    assert gs.scenario.a_bf == pytest.approx(226.3739 * A_BOHR, rel=1e-6)
+    assert gs.scenario.a_bf == pytest.approx(226.3739 * A_BOHR, rel=1e-6, abs=0.0)
     assert gs.n_f.center_value() > 0.1 * np.max(gs.n_f.values)
     separated = results[start][0]
     assert separated.n_f.center_value() == 0.0
@@ -612,10 +612,10 @@ def test_capped_solve_reports_best_state(grid48):
     res_b = np.sqrt(np.sum(w * (h_psi - mu_b * psi) ** 2) / np.sum(w * psi * psi)) / abs(mu_b)
     res_f = np.sqrt(np.sum(w * (h_phi - mu_f * phi) ** 2) / np.sum(w * phi * phi)) / abs(mu_f)
     # the stored fields are squares, so the re-derived amplitudes differ in the last bit
-    assert gs.energy == pytest.approx(ev.energy, rel=1e-12)
-    assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-12)
-    assert (gs.mu_b, gs.mu_f) == pytest.approx((mu_b, mu_f), rel=1e-12)
-    assert gs.residual == pytest.approx((res_b, res_f), rel=1e-9)
+    assert gs.energy == pytest.approx(ev.energy, rel=1e-12, abs=0.0)
+    assert gs.energy_breakdown == pytest.approx(ev.terms, rel=1e-12, abs=0.0)
+    assert (gs.mu_b, gs.mu_f) == pytest.approx((mu_b, mu_f), rel=1e-12, abs=0.0)
+    assert gs.residual == pytest.approx((res_b, res_f), rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +831,7 @@ def test_tf_state_past_the_kink(n_rho, energy):
               for a in (800.0, 1480.0)]
     for gs in states:
         _assert_kkt_state(gs)
-        assert gs.energy == pytest.approx(energy, rel=1e-13)
+        assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
         assert not np.any((gs.n_b.values > 0.0) & (gs.n_f.values > 0.0))
     assert states[0].n_b.values.tobytes() == states[1].n_b.values.tobytes()
 
@@ -946,7 +946,7 @@ def test_ridge_solve_lands_on_the_dual_maximum():
     mu, st, split = solver._dual_ascent(cells, mu, targets, np.abs(mu))
     assert split.size == 2
     omega, _, _ = st.sums()
-    assert 2.0 * (omega + mu @ targets) == pytest.approx(1.0035728092768e-24, rel=1e-12)
+    assert 2.0 * (omega + mu @ targets) == pytest.approx(1.0035728092768e-24, rel=1e-12, abs=0.0)
     at = np.flatnonzero(np.isin(st.cells, split))
     # the split cells' two minima are equal there, to rounding
     w, gap = st.gaps()
@@ -977,7 +977,7 @@ def test_unsettled_ridge_solve_leaves_the_kink_to_the_search(monkeypatch):
     gs = minimize(SC.with_a_bf(800.0 * A_BOHR), grid_for_scenario(SC, 64, 128),
                   SolverOptions(mode="tf"))
     _assert_kkt_state(gs)
-    assert gs.energy == pytest.approx(1.0035732780090e-24, rel=1e-13)
+    assert gs.energy == pytest.approx(1.0035732780090e-24, rel=1e-13, abs=0.0)
     assert len(calls) == 26
 
 
@@ -1035,7 +1035,7 @@ def test_fermion_floor_of_the_newton_step():
     assert atoms[1] < 0.5 * targets[1]
     gs = minimize(sc, grid, SolverOptions(mode="tf"))
     _assert_kkt_state(gs)
-    assert gs.energy == pytest.approx(9.566805088210786e-25, rel=1e-13)
+    assert gs.energy == pytest.approx(9.566805088210786e-25, rel=1e-13, abs=0.0)
 
 
 def test_dual_ascent_out_of_newton_steps(monkeypatch):
